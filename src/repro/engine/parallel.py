@@ -12,9 +12,17 @@ Design (and why it is deterministic):
 
 * **Barrier per simulated minute.**  Workers tick their clusters through
   a barrier chunk (default: one 60 s tick), then ship the interval's
-  deltas — SLI samples tagged ``(tick, cluster)``, new trace entries,
-  and a metric-registry delta — to the parent, which folds them in before
+  deltas — SLI samples tagged ``(tick, cluster)`` and new trace entries
+  (or one trace block) — to the parent, which folds them in before
   releasing the next chunk.
+
+* **Metrics once per run.**  Nothing reads the parent's registry while
+  the run is in flight, so metrics do not ride the barriers: each worker
+  takes one registry baseline right after the fork and ships a single
+  delta against it with its clusters at finalize.  Every series a worker
+  touched therefore reaches the parent exactly once per run, and a shard
+  the parent takes over replays into the live registry (none of its
+  worker's metrics were ever merged).
 
 * **Exact SLI order.**  The serial loop drains samples per tick in
   cluster order; workers tag each drained batch with its (tick, cluster
@@ -22,7 +30,8 @@ Design (and why it is deterministic):
   ``WSC.sli_history`` bit-identical to a serial run.
 
 * **State reunification.**  At the end of the run each worker pickles its
-  clusters back to the parent, which swaps them into the fleet and calls
+  clusters back to the parent (with its span stats and metric delta),
+  which merges the delta, swaps the clusters into the fleet and calls
   :meth:`Cluster.rebind_runtime` so metric handles, tracer spans, event
   subscriptions, and telemetry sinks all point at the parent's live
   objects again.  The fleet can keep running serially (or under a new
@@ -51,7 +60,7 @@ from repro.checks.invariants import check_merge_delta, invariants_enabled
 from repro.common.errors import ReproError, TraceError
 from repro.common.validation import check_positive, require
 from repro.engine.sharding import ShardPlan, plan_shards
-from repro.obs import MetricName
+from repro.obs import MetricName, Stopwatch
 
 __all__ = [
     "EngineError",
@@ -119,10 +128,11 @@ class _LocalShard:
     """A shard the parent took over after its worker went unresponsive.
 
     The shard's clusters (the parent's own, never-ticked copies) are
-    caught up behind a scratch registry/tracer/trace database — their
-    already-merged barriers must not be folded in twice — and then run
-    in-parent for the rest of the run, staging trace entries so each
-    barrier still merges through the canonical sorted path.
+    caught up behind a scratch tracer and trace database — their
+    already-merged barriers must not be folded in twice — while counting
+    into the live registry, which never saw the worker's metrics.  They
+    then run in-parent for the rest of the run, staging trace entries so
+    each barrier still merges through the canonical sorted path.
     """
 
     cluster_indices: Tuple[int, ...]
@@ -134,6 +144,11 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
                  ship_blocks: bool = False) -> None:
     """Worker loop: tick owned clusters between barriers, ship deltas.
 
+    Each ``advance`` reply carries the chunk's SLI batches and trace
+    delta only.  The ``finalize`` reply carries the owned clusters, this
+    worker's span stats and one metric delta against the registry as
+    forked, so each series the shard touched ships exactly once per run.
+
     With ``ship_blocks`` (a fleet whose trace database speaks the
     zero-copy block protocol), each barrier's trace delta travels as one
     :class:`TelemetryBlock` of pending column rows instead of a list of
@@ -144,9 +159,10 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
     registry = fleet.registry
     trace_db = fleet.trace_db
     tracer = fleet.tracer
-    # The fork copied the parent's span history; reset so the stats this
-    # worker reports at finalize are purely its own (a delta by design).
+    # The fork copied the parent's span history and metric values; the
+    # stats and delta this worker reports at finalize are purely its own.
     tracer.reset()
+    metric_base = registry.baseline()
     try:
         while True:
             msg = conn.recv()
@@ -157,7 +173,6 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
                     trace_db.block_marker() if ship_blocks
                     else trace_db.mark()
                 )
-                metric_base = registry.baseline()
                 sli_batches: List[Tuple[int, int, list]] = []
                 for tick_seq in range(ticks):
                     for ci in cluster_indices:
@@ -172,7 +187,6 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
                     sli_batches,
                     (trace_db.block_since(trace_mark) if ship_blocks
                      else trace_db.entries_since(trace_mark)),
-                    registry.delta(metric_base),
                 ))
             elif cmd == "finalize":
                 # Detach the shared sinks before pickling: the parent
@@ -187,7 +201,8 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
                     cluster.trace_db = empty_db
                     for exporter in cluster.exporters.values():
                         exporter.sink = empty_db
-                conn.send(("clusters", owned, tracer.stats()))
+                conn.send(("clusters", owned, tracer.stats(),
+                           registry.delta(metric_base)))
             elif cmd == "exit":
                 break
             else:  # pragma: no cover - protocol misuse
@@ -348,6 +363,7 @@ class FleetEngine:
 
             barriers = 0
             ticks_done = 0
+            wait_seconds = merge_seconds = 0.0
             remaining = total_ticks
             while remaining > 0:
                 chunk = min(barrier_ticks, remaining)
@@ -364,20 +380,34 @@ class FleetEngine:
                         )
                 # Shards already running in-parent execute their chunk
                 # while the workers tick theirs.
-                local_results = [
+                results = [
                     self._advance_local(local_shards[si], chunk, collect_sli)
                     for si in sorted(local_shards)
                 ]
-                self._merge_barrier(
-                    shards, conns, procs, local_shards, collect_sli,
-                    chunk, ticks_done, local_results,
-                )
+                with Stopwatch() as wait:
+                    self._collect_barrier(
+                        shards, conns, procs, local_shards, collect_sli,
+                        chunk, ticks_done, results,
+                    )
+                with Stopwatch() as merge:
+                    self._merge_barrier(results, collect_sli)
+                wait_seconds += wait.seconds
+                merge_seconds += merge.seconds
                 remaining -= chunk
                 ticks_done += chunk
                 barriers += 1
 
-            self._finalize(shards, conns, procs, local_shards, total_ticks,
-                           collect_sli)
+            with Stopwatch() as finalize:
+                self._finalize(shards, conns, procs, local_shards,
+                               total_ticks, collect_sli)
+            phases = fleet.registry.counter(
+                MetricName.ENGINE_PHASE_SECONDS_TOTAL,
+                "Parent wall seconds in each parallel-engine phase.",
+                ("phase",),
+            )
+            phases.labels(phase="wait").inc(wait_seconds)
+            phases.labels(phase="merge").inc(merge_seconds)
+            phases.labels(phase="finalize").inc(finalize.seconds)
             for si, conn in enumerate(conns):
                 if si in local_shards or conn is None:
                     continue
@@ -434,11 +464,9 @@ class FleetEngine:
         The worker is terminated and the shard's clusters — the parent's
         own copies, still at their pre-run state thanks to fork
         copy-on-write — are replayed up to the last fully-merged barrier
-        behind scratch observability objects (those ticks' deltas were
-        already folded in from the worker, so replay output is
-        discarded), then re-bound to the live fleet for the rest of the
-        run.  Replay is deterministic, so the final state is identical
-        to what the healthy worker would have produced.
+        (see :meth:`_catch_up_shard`), then re-bound to the live fleet for
+        the rest of the run.  Replay is deterministic, so the final state
+        is identical to what the healthy worker would have produced.
         """
         proc = procs[si]
         if proc.is_alive():
@@ -461,17 +489,24 @@ class FleetEngine:
     def _catch_up_shard(self, cluster_indices: Tuple[int, ...],
                         ticks_done: int, collect_sli: bool,
                         reason: str) -> _LocalShard:
-        """Replay a shard to ``ticks_done`` and re-wire it for live use."""
+        """Replay a shard to ``ticks_done`` and re-wire it for live use.
+
+        The replayed ticks' SLI samples and trace entries were already
+        merged at their barriers, so they go to a scratch trace database
+        and are drained and discarded; spans go to a scratch tracer.
+        Metrics count into the live registry: a worker ships its metric
+        delta only at finalize, so none of the failed worker's counts
+        ever reached the parent and the replay supplies them exactly once.
+        """
         from repro.cluster.trace_db import TraceDatabase
-        from repro.obs import MetricRegistry, Tracer
+        from repro.obs import Tracer
 
         fleet = self.fleet
         clusters = [fleet.clusters[ci] for ci in cluster_indices]
-        scratch_registry = MetricRegistry()
         scratch_tracer = Tracer(enabled=False)
         scratch_db = TraceDatabase()
         for cluster in clusters:
-            cluster.rebind_runtime(scratch_registry, scratch_tracer,
+            cluster.rebind_runtime(fleet.registry, scratch_tracer,
                                    scratch_db)
         for _ in range(ticks_done):
             for cluster in clusters:
@@ -517,17 +552,41 @@ class FleetEngine:
     # Barrier merge & finalize
     # ------------------------------------------------------------------
 
-    def _merge_barrier(self, shards, conns, procs, local_shards,
-                       collect_sli: bool, chunk: int, ticks_done: int,
-                       local_results: List[Tuple[list, list]]) -> None:
-        """Fold one barrier interval's deltas back into the parent fleet.
+    def _collect_barrier(self, shards, conns, procs, local_shards,
+                         collect_sli: bool, chunk: int, ticks_done: int,
+                         results: List[Tuple[list, object]]) -> None:
+        """Append every worker's reply for one barrier to ``results``.
 
-        Worker replies are collected (and failures handled) *before*
-        anything is folded in, so a mid-barrier failure never leaves the
-        fleet holding half a barrier.  A worker that fails here is fallen
-        back exactly like one that failed at send time: its shard is
-        caught up to ``ticks_done`` and the current chunk is re-executed
-        in-parent, joining this barrier's merge.
+        Replies are collected (and failures handled) *before* anything is
+        folded in, so a mid-barrier failure never leaves the fleet holding
+        half a barrier.  A worker that fails here is fallen back exactly
+        like one that failed at send time: its shard is caught up to
+        ``ticks_done`` and the current chunk is re-executed in-parent,
+        joining this barrier's merge.
+        """
+        for si, conn in enumerate(conns):
+            if si in local_shards:
+                continue
+            try:
+                _, batches, trace_delta = self._recv(conn)
+            except _WorkerUnavailable as exc:
+                self._fall_back_shard(
+                    si, shards, conns, procs, local_shards,
+                    ticks_done, collect_sli, str(exc),
+                )
+                results.append(self._advance_local(
+                    local_shards[si], chunk, collect_sli
+                ))
+                continue
+            results.append((batches, trace_delta))
+
+    def _merge_barrier(self, results: List[Tuple[list, object]],
+                       collect_sli: bool) -> None:
+        """Fold one barrier interval's SLI and trace deltas into the fleet.
+
+        ``results`` holds one ``(sli_batches, trace_delta)`` pair per
+        shard; a trace delta is a list of entries or one
+        :class:`TelemetryBlock`.
         """
         # Imported here, not at module top: repro.model's package init
         # pulls in the model bench, which imports this module back.
@@ -537,37 +596,12 @@ class FleetEngine:
         sli_batches: List[Tuple[int, int, list]] = []
         trace_entries = []
         trace_blocks: List[TelemetryBlock] = []
-        metric_deltas = []
-        for si, conn in enumerate(conns):
-            if si in local_shards:
-                continue
-            try:
-                _, batches, entries, metric_delta = self._recv(conn)
-            except _WorkerUnavailable as exc:
-                self._fall_back_shard(
-                    si, shards, conns, procs, local_shards,
-                    ticks_done, collect_sli, str(exc),
-                )
-                local_results.append(self._advance_local(
-                    local_shards[si], chunk, collect_sli
-                ))
-                continue
+        for batches, trace_delta in results:
             sli_batches.extend(batches)
-            if isinstance(entries, TelemetryBlock):
-                trace_blocks.append(entries)
-            elif entries:
-                trace_entries.extend(entries)
-            metric_deltas.append(metric_delta)
-        for batches, entries in local_results:
-            sli_batches.extend(batches)
-            if isinstance(entries, TelemetryBlock):
-                trace_blocks.append(entries)
-            elif entries:
-                trace_entries.extend(entries)
-        for metric_delta in metric_deltas:
-            if invariants_enabled():
-                check_merge_delta(metric_delta)
-            fleet.registry.merge(metric_delta)
+            if isinstance(trace_delta, TelemetryBlock):
+                trace_blocks.append(trace_delta)
+            elif trace_delta:
+                trace_entries.extend(trace_delta)
         if collect_sli:
             # Reconstruct the serial drain order: per tick, cluster order.
             sli_batches.sort(key=lambda batch: (batch[0], batch[1]))
@@ -612,12 +646,14 @@ class FleetEngine:
     def _finalize(self, shards: Sequence[ShardPlan], conns, procs,
                   local_shards: Dict[int, _LocalShard], total_ticks: int,
                   collect_sli: bool) -> None:
-        """Swap worker cluster state into the parent and re-wire it.
+        """Merge each worker's metric delta and swap its clusters in.
 
-        Shards the parent already took over are re-pointed from their
-        staging database to the fleet's; a worker that hangs *here* is
-        recovered by replaying its whole run behind scratch objects
-        (every barrier was merged, so only the end-state is needed).
+        Each worker's single per-run metric delta is checked and merged
+        here, as its clusters are swapped in.  Shards the parent already
+        took over are re-pointed from their staging database to the
+        fleet's; a worker that hangs *here* is recovered by replaying its
+        whole run (every barrier's SLI and trace delta was merged, so the
+        replay supplies only the end state and the shard's metrics).
         """
         fleet = self.fleet
         for si, conn in enumerate(conns):
@@ -637,7 +673,7 @@ class FleetEngine:
             if si in local_shards:
                 continue
             try:
-                _, shard_clusters, span_stats = self._recv(conn)
+                _, shard_clusters, span_stats, metric_delta = self._recv(conn)
             except _WorkerUnavailable as exc:
                 self._fall_back_shard(
                     si, shards, conns, procs, local_shards,
@@ -652,6 +688,9 @@ class FleetEngine:
                 new_clusters[ci] = cluster
                 swapped.append(cluster)
             fleet.tracer.merge(span_stats)
+            if invariants_enabled():
+                check_merge_delta(metric_delta)
+            fleet.registry.merge(metric_delta)
         fleet.clusters = new_clusters  # setter invalidates machine cache
         for cluster in swapped:
             cluster.rebind_runtime(fleet.registry, fleet.tracer,

@@ -105,6 +105,9 @@ class MetricName:
     DEGRADED_MODE = "repro_degraded_mode"
     ENGINE_SHARD_FALLBACKS_TOTAL = "repro_engine_shard_fallbacks_total"
 
+    # Parallel fleet engine (repro.engine)
+    ENGINE_PHASE_SECONDS_TOTAL = "repro_engine_phase_seconds_total"
+
     # Columnar trace store (repro.tracestore)
     TRACESTORE_ROWS_TOTAL = "repro_tracestore_rows_total"
     TRACESTORE_SEGMENTS_TOTAL = "repro_tracestore_segments_total"

@@ -202,9 +202,10 @@ class ColumnarTraceDatabase:
     def traces(
         self, start: Optional[int] = None, end: Optional[int] = None
     ) -> List[JobTrace]:
-        """All job traces, optionally windowed to ``[start, end)``."""
+        """All job traces, sorted by job id, optionally windowed to
+        ``[start, end)``."""
         result = []
-        for job_id in self.store.jobs:
+        for job_id in self.job_ids:
             trace = JobTrace(job_id)
             for entry in self.store.entries_for(job_id):
                 if start is not None and entry.time < start:
@@ -221,8 +222,8 @@ class ColumnarTraceDatabase:
     ) -> List[CompiledTrace]:
         """Vectorized-replay tensors built directly from the columns.
 
-        No :class:`TraceEntry` objects are materialized; see
-        :meth:`TraceStore.compiled_traces`.
+        No :class:`TraceEntry` objects are materialized; jobs come back
+        sorted by job id.  See :meth:`TraceStore.compiled_traces`.
         """
         return self.store.compiled_traces(start=start, end=end)
 

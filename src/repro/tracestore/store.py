@@ -1103,8 +1103,10 @@ class TraceStore:
         materialized.  Results are bit-identical to materializing each
         job and calling :meth:`~repro.model.trace.JobTrace.compile`
         (``CompiledTrace.from_columns`` is proven against
-        ``from_trace``), and jobs come back in first-seen order — the
-        same order the in-memory database yields.
+        ``from_trace``), and jobs come back sorted by ``job_id``.  Intern
+        order depends on which engine fed the store, and the fast model's
+        fleet sums depend on the order of their terms, so a fixed order
+        keeps replay reports identical across engines.
 
         Args:
             start: include rows with ``time >= start`` (None = all).
@@ -1131,7 +1133,8 @@ class TraceStore:
                     {name: cols[name][idx] for name in COLUMNS}
                 )
         compiled = []
-        for ordinal, chunks in enumerate(per_job):
+        for job_id, chunks in sorted(zip(self._jobs, per_job),
+                                     key=lambda pair: pair[0]):
             if not chunks:
                 continue
             merged = {
@@ -1140,7 +1143,7 @@ class TraceStore:
             }
             compiled.append(
                 CompiledTrace.from_columns(
-                    job_id=self._jobs[ordinal],
+                    job_id=job_id,
                     bins=self.bins,
                     cold_counts=merged["cold_counts"],
                     promotion_counts=merged["promotion_counts"],

@@ -13,7 +13,23 @@ from repro.engine import (
     fork_available,
     plan_shards,
 )
-from repro.obs import MetricRegistry, Tracer
+from repro.obs import MetricName, MetricRegistry, Tracer
+
+#: Integer-valued counters that merge exactly across engines.
+INTEGER_COUNTERS = (
+    "repro_pages_scanned_total",
+    "repro_pages_promoted_total",
+    "repro_pages_compressed_total",
+)
+
+
+def _series(fleet, names):
+    """Raw registry values of every series in the named families."""
+    return {
+        key: value
+        for key, value in fleet.registry.baseline().items()
+        if key[0] in names
+    }
 
 
 def _churn_fleet(seed=7, clusters=3):
@@ -253,6 +269,31 @@ class TestParallelEquivalence:
         assert serial.sli_history == parallel.sli_history
 
 
+class _DieOn:
+    """A worker's pipe end that reads as closed at ``command``.
+
+    The first ``serve`` occurrences of ``command`` pass through; the next
+    one raises ``EOFError``, so the worker exits without replying, exactly
+    as if it had died at that point of the protocol.
+    """
+
+    def __init__(self, conn, command, serve=0):
+        self._conn = conn
+        self._command = command
+        self._serve = serve
+
+    def recv(self):
+        msg = self._conn.recv()
+        if msg[0] == self._command:
+            if self._serve == 0:
+                raise EOFError
+            self._serve -= 1
+        return msg
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestWorkerFailureFallback:
     """A hung or dead worker degrades to an in-parent serial re-execution
@@ -301,6 +342,37 @@ class TestWorkerFailureFallback:
             b = [e.to_dict()
                  for e in degraded.trace_db.trace_for(job_id).entries]
             assert a == b
+
+    @pytest.mark.parametrize(
+        "command, serve",
+        [("advance", 5), ("finalize", 0)],
+        ids=["after-five-barriers", "on-finalize"],
+    )
+    def test_worker_death_counts_metrics_once(self, monkeypatch, command,
+                                              serve):
+        """Exactly-once metrics under worker failure: the taken-over
+        shard's counters, SLI samples and coverage match serial whether
+        the catch-up replay covers k > 0 merged barriers or the whole run
+        (every barrier merged, but the metric delta never arrived)."""
+        import repro.engine.parallel as par
+
+        real = par._worker_main
+
+        def die_on_command(conn, fleet, cluster_indices, *args):
+            if 0 in cluster_indices:
+                conn = _DieOn(conn, command, serve)
+            real(conn, fleet, cluster_indices, *args)
+
+        serial, degraded, stats = self.run_degraded(
+            monkeypatch, die_on_command
+        )
+        assert stats.mode == "parallel"
+        assert stats.shard_fallbacks == 1
+        a = _series(serial, INTEGER_COUNTERS)
+        b = _series(degraded, INTEGER_COUNTERS)
+        assert a and a == b
+        assert serial.sli_history == degraded.sli_history
+        assert serial.coverage_report() == degraded.coverage_report()
 
     def test_dead_worker_finishes_via_serial_fallback(self, monkeypatch):
         import repro.engine.parallel as par
@@ -358,3 +430,145 @@ def test_wsc_run_delegates_to_engine():
     assert engine.last_stats is not None
     assert engine.last_stats.mode == "parallel"
     assert serial.coverage_report() == parallel.coverage_report()
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+class TestMetricShipping:
+    """Metrics cross the fork boundary once per run, not per barrier."""
+
+    def test_merge_called_once_per_shard_per_run(self, monkeypatch):
+        merged = []
+        real_merge = MetricRegistry.merge
+
+        def spy(registry, source):
+            merged.append(source)
+            real_merge(registry, source)
+
+        monkeypatch.setattr(MetricRegistry, "merge", spy)
+        fleet = _churn_fleet(seed=5)
+        stats = FleetEngine(fleet, workers=2).run(30 * 60)
+        assert stats.mode == "parallel" and stats.barriers == 30
+        assert len(merged) == stats.workers
+        assert all(isinstance(delta, list) and delta for delta in merged)
+
+    def test_advance_reply_carries_no_metrics(self):
+        """Drive the worker loop in-process: ``advance`` replies hold the
+        SLI batches and the trace delta only; ``finalize`` adds the one
+        metric delta."""
+        import multiprocessing as mp
+        import threading
+
+        from repro.engine.parallel import _worker_main
+
+        fleet = _churn_fleet(seed=5, clusters=2)
+        parent, child = mp.Pipe()
+        worker = threading.Thread(
+            target=_worker_main, args=(child, fleet, (0,))
+        )
+        worker.start()
+        try:
+            parent.send(("advance", 2, True))
+            reply = parent.recv()
+            assert reply[0] == "ok" and len(reply) == 3
+            parent.send(("finalize",))
+            _, clusters, _, delta = parent.recv()
+            assert len(clusters) == 1
+            assert {r["name"] for r in delta} >= {
+                MetricName.PAGES_SCANNED_TOTAL
+            }
+        finally:
+            parent.send(("exit",))
+            worker.join(timeout=30)
+
+    def test_phase_seconds_recorded(self):
+        fleet = _churn_fleet(seed=5)
+        FleetEngine(fleet, workers=2).run(10 * 60)
+        phases = {
+            labels: value
+            for (name, labels), value in fleet.registry.baseline().items()
+            if name == MetricName.ENGINE_PHASE_SECONDS_TOTAL
+        }
+        assert sorted(dict(labels)["phase"] for labels in phases) == [
+            "finalize", "merge", "wait",
+        ]
+        assert all(value >= 0.0 for value in phases.values())
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+class TestColumnarBlockPath:
+    """Serial ≡ parallel on the configuration the benchmark runs: the
+    columnar kernel with cluster-scoped pools, feeding a columnar trace
+    store, so barriers ship zero-copy telemetry blocks."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, tmp_path_factory):
+        from repro.tracestore import ColumnarTraceDatabase
+
+        def build(name):
+            return quickfleet(
+                clusters=2,
+                machines_per_cluster=3,
+                jobs_per_machine=2,
+                seed=21,
+                machine_dram_gib=1.0,
+                kernel="columnar",
+                pool_scope="cluster",
+                churn_duration_range=(1800, 7200),
+                registry=MetricRegistry(),
+                tracer=Tracer(),
+                trace_db=ColumnarTraceDatabase(
+                    tmp_path_factory.mktemp(name) / "store"
+                ),
+            )
+
+        serial, parallel = build("serial"), build("parallel")
+        serial.run(1 * HOUR)
+        engine = FleetEngine(parallel, workers=2)
+        stats = engine.run(1 * HOUR)
+        assert engine.ship_blocks
+        assert stats.mode == "parallel"
+        for fleet in (serial, parallel):
+            fleet.trace_db.flush()
+        return serial, parallel
+
+    def test_integer_counters_identical(self, pair):
+        serial, parallel = pair
+        a = _series(serial, INTEGER_COUNTERS)
+        b = _series(parallel, INTEGER_COUNTERS)
+        assert a and a == b
+
+    def test_per_machine_gauges_identical(self, pair):
+        serial, parallel = pair
+        names = (MetricName.FAR_PAGES, MetricName.ARENA_FOOTPRINT_BYTES)
+        a, b = _series(serial, names), _series(parallel, names)
+        assert len(a) == 2 * len(serial.machines)
+        assert a == b
+        assert any(value > 0 for value in a.values())
+
+    def test_sli_and_coverage_identical(self, pair):
+        serial, parallel = pair
+        assert serial.sli_history and serial.sli_history == parallel.sli_history
+        assert serial.coverage_report() == parallel.coverage_report()
+
+    def test_replay_reports_identical_without_sorting(self, pair):
+        """Stores fed by either engine replay to the same fleet reports,
+        last bits included: trace reads come back in job-id order."""
+        from repro.core.threshold_policy import ThresholdPolicyConfig
+        from repro.model.replay import FarMemoryModel
+
+        configs = [
+            ThresholdPolicyConfig(percentile_k=k, warmup_seconds=w)
+            for k in (90.0, 98.0)
+            for w in (600, 1800)
+        ]
+
+        def reports(traces):
+            with FarMemoryModel(traces) as model:
+                return repr(model.evaluate_many(configs))
+
+        serial, parallel = pair
+        for read in ("compiled_traces", "traces"):
+            a = getattr(serial.trace_db, read)()
+            b = getattr(parallel.trace_db, read)()
+            assert [t.job_id for t in a] == sorted(t.job_id for t in a)
+            assert reports(a) == reports(b)
