@@ -2,40 +2,51 @@
 
 Design (and why it is deterministic):
 
-* **Fork, not spawn.**  Workers are forked per :meth:`FleetEngine.run`
-  call, so each worker inherits a copy-on-write image of the fleet —
-  including every in-flight numpy RNG state and the process hash salt
-  that :meth:`Cluster._job_index` depends on.  A cluster therefore draws
-  exactly the random stream it would have drawn serially; the per-cluster
-  ``SeedSequenceFactory`` forks (``seeds.fork("cluster", index=c)``) make
-  those streams independent of shard assignment by construction.
+* **Fork, not spawn.**  A run over W shards forks W - 1 workers per
+  :meth:`FleetEngine.run` call; each inherits a copy-on-write image of
+  the fleet — including every in-flight numpy RNG state and the process
+  hash salt that :meth:`Cluster._job_index` depends on.  A cluster
+  therefore draws exactly the random stream it would have drawn
+  serially; the per-cluster ``SeedSequenceFactory`` forks
+  (``seeds.fork("cluster", index=c)``) make those streams independent of
+  shard assignment by construction.
 
-* **Barrier per simulated minute.**  Workers tick their clusters through
-  a barrier chunk (default: one 60 s tick), then ship the interval's
-  deltas — SLI samples tagged ``(tick, cluster)`` and new trace entries
-  (or one trace block) — to the parent, which folds them in before
-  releasing the next chunk.
+* **The parent is one of the W processes.**  It ticks the shard with the
+  fewest machines itself (it also merges), between sending a barrier's
+  ``advance`` and collecting the workers' replies.  That shard's
+  telemetry stages in a small sink the barrier drains, so it merges
+  exactly like a worker's delta; a shard the parent takes over from a
+  failed worker joins it there.
+
+* **Barrier per simulated minute.**  Every shard ticks its clusters
+  through a barrier chunk (default: one 60 s tick); workers then ship
+  the interval's deltas — SLI samples tagged ``(tick, cluster)`` and new
+  trace entries (or one trace block) — to the parent, which folds them
+  in with its own shard's before releasing the next chunk.
 
 * **Metrics once per run.**  Nothing reads the parent's registry while
   the run is in flight, so metrics do not ride the barriers: each worker
   takes one registry baseline right after the fork and ships a single
-  delta against it with its clusters at finalize.  Every series a worker
-  touched therefore reaches the parent exactly once per run, and a shard
-  the parent takes over replays into the live registry (none of its
-  worker's metrics were ever merged).
+  delta against it at finalize.  Every series a worker touched therefore
+  reaches the parent exactly once per run; the parent's own shard counts
+  into the live registry directly, and so does the replay of a shard it
+  takes over (none of that worker's metrics were ever merged).
 
 * **Exact SLI order.**  The serial loop drains samples per tick in
-  cluster order; workers tag each drained batch with its (tick, cluster
-  index) so the parent reconstructs precisely that interleaving, making
-  ``WSC.sli_history`` bit-identical to a serial run.
+  cluster order; every shard tags each drained batch with its (tick,
+  cluster index) so the parent reconstructs precisely that interleaving,
+  making ``WSC.sli_history`` bit-identical to a serial run.
 
-* **State reunification.**  At the end of the run each worker pickles its
-  clusters back to the parent (with its span stats and metric delta),
-  which merges the delta, swaps the clusters into the fleet and calls
+* **State reunification.**  At the end of the run each worker detaches
+  its clusters from its forked registry, tracer and trace database
+  (metric series are dead weight once the delta is taken) and pickles
+  them back with its span stats and metric delta.  The parent merges the
+  delta, swaps the clusters into the fleet and calls
   :meth:`Cluster.rebind_runtime` so metric handles, tracer spans, event
   subscriptions, and telemetry sinks all point at the parent's live
-  objects again.  The fleet can keep running serially (or under a new
-  engine) afterwards.
+  objects again.  The clusters the parent ticked itself never left; only
+  their sinks are pointed back at the fleet's trace database.  The fleet
+  can keep running serially (or under a new engine) afterwards.
 
 Trace-entry ordering across *different* jobs is canonicalized by
 ``(time, job_id)`` rather than by serial append order; per-job traces —
@@ -49,18 +60,19 @@ churn job source.
 
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing as mp
 import os
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checks.invariants import check_merge_delta, invariants_enabled
 from repro.common.errors import ReproError, TraceError
 from repro.common.validation import check_positive, require
 from repro.engine.sharding import ShardPlan, plan_shards
-from repro.obs import MetricName, Stopwatch
+from repro.obs import MetricName, MetricRegistry, Stopwatch, Tracer
 
 __all__ = [
     "EngineError",
@@ -106,13 +118,16 @@ class EngineStats:
 
     Attributes:
         mode: ``"parallel"`` or ``"serial"`` (the fallback path).
-        workers: worker processes used (1 for serial).
+        workers: processes that ticked shards, the parent included (it
+            ticks one shard itself and forks ``workers - 1``); 1 for
+            serial.
         ticks: simulated ticks executed.
         barriers: barrier synchronizations performed (0 for serial).
         fallback_reason: why the serial path ran, if it did.
-        shard_fallbacks: shards whose worker hung or died mid-run and
-            were re-executed serially in the parent (degraded mode; the
-            run still completes with serial-identical results).
+        shard_fallbacks: forked shards whose worker hung or died mid-run
+            and were re-executed serially in the parent (degraded mode;
+            the run still completes with serial-identical results).  The
+            parent's own shard is never counted.
     """
 
     mode: str
@@ -123,21 +138,86 @@ class EngineStats:
     shard_fallbacks: int = 0
 
 
-@dataclass
-class _LocalShard:
-    """A shard the parent took over after its worker went unresponsive.
+class _EntryStaging:
+    """Telemetry sink of the clusters the parent ticks itself.
 
-    The shard's clusters (the parent's own, never-ticked copies) are
-    caught up behind a scratch tracer and trace database — their
-    already-merged barriers must not be folded in twice — while counting
-    into the live registry, which never saw the worker's metrics.  They
-    then run in-parent for the rest of the run, staging trace entries so
-    each barrier still merges through the canonical sorted path.
+    Holds what they export between two barriers, so each barrier merges
+    the parent's rows with the workers' through the canonical sorted
+    path.  This flavour has no ``add_block``: it mirrors a fleet
+    database without the block protocol, so the parent's exporters take
+    the same delivery rung a worker's take, and a barrier drains entries.
     """
 
-    cluster_indices: Tuple[int, ...]
-    staging_db: object
-    reason: str = ""
+    def __init__(self) -> None:
+        self._staged: list = []
+
+    def add(self, entry) -> None:
+        self._staged.append(entry)
+
+    def add_batch(self, entries) -> None:
+        self._staged.extend(entries)
+
+    def drain(self):
+        """Everything staged since the last drain (a list of entries)."""
+        staged, self._staged = self._staged, []
+        return staged
+
+
+class _BlockStaging(_EntryStaging):
+    """Block-protocol staging: a barrier drains one concatenated block.
+
+    Exporters deliver blocks through ``add_block``; entries (per-entry
+    exporters, spill replays) stage as blocks of their own, in arrival
+    order, so every job's rows keep their order.
+    """
+
+    def add(self, entry) -> None:
+        self.add_batch([entry])
+
+    def add_batch(self, entries) -> None:
+        if entries:
+            from repro.model.trace import TelemetryBlock
+
+            self._staged.append(TelemetryBlock.from_entries(entries))
+
+    def add_block(self, block) -> None:
+        if block.n_rows:
+            self._staged.append(block)
+
+    def drain(self):
+        """One :class:`TelemetryBlock` of everything staged since the last
+        drain, or an empty list when nothing was."""
+        from repro.model.trace import TelemetryBlock
+
+        blocks = super().drain()
+        return TelemetryBlock.concat(blocks) if blocks else []
+
+
+def _point_sinks(clusters, sink) -> None:
+    """Point the clusters' telemetry (their exporters) at ``sink``."""
+    for cluster in clusters:
+        cluster.trace_db = sink
+        for exporter in cluster.exporters.values():
+            exporter.sink = sink
+
+
+def _tick_chunk(clusters, cluster_indices: Sequence[int], ticks: int,
+                collect_sli: bool) -> List[Tuple[int, int, list]]:
+    """Tick the indexed clusters ``ticks`` times, in cluster order.
+
+    Returns the SLI batches drained on the way, each tagged ``(tick_seq,
+    cluster_index)`` so the parent can rebuild the serial drain order.
+    """
+    sli_batches: List[Tuple[int, int, list]] = []
+    for tick_seq in range(ticks):
+        for ci in cluster_indices:
+            clusters[ci].tick()
+        if collect_sli:
+            for ci in cluster_indices:
+                samples = clusters[ci].drain_sli_samples()
+                if samples:
+                    sli_batches.append((tick_seq, ci, samples))
+    return sli_batches
 
 
 def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
@@ -148,6 +228,8 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
     delta only.  The ``finalize`` reply carries the owned clusters, this
     worker's span stats and one metric delta against the registry as
     forked, so each series the shard touched ships exactly once per run.
+    The clusters travel detached from every forked sink and series; the
+    parent's :meth:`Cluster.rebind_runtime` restores each handle.
 
     With ``ship_blocks`` (a fleet whose trace database speaks the
     zero-copy block protocol), each barrier's trace delta travels as one
@@ -155,6 +237,10 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
     re-materialized entries — the columns the forked store buffered are
     exactly the delta, because a worker never seals segments.
     """
+    # The inherited heap is the parent's, alive for the whole run: keep
+    # this process's collections off it (an O(1) move to the permanent
+    # generation).  The parent's own collector is never touched.
+    gc.freeze()
     clusters = fleet.clusters
     registry = fleet.registry
     trace_db = fleet.trace_db
@@ -173,15 +259,8 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
                     trace_db.block_marker() if ship_blocks
                     else trace_db.mark()
                 )
-                sli_batches: List[Tuple[int, int, list]] = []
-                for tick_seq in range(ticks):
-                    for ci in cluster_indices:
-                        clusters[ci].tick()
-                    if collect_sli:
-                        for ci in cluster_indices:
-                            samples = clusters[ci].drain_sli_samples()
-                            if samples:
-                                sli_batches.append((tick_seq, ci, samples))
+                sli_batches = _tick_chunk(clusters, cluster_indices, ticks,
+                                          collect_sli)
                 conn.send((
                     "ok",
                     sli_batches,
@@ -189,20 +268,22 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
                      else trace_db.entries_since(trace_mark)),
                 ))
             elif cmd == "finalize":
-                # Detach the shared sinks before pickling: the parent
-                # re-attaches its own via Cluster.rebind_runtime, and the
-                # fleet-wide trace database would otherwise be duplicated
-                # into every returned cluster.
                 from repro.cluster.trace_db import TraceDatabase
 
-                empty_db = TraceDatabase()
+                span_stats = tracer.stats()
+                metric_delta = registry.delta(metric_base)
+                # Ship the clusters bare: the forked registry (every
+                # series of the fleet) and the fleet-wide trace database
+                # would otherwise be pickled into the reply, only for the
+                # parent's rebind to drop them.
                 owned = [clusters[ci] for ci in cluster_indices]
+                bare_registry = MetricRegistry(enabled=False)
+                bare_tracer = Tracer(enabled=False)
+                empty_db = TraceDatabase()
                 for cluster in owned:
-                    cluster.trace_db = empty_db
-                    for exporter in cluster.exporters.values():
-                        exporter.sink = empty_db
-                conn.send(("clusters", owned, tracer.stats(),
-                           registry.delta(metric_base)))
+                    cluster.rebind_runtime(bare_registry, bare_tracer,
+                                           empty_db)
+                conn.send(("clusters", owned, span_stats, metric_delta))
             elif cmd == "exit":
                 break
             else:  # pragma: no cover - protocol misuse
@@ -219,6 +300,28 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
         conn.close()
 
 
+@dataclass
+class _Run:
+    """One parallel run's bookkeeping: who ticks which shard.
+
+    Attributes:
+        shards: the shard plan.
+        collect_sli: whether SLI samples are drained and merged.
+        staging: the sink every cluster the parent ticks exports into.
+        local: indices of the clusters the parent ticks — its own shard
+            plus any shard it took over — ascending.
+        conns: pipe ends of the live forked workers, by shard index.
+        procs: every forked worker process, by shard index.
+    """
+
+    shards: Sequence[ShardPlan]
+    collect_sli: bool
+    staging: _EntryStaging
+    local: List[int]
+    conns: Dict[int, object] = field(default_factory=dict)
+    procs: Dict[int, object] = field(default_factory=dict)
+
+
 class FleetEngine:
     """Parallel executor for one :class:`repro.cluster.wsc.WSC` fleet.
 
@@ -226,8 +329,9 @@ class FleetEngine:
         fleet: the fleet to drive.  The engine mutates it in place; after
             :meth:`run` returns, the fleet holds the advanced state exactly
             as if :meth:`WSC.run` had run serially.
-        workers: worker processes (default: usable CPUs, clamped to the
-            cluster count).
+        workers: processes that tick shards, the parent included
+            (default: usable CPUs, clamped to the cluster count); a run
+            forks one fewer.
         barrier_seconds: simulated seconds per barrier chunk; the default
             of 60 synchronizes every simulated minute.
         recv_timeout_seconds: how long (wall-clock) to wait for a worker's
@@ -344,53 +448,58 @@ class FleetEngine:
                       collect_sli: bool) -> Tuple[int, int]:
         fleet = self.fleet
         ctx = mp.get_context("fork")
-        conns: List[Optional[object]] = []
-        procs = []
-        local_shards: Dict[int, _LocalShard] = {}
+        # The parent ticks the lightest shard itself: it also merges.
+        own = min(range(len(shards)), key=lambda si: shards[si].weight)
+        run = _Run(
+            shards=shards,
+            collect_sli=collect_sli,
+            staging=_BlockStaging() if self.ship_blocks else _EntryStaging(),
+            local=list(shards[own].cluster_indices),
+        )
         try:
-            for shard in shards:
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn, fleet, shard.cluster_indices,
-                          self.ship_blocks),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                conns.append(parent_conn)
-                procs.append(proc)
+            with Stopwatch() as start:
+                for si, shard in enumerate(shards):
+                    if si == own:
+                        continue
+                    parent_conn, child_conn = ctx.Pipe()
+                    proc = ctx.Process(
+                        target=_worker_main,
+                        args=(child_conn, fleet, shard.cluster_indices,
+                              self.ship_blocks),
+                        daemon=True,
+                    )
+                    proc.start()
+                    child_conn.close()
+                    run.conns[si] = parent_conn
+                    run.procs[si] = proc
+                # Only after the last fork: the workers must inherit the
+                # fleet's own sinks.
+                _point_sinks([fleet.clusters[ci] for ci in run.local],
+                             run.staging)
 
             barriers = 0
             ticks_done = 0
-            wait_seconds = merge_seconds = 0.0
+            local_seconds = wait_seconds = merge_seconds = 0.0
             remaining = total_ticks
             while remaining > 0:
                 chunk = min(barrier_ticks, remaining)
-                for si, conn in enumerate(conns):
-                    if si in local_shards:
-                        continue
+                for si in list(run.conns):
                     try:
-                        conn.send(("advance", chunk, collect_sli))
+                        run.conns[si].send(("advance", chunk, collect_sli))
                     except (BrokenPipeError, OSError):
                         self._fall_back_shard(
-                            si, shards, conns, procs, local_shards,
-                            ticks_done, collect_sli,
+                            run, si, ticks_done,
                             "worker pipe broke at barrier send",
                         )
-                # Shards already running in-parent execute their chunk
-                # while the workers tick theirs.
-                results = [
-                    self._advance_local(local_shards[si], chunk, collect_sli)
-                    for si in sorted(local_shards)
-                ]
+                # The parent ticks its clusters while the workers tick
+                # theirs.
+                with Stopwatch() as local:
+                    results = [self._advance_local(run, run.local, chunk)]
                 with Stopwatch() as wait:
-                    self._collect_barrier(
-                        shards, conns, procs, local_shards, collect_sli,
-                        chunk, ticks_done, results,
-                    )
+                    self._collect_barrier(run, chunk, ticks_done, results)
                 with Stopwatch() as merge:
                     self._merge_barrier(results, collect_sli)
+                local_seconds += local.seconds
                 wait_seconds += wait.seconds
                 merge_seconds += merge.seconds
                 remaining -= chunk
@@ -398,32 +507,35 @@ class FleetEngine:
                 barriers += 1
 
             with Stopwatch() as finalize:
-                self._finalize(shards, conns, procs, local_shards,
-                               total_ticks, collect_sli)
+                self._finalize(run, total_ticks)
+                for conn in run.conns.values():
+                    try:
+                        conn.send(("exit",))
+                    except (BrokenPipeError, OSError):
+                        pass
+                for proc in run.procs.values():
+                    if proc.is_alive():
+                        proc.join(timeout=30)
             phases = fleet.registry.counter(
                 MetricName.ENGINE_PHASE_SECONDS_TOTAL,
                 "Parent wall seconds in each parallel-engine phase.",
                 ("phase",),
             )
+            phases.labels(phase="start").inc(start.seconds)
+            phases.labels(phase="local").inc(local_seconds)
             phases.labels(phase="wait").inc(wait_seconds)
             phases.labels(phase="merge").inc(merge_seconds)
             phases.labels(phase="finalize").inc(finalize.seconds)
-            for si, conn in enumerate(conns):
-                if si in local_shards or conn is None:
-                    continue
-                try:
-                    conn.send(("exit",))
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in procs:
-                if proc.is_alive():
-                    proc.join(timeout=30)
-            return barriers, len(local_shards)
+            # Shards the parent took over: every forked one that is gone.
+            return barriers, len(run.procs) - len(run.conns)
         finally:
-            for conn in conns:
-                if conn is not None:
-                    conn.close()
-            for proc in procs:
+            # The clusters the parent ticked never left the fleet: point
+            # their telemetry back at it, whether or not the run finished.
+            _point_sinks([fleet.clusters[ci] for ci in run.local],
+                         fleet.trace_db)
+            for conn in run.conns.values():
+                conn.close()
+            for proc in run.procs.values():
                 if proc.is_alive():
                     proc.terminate()
                     proc.join()
@@ -456,39 +568,35 @@ class FleetEngine:
     # Shard fallback (degraded mode)
     # ------------------------------------------------------------------
 
-    def _fall_back_shard(self, si: int, shards, conns, procs, local_shards,
-                         ticks_done: int, collect_sli: bool,
-                         reason: str) -> _LocalShard:
+    def _fall_back_shard(self, run: _Run, si: int, ticks_done: int,
+                         reason: str) -> None:
         """Take over a shard whose worker hung or died.
 
         The worker is terminated and the shard's clusters — the parent's
         own copies, still at their pre-run state thanks to fork
         copy-on-write — are replayed up to the last fully-merged barrier
-        (see :meth:`_catch_up_shard`), then re-bound to the live fleet for
-        the rest of the run.  Replay is deterministic, so the final state
-        is identical to what the healthy worker would have produced.
+        (see :meth:`_catch_up_shard`), then join the clusters the parent
+        ticks for the rest of the run.  Replay is deterministic, so the
+        final state is identical to what the healthy worker would have
+        produced.
         """
-        proc = procs[si]
+        proc = run.procs[si]
         if proc.is_alive():
             proc.terminate()
             proc.join(timeout=5)
-        conn = conns[si]
-        if conn is not None:
-            conn.close()
-            conns[si] = None
-        local_shard = self._catch_up_shard(
-            shards[si].cluster_indices, ticks_done, collect_sli, reason
-        )
-        local_shards[si] = local_shard
+        run.conns.pop(si).close()
+        indices = run.shards[si].cluster_indices
+        self._catch_up_shard(indices, ticks_done, run.collect_sli,
+                             run.staging)
+        run.local = sorted(run.local + list(indices))
         self.fleet.registry.counter(
             MetricName.ENGINE_SHARD_FALLBACKS_TOTAL,
             "Shards re-executed serially after their worker hung or died.",
         ).inc()
-        return local_shard
 
     def _catch_up_shard(self, cluster_indices: Tuple[int, ...],
                         ticks_done: int, collect_sli: bool,
-                        reason: str) -> _LocalShard:
+                        staging: _EntryStaging) -> None:
         """Replay a shard to ``ticks_done`` and re-wire it for live use.
 
         The replayed ticks' SLI samples and trace entries were already
@@ -497,9 +605,10 @@ class FleetEngine:
         Metrics count into the live registry: a worker ships its metric
         delta only at finalize, so none of the failed worker's counts
         ever reached the parent and the replay supplies them exactly once.
+        From then on the shard exports into ``staging``, beside the
+        parent's own shard.
         """
         from repro.cluster.trace_db import TraceDatabase
-        from repro.obs import Tracer
 
         fleet = self.fleet
         clusters = [fleet.clusters[ci] for ci in cluster_indices]
@@ -514,46 +623,27 @@ class FleetEngine:
             if collect_sli:
                 for cluster in clusters:
                     cluster.drain_sli_samples()  # already merged; discard
-        # From here on the shard runs against the real fleet; trace
-        # entries stage in a private database so each barrier can still
-        # merge them through the canonical sorted path.
-        staging_db = TraceDatabase()
         for cluster in clusters:
-            cluster.rebind_runtime(fleet.registry, fleet.tracer, staging_db)
-        return _LocalShard(
-            cluster_indices=tuple(cluster_indices),
-            staging_db=staging_db,
-            reason=reason,
-        )
+            cluster.rebind_runtime(fleet.registry, fleet.tracer, staging)
 
-    def _advance_local(self, local_shard: _LocalShard, chunk: int,
-                       collect_sli: bool) -> Tuple[list, list]:
-        """Run one barrier chunk of a taken-over shard in the parent.
+    def _advance_local(self, run: _Run, cluster_indices: Sequence[int],
+                       chunk: int) -> Tuple[list, object]:
+        """Run one barrier chunk of clusters the parent ticks itself.
 
         Mirrors the worker protocol: SLI batches come back tagged
-        ``(tick_seq, cluster_index)`` and trace entries as the staging
-        database's delta, so :meth:`_merge_barrier` interleaves them with
-        the surviving workers' output exactly as a healthy run would.
+        ``(tick_seq, cluster_index)`` and the trace delta is what the
+        staging sink drains, so :meth:`_merge_barrier` interleaves them
+        with the workers' output exactly as for another worker.
         """
-        fleet = self.fleet
-        mark = local_shard.staging_db.mark()
-        sli_batches: List[Tuple[int, int, list]] = []
-        for tick_seq in range(chunk):
-            for ci in local_shard.cluster_indices:
-                fleet.clusters[ci].tick()
-            if collect_sli:
-                for ci in local_shard.cluster_indices:
-                    samples = fleet.clusters[ci].drain_sli_samples()
-                    if samples:
-                        sli_batches.append((tick_seq, ci, samples))
-        return sli_batches, local_shard.staging_db.entries_since(mark)
+        sli_batches = _tick_chunk(self.fleet.clusters, cluster_indices,
+                                  chunk, run.collect_sli)
+        return sli_batches, run.staging.drain()
 
     # ------------------------------------------------------------------
     # Barrier merge & finalize
     # ------------------------------------------------------------------
 
-    def _collect_barrier(self, shards, conns, procs, local_shards,
-                         collect_sli: bool, chunk: int, ticks_done: int,
+    def _collect_barrier(self, run: _Run, chunk: int, ticks_done: int,
                          results: List[Tuple[list, object]]) -> None:
         """Append every worker's reply for one barrier to ``results``.
 
@@ -564,18 +654,13 @@ class FleetEngine:
         ``ticks_done`` and the current chunk is re-executed in-parent,
         joining this barrier's merge.
         """
-        for si, conn in enumerate(conns):
-            if si in local_shards:
-                continue
+        for si in list(run.conns):
             try:
-                _, batches, trace_delta = self._recv(conn)
+                _, batches, trace_delta = self._recv(run.conns[si])
             except _WorkerUnavailable as exc:
-                self._fall_back_shard(
-                    si, shards, conns, procs, local_shards,
-                    ticks_done, collect_sli, str(exc),
-                )
+                self._fall_back_shard(run, si, ticks_done, str(exc))
                 results.append(self._advance_local(
-                    local_shards[si], chunk, collect_sli
+                    run, run.shards[si].cluster_indices, chunk
                 ))
                 continue
             results.append((batches, trace_delta))
@@ -611,11 +696,10 @@ class FleetEngine:
         # because every job lives on exactly one shard.  When every shard
         # shipped a block and the parent database speaks blocks, the whole
         # barrier folds in as one concatenated, lexsorted block — no entry
-        # objects anywhere.  A mixed barrier (e.g. a fallback shard staging
-        # into an in-memory database, or a fault scenario downgrading a
-        # worker's sink) degrades to the entry path for exactly that
-        # barrier; both folds commit one chunk per barrier, so the sealed
-        # segments come out identical either way.
+        # objects anywhere.  Blocks on mixed threshold grids degrade to the
+        # entry path for exactly that barrier; both folds commit one chunk
+        # per barrier, so the sealed segments come out identical either
+        # way.
         if trace_blocks and not trace_entries and hasattr(
             fleet.trace_db, "add_block"
         ):
@@ -643,42 +727,34 @@ class FleetEngine:
             for entry in trace_entries:
                 fleet.trace_db.add(entry)
 
-    def _finalize(self, shards: Sequence[ShardPlan], conns, procs,
-                  local_shards: Dict[int, _LocalShard], total_ticks: int,
-                  collect_sli: bool) -> None:
+    def _finalize(self, run: _Run, total_ticks: int) -> None:
         """Merge each worker's metric delta and swap its clusters in.
 
         Each worker's single per-run metric delta is checked and merged
-        here, as its clusters are swapped in.  Shards the parent already
-        took over are re-pointed from their staging database to the
-        fleet's; a worker that hangs *here* is recovered by replaying its
-        whole run (every barrier's SLI and trace delta was merged, so the
-        replay supplies only the end state and the shard's metrics).
+        here, as its clusters are swapped in.  The clusters the parent
+        ticked itself stay put (:meth:`_run_parallel` points their sinks
+        back at the fleet's trace database); a worker that hangs *here*
+        is recovered by replaying its whole run (every barrier's SLI and trace delta
+        was merged, so the replay supplies only the end state and the
+        shard's metrics).
         """
         fleet = self.fleet
-        for si, conn in enumerate(conns):
-            if si in local_shards:
-                continue
+        for si in list(run.conns):
             try:
-                conn.send(("finalize",))
+                run.conns[si].send(("finalize",))
             except (BrokenPipeError, OSError):
-                self._fall_back_shard(
-                    si, shards, conns, procs, local_shards,
-                    total_ticks, collect_sli,
-                    "worker pipe broke at finalize",
-                )
+                self._fall_back_shard(run, si, total_ticks,
+                                      "worker pipe broke at finalize")
         new_clusters = list(fleet.clusters)
         swapped = []
-        for si, (shard, conn) in enumerate(zip(shards, conns)):
-            if si in local_shards:
-                continue
+        for si in list(run.conns):
+            shard = run.shards[si]
             try:
-                _, shard_clusters, span_stats, metric_delta = self._recv(conn)
-            except _WorkerUnavailable as exc:
-                self._fall_back_shard(
-                    si, shards, conns, procs, local_shards,
-                    total_ticks, collect_sli, str(exc),
+                _, shard_clusters, span_stats, metric_delta = self._recv(
+                    run.conns[si]
                 )
+            except _WorkerUnavailable as exc:
+                self._fall_back_shard(run, si, total_ticks, str(exc))
                 continue
             require(
                 len(shard_clusters) == len(shard.cluster_indices),
@@ -695,10 +771,3 @@ class FleetEngine:
         for cluster in swapped:
             cluster.rebind_runtime(fleet.registry, fleet.tracer,
                                    fleet.trace_db)
-        # Taken-over shards hold the parent's own (already advanced)
-        # clusters; just point their telemetry back at the fleet.
-        for si in sorted(local_shards):
-            for ci in local_shards[si].cluster_indices:
-                fleet.clusters[ci].rebind_runtime(
-                    fleet.registry, fleet.tracer, fleet.trace_db
-                )

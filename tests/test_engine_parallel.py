@@ -1,5 +1,7 @@
 """The parallel fleet engine: sharding, delta merge, serial equivalence."""
 
+import gc
+import io
 import pickle
 
 import pytest
@@ -208,21 +210,27 @@ class TestClusterPickling:
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestParallelEquivalence:
+    #: Processes that tick shards, the parent included.
+    WORKERS = 2
+
     @pytest.fixture(scope="class")
     def pair(self):
         """One serial and one engine-driven run of the same fleet."""
         serial = _churn_fleet()
         parallel = _churn_fleet()
         serial.run(2 * HOUR)
-        engine = FleetEngine(parallel, workers=2)
+        engine = FleetEngine(parallel, workers=self.WORKERS)
         stats = engine.run(2 * HOUR)
         return serial, parallel, stats
 
     def test_parallel_path_taken(self, pair):
-        _, _, stats = pair
+        _, parallel, stats = pair
         assert stats.mode == "parallel"
-        assert stats.workers == 2
+        assert stats.workers == self.WORKERS
         assert stats.barriers == stats.ticks  # 60 s barrier, 60 s tick
+        assert stats.shard_fallbacks == 0
+        assert parallel.registry.value(
+            MetricName.ENGINE_SHARD_FALLBACKS_TOTAL) == 0
 
     def test_coverage_reports_identical(self, pair):
         serial, parallel, _ = pair
@@ -267,6 +275,21 @@ class TestParallelEquivalence:
         parallel.run(30 * 60)  # plain serial WSC.run on rebound state
         assert serial.coverage_report() == parallel.coverage_report()
         assert serial.sli_history == parallel.sli_history
+        # Every cluster exports into the fleet's database again.
+        assert serial.trace_db.job_ids == parallel.trace_db.job_ids
+        for job_id in serial.trace_db.job_ids:
+            a = [e.to_dict()
+                 for e in serial.trace_db.trace_for(job_id).entries]
+            b = [e.to_dict()
+                 for e in parallel.trace_db.trace_for(job_id).entries]
+            assert a == b
+
+
+class TestParentShardBesideTwoWorkers(TestParallelEquivalence):
+    """3 clusters on 3 workers: every cluster is a shard of its own, and
+    the parent ticks one of them beside two forked workers."""
+
+    WORKERS = 3
 
 
 class _DieOn:
@@ -299,6 +322,9 @@ class TestWorkerFailureFallback:
     """A hung or dead worker degrades to an in-parent serial re-execution
     of its shard — the run completes with serial-identical results.
 
+    Runs use 2 workers, so exactly one shard is forked (the parent ticks
+    the other itself) and the patched worker loop fails that one.
+
     Span-profile equality is deliberately not asserted here: the failed
     worker never reports its tracer stats, so profiling under
     degradation is best-effort by design.
@@ -322,13 +348,12 @@ class TestWorkerFailureFallback:
 
         real = par._worker_main
 
-        def hang_shard_zero(conn, fleet, cluster_indices, *args):
-            if 0 in cluster_indices:
-                time.sleep(600)  # never replies; parent terminates us
+        def hang_worker(conn, fleet, cluster_indices, *args):
+            time.sleep(600)  # never replies; parent terminates us
             real(conn, fleet, cluster_indices, *args)
 
         serial, degraded, stats = self.run_degraded(
-            monkeypatch, hang_shard_zero
+            monkeypatch, hang_worker
         )
         assert stats.mode == "parallel"
         assert stats.shard_fallbacks == 1
@@ -359,15 +384,16 @@ class TestWorkerFailureFallback:
         real = par._worker_main
 
         def die_on_command(conn, fleet, cluster_indices, *args):
-            if 0 in cluster_indices:
-                conn = _DieOn(conn, command, serve)
-            real(conn, fleet, cluster_indices, *args)
+            real(_DieOn(conn, command, serve), fleet, cluster_indices,
+                 *args)
 
         serial, degraded, stats = self.run_degraded(
             monkeypatch, die_on_command
         )
         assert stats.mode == "parallel"
         assert stats.shard_fallbacks == 1
+        assert degraded.registry.value(
+            MetricName.ENGINE_SHARD_FALLBACKS_TOTAL) == 1
         a = _series(serial, INTEGER_COUNTERS)
         b = _series(degraded, INTEGER_COUNTERS)
         assert a and a == b
@@ -379,14 +405,11 @@ class TestWorkerFailureFallback:
 
         real = par._worker_main
 
-        def die_on_shard_zero(conn, fleet, cluster_indices, *args):
-            if 0 in cluster_indices:
-                conn.close()  # silent death: EOF at the parent
-                return
-            real(conn, fleet, cluster_indices, *args)
+        def die_at_start(conn, fleet, cluster_indices, *args):
+            conn.close()  # silent death: EOF at the parent
 
         serial, degraded, stats = self.run_degraded(
-            monkeypatch, die_on_shard_zero
+            monkeypatch, die_at_start
         )
         assert stats.mode == "parallel"
         assert stats.shard_fallbacks == 1
@@ -411,6 +434,11 @@ class TestWorkerFailureFallback:
         engine = FleetEngine(fleet, workers=2, recv_timeout_seconds=5.0)
         with pytest.raises(EngineError, match="synthetic worker crash"):
             engine.run(600)
+        # The shard the parent ticked still exports into the fleet.
+        for cluster in fleet.clusters:
+            assert cluster.trace_db is fleet.trace_db
+            for exporter in cluster.exporters.values():
+                assert exporter.sink is fleet.trace_db
 
     def test_rejects_nonpositive_timeout(self):
         from repro.common.errors import ConfigurationError
@@ -437,6 +465,8 @@ class TestMetricShipping:
     """Metrics cross the fork boundary once per run, not per barrier."""
 
     def test_merge_called_once_per_shard_per_run(self, monkeypatch):
+        """One merge per *forked* shard: the parent's own shard counts
+        into the live registry and has no delta to merge."""
         merged = []
         real_merge = MetricRegistry.merge
 
@@ -448,17 +478,49 @@ class TestMetricShipping:
         fleet = _churn_fleet(seed=5)
         stats = FleetEngine(fleet, workers=2).run(30 * 60)
         assert stats.mode == "parallel" and stats.barriers == 30
-        assert len(merged) == stats.workers
+        assert len(merged) == stats.workers - 1
         assert all(isinstance(delta, list) and delta for delta in merged)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_healthy_run_forks_one_worker_fewer(self, monkeypatch, workers):
+        import multiprocessing.context as mpc
+
+        started = []
+        real_start = mpc.ForkProcess.start
+
+        def spy(proc):
+            started.append(proc)
+            real_start(proc)
+
+        monkeypatch.setattr(mpc.ForkProcess, "start", spy)
+        fleet = _churn_fleet(seed=5)
+        stats = FleetEngine(fleet, workers=workers).run(10 * 60)
+        assert stats.mode == "parallel" and stats.workers == workers
+        assert stats.shard_fallbacks == 0
+        assert len(started) == workers - 1
+
+    def test_parent_gc_untouched(self):
+        """Workers freeze their inherited heap; the parent's collector
+        keeps its state."""
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        fleet = _churn_fleet(seed=5)
+        assert FleetEngine(fleet, workers=2).run(10 * 60).mode == "parallel"
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
 
     def test_advance_reply_carries_no_metrics(self):
         """Drive the worker loop in-process: ``advance`` replies hold the
         SLI batches and the trace delta only; ``finalize`` adds the one
-        metric delta."""
+        metric delta, and its clusters carry no metric series."""
         import multiprocessing as mp
         import threading
 
         from repro.engine.parallel import _worker_main
+        from repro.obs.metrics import (
+            _CounterSeries,
+            _GaugeSeries,
+            _HistogramSeries,
+        )
 
         fleet = _churn_fleet(seed=5, clusters=2)
         parent, child = mp.Pipe()
@@ -479,6 +541,33 @@ class TestMetricShipping:
         finally:
             parent.send(("exit",))
             worker.join(timeout=30)
+            assert not worker.is_alive()
+            # The worker loop froze this process's heap, as it does in a
+            # forked worker; give the test process its collector back.
+            gc.unfreeze()
+
+        pickled = {}
+
+        class CountingPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                name = type(obj).__name__
+                pickled[name] = pickled.get(name, 0) + 1
+                return NotImplemented
+
+        CountingPickler(io.BytesIO()).dump(clusters)
+        assert pickled.get("Machine")  # the walk reached the machines
+        series = (_CounterSeries, _GaugeSeries, _HistogramSeries)
+        assert not {cls.__name__ for cls in series} & set(pickled)
+
+        # The parent's rebind restores every handle: a machine's counter
+        # increments land in the live registry again.
+        (cluster,) = clusters
+        cluster.rebind_runtime(fleet.registry, fleet.tracer, fleet.trace_db)
+        machine = cluster.machines[0]
+        before = fleet.registry.value(MetricName.PAGES_PROMOTED_TOTAL)
+        machine._m_promoted.inc(3)
+        assert fleet.registry.value(
+            MetricName.PAGES_PROMOTED_TOTAL) == before + 3
 
     def test_phase_seconds_recorded(self):
         fleet = _churn_fleet(seed=5)
@@ -489,7 +578,7 @@ class TestMetricShipping:
             if name == MetricName.ENGINE_PHASE_SECONDS_TOTAL
         }
         assert sorted(dict(labels)["phase"] for labels in phases) == [
-            "finalize", "merge", "wait",
+            "finalize", "local", "merge", "start", "wait",
         ]
         assert all(value >= 0.0 for value in phases.values())
 
