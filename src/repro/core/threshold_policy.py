@@ -24,7 +24,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ __all__ = [
     "as_policy",
     "best_threshold",
     "best_thresholds_vectorized",
-    "replay_thresholds_vectorized",
+    "replay_threshold_batch",
 ]
 
 #: Sentinel meaning "compress nothing" (no finite threshold chosen).
@@ -70,6 +70,31 @@ def _sorted_percentile(values: Sequence[float], k: float) -> float:
     if gamma >= 0.5:
         return b - (b - a) * (1.0 - gamma)
     return a + (b - a) * gamma
+
+
+def _sorted_percentile_rows(
+    pools: np.ndarray, counts: np.ndarray, k: float
+) -> np.ndarray:
+    """:func:`_sorted_percentile` of every row of a row-sorted matrix.
+
+    Row ``i``'s pool is ``pools[i, :counts[i]]`` (``counts[i] >= 1``);
+    entries past it are ignored.  The K-th percentile is a gather of the
+    lower and upper order statistics plus the same linear interpolation,
+    ``gamma >= 0.5`` rule included, element for element — so each entry
+    is bit-identical to the scalar form.  At ``virtual_index == n - 1``
+    the upper index is clipped to the lower one, and interpolating
+    between two equal values returns that value exactly, which is the
+    scalar form's ``values[-1]`` shortcut.
+    """
+    last = np.asarray(counts, dtype=np.int64) - 1
+    virtual_index = (k / 100.0) * last
+    lower = virtual_index.astype(np.int64)
+    gamma = virtual_index - lower
+    rows = np.arange(last.size)
+    a = pools[rows, lower]
+    b = pools[rows, np.minimum(lower + 1, last)]
+    return np.where(gamma >= 0.5, b - (b - a) * (1.0 - gamma),
+                    a + (b - a) * gamma)
 
 
 def best_threshold(
@@ -399,10 +424,11 @@ def as_policy(value: object) -> ColdMemoryPolicy:
 # threshold of an interval depends only on that interval's promotion
 # histogram and working set, never on previously chosen thresholds.  The
 # offline replay therefore factors into (1) a fully data-parallel best-
-# threshold pass over all intervals at once and (2) a rolling-percentile
-# pass over the resulting vector.  Both are expressed here over arrays;
-# :class:`ColdAgeThresholdPolicy` above stays the semantic reference, and
-# the model's tests prove the two produce bit-identical thresholds.
+# threshold pass over all intervals of many traces at once and (2) a
+# percentile pass over each interval's sorted history pool.  Both are
+# expressed here over arrays; :class:`ColdAgeThresholdPolicy` above stays
+# the semantic reference, and the model's tests prove the two produce
+# bit-identical thresholds.
 
 
 def best_thresholds_vectorized(
@@ -437,77 +463,103 @@ def best_thresholds_vectorized(
     return np.where(feasible, grid[first_fit], DISABLED)
 
 
-def _rolling_percentile(encoded: np.ndarray, k: float, window: int) -> np.ndarray:
-    """``np.percentile(encoded[max(0, t-window):t], k)`` for every ``t >= 1``.
+def _sorted_history_pools(
+    encoded: np.ndarray, position: np.ndarray, rows: np.ndarray,
+    history_length: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted history pool of each of ``rows``, padded with ``+inf``.
 
-    Row ``t`` of the result is the percentile of the history pool *before*
-    interval ``t`` (the online ordering).  Entry 0 is NaN — the pool is
-    empty there and the caller must treat it as disabled.  Full windows are
-    one batched ``np.percentile`` call over a stride-tricks view; only the
-    at-most ``window - 1`` growing prefixes at the start loop.
+    Row ``r``'s pool is ``encoded`` over the previous
+    ``min(position[r], history_length)`` rows of its own trace.  Every
+    trace is laid out behind ``window`` cells of ``+inf`` so that the
+    ``window`` cells before any row hold its pool and padding, never a
+    row of the trace before it; one gather over a sliding-window view
+    then builds all pools and one sort orders them.
+
+    Returns:
+        ``(pools, counts)``: the ``(len(rows), window)`` row-sorted pools,
+        ``window = min(longest trace - 1, history_length)``, and each
+        pool's size.
     """
-    n = encoded.size
-    out = np.full(n, np.nan)
-    for t in range(1, min(n, window)):
-        out[t] = np.percentile(encoded[:t], k)
-    if n > window:
-        windows = np.lib.stride_tricks.sliding_window_view(encoded, window)
-        out[window:] = np.percentile(windows[: n - window], k, axis=1)
-    return out
+    window = min(int(position.max()), history_length)
+    trace_number = np.cumsum(position == 0)
+    padded = np.full(encoded.size + window * int(trace_number[-1]), np.inf)
+    padded[np.arange(encoded.size) + window * trace_number] = encoded
+    starts = rows + window * (trace_number[rows] - 1)
+    pools = np.lib.stride_tricks.sliding_window_view(padded, window)[starts]
+    pools.sort(axis=1)
+    return pools, np.minimum(position[rows], history_length)
 
 
-def replay_thresholds_vectorized(
+def replay_threshold_batch(
     best: np.ndarray,
-    config: ThresholdPolicyConfig,
+    position: np.ndarray,
+    configs: Sequence[ThresholdPolicyConfig],
     bins: AgeBins,
     interval_seconds: float = MINUTE,
-) -> np.ndarray:
-    """The threshold sequence :class:`ColdAgeThresholdPolicy` would publish.
+) -> List[np.ndarray]:
+    """The threshold sequences :class:`ColdAgeThresholdPolicy` would
+    publish, for many traces under many configurations at once.
 
-    ``result[t]`` is the threshold governing interval ``t``, computed from
-    ``best[:t]`` exactly as :meth:`ColdAgeThresholdPolicy.threshold` would
-    after observing intervals ``0..t-1``: warm-up, the fixed-threshold
-    bypass, the K-th percentile of the (sentinel-encoded) history pool,
-    grid snapping, and the spike-reaction escalation.
+    ``result[j][r]`` is the threshold governing row ``r`` under
+    ``configs[j]``, computed from the rows before it in its own trace
+    exactly as :meth:`ColdAgeThresholdPolicy.threshold` would after
+    observing them: warm-up, the fixed-threshold bypass, the K-th
+    percentile of the (sentinel-encoded) history pool, grid snapping, and
+    the spike-reaction escalation.  The history pools do not depend on
+    ``(K, S)``, so they are built and sorted once per distinct
+    ``history_length`` of the batch; each configuration then costs a few
+    whole-array operations.
 
     Args:
-        best: per-interval best thresholds
+        best: per-interval best thresholds of one or more traces,
+            concatenated trace after trace
             (from :func:`best_thresholds_vectorized`).
-        config: the policy parameters being replayed.
-        bins: the candidate-threshold grid.
+        position: each row's interval index within its own trace (0 on
+            the first row of every trace).
+        configs: the policy parameters being replayed.
+        bins: the candidate-threshold grid shared by every trace.
         interval_seconds: length of each interval.
     """
     best = np.asarray(best, dtype=float)
-    n = best.size
-    thresholds = np.full(n, DISABLED)
-    if n == 0:
-        return thresholds
-    elapsed = np.arange(n, dtype=np.int64) * int(interval_seconds)
-    warmed = elapsed >= config.warmup_seconds
-    if config.fixed_threshold_seconds is not None:
-        thresholds[warmed] = float(config.fixed_threshold_seconds)
-        return thresholds
-    # Interval 0 has an empty pool and stays DISABLED regardless of warm-up.
-    active = warmed.copy()
-    active[0] = False
-    if not active.any():
-        return thresholds
-    sentinel = float(bins.max_threshold) * 1e9
-    encoded = np.where(np.isfinite(best), best, sentinel)
-    kth = _rolling_percentile(encoded, config.percentile_k,
-                              config.history_length)[active]
+    position = np.asarray(position, dtype=np.int64)
+    elapsed = position * int(interval_seconds)
+    results = [np.full(best.size, DISABLED) for _ in configs]
+    by_length: Dict[int, List[int]] = {}
+    for j, config in enumerate(configs):
+        if config.fixed_threshold_seconds is not None:
+            warmed = elapsed >= config.warmup_seconds
+            results[j][warmed] = float(config.fixed_threshold_seconds)
+        else:
+            by_length.setdefault(config.history_length, []).append(j)
+    # A trace's first row has an empty pool and stays DISABLED regardless
+    # of warm-up.
+    pooled = np.flatnonzero(position > 0)
+    if not by_length or pooled.size == 0:
+        return results
+    encoded = np.where(np.isfinite(best), best,
+                       float(bins.max_threshold) * 1e9)
+    last_best = best[pooled - 1]
     grid = np.asarray(bins.thresholds)
-    snap = np.searchsorted(grid, kth, side="left")
-    snapped = np.where(
-        snap >= len(grid),
-        float(bins.max_threshold),
-        grid.astype(float)[np.minimum(snap, len(grid) - 1)],
-    )
-    # A percentile beyond the grid decodes back to DISABLED; it dominates
-    # the spike-reaction max below exactly as in the scalar policy.
-    snapped = np.where(kth > bins.max_threshold, DISABLED, snapped)
-    if config.spike_reaction:
-        last_best = best[np.flatnonzero(active) - 1]
-        snapped = np.maximum(snapped, last_best)
-    thresholds[active] = snapped
-    return thresholds
+    for history_length, members in by_length.items():
+        pools, counts = _sorted_history_pools(
+            encoded, position, pooled, history_length
+        )
+        for j in members:
+            config = configs[j]
+            kth = _sorted_percentile_rows(pools, counts, config.percentile_k)
+            snap = np.searchsorted(grid, kth, side="left")
+            snapped = np.where(
+                snap >= len(grid),
+                float(bins.max_threshold),
+                grid.astype(float)[np.minimum(snap, len(grid) - 1)],
+            )
+            # A percentile beyond the grid decodes back to DISABLED; it
+            # dominates the spike-reaction max below exactly as in the
+            # scalar policy.
+            snapped = np.where(kth > bins.max_threshold, DISABLED, snapped)
+            if config.spike_reaction:
+                snapped = np.maximum(snapped, last_best)
+            active = elapsed[pooled] >= config.warmup_seconds
+            results[j][pooled[active]] = snapped[active]
+    return results

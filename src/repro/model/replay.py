@@ -24,11 +24,17 @@ Three optimizations multiply on this path:
    is replayed over arrays (:func:`replay_compiled`).  The scalar
    interval-by-interval loop (:func:`_replay_one_job`) stays as the
    semantic oracle; both produce bit-identical reports.
-2. **Batched evaluation** — :meth:`FarMemoryModel.evaluate_many` replays a
-   whole batch of candidate configurations in *one* MapReduce: each map
-   task replays every config of the batch against one compiled trace, so
-   the per-interval best thresholds (config-independent) are computed once
-   per trace per batch, not once per trace per config.
+2. **Batched evaluation, across configs and across traces** —
+   :meth:`FarMemoryModel.evaluate_many` replays a whole batch of candidate
+   configurations in *one* MapReduce, and each map task is a range of
+   whole traces replayed as one array program: their rows are
+   concatenated, the per-interval best thresholds (config-independent)
+   are computed in one pass, and every row's history pool is sorted once
+   per distinct ``history_length`` — so per config only a percentile
+   gather, grid snapping and the histogram lookups remain, each one
+   whole-array operation over every row of the task.  A task's pools are
+   capped at :data:`MAX_TASK_POOL_CELLS` cells, so fleets of week-long
+   traces split into several tasks instead of one large matrix.
 3. **Persistent pool** — the MapReduce pool outlives individual runs and
    an initializer ships the compiled traces to each worker once per model,
    so successive autotuner batches pay no per-batch serialization of the
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -51,10 +58,15 @@ from repro.core.threshold_policy import (
     ColdAgeThresholdPolicy,
     ThresholdPolicyConfig,
     best_thresholds_vectorized,
-    replay_thresholds_vectorized,
+    replay_threshold_batch,
 )
 from repro.model.mapreduce import MapReduce
-from repro.model.trace import TRACE_PERIOD_SECONDS, CompiledTrace, JobTrace
+from repro.model.trace import (
+    TRACE_PERIOD_SECONDS,
+    CompiledTrace,
+    JobTrace,
+    suffix_columns,
+)
 from repro.obs import MetricName, get_registry, get_tracer, Stopwatch
 
 __all__ = [
@@ -161,53 +173,125 @@ def _replay_one_job(
     return result
 
 
+#: Cap on the history-pool cells (rows × window) one map task holds.  The
+#: batched replay sorts a ``(rows, min(longest trace - 1, history_length))``
+#: float matrix per distinct ``history_length``; a week of 5-minute
+#: intervals (2016 rows, H = 120) is about 240k cells, so without a cap one
+#: task over a large fleet of such traces would hold hundreds of MiB.  At
+#: 2**20 cells the matrix stays at 8 MiB; a trace larger than the cap gets
+#: a task of its own.
+MAX_TASK_POOL_CELLS = 1 << 20
+
+
 def replay_compiled(
-    compiled: CompiledTrace,
+    compiled: Sequence[CompiledTrace],
     configs: Sequence[ThresholdPolicyConfig],
     slo: PromotionRateSlo,
-) -> List[JobReplayResult]:
-    """Vectorized replay of one compiled trace under a batch of configs.
+) -> List[List[JobReplayResult]]:
+    """Vectorized replay of compiled traces under a batch of configs.
 
-    The per-interval *best* thresholds depend only on the trace and the
-    SLO, never on ``(K, S)`` — so they are computed once here and shared
-    across the whole config batch; only the rolling-percentile decode and
-    the histogram lookups are per-config.  Every arithmetic step mirrors
+    Returns ``results[i][j]``: trace ``compiled[i]`` under ``configs[j]``.
+    Traces that share a grid and an interval length replay as one array
+    program: their rows are concatenated, the per-interval *best*
+    thresholds (which depend only on the trace and the SLO, never on
+    ``(K, S)``) are computed in one pass, each row's history pool is built
+    and sorted once per distinct ``history_length``
+    (:func:`~repro.core.threshold_policy.replay_threshold_batch`), and
+    only the percentile decode and the histogram lookups are per-config —
+    whole-array operations over every row.  Every arithmetic step mirrors
     :func:`_replay_one_job` operation for operation, so results are
     bit-identical to the scalar oracle.
     """
-    if compiled.intervals == 0 or compiled.bins is None:
-        return [JobReplayResult(job_id=compiled.job_id) for _ in configs]
+    groups: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
+    for index, trace in enumerate(compiled):
+        if trace.intervals and trace.bins is not None:
+            key = (trace.bins.thresholds, trace.interval_seconds)
+            groups.setdefault(key, []).append(index)
+    replayed: Dict[int, List[JobReplayResult]] = {}
+    for members in groups.values():
+        traces = [compiled[i] for i in members]
+        replayed.update(zip(members, _replay_group(traces, configs, slo)))
+    return [
+        replayed[index] if index in replayed
+        else [JobReplayResult(job_id=trace.job_id) for _ in configs]
+        for index, trace in enumerate(compiled)
+    ]
+
+
+def _replay_group(
+    traces: List[CompiledTrace],
+    configs: Sequence[ThresholdPolicyConfig],
+    slo: PromotionRateSlo,
+) -> List[List[JobReplayResult]]:
+    """:func:`replay_compiled` over non-empty traces on one grid and one
+    interval length."""
+    bins = traces[0].bins
+    assert bins is not None
+    interval = traces[0].interval_seconds
+    lengths = np.array([trace.intervals for trace in traces])
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    rows = int(ends[-1])
+    cold = np.concatenate([trace.cold_suffix_sums for trace in traces])
+    promo = np.concatenate([trace.promotion_suffix_sums for trace in traces])
+    wss_pages = np.concatenate([trace.working_set_pages for trace in traces])
+    position = np.arange(rows) - np.repeat(starts, lengths)
     best = best_thresholds_vectorized(
-        compiled.promotion_suffix_sums[:, :-1],
-        compiled.working_set_pages,
-        compiled.bins,
-        slo,
-        compiled.interval_seconds,
+        promo[:, :-1], wss_pages, bins, slo, interval
     )
-    wss = compiled.working_set_pages.astype(float)
-    results: List[JobReplayResult] = []
-    for config in configs:
-        thresholds = replay_thresholds_vectorized(
-            best, config, compiled.bins, compiled.interval_seconds
-        )
-        captured = compiled.colder_than(thresholds, cold=True).astype(float)
-        promoted = compiled.colder_than(thresholds, cold=False)
-        per_min = promoted * (MINUTE / compiled.interval_seconds)
+    wss = wss_pages.astype(float)
+    row = np.arange(rows)
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    per_trace: List[List[JobReplayResult]] = [[] for _ in traces]
+    for thresholds in replay_threshold_batch(
+        best, position, configs, bins, interval
+    ):
+        column = suffix_columns(bins, thresholds)
+        captured = cold[row, column].astype(float).tolist()
+        per_min = promo[row, column] * (MINUTE / interval)
         with np.errstate(divide="ignore", invalid="ignore"):
             rates = np.where(
                 wss > 0.0,
                 (100.0 * per_min) / wss,
                 np.where(per_min <= 0.0, 0.0, float("inf")),
+            ).tolist()
+        chosen = thresholds.tolist()
+        for trace, out, (a, b) in zip(traces, per_trace, bounds):
+            out.append(
+                JobReplayResult(
+                    job_id=trace.job_id,
+                    cold_pages_captured=captured[a:b],
+                    normalized_rates=rates[a:b],
+                    thresholds=chosen[a:b],
+                )
             )
-        results.append(
-            JobReplayResult(
-                job_id=compiled.job_id,
-                cold_pages_captured=captured.tolist(),
-                normalized_rates=rates.tolist(),
-                thresholds=thresholds.tolist(),
-            )
-        )
-    return results
+    return per_trace
+
+
+def _plan_tasks(
+    lengths: Sequence[int], window: int, workers: int
+) -> List[Tuple[int, int]]:
+    """Split the fleet into contiguous trace ranges, one map task each.
+
+    A range ends before the trace that would push its history-pool matrix
+    (rows × ``min(longest - 1, window)``) past
+    :data:`MAX_TASK_POOL_CELLS`, and, with several workers, before the
+    trace that would push its rows past an even share, so the ranges
+    spread over the pool.  A small fleet on one worker is one task.
+    """
+    share = math.ceil(sum(lengths) / workers) if workers > 1 else math.inf
+    ranges: List[Tuple[int, int]] = []
+    start = rows = longest = 0
+    for index, length in enumerate(lengths):
+        grown, tallest = rows + length, max(longest, length)
+        cells = grown * min(max(tallest - 1, 0), window)
+        if index > start and (cells > MAX_TASK_POOL_CELLS or grown > share):
+            ranges.append((start, index))
+            start, grown, tallest = index, length, length
+        rows, longest = grown, tallest
+    if lengths:
+        ranges.append((start, len(lengths)))
+    return ranges
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +302,8 @@ def replay_compiled(
 # replay payload (compiled traces — or raw traces for the scalar oracle)
 # in this module-global dict, keyed by a per-model token so several models
 # sharing one process (workers=1 runs in-process) never clobber each
-# other.  Map tasks then carry only ``(trace_index, configs)``.
+# other.  Map tasks then carry only ``(start, stop, configs)``: a range of
+# whole traces (see :func:`_plan_tasks`) and the config batch.
 
 _ReplayPayload = Union[List[CompiledTrace], List[JobTrace]]
 _WORKER_STATE: Dict[str, Tuple[_ReplayPayload, PromotionRateSlo]] = {}
@@ -233,22 +318,29 @@ def _init_model_worker(
 
 
 def _replay_batch_task(
-    task: Tuple[int, List[ThresholdPolicyConfig]],
+    task: Tuple[int, int, List[ThresholdPolicyConfig]],
     token: str,
     vectorized: bool,
-) -> List[JobReplayResult]:
-    """One map task: replay the whole config batch against one trace."""
-    index, configs = task
+) -> List[List[JobReplayResult]]:
+    """One map task: replay the whole config batch against a range of
+    traces; ``result[i][j]`` is trace ``start + i`` under config ``j``."""
+    start, stop, configs = task
     payload, slo = _WORKER_STATE[token]
-    unit = payload[index]
+    units = payload[start:stop]
     if vectorized:
-        return replay_compiled(unit, configs, slo)
-    return [_replay_one_job(unit, config, slo) for config in configs]
+        return replay_compiled(units, configs, slo)
+    return [
+        [_replay_one_job(unit, config, slo) for config in configs]
+        for unit in units
+    ]
 
 
-def _collect(mapped: List[List[JobReplayResult]]) -> List[List[JobReplayResult]]:
-    """Identity reducer: the fleet reduction is per-config, done by the model."""
-    return mapped
+def _collect(
+    mapped: List[List[List[JobReplayResult]]],
+) -> List[List[JobReplayResult]]:
+    """Concatenate the tasks' per-trace results in fleet order; the fleet
+    reduction is per-config, done by the model."""
+    return [per_config for chunk in mapped for per_config in chunk]
 
 
 class FarMemoryModel:
@@ -380,19 +472,27 @@ class FarMemoryModel:
     ) -> List[FleetReplayReport]:
         """Evaluate a batch of configurations in one MapReduce.
 
-        Each map task replays the *entire* batch against one trace, so the
-        per-trace best-threshold pass amortizes across the batch and a
-        fleet of N traces costs N tasks regardless of batch size.  Reports
-        come back in ``configs`` order.
+        Each map task replays the *entire* batch against a range of whole
+        traces (:func:`_plan_tasks`), so the best-threshold pass and the
+        sorted history pools amortize across the batch.  A small fleet on
+        one worker is one task, whatever the batch size.  Reports come back
+        in ``configs`` order.
         """
         configs = list(configs)
         if not configs:
             return []
         pipeline = self._ensure_pipeline()
-        n_traces = (
-            len(self.compiled_traces) if self.vectorized else len(self.traces)
+        lengths = (
+            [trace.intervals for trace in self.compiled_traces]
+            if self.vectorized
+            else [len(trace.entries) for trace in self.traces]
         )
-        tasks = [(index, configs) for index in range(n_traces)]
+        n_traces = len(lengths)
+        window = max(config.history_length for config in configs)
+        tasks = [
+            (start, stop, configs)
+            for start, stop in _plan_tasks(lengths, window, self.workers)
+        ]
         with self._tracer.span("model.evaluate_many", batch=len(configs)):
             with Stopwatch() as watch:
                 per_trace = pipeline.run(tasks)

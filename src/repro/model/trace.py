@@ -35,6 +35,7 @@ __all__ = [
     "TraceEntry",
     "JobTrace",
     "CompiledTrace",
+    "suffix_columns",
 ]
 
 #: Aggregation period of one trace entry (the paper uses 5 minutes).
@@ -766,12 +767,21 @@ class CompiledTrace:
         """
         assert self.bins is not None
         matrix = self.cold_suffix_sums if cold else self.promotion_suffix_sums
-        grid = np.asarray(self.bins.thresholds)
-        finite = np.isfinite(thresholds)
-        # DISABLED rows index the explicit zero column.
-        column = np.full(thresholds.shape, len(grid), dtype=np.int64)
-        column[finite] = np.searchsorted(grid, thresholds[finite], side="left")
+        column = suffix_columns(self.bins, thresholds)
         return matrix[np.arange(matrix.shape[0]), column]
+
+
+def suffix_columns(bins: AgeBins, thresholds: np.ndarray) -> np.ndarray:
+    """The suffix-sum column that answers ``colder_than(thresholds[t])``.
+
+    A finite threshold reads the first candidate at or above it; DISABLED
+    (infinite) rows read the explicit zero column ``len(bins)``.
+    """
+    grid = np.asarray(bins.thresholds)
+    finite = np.isfinite(thresholds)
+    column = np.full(thresholds.shape, len(grid), dtype=np.int64)
+    column[finite] = np.searchsorted(grid, thresholds[finite], side="left")
+    return column
 
 
 def _suffix_sum_matrix(counts: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ and assert full-state equality along the way.  A chaos scenario at the
 engine level checks the same property end to end.
 
 Two helper contracts promised elsewhere are property-tested here too:
-``_sorted_percentile`` is bit-identical to ``np.percentile`` and the
+``_sorted_percentile`` and its array form ``_sorted_percentile_rows``
+are bit-identical to ``np.percentile`` and the
 zsmalloc arena's running totals always match a fresh per-class recount.
 """
 
@@ -25,7 +26,10 @@ from repro.cluster.wsc import quickfleet
 from repro.common.rng import SeedSequenceFactory
 from repro.common.simtime import PeriodicSchedule
 from repro.common.units import MIB, PAGE_SIZE
-from repro.core.threshold_policy import _sorted_percentile
+from repro.core.threshold_policy import (
+    _sorted_percentile,
+    _sorted_percentile_rows,
+)
 from repro.faults import attach_scenario
 from repro.kernel.columnar import _NEVER_SCANS, MachinePagePool
 from repro.kernel.compression import ContentProfile
@@ -459,9 +463,22 @@ class TestSharedPoolPickle:
             assert _machine_state(twin) == _machine_state(machine)
 
 
+def _percentile_of_rows(pools, k):
+    """``_sorted_percentile_rows`` over sorted pools of any sizes, laid out
+    the way the batched replay lays them out: one row each, padded with
+    ``+inf`` to the widest pool."""
+    width = max(len(pool) for pool in pools)
+    matrix = np.full((len(pools), width), np.inf)
+    for i, pool in enumerate(pools):
+        matrix[i, : len(pool)] = pool
+    counts = np.array([len(pool) for pool in pools])
+    return _sorted_percentile_rows(matrix, counts, k).tolist()
+
+
 class TestSortedPercentile:
-    """``_sorted_percentile`` reimplements numpy's default linear
-    interpolation bit-identically (the docstring's promise)."""
+    """``_sorted_percentile`` and its array form ``_sorted_percentile_rows``
+    reimplement numpy's default linear interpolation bit-identically (the
+    docstrings' promise)."""
 
     def test_matches_numpy_on_randomized_inputs(self):
         rng = np.random.default_rng(123)
@@ -472,6 +489,26 @@ class TestSortedPercentile:
             assert _sorted_percentile(values.tolist(), k) == float(
                 np.percentile(values, k)
             )
+            assert _percentile_of_rows([values], k) == [
+                float(np.percentile(values, k))
+            ]
+
+    @pytest.mark.parametrize("k", [0.0, 0.1, 37.3, 50.0, 98.0, 99.9, 100.0])
+    def test_array_form_matches_numpy_per_row(self, k):
+        """Many pools in one matrix: sizes from one to 40, ties, and the
+        replay's finite sentinel for DISABLED entries, row by row."""
+        rng = np.random.default_rng(7)
+        sentinel = 86_400.0 * 1e9
+        grid = np.array([120.0, 240.0, 480.0, 960.0, sentinel])
+        pools = [np.array([42.0]), np.array([sentinel]),
+                 np.array([sentinel, sentinel])]
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            pools.append(np.sort(rng.choice(grid, n)))  # ties, sentinels
+            pools.append(np.sort(rng.uniform(0.0, 1e4, n)))
+        expected = [float(np.percentile(pool, k)) for pool in pools]
+        assert _percentile_of_rows(pools, k) == expected
+        assert [_sorted_percentile(p.tolist(), k) for p in pools] == expected
 
     @pytest.mark.parametrize("k", [0.0, 25.0, 50.0, 75.0, 98.0, 100.0])
     def test_matches_numpy_at_grid_points(self, k):

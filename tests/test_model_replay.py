@@ -6,8 +6,15 @@ import pytest
 from repro.core.histograms import AgeHistogram, default_age_bins
 from repro.core.slo import PromotionRateSlo
 from repro.core.threshold_policy import ThresholdPolicyConfig
-from repro.model.replay import FarMemoryModel, _replay_one_job, replay_compiled
-from repro.model.trace import JobTrace, TraceEntry
+from repro.model import replay
+from repro.model.replay import (
+    MAX_TASK_POOL_CELLS,
+    FarMemoryModel,
+    _plan_tasks,
+    _replay_one_job,
+    replay_compiled,
+)
+from repro.model.trace import CompiledTrace, JobTrace, TraceEntry
 from repro.obs import MetricName, MetricRegistry
 
 
@@ -227,14 +234,14 @@ class TestVectorizedEquivalence:
             rng, n_entries=int(rng.integers(1, 200)), zero_wss_at=(0, 2, 9)
         )
         compiled = trace.compile()
-        vectorized = replay_compiled(compiled, EQUIVALENCE_CONFIGS, slo)
+        (vectorized,) = replay_compiled([compiled], EQUIVALENCE_CONFIGS, slo)
         for config, vec in zip(EQUIVALENCE_CONFIGS, vectorized):
             assert_bit_identical(_replay_one_job(trace, config, slo), vec)
 
     def test_empty_trace(self):
         slo = PromotionRateSlo()
         compiled = JobTrace("empty").compile()
-        results = replay_compiled(compiled, EQUIVALENCE_CONFIGS, slo)
+        (results,) = replay_compiled([compiled], EQUIVALENCE_CONFIGS, slo)
         assert len(results) == len(EQUIVALENCE_CONFIGS)
         for result in results:
             assert result.intervals == 0
@@ -246,7 +253,7 @@ class TestVectorizedEquivalence:
         slo = PromotionRateSlo()
         config = ThresholdPolicyConfig(warmup_seconds=10**9)
         trace = make_trace(n_entries=10)
-        vec = replay_compiled(trace.compile(), [config], slo)[0]
+        vec = replay_compiled([trace.compile()], [config], slo)[0][0]
         assert_bit_identical(_replay_one_job(trace, config, slo), vec)
         assert all(t == float("inf") for t in vec.thresholds)
         assert all(c == 0.0 for c in vec.cold_pages_captured)
@@ -259,7 +266,7 @@ class TestVectorizedEquivalence:
             rng, n_entries=8, zero_wss_at=range(8), promo_scale=1
         )
         # promo_scale=1 keeps integers(0, 1) == 0: no promotions at all.
-        vec = replay_compiled(trace.compile(), [config], slo)[0]
+        vec = replay_compiled([trace.compile()], [config], slo)[0][0]
         assert_bit_identical(_replay_one_job(trace, config, slo), vec)
         assert all(r == 0.0 for r in vec.normalized_rates)
 
@@ -272,7 +279,7 @@ class TestVectorizedEquivalence:
                                        fixed_threshold_seconds=120.0)
         rng = np.random.default_rng(13)
         trace = make_random_trace(rng, n_entries=8, zero_wss_at=range(8))
-        vec = replay_compiled(trace.compile(), [config], slo)[0]
+        vec = replay_compiled([trace.compile()], [config], slo)[0][0]
         assert_bit_identical(_replay_one_job(trace, config, slo), vec)
         assert any(r == float("inf") for r in vec.normalized_rates)
 
@@ -286,6 +293,129 @@ class TestVectorizedEquivalence:
             config
         )
         assert vec_report == scalar_report
+
+
+def make_random_fleet(seed, lengths):
+    """Random traces of the given lengths, with an empty trace before,
+    between and after them."""
+    rng = np.random.default_rng(seed)
+    fleet = [JobTrace("empty-0")]
+    for i, n in enumerate(lengths):
+        fleet.append(make_random_trace(
+            rng, job_id=f"r{i}", n_entries=n, zero_wss_at=(0, 5, 130)
+        ))
+        fleet.append(JobTrace(f"empty-{i + 1}"))
+    return fleet
+
+
+class TestFleetBatchEquivalence:
+    """The fleet is replayed as one array program (rows of every trace
+    concatenated, history pools sorted once per ``history_length``); no
+    row may see another trace's history, at any pool size."""
+
+    #: Lengths 1..200: pools that only grow (n <= H) and pools that fill
+    #: and slide (n > H + 1) for H = 1, 2, 3 and 120.
+    LENGTHS = (1, 2, 3, 4, 5, 121, 122, 200, 37, 1, 150, 9)
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        rng = np.random.default_rng(99)
+        lengths = self.LENGTHS + tuple(int(n) for n in rng.integers(1, 201, 6))
+        return make_random_fleet(5, lengths)
+
+    def test_every_result_matches_scalar_oracle(self, fleet):
+        slo = PromotionRateSlo()
+        compiled = [trace.compile() for trace in fleet]
+        batched = replay_compiled(compiled, EQUIVALENCE_CONFIGS, slo)
+        assert len(batched) == len(fleet)
+        for trace, per_config in zip(fleet, batched):
+            assert len(per_config) == len(EQUIVALENCE_CONFIGS)
+            for config, vec in zip(EQUIVALENCE_CONFIGS, per_config):
+                assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+
+    def test_model_reports_equal_across_workers_and_oracle(self, fleet):
+        with FarMemoryModel(fleet) as model:
+            serial = model.evaluate_many(EQUIVALENCE_CONFIGS)
+        with FarMemoryModel(fleet, workers=2) as model:
+            parallel = model.evaluate_many(EQUIVALENCE_CONFIGS)
+        with FarMemoryModel(fleet, vectorized=False) as model:
+            oracle = model.evaluate_many(EQUIVALENCE_CONFIGS)
+        assert serial == parallel
+        assert serial == oracle
+
+    def test_all_empty_fleet(self):
+        fleet = [JobTrace(f"e{i}") for i in range(3)]
+        reports = FarMemoryModel(fleet).evaluate_many(EQUIVALENCE_CONFIGS)
+        for report in reports:
+            assert report.promotion_rate_p98 == 0.0
+            assert report.total_cold_pages == 0.0
+            assert [r.intervals for r in report.job_results] == [0, 0, 0]
+
+
+def make_compiled_week(rng, job_id, intervals=2016):
+    """A week of 5-minute intervals as random replay tensors."""
+    bins = default_age_bins()
+    shape = (intervals, len(bins))
+    return CompiledTrace.from_columns(
+        job_id, bins,
+        cold_counts=rng.integers(0, 3000, size=shape),
+        promotion_counts=rng.integers(0, 60, size=shape),
+        working_set_pages=rng.integers(1, 60_000, size=intervals),
+        times=np.arange(intervals) * 300,
+        resident_pages=rng.integers(60_000, 70_000, size=intervals),
+        cpu_cores=np.ones(intervals),
+    )
+
+
+class TestTaskPlan:
+    """Map tasks are ranges of whole traces whose history pools fit
+    ``MAX_TASK_POOL_CELLS``."""
+
+    def test_small_fleet_is_one_task_on_one_worker(self):
+        assert _plan_tasks([6] * 48, 120, workers=1) == [(0, 48)]
+
+    def test_ranges_spread_over_workers(self):
+        assert _plan_tasks([6] * 48, 120, workers=2) == [(0, 24), (24, 48)]
+
+    def test_trace_over_the_cap_gets_its_own_task(self):
+        huge = MAX_TASK_POOL_CELLS  # rows * min(rows - 1, 2) > cap
+        assert _plan_tasks([3, huge, 3], 2, workers=1) == [
+            (0, 1), (1, 2), (2, 3)
+        ]
+
+    def test_empty_fleet_has_no_tasks(self):
+        assert _plan_tasks([], 120, workers=1) == []
+
+    def test_fleet_over_the_cap_splits_with_identical_reports(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(21)
+        fleet = [make_compiled_week(rng, f"w{i}") for i in range(5)]
+        assert sum(t.intervals for t in fleet) * 120 > MAX_TASK_POOL_CELLS
+        configs = [
+            ThresholdPolicyConfig(),
+            ThresholdPolicyConfig(percentile_k=90.0, warmup_seconds=0,
+                                  history_length=12),
+        ]
+        tasks = []
+        mapper = replay._replay_batch_task
+
+        def spy(task, **kwargs):
+            tasks.append(task[:2])
+            return mapper(task, **kwargs)
+
+        monkeypatch.setattr(replay, "_replay_batch_task", spy)
+        with FarMemoryModel(fleet) as model:
+            split = model.evaluate_many(configs)
+        assert len(tasks) > 1
+        assert tasks[0][0] == 0 and tasks[-1][1] == len(fleet)
+
+        tasks.clear()
+        monkeypatch.setattr(replay, "MAX_TASK_POOL_CELLS", 10**9)
+        with FarMemoryModel(fleet) as model:
+            whole = model.evaluate_many(configs)
+        assert tasks == [(0, len(fleet))]
+        assert split == whole
 
 
 class TestBatchedEvaluation:
