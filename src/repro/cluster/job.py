@@ -7,6 +7,10 @@ pattern-space page indices into memcg slot indices on every tick.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
+import numpy as np
+
 from repro.common.rng import SeedSequenceFactory
 from repro.kernel.machine import Machine
 from repro.workloads.job_generator import JobSpec
@@ -45,7 +49,6 @@ class RunningJob:
             content_profile=spec.content_profile,
         )
         self.page_map = machine.allocate(spec.job_id, spec.pages)
-        self.promotions_total = 0
 
     @property
     def job_id(self) -> str:
@@ -57,20 +60,23 @@ class RunningJob:
         duration = self.spec.duration_seconds
         return duration is not None and now - self.start_time >= duration
 
-    def step(self, now: int, interval_seconds: int) -> int:
-        """Run one tick of the access pattern; returns promotions incurred."""
+    def accesses(
+        self, now: int, interval_seconds: int
+    ) -> List[Tuple[str, np.ndarray, bool]]:
+        """Draw one tick of the access pattern as machine touches.
+
+        Returns ``(job_id, memcg slots, is_write)`` triples for
+        :meth:`Machine.touch_jobs`, reads before writes.  The draw uses
+        only the job's own RNG and never reads memory state, so a cluster
+        may draw every job before any touch runs.
+        """
         reads, writes = self.pattern.step(now, interval_seconds, self._drive_rng)
-        promotions = 0
+        touches = []
         if reads.size:
-            promotions += self.machine.touch(
-                self.job_id, self.page_map[reads], write=False
-            )
+            touches.append((self.job_id, self.page_map[reads], False))
         if writes.size:
-            promotions += self.machine.touch(
-                self.job_id, self.page_map[writes], write=True
-            )
-        self.promotions_total += promotions
-        return promotions
+            touches.append((self.job_id, self.page_map[writes], True))
+        return touches
 
     def stop(self) -> None:
         """Tear the job down on its machine."""

@@ -239,7 +239,11 @@ class FaultInjector:
 
     def _spike_pressure(self, targets: List[Any], seq: int,
                         magnitude: float) -> None:
-        """Touch a seeded fraction of every target job's resident pages."""
+        """Touch a seeded fraction of every target job's resident pages.
+
+        The touches go through the machine, so far pages among them fault
+        back through zswap and count as promotions.
+        """
         rng = self._seeds.stream("faults.pressure", seq=seq)
         for machine in targets:
             for job_id in sorted(machine.memcgs):
@@ -249,7 +253,7 @@ class FaultInjector:
                 if count == 0:
                     continue
                 touched = rng.choice(resident, size=count, replace=False)
-                memcg.touch(touched)
+                machine.touch(job_id, touched)
 
     def _corrupt_histograms(self, targets: List[Any], seq: int,
                             magnitude: float) -> None:

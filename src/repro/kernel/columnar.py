@@ -1,14 +1,15 @@
-"""The columnar fleet kernel: machine-pooled page state (ROADMAP item 1).
+"""The columnar fleet kernel: pooled page state.
 
 The scalar kernel keeps one set of numpy arrays per memcg, so every tick
 pays a Python dispatch per memcg — ~30 array ops per ``scan_update``, the
 reclaim mask, the accounting sums — multiplied by every job on every
-machine.  This module pools all of it per machine:
+machine.  This module pools all of it in one :class:`MachinePagePool`,
+owned either by one machine or by a whole cluster (``pool_scope``):
 
 * **per-page columns** (``resident``, ``age_scans``, ``accessed``, tier
   ``state``, ``incompressible``, ``dirtied``, ``unevictable``,
   ``payload_bytes``, ``lru_active``, THP ``huge_group``, the histogram-bin
-  cache and the reclaim mask) live in dense machine-wide arrays, one
+  cache and the reclaim mask) live in dense pool-wide arrays, one
   contiguous *segment* per memcg;
 * **per-memcg histograms** (cold-age snapshot and cumulative promotion
   counts) live as rows of two ``(memcgs, bins)`` matrices plus young-count
@@ -21,10 +22,11 @@ arrays are numpy *views* into the pool: every inherited method —
 mapping — runs unchanged on the views and stays O(touched), and is
 bit-identical to the scalar kernel *by construction*.  The pooled fast
 paths (:meth:`MachinePagePool.scan_all`,
-:meth:`MachinePagePool.reclaim_pairs`, the accounting reductions) replay
-the exact per-slot arithmetic of the scalar methods as whole-machine
-array ops; the scalar kernel remains the bit-equivalence oracle, exactly
-as ``CompiledTrace``/``replay_compiled`` oracle the vectorized model.
+:meth:`MachinePagePool.reclaim_pairs`, the batched
+:meth:`MachinePagePool.promote`, the accounting reductions) replay the
+exact per-slot arithmetic of the scalar methods as whole-pool array ops;
+the scalar kernel remains the bit-equivalence oracle, exactly as
+``CompiledTrace``/``replay_compiled`` oracle the vectorized model.
 
 Select the backend with ``MachineConfig(kernel="columnar")``; everything
 downstream (node agent, telemetry, faults, the parallel engine) is
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +45,14 @@ from repro.checks.contracts import verify_column_contracts
 from repro.checks.invariants import check_memcg_histogram, invariants_enabled
 from repro.common.units import MAX_PAGE_AGE_SCANS
 from repro.core.histograms import AgeBins, AgeHistogram
-from repro.kernel.memcg import _HIST_NO_PAGE, _HIST_YOUNG, MemCg, PageState
+from repro.kernel.compression import sample_payloads
+from repro.kernel.memcg import (
+    _HIST_NO_PAGE,
+    _HIST_YOUNG,
+    Fault,
+    MemCg,
+    PageState,
+)
 
 __all__ = ["ColumnarMemCg", "MachinePagePool", "PooledAgeHistogram"]
 
@@ -201,9 +210,16 @@ class ColumnarMemCg(MemCg):
         state.pop("promotion_histogram", None)
         return state
 
+    @classmethod
+    def promote_batch(cls, faults: Sequence[Fault]) -> None:
+        """One :meth:`MachinePagePool.promote` pass (a machine's memcgs
+        share one pool)."""
+        faults[0][0]._pool.promote(faults)
+
 
 class MachinePagePool:
-    """Machine-wide columnar storage for every memcg's page state.
+    """Columnar storage for the page state of every memcg of one machine
+    (private pool) or of every machine of one cluster (shared pool).
 
     Segments are contiguous and compacted on removal (higher segments
     slide down), so the pooled passes always sweep one dense ``[0, used)``
@@ -512,11 +528,61 @@ class MachinePagePool:
         }
 
     # ------------------------------------------------------------------
+    # Pooled promotion
+    # ------------------------------------------------------------------
+
+    def promote(self, faults: Sequence[Fault]) -> None:
+        """Account a batch's faults as promotions in one pool pass.
+
+        The pooled twin of :meth:`MemCg.promote_batch`: one state write,
+        one age reset, and one ``bincount`` into the promotion-histogram
+        rows (from the pre-reset ages, like :meth:`scan_all`); the
+        per-memcg counters advance in batch order.
+        """
+        rows = np.array([memcg._pool_row for memcg, _i in faults])
+        sizes = np.array([indices.size for _m, indices in faults])
+        row_of = np.repeat(rows, sizes)
+        slots = (
+            np.concatenate([indices for _m, indices in faults])
+            + self.row_base[row_of]
+        )
+        self.state[slots] = PageState.NEAR
+        self._add_promotion_ages(row_of, self.age_scans[slots])
+        self.age_scans[slots] = 0
+        for (memcg, _indices), count in zip(faults, sizes.tolist()):
+            memcg.promo_hist_events += count
+            memcg.promoted_pages_total += count
+            if memcg.promoted_counter is not None:
+                memcg.promoted_counter.inc(count)
+            memcg.invalidate_reclaim_cache()
+
+    def _add_promotion_ages(
+        self, rows: np.ndarray, ages: np.ndarray
+    ) -> np.ndarray:
+        """Add pages' pre-reset ages (in scans) to their rows' promotion
+        histograms; returns the per-row page counts.
+
+        One ``bincount`` keyed by ``(row, bin + 1)``: column 0 collects
+        the young bucket (bin -1).  Ages never exceed the cap; ``clip``
+        only bounds the table lookup.
+        """
+        width = self._nbins + 1
+        keys = rows.astype(np.int64) * width
+        keys += self._bin_lut.take(ages, mode="clip")
+        keys += 1
+        counts = np.bincount(
+            keys, minlength=self._row_cap * width
+        ).reshape(self._row_cap, width)
+        self.promo_young += counts[:, 0]
+        self.promo_counts += counts[:, 1:]
+        return counts.sum(axis=1)
+
+    # ------------------------------------------------------------------
     # Pooled kstaled scan
     # ------------------------------------------------------------------
 
     def scan_all(self, memcgs: Iterable[MemCg]) -> int:
-        """One kstaled pass over every segment in a single machine sweep.
+        """One kstaled pass over every segment in a single pool sweep.
 
         Replays ``MemCg.scan_update`` slot-for-slot: huge-bit propagation,
         promotion-histogram accounting from pre-reset ages, age reset /
@@ -526,7 +592,9 @@ class MachinePagePool:
         the incremental cold-age histogram fold.
 
         Args:
-            memcgs: the machine's memcgs in scan order.
+            memcgs: every memcg bound to the pool (all machines' memcgs
+                when the pool is cluster-scoped), in scan order — the
+                order their dirty pages draw fresh payloads.
 
         Returns:
             Total resident pages examined (the kstaled CPU-cost input).
@@ -547,65 +615,57 @@ class MachinePagePool:
         self._propagate_huge_bits_pooled(u, res)
 
         acc = res & accessed
-        idle = res & ~accessed
+        idle = res ^ acc
 
-        # Promotion histograms for all memcgs: bincount keyed by
-        # (row, bin) over the accessed pages' pre-reset ages.
+        # Promotion histograms for all memcgs, from the accessed pages'
+        # pre-reset ages.
         acc_idx = np.flatnonzero(acc)
         if acc_idx.size:
-            rows = owner[acc_idx].astype(np.int64)
-            ages_acc = np.minimum(age[acc_idx], MAX_PAGE_AGE_SCANS)
-            bins_idx = self._bin_lut[ages_acc].astype(np.int64)
-            hot = bins_idx >= 0
-            if hot.any():
-                flat = self.promo_counts.reshape(-1)
-                flat += np.bincount(
-                    rows[hot] * self._nbins + bins_idx[hot],
-                    minlength=flat.size,
-                )
-            if not hot.all():
-                self.promo_young += np.bincount(
-                    rows[~hot], minlength=self._row_cap
-                )
+            per_row = self._add_promotion_ages(owner[acc_idx], age[acc_idx])
             # Mirror the scalar kernel's per-memcg promotion-event
             # counter (one bump per accessed resident page) so the node
             # agent's quiet-round fast path sees identical values under
             # either backend.
-            per_row = np.bincount(rows, minlength=self._row_cap)
             for r in np.flatnonzero(per_row):
                 self.row_memcg[r].promo_hist_events += int(per_row[r])
 
-        age[acc] = 0
-        age[idle] = np.minimum(age[idle] + 1, MAX_PAGE_AGE_SCANS)
+        # Branch-free whole-pool writes: boolean-mask assignments (and
+        # ``where=`` ufuncs) are an order of magnitude slower.  Ages never
+        # exceed the cap, so incrementing idle pages below it is the
+        # saturating increment.
+        not_res = ~res
+        np.add(age, idle & (age < MAX_PAGE_AGE_SCANS), out=age)
+        np.multiply(age, ~acc, out=age)
         lru = self.lru_active[:u]
-        lru[acc] = True
-        lru[idle] = False
-        accessed[res] = False
+        lru &= not_res
+        lru |= acc
+        accessed &= not_res
 
         # Dirtied NEAR pages shed their incompressible mark and resample
-        # payload content.  The sampling itself must stay per memcg: each
-        # memcg owns an independent RNG stream and the scalar kernel draws
-        # exactly n_dirty values from it.
+        # payload content.  The draws stay per memcg, in iteration order:
+        # each memcg owns an independent RNG stream and the scalar kernel
+        # draws exactly n_dirty values from it.
         dirty_idx = np.flatnonzero(res & self.dirtied[:u] & (state == PageState.NEAR))
         if dirty_idx.size:
             self.incompressible[dirty_idx] = False
-            payload = self.payload_bytes[:u]
-            for memcg in memcg_list:
-                seg_row = memcg._pool_row
-                seg_base = int(self.row_base[seg_row])
-                lo = int(np.searchsorted(dirty_idx, seg_base))
-                hi = int(np.searchsorted(
-                    dirty_idx, seg_base + int(self.row_size[seg_row])
-                ))
-                if lo == hi:
-                    continue
-                payload[dirty_idx[lo:hi]] = (
-                    memcg.content_profile.sample_payload_bytes(
-                        hi - lo, memcg._rng
-                    )
-                )
+            rows = [memcg._pool_row for memcg in memcg_list]
+            bases = self.row_base[rows]
+            los = np.searchsorted(dirty_idx, bases).tolist()
+            his = np.searchsorted(dirty_idx, bases + self.row_size[rows]).tolist()
+            dirty = [
+                (memcg, lo, hi)
+                for memcg, lo, hi in zip(memcg_list, los, his)
+                if hi > lo
+            ]
+            if dirty:
+                self.payload_bytes[
+                    np.concatenate([dirty_idx[lo:hi] for _m, lo, hi in dirty])
+                ] = sample_payloads([
+                    (m.content_profile, hi - lo, m._rng) for m, lo, hi in dirty
+                ])
+            for memcg, _lo, _hi in dirty:
                 memcg.invalidate_reclaim_cache()
-        self.dirtied[:u][res] = False
+        self.dirtied[:u] &= not_res
 
         self._update_cold_histograms_pooled(u, res, age, owner)
 
@@ -615,8 +675,13 @@ class MachinePagePool:
         # Per-row resident counts: what the scalar kernel books as
         # ``pages_scanned`` per memcg.  Kept for the cluster layer, which
         # attributes one pooled scan back to many machines' kstaleds.
-        self.last_scan_row_pages = np.bincount(
-            self.owner_row[:u][res], minlength=self._row_cap
+        # Segments tile [0, used) contiguously, so one segment-wise
+        # reduction in base order counts every row.
+        live = np.flatnonzero(self.row_size)
+        live = live[np.argsort(self.row_base[live])]
+        self.last_scan_row_pages = np.zeros(self._row_cap, dtype=np.int64)
+        self.last_scan_row_pages[live] = np.add.reduceat(
+            res, self.row_base[live], dtype=np.int64
         )
         return int(self.last_scan_row_pages.sum())
 
@@ -625,7 +690,7 @@ class MachinePagePool:
 
         Group ids are memcg-local; adding the owner segment's base yields
         pool-global ids that cannot collide across memcgs, so one
-        aggregate pass covers every mapping on the machine.
+        aggregate pass covers every mapping in the pool.
         """
         hg = self.huge_group[:u]
         hp = np.flatnonzero(res & (hg >= 0))
@@ -633,8 +698,7 @@ class MachinePagePool:
             return
         groups = hg[hp] + self.row_base[self.owner_row[hp]]
         for bits in (self.accessed[:u], self.dirtied[:u]):
-            aggregate = np.zeros(u, dtype=bool)
-            np.logical_or.at(aggregate, groups, bits[hp])
+            aggregate = np.bincount(groups, weights=bits[hp], minlength=u) > 0
             bits[hp] = aggregate[groups]
 
     def _update_cold_histograms_pooled(
@@ -643,8 +707,12 @@ class MachinePagePool:
         """Incremental cold-age fold for all memcgs: the pooled twin of
         ``MemCg._update_cold_histogram`` (same changed-bin detection, same
         ±1 contributions, summed per (row, bin) by bincount)."""
-        new_bins = np.full(u, _HIST_NO_PAGE, dtype=np.int16)
-        new_bins[res] = self._bin_lut[np.minimum(age[res], MAX_PAGE_AGE_SCANS)]
+        # Branch-free: every slot's bin, then non-resident slots shifted
+        # to the no-page sentinel (``clip`` only bounds the lookup).
+        new_bins = self._bin_lut.take(age, mode="clip")
+        new_bins -= _HIST_NO_PAGE
+        new_bins *= res
+        new_bins += _HIST_NO_PAGE
         hist_bin = self.hist_bin[:u]
         changed = np.flatnonzero(new_bins != hist_bin)
         if changed.size == 0:

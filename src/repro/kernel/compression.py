@@ -20,13 +20,19 @@ here; this module only answers "what would lzo produce for this page?".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.common.units import PAGE_SIZE, seconds_to_cycles
 from repro.common.validation import check_fraction, check_positive, require
 
-__all__ = ["ContentProfile", "CompressionLatencyModel", "DEFAULT_LATENCY_MODEL"]
+__all__ = [
+    "ContentProfile",
+    "CompressionLatencyModel",
+    "DEFAULT_LATENCY_MODEL",
+    "sample_payloads",
+]
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,8 @@ class ContentProfile:
             self.max_ratio >= self.min_ratio,
             f"max_ratio {self.max_ratio} < min_ratio {self.min_ratio}",
         )
-        # Cached lognormal location: ``sample_payload_bytes`` runs on every
-        # zswap store and the log of a frozen field never changes.
+        # Cached lognormal location: payloads are sampled on every scan
+        # and the log of a frozen field never changes.
         object.__setattr__(
             self, "_log_median_ratio", float(np.log(self.median_ratio))
         )
@@ -75,32 +81,57 @@ class ContentProfile:
 
         Returns an int32 array in (0, PAGE_SIZE]; incompressible pages get
         payloads in the top of the range so zswap's cutoff rejects them.
+        A one-request :func:`sample_payloads`.
         """
-        if n_pages == 0:
-            return np.zeros(0, dtype=np.int32)
-        # One buffer end to end: exp/clip/divide/ceil all run in place on
-        # the normal draw (this sits on every zswap store, so the
-        # temporaries add up).  The RNG call sequence — one normal draw,
-        # one uniform draw, one conditional integer draw — is part of the
-        # replay contract and must not change.
-        ratios = rng.normal(self._log_median_ratio, self.sigma, size=n_pages)
-        np.exp(ratios, out=ratios)
-        np.maximum(ratios, self.min_ratio, out=ratios)
-        np.minimum(ratios, self.max_ratio, out=ratios)
-        np.divide(PAGE_SIZE, ratios, out=ratios)
-        np.ceil(ratios, out=ratios)
-        np.minimum(ratios, PAGE_SIZE, out=ratios)
-        payloads = ratios.astype(np.int32)
-        incompressible = rng.random(n_pages) < self.incompressible_fraction
-        count = int(np.count_nonzero(incompressible))
+        return sample_payloads([(self, n_pages, rng)])
+
+
+def sample_payloads(
+    requests: Sequence[Tuple[ContentProfile, int, np.random.Generator]],
+) -> np.ndarray:
+    """Payload sizes for several ``(profile, n_pages, rng)`` requests.
+
+    Each request draws from its own generator, in request order; the
+    float transform then runs once over every draw.  Returns the
+    requests' payloads concatenated, each exactly what
+    :meth:`ContentProfile.sample_payload_bytes` returns for it alone.
+    """
+    # The RNG call sequence per request — one normal draw, one uniform
+    # draw, one conditional integer draw — is part of the replay contract
+    # and must not change.
+    requests = [(p, n, rng) for p, n, rng in requests if n]
+    if not requests:
+        return np.zeros(0, dtype=np.int32)
+    normals, incompressible, overrides = [], [], []
+    for profile, n_pages, rng in requests:
+        normals.append(
+            rng.normal(profile._log_median_ratio, profile.sigma, size=n_pages)
+        )
+        mask = rng.random(n_pages) < profile.incompressible_fraction
+        count = int(np.count_nonzero(mask))
         if count:
             # lzo on high-entropy data yields ~page-size output (it can even
             # expand slightly; we cap at PAGE_SIZE since zswap rejects it
             # either way).
-            payloads[incompressible] = rng.integers(
-                3200, PAGE_SIZE + 1, size=count
-            ).astype(np.int32)
-        return payloads
+            overrides.append(rng.integers(3200, PAGE_SIZE + 1, size=count))
+        incompressible.append(mask)
+    sizes = [n_pages for _p, n_pages, _rng in requests]
+    # One buffer end to end: exp/clip/divide/ceil all run in place on the
+    # normal draws (this sits on every kstaled scan and every allocation,
+    # so the temporaries add up).
+    ratios = np.concatenate(normals)
+    np.exp(ratios, out=ratios)
+    np.maximum(ratios, np.repeat([p.min_ratio for p, _n, _r in requests],
+                                 sizes), out=ratios)
+    np.minimum(ratios, np.repeat([p.max_ratio for p, _n, _r in requests],
+                                 sizes), out=ratios)
+    np.divide(PAGE_SIZE, ratios, out=ratios)
+    np.ceil(ratios, out=ratios)
+    np.minimum(ratios, PAGE_SIZE, out=ratios)
+    payloads = ratios.astype(np.int32)
+    if overrides:
+        payloads[np.concatenate(incompressible)] = np.concatenate(overrides)
+    return payloads
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -371,15 +371,38 @@ class Machine:
         self.zswap.evict_job(memcg, far)
 
     def touch(self, job_id: str, indices: np.ndarray, write: bool = False) -> int:
-        """Access pages; faults on far pages decompress them (promotion).
+        """Access one job's pages; a one-item :meth:`touch_jobs`.
 
         Returns the number of promotions performed.
         """
-        memcg = self._memcg(job_id)
-        far = memcg.touch(indices, write=write)
-        if far.size:
-            self.zswap.decompress(memcg, far)
-        return int(far.size)
+        return self.touch_jobs([(job_id, indices, write)])
+
+    def touch_jobs(
+        self, touches: Sequence[Tuple[str, np.ndarray, bool]]
+    ) -> int:
+        """Run a tick's page accesses; faults on far pages promote them.
+
+        Touches run in order (within a job, reads before writes): a far
+        page faults in the first touch that reaches it and is NEAR for
+        every later one.  A single zswap decompress then promotes every
+        fault of the batch (one pool pass for columnar memcgs).
+
+        Args:
+            touches: ``(job_id, page slots, is_write)`` triples.
+
+        Returns:
+            The number of promotions performed.
+        """
+        faults = []
+        for job_id, indices, write in touches:
+            memcg = self._memcg(job_id)
+            far = memcg.touch(indices, write=write)
+            if far.size:
+                memcg.mark_near(far)
+                faults.append((memcg, far))
+        if faults:
+            self.zswap.decompress_batch(faults)
+        return sum(int(far.size) for _memcg, far in faults)
 
     # ------------------------------------------------------------------
     # Daemons

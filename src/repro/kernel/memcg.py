@@ -24,6 +24,8 @@ the cold-age threshold and the soft limit protecting the working set.
 from __future__ import annotations
 
 import enum
+from typing import Sequence, Tuple
+
 import numpy as np
 
 from repro.checks.invariants import check_memcg_histogram, invariants_enabled
@@ -61,6 +63,9 @@ class PageState(enum.IntEnum):
 # (IntEnum), so numpy comparisons are unchanged.
 _NEAR = int(PageState.NEAR)
 _FAR = int(PageState.FAR)
+
+#: Far pages one touch faulted on: ``(memcg, page slots)``.
+Fault = Tuple["MemCg", np.ndarray]
 
 
 class MemCg:
@@ -282,6 +287,18 @@ class MemCg:
         if write:
             self.dirtied[live] = True
         return live[self.state[live] == _FAR]
+
+    @classmethod
+    def promote_batch(cls, faults: Sequence[Fault]) -> None:
+        """Flip faulted pages NEAR and account them as promotions.
+
+        The scalar kernel applies :meth:`mark_near` and
+        :meth:`record_promotions` per ``(memcg, far)`` pair, in order; the
+        columnar kernel overrides this with one pooled pass.
+        """
+        for memcg, indices in faults:
+            memcg.mark_near(indices)
+            memcg.record_promotions(indices)
 
     def record_promotions(self, indices: np.ndarray) -> None:
         """Account faults on far pages: age-at-access into the promotion

@@ -13,7 +13,7 @@ accounted per job, which is what Fig. 8 plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.kernel.compression import (
     DEFAULT_LATENCY_MODEL,
     CompressionLatencyModel,
 )
-from repro.kernel.memcg import MemCg
+from repro.kernel.memcg import Fault, MemCg
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.obs import (
     MetricName,
@@ -245,30 +245,60 @@ class Zswap:
     # ------------------------------------------------------------------
 
     def decompress(self, memcg: MemCg, indices: np.ndarray) -> float:
-        """Fault far pages back to near memory (promotion).
+        """Fault one memcg's far pages back to near memory (promotion).
+
+        A one-item :meth:`decompress_batch`; returns the total
+        decompression latency incurred.
+        """
+        return self.decompress_batch([(memcg, indices)])
+
+    def decompress_batch(self, faults: Sequence[Fault]) -> float:
+        """Fault a batch of far pages back to near memory (promotion).
 
         Pages are removed from the arena, flipped to NEAR, and kept
         decompressed (the paper avoids repeated decompression by leaving
-        promoted pages uncompressed until they turn cold again).  Returns
-        the total decompression latency incurred.
+        promoted pages uncompressed until they turn cold again).  The
+        whole batch shares one arena release, one latency-model call and
+        one span; promotion accounting goes through the memcg class's
+        :meth:`~repro.kernel.memcg.MemCg.promote_batch`.  Per-job stats,
+        the CPU counter and the latency reservoirs advance per
+        ``(memcg, far)`` pair, in batch order, exactly as one
+        :meth:`decompress` call per pair would.
+
+        Args:
+            faults: ``(memcg, far page slots)`` pairs in fault order.
+
+        Returns:
+            The total decompression latency of the batch.
         """
-        indices = np.asarray(indices)
-        if indices.size == 0:
+        faults = [
+            (memcg, np.asarray(indices))
+            for memcg, indices in faults
+            if np.size(indices)
+        ]
+        if not faults:
             return 0.0
+        grand_total = 0.0
         with self._tracer.span("zswap.decompress"):
-            payloads = memcg.payload_bytes[indices]
+            payloads = np.concatenate(
+                [memcg.payload_bytes[indices] for memcg, indices in faults]
+            )
             self.arena.release(payloads)
-            memcg.mark_near(indices)
-            memcg.record_promotions(indices)
+            type(faults[0][0]).promote_batch(faults)
 
             latencies = self.latency_model.decompress_seconds(payloads)
-            stats = self.stats_for(memcg.job_id)
-            stats.pages_decompressed += int(indices.size)
-            total = float(latencies.sum())
-            stats.decompress_seconds += total
-            self._m_decompress_cpu.inc(total)
-            self._sample_latencies(stats, latencies)
-        return total
+            end = 0
+            for memcg, indices in faults:
+                start, end = end, end + indices.size
+                job_latencies = latencies[start:end]
+                stats = self.stats_for(memcg.job_id)
+                stats.pages_decompressed += int(indices.size)
+                total = float(job_latencies.sum())
+                stats.decompress_seconds += total
+                self._m_decompress_cpu.inc(total)
+                self._sample_latencies(stats, job_latencies)
+                grand_total += total
+        return grand_total
 
     def _sample_latencies(
         self, stats: ZswapJobStats, latencies: np.ndarray

@@ -166,3 +166,55 @@ class TestStormSloCompliance:
             storm_report["promotion_rate_p98_pct_per_min"]
             <= base_report["promotion_rate_p98_pct_per_min"]
         )
+
+
+class TestMemoryPressureSpike:
+    """A pressure spike touches pages through the machine, so the far
+    pages it touches fault back through zswap: one promotion each, and no
+    touched page stays compressed with its accessed bit set."""
+
+    def test_spike_promotes_every_far_page_it_touches(self):
+        fleet = make_fleet(clusters=1)
+        fleet.run(HOUR)
+        cluster = fleet.clusters[0]
+        memcgs = [
+            memcg for machine in cluster.machines
+            for memcg in machine.memcgs.values()
+        ]
+        far_before = [memcg.far_mask().copy() for memcg in memcgs]
+        stale_before = [m.far_mask() & m.accessed for m in memcgs]
+        promoted_before = sum(m.promoted_pages_total for m in memcgs)
+        decompressed_before = fleet.registry.value(
+            "repro_pages_promoted_total"
+        )
+
+        now = cluster.clock.now
+        injector = FaultInjector(
+            FaultPlan(events=(FaultEvent(
+                time=now, kind=FaultKind.MEMORY_PRESSURE, magnitude=0.9,
+                target=ALL_MACHINES,
+            ),)),
+            SeedSequenceFactory(5),
+        )
+        cluster.attach_fault_injector(injector)
+        injector.on_tick(cluster, now)
+
+        left_far = sum(
+            int((before & ~memcg.far_mask()).sum())
+            for before, memcg in zip(far_before, memcgs)
+        )
+        assert left_far > 0
+        assert (
+            sum(m.promoted_pages_total for m in memcgs) - promoted_before
+            == left_far
+        )
+        assert (
+            fleet.registry.value("repro_pages_promoted_total")
+            - decompressed_before == left_far
+        )
+        for stale, memcg in zip(stale_before, memcgs):
+            # Only pages compressed while already accessed (before the
+            # spike) may carry the bit in far memory.
+            assert not (memcg.far_mask() & memcg.accessed & ~stale).any()
+        for machine in cluster.machines:
+            assert machine.arena.live_objects == machine.far_pages
