@@ -164,9 +164,7 @@ class FleetController:
             reason=reason,
             outcomes=outcomes,
             p98=max(o.p98_promotion_rate for o in outcomes),
-            far_pages=int(
-                sum(m.far_pages for m in self.fleet.machines)
-            ),
+            far_pages=int(sum(self.fleet.map_clusters(_far_pages))),
         )
         self.decisions.append(decision)
         self._m_rounds.labels(verdict=reason).inc()
@@ -196,6 +194,10 @@ class FleetController:
                     constraint=decision.p98,
                 )
         return made
+
+
+def _far_pages(cluster) -> int:
+    return sum(m.far_pages for m in cluster.machines)
 
 
 #: Smoke ladder: two short stages over a two-cluster fleet.

@@ -30,7 +30,7 @@ Three hard-won properties of a real canary pipeline are encoded here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.agent.monitoring import SloMonitor
 from repro.common.events import EventKind
@@ -175,57 +175,46 @@ class StagedDeployment:
         the ladder stops.
         """
         new_policy = as_policy(policy)
-        prior: Dict[str, ColdMemoryPolicy] = {
-            c.name: c.policy for c in self.fleet.clusters
-        }
+        fleet = self.fleet
+        # Every cluster read and write below goes through the fleet's
+        # routing seam, so under a parallel-engine session it reaches the
+        # worker that owns the cluster and the session stays open.
+        snapshot = fleet.map_clusters(_name_and_policy)
+        prior: Dict[str, ColdMemoryPolicy] = dict(snapshot)
+        names = [name for name, _ in snapshot]
         upgraded = 0
         for stage in self.stages:
-            # Re-read the cluster list each stage: a parallel-engine soak
-            # swaps freshly unpickled cluster objects into the fleet, so
-            # references held across a soak go stale.
-            clusters = self.fleet.clusters
-            target = max(1, round(stage.fleet_fraction * len(clusters)))
-            for cluster in clusters[upgraded:target]:
-                cluster.deploy_policy(new_policy)
-                cluster.events.record(
-                    self.fleet.now, EventKind.CANARY_DEPLOY,
-                    stage=stage.name, policy=new_policy.describe(),
-                )
+            target = max(1, round(stage.fleet_fraction * len(names)))
+            fleet.map_clusters(_deploy_canary, new_policy, fleet.now,
+                               stage.name, indices=range(upgraded, target))
             upgraded = max(upgraded, target)
 
             # Snapshot job ownership *before* the soak: jobs that exit
             # mid-soak still produced samples under the new policy and
             # must count toward their cluster's slice.
             job_map: Dict[str, str] = {}
-            for cluster in clusters:
-                for job_id in cluster.running:
-                    job_map[job_id] = cluster.name
+            for name, running in zip(names, fleet.map_clusters(_running)):
+                for job_id in running:
+                    job_map[job_id] = name
 
-            before = len(self.fleet.sli_history)
-            soak_start = self.fleet.now
-            self.fleet.run(stage.soak_seconds, engine=self.engine)
-            clusters = self.fleet.clusters
+            before = len(fleet.sli_history)
+            soak_start = fleet.now
+            fleet.run(stage.soak_seconds, engine=self.engine)
 
             # Jobs admitted during the soak (churn replacements, crash
             # respawns) appear in the scheduler-placement event stream;
             # fold them in, then anything still running catches stragglers
             # whose placement predates the retained event window.
-            for cluster in clusters:
-                for event in cluster.events.between(
-                    soak_start, self.fleet.now + 1
-                ):
-                    if event.kind != EventKind.SCHEDULER_PLACE:
-                        continue
-                    job_id = event.payload.get("job")
-                    if job_id is not None:
-                        job_map.setdefault(job_id, cluster.name)
-                for job_id in cluster.running:
-                    job_map.setdefault(job_id, cluster.name)
+            placed = fleet.map_clusters(_placed_or_running, soak_start,
+                                        fleet.now + 1)
+            for name, job_ids in zip(names, placed):
+                for job_id in job_ids:
+                    job_map.setdefault(job_id, name)
 
-            slice_ids = {c.name for c in clusters[:upgraded]}
+            slice_ids = set(names[:upgraded])
             slice_samples = []
             unattributed = 0
-            for sample in self.fleet.sli_history[before:]:
+            for sample in fleet.sli_history[before:]:
                 owner = job_map.get(sample.job_id) if sample.job_id else None
                 if owner is None:
                     unattributed += 1
@@ -235,7 +224,7 @@ class StagedDeployment:
             monitor = SloMonitor(
                 window_seconds=stage.soak_seconds, slo_limit=self.slo_limit
             )
-            alerts = monitor.observe(self.fleet.now, slice_samples)
+            alerts = monitor.observe(fleet.now, slice_samples)
             p98 = monitor.window.percentile(98.0)
             self._m_coverage.labels(stage=stage.name).set(
                 monitor.samples_ingested
@@ -261,19 +250,45 @@ class StagedDeployment:
                 )
             )
             if not passed:
-                self._rollback(clusters[:upgraded], prior, stage.name,
-                               reason)
+                # Restore every touched cluster to its own recorded prior.
+                fleet.map_clusters(_restore_prior, prior, fleet.now,
+                                   stage.name, reason,
+                                   indices=range(upgraded))
                 return False
         return True
 
-    def _rollback(self, touched, prior: Dict[str, ColdMemoryPolicy],
-                  stage_name: str, reason: str) -> None:
-        """Restore every touched cluster to its own recorded prior."""
-        for cluster in touched:
-            restored = prior[cluster.name]
-            cluster.deploy_policy(restored)
-            cluster.events.record(
-                self.fleet.now, EventKind.CANARY_ROLLBACK,
-                stage=stage_name, reason=reason,
-                policy=restored.describe(),
-            )
+
+# Module-level, so the fleet can route them to a parallel-engine worker.
+
+
+def _name_and_policy(cluster) -> Tuple[str, ColdMemoryPolicy]:
+    return cluster.name, cluster.policy
+
+
+def _running(cluster) -> List[str]:
+    return list(cluster.running)
+
+
+def _deploy_canary(cluster, policy: ColdMemoryPolicy, now: int,
+                   stage_name: str) -> None:
+    cluster.deploy_policy(policy)
+    cluster.events.record(now, EventKind.CANARY_DEPLOY, stage=stage_name,
+                          policy=policy.describe())
+
+
+def _restore_prior(cluster, prior: Dict[str, ColdMemoryPolicy], now: int,
+                   stage_name: str, reason: str) -> None:
+    restored = prior[cluster.name]
+    cluster.deploy_policy(restored)
+    cluster.events.record(now, EventKind.CANARY_ROLLBACK, stage=stage_name,
+                          reason=reason, policy=restored.describe())
+
+
+def _placed_or_running(cluster, start: int, end: int) -> List[str]:
+    """Job ids the cluster placed in ``[start, end)``, then those it runs."""
+    placed = [
+        event.payload.get("job")
+        for event in cluster.events.between(start, end)
+        if event.kind == EventKind.SCHEDULER_PLACE
+    ]
+    return [j for j in placed if j is not None] + list(cluster.running)

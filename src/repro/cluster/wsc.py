@@ -9,7 +9,7 @@ examples and tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,9 @@ class WSC:
             raise ValueError("a WSC needs at least one cluster")
         self._clusters = list(clusters)
         self._machines_cache: Optional[List] = None
+        #: The open :class:`~repro.engine.FleetEngine` session whose
+        #: workers own some clusters (None: every cluster is live here).
+        self._session = None
         self.trace_db = trace_db
         self.sli_history: List[SliSample] = []
         self.registry = registry if registry is not None else get_registry()
@@ -62,17 +65,26 @@ class WSC:
 
     @property
     def clusters(self) -> List[Cluster]:
-        """Member clusters.  Assigning a new list invalidates the machine
-        cache; mutating the list in place requires calling
-        :meth:`invalidate_caches` by hand."""
+        """Member clusters, live: an open engine session is closed first.
+
+        Assigning a new list invalidates the machine cache; mutating the
+        list in place requires calling :meth:`invalidate_caches` by hand.
+        """
+        self._close_session()
         return self._clusters
 
     @clusters.setter
     def clusters(self, clusters: Sequence[Cluster]) -> None:
         if not clusters:
             raise ValueError("a WSC needs at least one cluster")
+        self._close_session()
         self._clusters = list(clusters)
         self.invalidate_caches()
+
+    def _close_session(self) -> None:
+        """Ship every cluster home from an open engine session, if any."""
+        if self._session is not None:
+            self._session.close(self)
 
     def invalidate_caches(self) -> None:
         """Drop cached aggregates derived from the cluster list."""
@@ -81,6 +93,7 @@ class WSC:
     @property
     def machines(self) -> List:
         """Every machine in the fleet (cached; see :attr:`clusters`)."""
+        self._close_session()
         if self._machines_cache is None:
             self._machines_cache = [
                 m for c in self._clusters for m in c.machines
@@ -90,6 +103,8 @@ class WSC:
     @property
     def now(self) -> int:
         """Fleet time (clusters share a logical clock)."""
+        if self._session is not None:
+            return self._session.now(self)
         return self._clusters[0].clock.now
 
     def run(self, seconds: int, collect_sli: bool = True,
@@ -109,6 +124,7 @@ class WSC:
         if engine is not None:
             engine.run(seconds, collect_sli=collect_sli)
             return
+        self._close_session()
         end = self.now + seconds
         while self.now < end:
             for cluster in self._clusters:
@@ -123,8 +139,30 @@ class WSC:
         Accepts a :class:`~repro.core.threshold_policy.ColdMemoryPolicy`
         or a bare :class:`ThresholdPolicyConfig` (the paper policy).
         """
-        for cluster in self.clusters:
-            cluster.deploy_policy(policy)
+        self.map_clusters(_deploy_policy, policy)
+
+    def map_clusters(self, fn: Callable, *args,
+                     indices: Optional[Iterable[int]] = None) -> list:
+        """``fn(cluster, *args)`` for each selected cluster, in cluster
+        order, wherever the cluster lives.
+
+        Under an open engine session each worker owning a selected
+        cluster gets one command (logged, so a replay of a lost worker
+        reproduces it) and the session stays open; without one this is
+        a plain loop.  ``fn`` must be a module-level function and
+        ``args`` and the results picklable.
+
+        Args:
+            fn: applied to each selected cluster.
+            args: extra positional arguments for ``fn``.
+            indices: cluster indices to apply ``fn`` to (default: all).
+        """
+        if indices is None:
+            indices = range(len(self._clusters))
+        indices = list(indices)
+        if self._session is not None:
+            return self._session.call(self, fn, args, indices)
+        return [fn(self._clusters[ci], *args) for ci in indices]
 
     # ------------------------------------------------------------------
     # Fleet metrics
@@ -235,6 +273,10 @@ class WSC:
         for name, (help_text, key) in gauges.items():
             self.registry.gauge(name, help_text).set(report[key])
         return report
+
+
+def _deploy_policy(cluster: Cluster, policy: object) -> None:
+    cluster.deploy_policy(policy)
 
 
 def quickfleet(

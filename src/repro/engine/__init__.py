@@ -7,11 +7,10 @@ fork-based worker pool while preserving the simulator's determinism
 contract: a parallel run with the same seeds produces bit-identical
 coverage reports and SLI histories to the serial run.
 
-* :class:`FleetEngine` — the parallel executor: over W shards it forks
-  W - 1 workers and ticks the lightest shard in the parent itself, with a
-  barrier per simulated minute that merges SLI samples and trace deltas,
-  and one metric delta per worker at the end of the run, when workers
-  ship their clusters back without their forked metric registry.
+* :class:`FleetEngine` — the parallel executor: a session forks W - 1
+  workers once, keeps their clusters across runs (barrier per simulated
+  minute, one metric delta per worker per run) and ships them back once,
+  when a caller needs the live clusters.
 * :func:`plan_shards` — deterministic LPT assignment of clusters to
   workers.
 * :mod:`repro.engine.bench` — the ``repro bench`` serial-vs-parallel

@@ -306,10 +306,9 @@ def zero_copy_equivalence(clusters: int = 2, machines: int = 3,
                 if mode == "serial":
                     fleet.run(seconds)
                 else:
-                    FleetEngine(
-                        fleet, workers=workers,
-                        ship_blocks=(path == "block"),
-                    ).run(seconds)
+                    with FleetEngine(fleet, workers=workers,
+                                     ship_blocks=(path == "block")) as engine:
+                        engine.run(seconds)
                 wall = time.perf_counter() - start
                 db.flush()
                 results[f"{mode}/{path}"] = {
@@ -448,7 +447,8 @@ def run_bench(
     engine = FleetEngine(parallel_fleet, workers=workers,
                          barrier_seconds=barrier_seconds)
     start = time.perf_counter()
-    stats = engine.run(seconds)
+    with engine:  # one run is one session: time its close too
+        stats = engine.run(seconds)
     parallel_wall = time.perf_counter() - start
 
     parallel_equivalent = (

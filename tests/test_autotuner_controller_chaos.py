@@ -1,12 +1,14 @@
 """Chaos determinism for the online canary controller.
 
-Every fault scenario in :mod:`repro.faults` is replayed through a full
-canary round twice — once with serial soaks, once through the parallel
-``FleetEngine`` — and the two :class:`CanaryDecision`\\ s must agree
-bit-for-bit on :meth:`CanaryDecision.signature`, floats included. The
-controller has no wall clock and no RNG of its own, so any divergence
-here means nondeterminism leaked into the rollout path.
+Every fault scenario in :mod:`repro.faults` is replayed through two
+canary rounds and a further run twice — once serially, once in one
+parallel ``FleetEngine`` session — and the two runs' :class:`CanaryDecision`\\ s
+must agree bit-for-bit on :meth:`CanaryDecision.signature`, floats
+included. The controller has no wall clock and no RNG of its own, so any
+divergence here means nondeterminism leaked into the rollout path.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -32,9 +34,34 @@ SCENARIO_SECONDS = 1800
 
 WORKERS = 2
 
+#: A session: warmup, two canary rounds, then one more run; the scenario
+#: spans all of it.
+SESSION_SECONDS = 600 + 2 * 1200 + 600
 
-def run_canary(scenario, policy, *, slo_limit, parallel, seed=31):
+
+def _session(scenario, parallel, seed=31):
+    """Two canary rounds and a run, all in one engine session when
+    ``parallel``; returns both decisions and the fleet."""
     registry, tracer = MetricRegistry(), Tracer()
+    fleet = _fleet(scenario, SESSION_SECONDS, registry, tracer, seed)
+    engine = FleetEngine(fleet, workers=WORKERS) if parallel else None
+    with engine or nullcontext():
+        controller = FleetController(
+            fleet, stages=STAGES, slo_limit=0.2, registry=registry,
+            tracer=tracer, engine=engine,
+        )
+        decisions = [
+            controller.canary(PaperPolicy()),
+            controller.canary(FixedThresholdPolicy(threshold_seconds=600.0)),
+        ]
+        fleet.run(600, engine=engine)
+        if parallel:
+            assert engine.last_stats.mode == "parallel"
+            assert fleet._session is not None  # still one session
+    return decisions, fleet
+
+
+def _fleet(scenario, seconds, registry, tracer, seed):
     fleet = quickfleet(
         clusters=2,
         machines_per_cluster=2,
@@ -44,10 +71,14 @@ def run_canary(scenario, policy, *, slo_limit, parallel, seed=31):
         registry=registry,
         tracer=tracer,
     )
-    attach_scenario(
-        fleet, scenario, duration_seconds=SCENARIO_SECONDS, seed=7
-    )
+    attach_scenario(fleet, scenario, duration_seconds=seconds, seed=7)
     fleet.run(600)  # warm up under chaos
+    return fleet
+
+
+def run_canary(scenario, policy, *, slo_limit, parallel, seed=31):
+    registry, tracer = MetricRegistry(), Tracer()
+    fleet = _fleet(scenario, SCENARIO_SECONDS, registry, tracer, seed)
     engine = FleetEngine(fleet, workers=WORKERS) if parallel else None
     controller = FleetController(
         fleet,
@@ -63,16 +94,18 @@ def run_canary(scenario, policy, *, slo_limit, parallel, seed=31):
 class TestDecisionsAreEngineInvariant:
     @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
     def test_serial_and_parallel_agree_bit_for_bit(self, scenario):
-        serial, _ = run_canary(
-            scenario, PaperPolicy(), slo_limit=0.2, parallel=False
-        )
-        parallel, _ = run_canary(
-            scenario, PaperPolicy(), slo_limit=0.2, parallel=True
-        )
-        assert serial.signature() == parallel.signature()
-        assert serial.reason in (
-            "promoted", "slo-breach", "insufficient-coverage"
-        )
+        serial, serial_fleet = _session(scenario, parallel=False)
+        parallel, parallel_fleet = _session(scenario, parallel=True)
+        assert [d.signature() for d in serial] == [
+            d.signature() for d in parallel
+        ]
+        for decision in serial:
+            assert decision.reason in (
+                "promoted", "slo-breach", "insufficient-coverage"
+            )
+        assert serial_fleet.sli_history == parallel_fleet.sli_history
+        assert (serial_fleet.coverage_report()
+                == parallel_fleet.coverage_report())
 
 
 class TestRollbackUnderChaos:

@@ -2,13 +2,17 @@
 
 import gc
 import io
+import multiprocessing as mp
 import pickle
+import time
 
 import pytest
 
+from repro.autotuner import DeploymentStage, FleetController
 from repro.cluster import quickfleet
 from repro.common.errors import ConfigurationError
 from repro.common.units import HOUR
+from repro.core.threshold_policy import PaperPolicy
 from repro.engine import (
     FleetEngine,
     ShardPlan,
@@ -45,6 +49,37 @@ def _churn_fleet(seed=7, clusters=3):
         registry=MetricRegistry(),
         tracer=Tracer(),
     )
+
+
+#: A two-stage canary ladder with short soaks: each soak is one more
+#: engine run of the session.
+SESSION_STAGES = (
+    DeploymentStage("qualification", 0.5, 600),
+    DeploymentStage("production", 1.0, 600),
+)
+
+
+def _cluster_name(cluster):
+    return cluster.name
+
+
+def _far_pages(cluster):
+    return sum(m.far_pages for m in cluster.machines)
+
+
+def _spy_forks(monkeypatch):
+    """Record every forked worker process started from now on."""
+    import multiprocessing.context as mpc
+
+    started = []
+    real_start = mpc.ForkProcess.start
+
+    def spy(proc):
+        started.append(proc)
+        real_start(proc)
+
+    monkeypatch.setattr(mpc.ForkProcess, "start", spy)
+    return started
 
 
 class TestShardPlanning:
@@ -297,18 +332,22 @@ class _DieOn:
 
     The first ``serve`` occurrences of ``command`` pass through; the next
     one raises ``EOFError``, so the worker exits without replying, exactly
-    as if it had died at that point of the protocol.
+    as if it had died at that point of the protocol.  With ``hang`` the
+    worker instead stops answering there, until the parent kills it.
     """
 
-    def __init__(self, conn, command, serve=0):
+    def __init__(self, conn, command, serve=0, hang=False):
         self._conn = conn
         self._command = command
         self._serve = serve
+        self._hang = hang
 
     def recv(self):
         msg = self._conn.recv()
         if msg[0] == self._command:
             if self._serve == 0:
+                if self._hang:
+                    time.sleep(600)  # never replies; parent terminates us
                 raise EOFError
             self._serve -= 1
         return msg
@@ -342,8 +381,6 @@ class TestWorkerFailureFallback:
         return serial, degraded, stats
 
     def test_hung_worker_finishes_via_serial_fallback(self, monkeypatch):
-        import time
-
         import repro.engine.parallel as par
 
         real = par._worker_main
@@ -483,20 +520,24 @@ class TestMetricShipping:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_healthy_run_forks_one_worker_fewer(self, monkeypatch, workers):
-        import multiprocessing.context as mpc
-
-        started = []
-        real_start = mpc.ForkProcess.start
-
-        def spy(proc):
-            started.append(proc)
-            real_start(proc)
-
-        monkeypatch.setattr(mpc.ForkProcess, "start", spy)
+        """W - 1 forks per *session*: none in the constructor, none for a
+        second run or a canary's soaks, and none until the close."""
+        started = _spy_forks(monkeypatch)
         fleet = _churn_fleet(seed=5)
-        stats = FleetEngine(fleet, workers=workers).run(10 * 60)
-        assert stats.mode == "parallel" and stats.workers == workers
-        assert stats.shard_fallbacks == 0
+        engine = FleetEngine(fleet, workers=workers)
+        assert started == []
+        for _ in range(2):
+            stats = engine.run(10 * 60)
+            assert stats.mode == "parallel" and stats.workers == workers
+            assert stats.shard_fallbacks == 0
+        decision = FleetController(
+            fleet, stages=SESSION_STAGES, registry=fleet.registry,
+            tracer=fleet.tracer, engine=engine,
+        ).canary(PaperPolicy())
+        assert len(decision.outcomes) >= 1
+        assert fleet._session is not None  # the session is still open
+        assert len(started) == workers - 1
+        engine.close()
         assert len(started) == workers - 1
 
     def test_parent_gc_untouched(self):
@@ -510,9 +551,9 @@ class TestMetricShipping:
 
     def test_advance_reply_carries_no_metrics(self):
         """Drive the worker loop in-process: ``advance`` replies hold the
-        SLI batches and the trace delta only; ``finalize`` adds the one
-        metric delta, and its clusters carry no metric series."""
-        import multiprocessing as mp
+        SLI batches and the trace delta only; ``finalize`` ships the run's
+        one metric delta and no clusters; ``close`` ships the clusters,
+        which carry no metric series, and ends the loop."""
         import threading
 
         from repro.engine.parallel import _worker_main
@@ -523,6 +564,7 @@ class TestMetricShipping:
         )
 
         fleet = _churn_fleet(seed=5, clusters=2)
+        scanned_before = fleet.registry.value(MetricName.PAGES_SCANNED_TOTAL)
         parent, child = mp.Pipe()
         worker = threading.Thread(
             target=_worker_main, args=(child, fleet, (0,))
@@ -533,13 +575,25 @@ class TestMetricShipping:
             reply = parent.recv()
             assert reply[0] == "ok" and len(reply) == 3
             parent.send(("finalize",))
-            _, clusters, _, delta = parent.recv()
-            assert len(clusters) == 1
+            _, _, delta = parent.recv()
             assert {r["name"] for r in delta} >= {
                 MetricName.PAGES_SCANNED_TOTAL
             }
+            parent.send(("advance", 1, True))
+            parent.recv()
+            parent.send(("close",))
+            _, clusters, _, last_delta = parent.recv()
+            assert len(clusters) == 1
+            # The second delta holds only what followed the first (the
+            # thread shares this process's registry, so the two add up to
+            # its growth).
+            scanned = lambda records: sum(
+                r["value"] for r in records
+                if r["name"] == MetricName.PAGES_SCANNED_TOTAL
+            )
+            assert scanned(delta) + scanned(last_delta) == fleet.registry.value(
+                MetricName.PAGES_SCANNED_TOTAL) - scanned_before
         finally:
-            parent.send(("exit",))
             worker.join(timeout=30)
             assert not worker.is_alive()
             # The worker loop froze this process's heap, as it does in a
@@ -571,14 +625,16 @@ class TestMetricShipping:
 
     def test_phase_seconds_recorded(self):
         fleet = _churn_fleet(seed=5)
-        FleetEngine(fleet, workers=2).run(10 * 60)
+        with FleetEngine(fleet, workers=2) as engine:
+            engine.run(10 * 60)
+            fleet.map_clusters(_cluster_name)
         phases = {
             labels: value
             for (name, labels), value in fleet.registry.baseline().items()
             if name == MetricName.ENGINE_PHASE_SECONDS_TOTAL
         }
         assert sorted(dict(labels)["phase"] for labels in phases) == [
-            "finalize", "local", "merge", "start", "wait",
+            "call", "close", "finalize", "local", "merge", "start", "wait",
         ]
         assert all(value >= 0.0 for value in phases.values())
 
@@ -661,3 +717,161 @@ class TestColumnarBlockPath:
             b = getattr(parallel.trace_db, read)()
             assert [t.job_id for t in a] == sorted(t.job_id for t in a)
             assert reports(a) == reports(b)
+
+
+def _session_round(fleet, engine):
+    """One session's worth of control-plane work: a run, then a canary
+    round (prior snapshot, deploys, two soak runs, placement scans, far
+    pages), then a second run.  Serial when ``engine`` is None."""
+    fleet.run(10 * 60, engine=engine)
+    decision = FleetController(
+        fleet, stages=SESSION_STAGES, registry=fleet.registry,
+        tracer=fleet.tracer, engine=engine,
+    ).canary(PaperPolicy())
+    fleet.run(5 * 60, engine=engine)
+    return decision
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+class TestSessionLifecycle:
+    """The engine forks once per session and never leaks a worker."""
+
+    def test_constructor_does_not_fork(self, monkeypatch):
+        started = _spy_forks(monkeypatch)
+        FleetEngine(_churn_fleet(seed=5), workers=3)
+        assert started == []
+
+    def test_no_workers_after_close(self):
+        fleet = _churn_fleet(seed=5)
+        engine = FleetEngine(fleet, workers=3)
+        engine.run(5 * 60)
+        assert len(mp.active_children()) == 2
+        engine.close()
+        assert mp.active_children() == []
+        engine.close()  # idempotent
+
+    def test_no_workers_after_clusters_read(self):
+        fleet = _churn_fleet(seed=5)
+        FleetEngine(fleet, workers=2).run(5 * 60)
+        assert mp.active_children()
+        assert len(fleet.clusters) == 3
+        assert mp.active_children() == []
+        assert fleet._session is None
+
+    def test_no_workers_after_fleet_and_engine_are_dropped(self):
+        fleet = _churn_fleet(seed=5)
+        engine = FleetEngine(fleet, workers=2)
+        engine.run(5 * 60)
+        assert mp.active_children()
+        del fleet, engine
+        gc.collect()
+        assert mp.active_children() == []
+
+    def test_with_block_closes(self):
+        fleet = _churn_fleet(seed=5)
+        with FleetEngine(fleet, workers=2) as engine:
+            engine.run(5 * 60)
+        assert mp.active_children() == []
+        assert fleet._session is None
+
+    def test_routed_reads_keep_the_session_open(self):
+        serial = _churn_fleet(seed=5)
+        parallel = _churn_fleet(seed=5)
+        serial.run(10 * 60)
+        engine = FleetEngine(parallel, workers=3)
+        engine.run(10 * 60)
+        assert parallel.now == serial.now
+        assert parallel.map_clusters(_far_pages) == serial.map_clusters(
+            _far_pages)
+        assert parallel.map_clusters(_cluster_name, indices=[2, 0]) == [
+            "cluster-02", "cluster-00",
+        ]
+        assert parallel._session is not None
+        engine.close()
+        assert parallel.now == serial.now
+
+    def test_deploy_policy_is_routed(self):
+        from repro.core.threshold_policy import FixedThresholdPolicy
+
+        policy = FixedThresholdPolicy(threshold_seconds=600.0)
+        fleet = _churn_fleet(seed=5)
+        engine = FleetEngine(fleet, workers=2)
+        engine.run(5 * 60)
+        fleet.deploy_policy(policy)
+        assert fleet._session is not None
+        engine.run(5 * 60)
+        assert all(c.policy == policy for c in fleet.clusters)
+
+    def test_session_matches_serial(self):
+        serial = _churn_fleet(seed=13)
+        parallel = _churn_fleet(seed=13)
+        a = _session_round(serial, None)
+        with FleetEngine(parallel, workers=2) as engine:
+            b = _session_round(parallel, engine)
+            assert engine.last_stats.mode == "parallel"
+        _assert_session_matches(serial, a, parallel, b)
+
+
+def _assert_session_matches(serial, a, parallel, b):
+    """Serial ≡ parallel on everything a session produced."""
+    assert a.signature() == b.signature()
+    names = INTEGER_COUNTERS + (MetricName.EVENTS_TOTAL,)
+    assert _series(serial, names) and _series(serial, names) == _series(
+        parallel, names)
+    assert serial.sli_history and serial.sli_history == parallel.sli_history
+    assert serial.coverage_report() == parallel.coverage_report()
+    assert serial.trace_db.job_ids == parallel.trace_db.job_ids
+    for job_id in serial.trace_db.job_ids:
+        x = [e.to_dict() for e in serial.trace_db.trace_for(job_id).entries]
+        y = [e.to_dict() for e in parallel.trace_db.trace_for(job_id).entries]
+        assert x == y
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+class TestSessionFailures:
+    """A worker lost in the middle of a session is replayed from the
+    parent's session-start copy of its shard: every counter exactly once,
+    and every output (SLI history, coverage, per-job traces, the canary
+    decision) as if it had run serially.
+
+    3 clusters on 2 workers: the forked worker owns two clusters, so the
+    canary's routed calls reach it.  The session makes these commands:
+    10 ``advance`` (first run), calls, 10 + 10 (the two soaks), calls,
+    5 (last run), ``finalize`` after each run, and the ``close``.
+    """
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        fleet = _churn_fleet(seed=13)
+        return fleet, _session_round(fleet, None)
+
+    @pytest.mark.parametrize(
+        "command, serve, hang",
+        [
+            ("advance", 12, False),
+            ("call", 1, False),
+            ("close", 0, False),
+            ("call", 3, True),
+        ],
+        ids=["second-run-third-advance", "second-call", "on-close",
+             "hung-mid-session"],
+    )
+    def test_lost_worker_matches_serial(self, monkeypatch, serial, command,
+                                        serve, hang):
+        import repro.engine.parallel as par
+
+        real = par._worker_main
+
+        def failing(conn, fleet, cluster_indices, *args):
+            real(_DieOn(conn, command, serve, hang), fleet, cluster_indices,
+                 *args)
+
+        monkeypatch.setattr(par, "_worker_main", failing)
+        fleet = _churn_fleet(seed=13)
+        engine = FleetEngine(fleet, workers=2, recv_timeout_seconds=2.0)
+        decision = _session_round(fleet, engine)
+        engine.close()
+        assert fleet.registry.value(
+            MetricName.ENGINE_SHARD_FALLBACKS_TOTAL) == 1
+        assert mp.active_children() == []
+        _assert_session_matches(*serial, fleet, decision)

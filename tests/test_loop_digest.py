@@ -69,3 +69,51 @@ def digests():
 @pytest.mark.parametrize("workload", sorted(GOLDEN_DIGESTS))
 def test_serial_loop_digest_is_pinned(digests, workload):
     assert digests[workload] == GOLDEN_DIGESTS[workload]
+
+
+_PARALLEL_SCRIPT = """
+import importlib.util, json, sys, tempfile
+import multiprocessing as mp
+import multiprocessing.context as mpc
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
+run = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = run
+spec.loader.exec_module(run)
+run._import_program()
+from repro.obs import Tracer
+
+started = []
+real_start = mpc.ForkProcess.start
+
+def spy(proc):
+    started.append(proc)
+    real_start(proc)
+
+mpc.ForkProcess.start = spy
+with tempfile.TemporaryDirectory() as store:
+    result = run.run_loop(run.WORKLOADS[sys.argv[2]], 0, Tracer(enabled=False),
+                          Path(store), parallel=True)
+print(json.dumps({"errors": result.errors, "digest": result.digest,
+                  "forks": len(started), "expected": run.ENGINE_WORKERS - 1,
+                  "alive": len(mp.active_children())}))
+"""
+
+
+def test_parallel_loop_forks_once():
+    """A parallel loop (simulation, then the canary's two soaks) is one
+    engine session: it forks its workers once, its digest read closes
+    the session, and it reproduces the serial digest."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARALLEL_SCRIPT,
+         str(ROOT / "perfbench" / "run.py"), "loop"],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["errors"] == []
+    assert report["forks"] == report["expected"] == 1
+    assert report["alive"] == 0
+    assert report["digest"] == GOLDEN_DIGESTS["loop"]
