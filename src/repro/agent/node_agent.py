@@ -5,8 +5,9 @@ Every minute, for every job on its machine, the agent:
 1. reads the kernel's cumulative promotion histogram and diffs it against
    the copy from the previous minute (the per-interval histogram);
 2. computes the job's working set size from the cold-age snapshot;
-3. feeds both to the job's :class:`ColdAgeThresholdPolicy` (§4.3) to get
-   the smallest SLO-respecting threshold for the past minute;
+3. from both, computes the smallest SLO-respecting threshold for the
+   past minute and records it in the job's
+   :class:`ColdAgeThresholdPolicy` (§4.3);
 4. publishes the policy's chosen threshold (K-th percentile of history,
    escalated on spikes) into the memcg, enables zswap only after the job's
    ``S``-second warm-up, and pins the memcg soft limit at the working set;
@@ -15,29 +16,32 @@ Every minute, for every job on its machine, the agent:
 The agent also triggers kreclaimd after publishing thresholds and asks the
 arena to compact when fragmentation crosses a watermark — both duties the
 paper assigns to the node agent.
+
+Steps 1-3 run as one array pass over every due agent of a cluster
+(:func:`control_agents`); one agent's round is that pass on a list of one.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.common.events import EventKind, EventLog
 from repro.common.simtime import PeriodicSchedule
 from repro.common.units import MINUTE
-from repro.common.validation import check_fraction
-from repro.core.histograms import AgeHistogram
-from repro.core.slo import (
-    PromotionRateSlo,
-    normalized_promotion_rate,
-    working_set_pages,
-)
+from repro.common.validation import check_fraction, require
+from repro.core.slo import PromotionRateSlo, normalized_promotion_rate
 from repro.core.threshold_policy import (
     DISABLED,
     ColdAgeThresholdPolicy,
     ColdMemoryPolicy,
     ThresholdPolicyConfig,
     as_policy,
+    best_thresholds_vectorized,
 )
 from repro.kernel.machine import FarMemoryMode, Machine
 from repro.obs import (
@@ -48,7 +52,7 @@ from repro.obs import (
     get_tracer,
 )
 
-__all__ = ["SliSample", "NodeAgent"]
+__all__ = ["SliSample", "NodeAgent", "control_agents"]
 
 #: Buckets for the normalized promotion-rate SLI histogram (%/min).  The
 #: SLO default is 0.2 %/min, so the grid is dense around it; the first
@@ -90,12 +94,9 @@ class _JobState:
     """Per-job bookkeeping the agent keeps between control rounds."""
 
     policy: ColdAgeThresholdPolicy
-    last_promotion_histogram: AgeHistogram
+    #: The cumulative promotion-histogram counts at the last diff.
+    last_promotion_counts: np.ndarray
     last_promoted_total: int = 0
-    # Snapshot of the memcg's monotonic promotion-histogram event counter
-    # at the last diff; equality next round proves the interval histogram
-    # is identically zero (the quiet-round fast path).
-    last_promo_events: int = 0
 
 
 class NodeAgent:
@@ -139,7 +140,7 @@ class NodeAgent:
         self.slo = slo if slo is not None else PromotionRateSlo()
         self.control_period = int(control_period)
         self.compaction_watermark = compaction_watermark
-        self._schedule = PeriodicSchedule(self.control_period)
+        self.schedule = PeriodicSchedule(self.control_period)
         self._jobs: Dict[str, _JobState] = {}
         self.sli_samples: List[SliSample] = []
         self.rounds = 0
@@ -220,9 +221,8 @@ class NodeAgent:
             controller.inherit_state(state.policy)
             self._jobs[job_id] = _JobState(
                 policy=controller,
-                last_promotion_histogram=state.last_promotion_histogram,
+                last_promotion_counts=state.last_promotion_counts,
                 last_promoted_total=state.last_promoted_total,
-                last_promo_events=state.last_promo_events,
             )
 
     def set_policy_config(self, config: ThresholdPolicyConfig) -> None:
@@ -232,87 +232,35 @@ class NodeAgent:
 
     def maybe_control(self, now: int) -> bool:
         """Run a control round if the period boundary passed."""
-        if not self._schedule.due(now):
+        if not self.schedule.due(now):
             return False
         self.control(now)
         return True
 
     def control(self, now: int) -> None:
         """One control round over every job on the machine."""
-        if self.machine.config.mode is not FarMemoryMode.PROACTIVE:
-            return
-        with self._tracer.span("agent.control", sim_time=now):
-            self._control_jobs(now)
-        self._maybe_compact()
-        self.machine.run_reclaim()
-        self.rounds += 1
-        self._m_rounds.inc()
+        for machine in control_agents([self], now):
+            machine.run_reclaim()
 
-    def _control_jobs(self, now: int) -> None:
-        for job_id, memcg in self.machine.memcgs.items():
-            state = self._jobs.get(job_id)
-            if state is None:
-                state = _JobState(
-                    policy=self.policy.build(memcg.bins, self.slo),
-                    last_promotion_histogram=memcg.promotion_histogram.copy(),
-                    last_promoted_total=memcg.promoted_pages_total,
-                    last_promo_events=memcg.promo_hist_events,
-                )
-                self._jobs[job_id] = state
-
-            if memcg.histograms_corrupt:
-                self._rewarm_job(now, job_id, memcg, state)
-                continue
-
-            wss = working_set_pages(
-                memcg.cold_age_histogram, self.slo.min_cold_age_seconds
+    def _job_state(self, now: int, job_id: str, memcg) -> Optional[_JobState]:
+        """The job's state for this round, or None when it re-warms."""
+        state = self._jobs.get(job_id)
+        if state is None:
+            state = self._jobs[job_id] = _JobState(
+                policy=self.policy.build(memcg.bins, self.slo),
+                last_promotion_counts=memcg.promotion_histogram.counts.copy(),
+                last_promoted_total=memcg.promoted_pages_total,
             )
+        if memcg.histograms_corrupt:
+            self._rewarm_job(now, job_id, memcg, state)
+            return None
+        return state
 
-            events = memcg.promo_hist_events
-            if events == state.last_promo_events:
-                # Quiet round: the kernel's monotonic event counter proves
-                # nothing entered the promotion histogram this interval, so
-                # the diff would be all zeros and the interval's best
-                # threshold is the most aggressive candidate.  Skip the
-                # histogram diff/copy pair entirely (both backends maintain
-                # the counter identically, so this is bit-equivalent).
-                state.policy.observe_zero(self.control_period)
-            else:
-                interval_hist = memcg.promotion_histogram.diff(
-                    state.last_promotion_histogram
-                )
-                state.last_promotion_histogram = (
-                    memcg.promotion_histogram.copy()
-                )
-                state.last_promo_events = events
-                state.policy.observe(interval_hist, wss, self.control_period)
-            threshold = state.policy.threshold()
-            memcg.zswap_enabled = state.policy.warmed_up
-            memcg.cold_age_threshold = threshold
-            memcg.soft_limit_pages = wss
-            self._m_threshold_updates.inc()
-            if threshold != float("inf"):
-                self._h_threshold.observe(threshold)
-
-            promotions = memcg.promoted_pages_total - state.last_promoted_total
-            state.last_promoted_total = memcg.promoted_pages_total
-            per_min = promotions * (MINUTE / self.control_period)
-            rate = normalized_promotion_rate(per_min, wss)
-            if wss > 0 and rate == rate and rate != float("inf"):
-                self._h_promotion_rate.observe(rate)
-            self.sli_samples.append(
-                SliSample(
-                    time=now,
-                    job_id=job_id,
-                    promotions=promotions,
-                    working_set_pages=wss,
-                    normalized_rate_pct_per_min=rate,
-                    threshold=threshold,
-                )
-            )
-
+    def _end_round(self) -> None:
+        """Per-machine bookkeeping after a round, and the arena
+        compaction check."""
         # Drop state for jobs that left the machine.
-        gone = set(self._jobs) - set(self.machine.memcgs)
+        gone = self._jobs.keys() - self.machine.memcgs.keys()
         for job_id in gone:
             del self._jobs[job_id]
         self._rewarming -= gone
@@ -320,6 +268,9 @@ class NodeAgent:
             if self._jobs[job_id].policy.warmed_up:
                 self._rewarming.discard(job_id)
         self._g_degraded.set(float(len(self._rewarming)))
+        self._maybe_compact()
+        self.rounds += 1
+        self._m_rounds.inc()
 
     def _rewarm_job(
         self, now: int, job_id: str, memcg, state: _JobState
@@ -337,9 +288,8 @@ class NodeAgent:
         state.policy.reset()
         memcg.zswap_enabled = False
         memcg.cold_age_threshold = DISABLED
-        state.last_promotion_histogram = memcg.promotion_histogram.copy()
+        state.last_promotion_counts = memcg.promotion_histogram.counts.copy()
         state.last_promoted_total = memcg.promoted_pages_total
-        state.last_promo_events = memcg.promo_hist_events
         memcg.histograms_corrupt = False
         self._rewarming.add(job_id)
         self.rewarms += 1
@@ -366,3 +316,89 @@ class NodeAgent:
         samples = self.sli_samples
         self.sli_samples = []
         return samples
+
+
+def control_agents(agents: Sequence[NodeAgent], now: int) -> List[Machine]:
+    """One control round for every proactive agent in ``agents``.
+
+    One array pass over all their jobs (a stacked histogram gather, one
+    working-set vector, one interval diff, one
+    :func:`best_thresholds_vectorized` call) gives each controller what
+    its ``observe`` would compute; the rest stays per job, in agent then
+    job order.  The agents share an SLO and a control period (a
+    cluster's do).  Returns the machines that ran, for their reclaim.
+    """
+    agents = [
+        agent for agent in agents
+        if agent.machine.config.mode is FarMemoryMode.PROACTIVE
+    ]
+    if not agents:
+        return []
+    slo = agents[0].slo
+    period = agents[0].control_period
+    require(
+        all(a.slo == slo and a.control_period == period for a in agents),
+        "one control round needs one SLO and one control period",
+    )
+    with agents[0]._tracer.span("agent.control", sim_time=now):
+        jobs = []
+        for agent in agents:
+            for job_id, memcg in agent.machine.memcgs.items():
+                state = agent._job_state(now, job_id, memcg)
+                if state is not None:
+                    jobs.append((agent, job_id, memcg, state))
+        if jobs:
+            _array_pass(jobs, slo, period, now)
+    for agent in agents:
+        agent._end_round()
+    return [agent.machine for agent in agents]
+
+
+def _array_pass(jobs: list, slo: PromotionRateSlo, period: int,
+                now: int) -> None:
+    """The array pass of :func:`control_agents` plus its per-job writes."""
+    memcgs = [memcg for _, _, memcg, _ in jobs]
+    bins = memcgs[0].bins
+    promo = np.stack([memcg.promotion_histogram.counts for memcg in memcgs])
+    interval = promo - np.stack([job[3].last_promotion_counts for job in jobs])
+    cold = np.stack([memcg.cold_age_histogram.counts for memcg in memcgs])
+    young = np.fromiter(
+        (memcg.cold_age_histogram.young_count for memcg in memcgs),
+        np.int64, len(memcgs),
+    )
+    # working_set_pages() for every job: the young bucket plus every bin
+    # below the SLO's working-set window.
+    window = bisect_left(bins.thresholds, slo.min_cold_age_seconds)
+    wss = young + cold[:, :window].sum(axis=1)
+    suffix = np.cumsum(interval[:, ::-1], axis=1)[:, ::-1]
+    best = best_thresholds_vectorized(suffix, wss, bins, slo, period)
+    per_min_scale = MINUTE / period
+    for (agent, job_id, memcg, state), job_best, job_wss, counts in zip(
+        jobs, best.tolist(), wss.tolist(), promo
+    ):
+        policy = state.policy
+        policy.record(job_best, period)
+        state.last_promotion_counts = counts
+        threshold = policy.threshold()
+        warmed_up = policy.warmed_up
+        # Setters only on change: a columnar memcg's setters re-encode
+        # its pooled reclaim threshold.
+        if memcg.zswap_enabled != warmed_up:
+            memcg.zswap_enabled = warmed_up
+        if memcg.cold_age_threshold != threshold:
+            memcg.cold_age_threshold = threshold
+        memcg.soft_limit_pages = job_wss
+        agent._m_threshold_updates.inc()
+        if threshold != DISABLED:
+            agent._h_threshold.observe(threshold)
+
+        promotions = memcg.promoted_pages_total - state.last_promoted_total
+        state.last_promoted_total = memcg.promoted_pages_total
+        rate = normalized_promotion_rate(promotions * per_min_scale, job_wss)
+        if job_wss > 0 and math.isfinite(rate):
+            agent._h_promotion_rate.observe(rate)
+        agent.sli_samples.append(SliSample(
+            time=now, job_id=job_id, promotions=promotions,
+            working_set_pages=job_wss, normalized_rate_pct_per_min=rate,
+            threshold=threshold,
+        ))

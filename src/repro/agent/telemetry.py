@@ -9,7 +9,8 @@ is anything with an ``add(entry)`` method — in this repo,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol
+from itertools import groupby
+from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from repro.obs import (
     get_tracer,
 )
 
-__all__ = ["TraceSink", "TelemetryExporter"]
+__all__ = ["TraceSink", "TelemetryExporter", "export_telemetry"]
 
 #: Most spilled entries retained while the sink is down; beyond this the
 #: oldest spilled entries are dropped (and counted) so a never-healing
@@ -99,7 +100,7 @@ class TelemetryExporter:
         self.period = int(period)
         self.slo = slo if slo is not None else PromotionRateSlo()
         self.events = events
-        self._schedule = PeriodicSchedule(self.period)
+        self.schedule = PeriodicSchedule(self.period)
         self._last_promotion: Dict[str, AgeHistogram] = {}
         self.entries_exported = 0
         # Graceful degradation under a failing sink: entries that could
@@ -162,7 +163,7 @@ class TelemetryExporter:
 
     def maybe_export(self, now: int) -> bool:
         """Export if the period boundary passed; returns True when it did."""
-        if not self._schedule.due(now):
+        if not self.schedule.due(now):
             return False
         self.export(now)
         return True
@@ -272,162 +273,49 @@ class TelemetryExporter:
         self.entries_exported += len(entries)
         self._m_entries.inc(len(entries))
 
-    def _deliver_block(self, now: int, block: TelemetryBlock) -> None:
-        """Ship one export window as a single zero-copy block.
-
-        ``add_block`` is all-or-nothing (the store validates the whole
-        block before touching any buffer), so on failure the window
-        degrades to per-entry objects and spills to the retry buffer in
-        original row order — from there recovery is identical to the
-        entry path, and no delivered row is ever re-counted.
-        """
-        n = block.n_rows
-        if n == 0:
-            return
-        if self._spill:
-            # Never overtake queued entries: per-job order must hold.
-            for entry in block.entries():
-                self._spill_entry(now, entry)
-            return
-        try:
-            self.sink.add_block(block)
-        except Exception:
-            self._begin_outage(now)
-            for entry in block.entries():
-                self._spill_entry(now, entry)
-            return
-        self.entries_exported += n
-        self._m_entries.inc(n)
-
-    def _export_block(self, now: int, entry_time: int) -> None:
-        """Columnar export window: one pool gather, one block delivery.
-
-        Bit-equivalent to the per-entry loop in :meth:`export`: the pool
-        gather reads exactly the columns the scalar path reads per memcg,
-        and the period promotion histogram is the same cumulative-minus-
-        previous subtraction (restarting from the cumulative counts on a
-        bin-threshold change, with the same reset event and counter).
-        Only the container differs — dense arrays instead of per-job
-        ``TraceEntry`` objects.
-        """
-        machine = self.machine
-        items = list(machine.memcgs.items())
-        n = len(items)
-        if n == 0:
-            return
-        rows = np.fromiter(
-            (memcg._pool_row for _job_id, memcg in items), np.int64, n
-        )
-        cols = machine.pool.export_columns(
-            rows, self.slo.min_cold_age_seconds
-        )
-        promo_now = cols["promotion_counts"]
-        promo_young_now = cols["promotion_young"]
-        prev_counts = np.zeros_like(promo_now)
-        prev_young = np.zeros(n, dtype=np.int64)
-        for i, (job_id, memcg) in enumerate(items):
-            last = self._last_promotion.get(job_id)
-            if last is None or last.bins.thresholds != memcg.bins.thresholds:
-                if last is not None:
-                    self._m_resets.inc()
-                    if self.events is not None:
-                        self.events.record(
-                            now, EventKind.TELEMETRY_HISTOGRAM_RESET,
-                            job=job_id,
-                            machine=machine.machine_id,
-                        )
-            else:
-                prev_counts[i] = last.counts
-                prev_young[i] = last.young_count
-            # The gather already detached these rows from pool storage,
-            # so the snapshot can wrap them without another copy.
-            snapshot = AgeHistogram(memcg.bins)
-            snapshot.counts = promo_now[i]
-            snapshot.young_count = int(promo_young_now[i])
-            self._last_promotion[job_id] = snapshot
-        block = TelemetryBlock(
-            bins=machine.pool.bins,
-            job_table=[job_id for job_id, _memcg in items],
-            machine_table=[machine.machine_id],
-            job=np.arange(n, dtype=np.int64),
-            machine=np.zeros(n, dtype=np.int64),
-            time=np.full(n, entry_time, dtype=np.int64),
-            working_set_pages=cols["working_set_pages"],
-            resident_pages=cols["resident_pages"],
-            cpu_cores=np.fromiter(
-                (self.cpu_lookup(job_id) for job_id, _memcg in items),
-                np.float64, n,
-            ),
-            promotion_counts=promo_now - prev_counts,
-            promotion_young=promo_young_now - prev_young,
-            cold_counts=cols["cold_counts"],
-            cold_young=cols["cold_young"],
-        )
-        self._deliver_block(now, block)
-
-    def export(self, now: int) -> None:
-        """Emit one trace entry per job on the machine.
-
-        When a job's bin thresholds changed since the previous export, the
-        previous cumulative snapshot is incomparable and the period
-        histogram restarts from the cumulative counts; that reset is
-        surfaced as a ``telemetry.histogram_reset`` event (and counter) so
-        downstream consumers can discount the affected period.
-
-        If the sink raises, the exporter degrades instead of dying:
-        entries spill to a bounded retry buffer and are replayed, oldest
-        first, after an exponential backoff — see :meth:`_retry_spill`.
-        """
-        # Entries describe the period that *ended* at ``now``; the first
-        # boundary (t=0) observed no full period, so clamp at 0 rather
-        # than stamping a negative time into the trace database.
-        entry_time = max(0, now - self.period)
-        # Delivery ladder, fastest rung both ends support: with the
-        # columnar kernel and a block-capable sink the window ships as
-        # one TelemetryBlock gathered straight from pool columns; with a
-        # merely batch-capable sink it ships as one add_batch call of
-        # entry objects; otherwise entries deliver one by one exactly as
-        # before.  (A sink wrapper that only implements ``add`` — e.g.
-        # the fault injector's outage shim — keeps the per-entry path
-        # automatically.)
-        use_block = (
+    def _takes_blocks(self) -> bool:
+        """True when this export ships on the block rung: the fastest
+        of the delivery ladder (blocks gathered from pool columns, one
+        ``add_batch`` of entries, per-entry ``add``) both ends support."""
+        return (
             self.prefer_blocks
             and self.machine.pool is not None
             and hasattr(self.sink, "add_block")
         )
+
+    def _period_baseline(
+        self, now: int, job_id: str, memcg
+    ) -> Optional[AgeHistogram]:
+        """The job's previous cumulative promotion snapshot, or None when
+        its period histogram restarts from the cumulative counts: on its
+        first export, or after its bin thresholds changed (a reset,
+        counted and recorded as a ``telemetry.histogram_reset`` event)."""
+        last = self._last_promotion.get(job_id)
+        if last is not None and last.bins.thresholds != memcg.bins.thresholds:
+            self._m_resets.inc()
+            if self.events is not None:
+                self.events.record(
+                    now, EventKind.TELEMETRY_HISTOGRAM_RESET,
+                    job=job_id, machine=self.machine.machine_id,
+                )
+            return None
+        return last
+
+    def export(self, now: int) -> None:
+        """Emit one trace entry per job on the machine: an export round
+        over a list of one (see :func:`export_telemetry`)."""
+        export_telemetry([self], now)
+
+    def _export_entries(self, now: int, entry_time: int) -> None:
+        """Object-path export window (the block rung's oracle)."""
         batch: Optional[List[TraceEntry]] = (
-            [] if (not use_block
-                   and self.machine.pool is not None
+            [] if (self.machine.pool is not None
                    and hasattr(self.sink, "add_batch"))
             else None
         )
-        with self._tracer.span("telemetry.export", sim_time=now):
-            self._retry_spill(now)
-            if use_block:
-                self._export_block(now, entry_time)
-            else:
-                self._export_entries(now, entry_time, batch)
-            gone = set(self._last_promotion) - set(self.machine.memcgs)
-            for job_id in gone:
-                del self._last_promotion[job_id]
-        self._m_exports.inc()
-
-    def _export_entries(
-        self, now: int, entry_time: int,
-        batch: Optional[List[TraceEntry]],
-    ) -> None:
-        """Object-path export window (the zero-copy path's oracle)."""
         for job_id, memcg in self.machine.memcgs.items():
-            last = self._last_promotion.get(job_id)
-            if last is None or last.bins.thresholds != memcg.bins.thresholds:
-                if last is not None:
-                    self._m_resets.inc()
-                    if self.events is not None:
-                        self.events.record(
-                            now, EventKind.TELEMETRY_HISTOGRAM_RESET,
-                            job=job_id,
-                            machine=self.machine.machine_id,
-                        )
+            last = self._period_baseline(now, job_id, memcg)
+            if last is None:
                 period_hist = memcg.promotion_histogram.copy()
             else:
                 period_hist = memcg.promotion_histogram.diff(last)
@@ -451,3 +339,151 @@ class TelemetryExporter:
                 self._deliver(now, entry)
         if batch is not None:
             self._deliver_batch(now, batch)
+
+
+class _BlockRung:
+    """An export round's block-rung exporters: one gather per pool, then
+    one :class:`TelemetryBlock` per run of them.  Rows ``spans[e]`` of
+    the gather are exporter ``e``'s jobs, so a run is one row range."""
+
+    def __init__(self, exporters: List[TelemetryExporter], now: int):
+        self.now = now
+        self.items = {e: list(e.machine.memcgs.items()) for e in exporters}
+        sizes = [len(self.items[e]) for e in exporters]
+        ends = np.cumsum(sizes).tolist()
+        self.spans = {e: (end - n, end) for e, n, end in zip(exporters, sizes, ends)}
+        parts = [
+            pool.export_columns(np.array([
+                memcg._pool_row for e in group for _j, memcg in self.items[e]
+            ], dtype=np.int64), window)
+            for (pool, window), group in groupby(
+                exporters,
+                key=lambda e: (e.machine.pool, e.slo.min_cold_age_seconds),
+            )
+        ]
+        self.cols = parts[0] if len(parts) == 1 else {
+            name: np.concatenate([part[name] for part in parts])
+            for name in parts[0]
+        }
+        self.prev_counts = np.zeros_like(self.cols["promotion_counts"])
+        self.prev_young = np.zeros_like(self.cols["promotion_young"])
+        self.times = np.repeat(
+            np.array([max(0, now - e.period) for e in exporters], np.int64),
+            sizes,
+        )
+
+    def baselines(self, exporter: TelemetryExporter) -> None:
+        """One exporter's period baselines and new promotion snapshots
+        (the gather detached the rows from the pool, so a snapshot wraps
+        its row without a copy)."""
+        promo_now = self.cols["promotion_counts"]
+        promo_young_now = self.cols["promotion_young"]
+        start = self.spans[exporter][0]
+        for i, (job_id, memcg) in enumerate(self.items[exporter], start):
+            last = exporter._period_baseline(self.now, job_id, memcg)
+            if last is not None:
+                self.prev_counts[i] = last.counts
+                self.prev_young[i] = last.young_count
+            snapshot = AgeHistogram(memcg.bins)
+            snapshot.counts = promo_now[i]
+            snapshot.young_count = int(promo_young_now[i])
+            exporter._last_promotion[job_id] = snapshot
+
+    def block(self, run: List[TelemetryExporter]) -> Optional[TelemetryBlock]:
+        """The run's rows as one block, or None when it has none."""
+        lo, hi = self.spans[run[0]][0], self.spans[run[-1]][1]
+        if hi == lo:
+            return None
+        shipping = [e for e in run if self.items[e]]
+        jobs = [(e, job_id) for e in shipping for job_id, _m in self.items[e]]
+        cols = self.cols
+        return TelemetryBlock(
+            bins=run[0].machine.pool.bins,
+            job_table=[job_id for _e, job_id in jobs],
+            machine_table=[e.machine.machine_id for e in shipping],
+            job=np.arange(hi - lo, dtype=np.int64),
+            machine=np.repeat(np.arange(len(shipping), dtype=np.int64),
+                              [len(self.items[e]) for e in shipping]),
+            time=self.times[lo:hi],
+            working_set_pages=cols["working_set_pages"][lo:hi],
+            resident_pages=cols["resident_pages"][lo:hi],
+            cpu_cores=np.fromiter((e.cpu_lookup(job_id) for e, job_id in jobs),
+                                  np.float64, hi - lo),
+            promotion_counts=(cols["promotion_counts"][lo:hi]
+                              - self.prev_counts[lo:hi]),
+            promotion_young=(cols["promotion_young"][lo:hi]
+                             - self.prev_young[lo:hi]),
+            cold_counts=cols["cold_counts"][lo:hi],
+            cold_young=cols["cold_young"][lo:hi],
+        )
+
+    def spill(self, exporter: TelemetryExporter) -> None:
+        """Queue one exporter's rows as entries, in row order."""
+        block = self.block([exporter])
+        for entry in block.entries() if block is not None else ():
+            exporter._spill_entry(self.now, entry)
+
+    def ship(self, run: List[TelemetryExporter]) -> None:
+        """One ``add_block`` for a run of exporters sharing a sink.  It is
+        all-or-nothing, so on failure each exporter with rows begins its
+        own outage and spills its own rows in order (never counted
+        twice)."""
+        block = self.block(run)
+        if block is None:
+            return
+        try:
+            run[0].sink.add_block(block)
+        except Exception:
+            for exporter in run:
+                if self.items[exporter]:
+                    exporter._begin_outage(self.now)
+                    self.spill(exporter)
+            return
+        for exporter in run:
+            exporter.entries_exported += len(self.items[exporter])
+            exporter._m_entries.inc(len(self.items[exporter]))
+
+
+def export_telemetry(exporters: Sequence[TelemetryExporter], now: int) -> None:
+    """One export round for every exporter in ``exporters``.
+
+    Block-rung exporters share one gather per pool, and each run of
+    consecutive ones that share a sink and have nothing queued ships as
+    one block with a machine table.  An exporter on another rung, or with
+    a queued spill, goes its own way and splits the run around itself,
+    so rows reach each sink in exactly the per-machine order.  Each
+    exporter first retries its spill (once its backoff has elapsed), so
+    spilled entries replay oldest first, ahead of the new window.
+    Entries describe the period that *ended* at ``now``, clamped at 0.
+    """
+    if not exporters:
+        return
+    with exporters[0]._tracer.span("telemetry.export", sim_time=now):
+        on_blocks = [e for e in exporters if e._takes_blocks()]
+        rung = _BlockRung(on_blocks, now) if on_blocks else None
+        run: List[TelemetryExporter] = []
+        for exporter in exporters:
+            on_rung = rung is not None and exporter in rung.spans
+            if exporter._spill or not on_rung or (
+                run and run[0].sink is not exporter.sink
+            ):
+                if run:
+                    rung.ship(run)
+                run = []
+                exporter._retry_spill(now)
+            if not on_rung:
+                exporter._export_entries(now, max(0, now - exporter.period))
+            else:
+                rung.baselines(exporter)
+                if exporter._spill:
+                    # Never overtake queued entries: per-job order must hold.
+                    rung.spill(exporter)
+                else:
+                    run.append(exporter)
+            gone = exporter._last_promotion.keys() - exporter.machine.memcgs.keys()
+            for job_id in gone:
+                del exporter._last_promotion[job_id]
+        if run:
+            rung.ship(run)
+    for exporter in exporters:
+        exporter._m_exports.inc()

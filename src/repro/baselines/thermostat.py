@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.common.units import MINUTE, PAGE_SIZE
 from repro.common.validation import check_fraction, check_positive, require
-from repro.core.histograms import AgeBins, AgeHistogram
+from repro.core.histograms import AgeBins
 from repro.core.slo import PromotionRateSlo
 from repro.core.threshold_policy import (
     ColdAgeThresholdPolicy,
@@ -243,14 +243,14 @@ class ThermostatPolicyConfig:
 class ThermostatThresholdPolicy(ColdAgeThresholdPolicy):
     """Per-job Thermostat controller on the node-agent control surface.
 
-    Shares :class:`ColdAgeThresholdPolicy`'s surface (``observe``,
-    ``observe_zero``, ``threshold``, ``warmed_up``, ``reset``,
-    ``inherit_state``) so the node agent drives it without knowing the
-    algorithm changed.  Unsampled intervals skip the histogram read
-    entirely; sampled ones fold the interval's best threshold into the
-    EWMA estimate that :meth:`threshold` publishes.  Jobs whose estimate
-    does not exist yet (never sampled, like the detector's never-sampled
-    regions) are conservatively left uncompressed.
+    Shares :class:`ColdAgeThresholdPolicy`'s surface (``record``,
+    ``threshold``, ``warmed_up``, ``reset``, ``inherit_state``) so the
+    node agent drives it without knowing the algorithm changed.
+    Unsampled intervals leave history and estimate alone; sampled ones
+    fold the interval's best threshold into the EWMA estimate that
+    :meth:`threshold` publishes.  Jobs whose estimate does not exist yet
+    (never sampled, like the detector's never-sampled regions) are
+    conservatively left uncompressed.
     """
 
     def __init__(
@@ -282,30 +282,14 @@ class ThermostatThresholdPolicy(ColdAgeThresholdPolicy):
             alpha = self.thermostat.ewma_alpha
             self._estimate = alpha * encoded + (1 - alpha) * self._estimate
 
-    def observe(
-        self,
-        promotion_histogram: AgeHistogram,
-        working_set_size_pages: float,
-        interval_seconds: float = MINUTE,
-    ) -> float:
+    def record(self, best: float, interval_seconds: float = MINUTE) -> float:
         self._intervals += 1
         if not self._sampled():
             # Unsampled interval: Thermostat is not looking.  The warm-up
             # clock still advances; history and estimate are untouched.
             self._elapsed_seconds += int(interval_seconds)
             return self._last_best
-        best = super().observe(
-            promotion_histogram, working_set_size_pages, interval_seconds
-        )
-        self._fold(best)
-        return best
-
-    def observe_zero(self, interval_seconds: float = MINUTE) -> float:
-        self._intervals += 1
-        if not self._sampled():
-            self._elapsed_seconds += int(interval_seconds)
-            return self._last_best
-        best = super().observe_zero(interval_seconds)
+        super().record(best, interval_seconds)
         self._fold(best)
         return best
 

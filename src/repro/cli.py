@@ -724,7 +724,8 @@ def cmd_ci(args: argparse.Namespace) -> int:
     if exit_code == 0 and not args.skip_bench:
         # Zero-copy telemetry: blocks gathered from pool columns must
         # leave byte-identical stores to the per-entry object oracle,
-        # serial and parallel.  Equivalence only — never timing.
+        # serial and parallel, also while one machine's sink is down
+        # and its export rounds split.  Equivalence only — never timing.
         from repro.engine.bench import zero_copy_equivalence
 
         print("ci: running zero-copy telemetry equivalence smoke ...")
@@ -738,7 +739,8 @@ def cmd_ci(args: argparse.Namespace) -> int:
         else:
             print("ci: zero-copy telemetry smoke passed "
                   f"({report['rows']} rows byte-identical across "
-                  "block and entry paths, serial and parallel)")
+                  "block and entry paths, serial and parallel, "
+                  "through a one-machine sink outage)")
     if exit_code == 0 and not args.skip_bench:
         # The canary-controller smoke: a deliberately SLO-breaching
         # policy must be rolled back (never promoted), the decision must

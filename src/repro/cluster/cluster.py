@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.agent.node_agent import NodeAgent, SliSample
-from repro.agent.telemetry import TelemetryExporter
+from repro.agent.node_agent import NodeAgent, SliSample, control_agents
+from repro.agent.telemetry import TelemetryExporter, export_telemetry
 from repro.common.errors import OutOfMemoryError, SchedulingError
 from repro.common.events import EventKind, EventLog
 from repro.common.rng import SeedSequenceFactory
@@ -31,7 +31,7 @@ from repro.cluster.job import RunningJob
 from repro.cluster.scheduler import BorgScheduler
 from repro.cluster.trace_db import TraceDatabase
 from repro.kernel.columnar import MachinePagePool
-from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
+from repro.kernel.machine import Machine, MachineConfig
 from repro.obs import (
     MetricName,
     MetricRegistry,
@@ -358,22 +358,19 @@ class Cluster:
                 machine.tick(now)
                 self._relieve_pressure(machine, now)
 
+            # One control round and one export round for all due machines.
+            controlled = control_agents(
+                [a for a in self.agents.values() if a.schedule.due(now)], now
+            )
             if self.pool is None:
-                for agent in self.agents.values():
-                    agent.maybe_control(now)
+                for machine in controlled:
+                    machine.run_reclaim()
             else:
-                # Agents publish thresholds as usual but skip their
-                # per-machine reclaim (Machine.run_reclaim no-ops on a
-                # shared pool); one pooled pass then reclaims for every
-                # machine that just controlled.
-                controlled = [
-                    machine
-                    for machine in self.machines
-                    if self.agents[machine.machine_id].maybe_control(now)
-                ]
                 self._pooled_reclaim(controlled)
-            for exporter in self.exporters.values():
-                exporter.maybe_export(now)
+            export_telemetry(
+                [e for e in self.exporters.values() if e.schedule.due(now)],
+                now,
+            )
 
             if now >= self._next_coverage_sample:
                 self._sample_coverage(now)
@@ -426,26 +423,22 @@ class Cluster:
             machine.kstaled.record_scan(pages)
 
     def _pooled_reclaim(self, machines: List[Machine]) -> None:
-        """One reclaim round for every machine whose agent just ran.
+        """One reclaim round for every (proactive) machine whose agent
+        just ran.
 
         Evaluates the shared pool's candidate mask once, then hands each
         machine's kreclaimd its own ``(memcg, candidates)`` slice —
         budgets, LRU ordering, compression, and metrics all stay
         per-machine, identical to each machine reclaiming alone.
         """
-        eligible = [
-            machine
-            for machine in machines
-            if machine.config.mode is FarMemoryMode.PROACTIVE
-        ]
-        if not eligible:
+        if not machines:
             return
         with self.tracer.span("kreclaimd.pairs"):
             pairs = self.pool.reclaim_pairs(
-                [m for machine in eligible for m in machine.memcgs.values()]
+                [m for machine in machines for m in machine.memcgs.values()]
             )
         index = 0
-        for machine in eligible:
+        for machine in machines:
             own = machine.memcgs
             mine = []
             while (

@@ -159,7 +159,8 @@ class ThresholdPolicyConfig:
 class ColdAgeThresholdPolicy:
     """Stateful per-job instance of the §4.3 control algorithm.
 
-    Drive it once per control interval with :meth:`observe`, then read
+    Drive it once per control interval with :meth:`record` (or its
+    one-job wrappers :meth:`observe` and :meth:`observe_zero`), then read
     :meth:`threshold` for the threshold to apply during the next interval.
     """
 
@@ -200,48 +201,40 @@ class ColdAgeThresholdPolicy:
         """The pool of past per-minute best thresholds (oldest first)."""
         return tuple(self._pool)
 
+    def record(self, best: float, interval_seconds: float = MINUTE) -> float:
+        """Ingest one control interval's best threshold and return it
+        (the node agent computes them all in one array pass)."""
+        self._elapsed_seconds += int(interval_seconds)
+        self._append(best)
+        return best
+
     def observe(
         self,
         promotion_histogram: AgeHistogram,
         working_set_size_pages: float,
         interval_seconds: float = MINUTE,
     ) -> float:
-        """Ingest one control interval's statistics.
+        """:meth:`record` the best threshold of one interval histogram.
 
         Args:
             promotion_histogram: promotions recorded during this interval
                 only (an interval diff, not a cumulative histogram).
             working_set_size_pages: the job's working set this interval.
             interval_seconds: length of the interval.
-
-        Returns:
-            The best threshold computed for this interval.
         """
         require(
             promotion_histogram.bins.thresholds == self.bins.thresholds,
             "promotion histogram uses a different threshold grid",
         )
-        self._elapsed_seconds += int(interval_seconds)
-        best = best_threshold(
-            promotion_histogram, working_set_size_pages, self.slo, interval_seconds
-        )
-        self._append(best)
-        return best
+        return self.record(best_threshold(
+            promotion_histogram, working_set_size_pages, self.slo,
+            interval_seconds,
+        ), interval_seconds)
 
     def observe_zero(self, interval_seconds: float = MINUTE) -> float:
-        """Ingest an interval whose promotion histogram is all zeros.
-
-        A zero interval's best threshold is always the most aggressive
-        candidate (zero promotions fit any budget), so callers that can
-        prove the interval histogram is empty — e.g. the node agent via
-        the memcg's ``promo_hist_events`` counter — skip the histogram
-        diff entirely.  State transitions are exactly those of
-        :meth:`observe` with an empty histogram.
-        """
-        self._elapsed_seconds += int(interval_seconds)
-        best = float(self.bins.min_threshold)
-        self._append(best)
-        return best
+        """:meth:`record` an interval whose promotion histogram is all
+        zeros: its best threshold is the most aggressive candidate."""
+        return self.record(float(self.bins.min_threshold), interval_seconds)
 
     def threshold(self) -> float:
         """Threshold to apply for the next interval (or DISABLED).
@@ -319,11 +312,11 @@ class ColdMemoryPolicy:
     Implementations are frozen dataclasses so a policy can be compared,
     hashed, logged, and shipped across process boundaries.  The controller
     returned by :meth:`build` must implement the per-job control surface of
-    :class:`ColdAgeThresholdPolicy`: ``observe``, ``observe_zero``,
-    ``threshold``, ``warmed_up``, ``reset``, and ``inherit_state`` (which
-    must accept a controller built by a *different* policy — redeploying
-    parameters, or a whole new algorithm, never restarts a job's history
-    or warm-up clock).
+    :class:`ColdAgeThresholdPolicy`: ``record``, ``threshold``,
+    ``warmed_up``, ``reset``, and ``inherit_state`` (which must accept a
+    controller built by a *different* policy — redeploying parameters, or
+    a whole new algorithm, never restarts a job's history or warm-up
+    clock).
 
     Implementations carrying a :class:`ThresholdPolicyConfig` expose it as
     ``config`` so existing ``(K, S)``-shaped call sites keep working.

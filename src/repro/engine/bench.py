@@ -268,11 +268,21 @@ def zero_copy_equivalence(clusters: int = 2, machines: int = 3,
     the two stores must come out **byte-identical** — same segment
     files, same manifest (hence same window aggregates) — and the
     compiled replay tensors must match across all four runs.
+
+    Every cluster's middle machine (never its first) loses its sink for
+    the middle third of the run, so each export round splits its shared
+    block around that machine, and its spill must replay in full.
     """
     check_positive(hours, "hours")
+    from repro.common.rng import SeedSequenceFactory
+    from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
     from repro.tracestore.database import ColumnarTraceDatabase
 
     seconds = int(hours * HOUR)
+    outage = FaultPlan(events=(
+        FaultEvent(time=seconds // 3, kind=FaultKind.SINK_OUTAGE,
+                   duration=seconds // 3, target=machines // 2),
+    ))
     results: Dict[str, Dict] = {}
     with tempfile.TemporaryDirectory(prefix="repro-zerocopy-") as tmp:
         for mode in ("serial", "parallel"):
@@ -298,10 +308,12 @@ def zero_copy_equivalence(clusters: int = 2, machines: int = 3,
                     tracer=Tracer(),
                     trace_db=db,
                 )
-                if path == "entry":
-                    for cluster in fleet.clusters:
-                        for exporter in cluster.exporters.values():
-                            exporter.prefer_blocks = False
+                for index, cluster in enumerate(fleet.clusters):
+                    cluster.attach_fault_injector(
+                        FaultInjector(outage, SeedSequenceFactory(index))
+                    )
+                    for exporter in cluster.exporters.values():
+                        exporter.prefer_blocks = path == "block"
                 start = time.perf_counter()
                 if mode == "serial":
                     fleet.run(seconds)
@@ -317,6 +329,10 @@ def zero_copy_equivalence(clusters: int = 2, machines: int = 3,
                     "segments": len(db.store.segments),
                     "files": _store_bytes(root),
                     "compiled": db.compiled_traces(),
+                    "replayed_all": registry.value(
+                        MetricName.TELEMETRY_REPLAYED_ENTRIES_TOTAL
+                    ) == registry.value(
+                        MetricName.TELEMETRY_SPILLED_ENTRIES_TOTAL) > 0,
                 }
 
     byte_identical = all(
@@ -327,6 +343,7 @@ def zero_copy_equivalence(clusters: int = 2, machines: int = 3,
     tensors_identical = all(
         _compiled_equal(compiled[0], other) for other in compiled[1:]
     )
+    outage_replayed = all(r["replayed_all"] for r in results.values())
     return {
         "clusters": clusters,
         "machines_per_cluster": machines,
@@ -341,7 +358,8 @@ def zero_copy_equivalence(clusters: int = 2, machines: int = 3,
         },
         "stores_byte_identical": byte_identical,
         "compiled_tensors_identical": tensors_identical,
-        "equivalent": byte_identical and tensors_identical,
+        "outage_replayed": outage_replayed,
+        "equivalent": byte_identical and tensors_identical and outage_replayed,
     }
 
 

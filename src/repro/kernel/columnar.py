@@ -550,7 +550,6 @@ class MachinePagePool:
         self._add_promotion_ages(row_of, self.age_scans[slots])
         self.age_scans[slots] = 0
         for (memcg, _indices), count in zip(faults, sizes.tolist()):
-            memcg.promo_hist_events += count
             memcg.promoted_pages_total += count
             if memcg.promoted_counter is not None:
                 memcg.promoted_counter.inc(count)
@@ -558,9 +557,9 @@ class MachinePagePool:
 
     def _add_promotion_ages(
         self, rows: np.ndarray, ages: np.ndarray
-    ) -> np.ndarray:
+    ) -> None:
         """Add pages' pre-reset ages (in scans) to their rows' promotion
-        histograms; returns the per-row page counts.
+        histograms.
 
         One ``bincount`` keyed by ``(row, bin + 1)``: column 0 collects
         the young bucket (bin -1).  Ages never exceed the cap; ``clip``
@@ -575,7 +574,6 @@ class MachinePagePool:
         ).reshape(self._row_cap, width)
         self.promo_young += counts[:, 0]
         self.promo_counts += counts[:, 1:]
-        return counts.sum(axis=1)
 
     # ------------------------------------------------------------------
     # Pooled kstaled scan
@@ -621,13 +619,7 @@ class MachinePagePool:
         # pre-reset ages.
         acc_idx = np.flatnonzero(acc)
         if acc_idx.size:
-            per_row = self._add_promotion_ages(owner[acc_idx], age[acc_idx])
-            # Mirror the scalar kernel's per-memcg promotion-event
-            # counter (one bump per accessed resident page) so the node
-            # agent's quiet-round fast path sees identical values under
-            # either backend.
-            for r in np.flatnonzero(per_row):
-                self.row_memcg[r].promo_hist_events += int(per_row[r])
+            self._add_promotion_ages(owner[acc_idx], age[acc_idx])
 
         # Branch-free whole-pool writes: boolean-mask assignments (and
         # ``where=`` ufuncs) are an order of magnitude slower.  Ages never

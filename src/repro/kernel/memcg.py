@@ -152,14 +152,6 @@ class MemCg:
         #: job's warm-up; the histogram *data* is left intact.
         self.histograms_corrupt: bool = False
 
-        #: Monotonic count of entries ever added to the promotion
-        #: histogram (scan-time would-be promotions and actual promotion
-        #: faults alike).  The node agent compares it against its last
-        #: seen value to skip the histogram copy/diff on rounds where the
-        #: histogram cannot have changed; both kernel backends maintain
-        #: it identically.
-        self.promo_hist_events = 0
-
         #: SLI counters (monotonic; readers keep their own last-seen copy).
         self.promoted_pages_total = 0
         self.compressed_pages_total = 0
@@ -312,7 +304,6 @@ class MemCg:
             return
         ages_seconds = self.age_scans[indices] * self.scan_period
         self.promotion_histogram.add_ages(ages_seconds)
-        self.promo_hist_events += int(indices.size)
         self.age_scans[indices] = 0
         self.promoted_pages_total += int(indices.size)
         if self.promoted_counter is not None:
@@ -475,7 +466,6 @@ class MemCg:
 
         prev_age_seconds = self.age_scans[acc] * self.scan_period
         self.promotion_histogram.add_ages(prev_age_seconds)
-        self.promo_hist_events += int(prev_age_seconds.size)
 
         self.age_scans[acc] = 0
         self.age_scans[idle] = np.minimum(

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ReproError
@@ -394,12 +395,9 @@ class _HistogramSeries:
         value = float(value)
         if math.isnan(value):
             return
-        for i, upper in enumerate(self.uppers):
-            if value <= upper:
-                self.bucket_counts[i] += 1
-                break
-        else:
-            self.bucket_counts[-1] += 1
+        # The first bucket whose (sorted) upper bound is >= value; past
+        # the last one, the implicit +Inf bucket.
+        self.bucket_counts[bisect_left(self.uppers, value)] += 1
         self.sum += value
         self.count += 1
 

@@ -118,7 +118,6 @@ def _state(machine):
             )),
             memcg.promotion_histogram.counts.tobytes(),
             memcg.promotion_histogram.young_count,
-            memcg.promo_hist_events,
             memcg.promoted_pages_total,
             stats.pages_decompressed,
             stats.decompress_seconds,

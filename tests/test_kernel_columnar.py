@@ -83,7 +83,6 @@ def _memcg_state(memcg):
         int(memcg.cold_age_histogram.young_count),
         tuple(int(c) for c in memcg.promotion_histogram.counts),
         int(memcg.promotion_histogram.young_count),
-        int(memcg.promo_hist_events),
         int(memcg.resident_pages),
         int(memcg.far_pages),
         float(memcg.cold_age_threshold),
