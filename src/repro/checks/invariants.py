@@ -9,9 +9,10 @@ correctness story depends on:
   the per-memcg view must agree (``arena.live_objects == Σ far_pages``,
   ``arena.payload_bytes == Σ payload_bytes[far]``) and compression can
   never *grow* memory (``footprint >= payload``).
-* **memcg histogram** — the incremental cold-age histogram maintained by
-  ``scan_update`` must match a from-scratch rebuild (the ground truth
-  the K-th percentile threshold policy reads).
+* **memcg histogram** — the cold-age histogram a scan leaves (the scalar
+  kernel's incremental fold, the columnar kernel's pooled recount) must
+  match a from-scratch recount (the ground truth the K-th percentile
+  threshold policy reads).
 * **delta merge** — metric deltas shipped across the fork boundary must
   conserve mass: counter increments are non-negative and a histogram
   record's ``count`` equals the sum of its bucket increments.
@@ -111,25 +112,25 @@ def check_machine_accounting(machine: Any) -> None:
 
 
 def check_memcg_histogram(memcg: Any) -> None:
-    """Incremental cold-age histogram == from-scratch rebuild.
+    """Cold-age snapshot == a from-scratch recount of live page ages.
 
-    Rebuilding *is* the ground-truth computation, so on success the memcg
-    is left bit-identical; on failure the error carries both views.
+    The recount is side-effect free, so the check reads the snapshot
+    where it lives (a scalar memcg's own histogram, or a columnar memcg's
+    row of the pool matrix) and leaves the memcg untouched.
 
     Args:
         memcg: a :class:`repro.kernel.memcg.MemCg` (duck-typed: needs
             ``cold_age_histogram`` and ``_rebuild_cold_histogram``).
     """
-    incremental = memcg.cold_age_histogram.copy()
-    memcg._rebuild_cold_histogram()
-    truth = memcg.cold_age_histogram
+    snapshot = memcg.cold_age_histogram
+    truth = memcg._rebuild_cold_histogram()
     if (
-        incremental.young_count != truth.young_count
-        or not np.array_equal(incremental.counts, truth.counts)
+        snapshot.young_count != truth.young_count
+        or not np.array_equal(snapshot.counts, truth.counts)
     ):
         raise _violation(
             "memcg.cold_histogram",
-            f"incremental {incremental!r} != rebuilt {truth!r} "
+            f"snapshot {snapshot!r} != recount {truth!r} "
             f"(job={getattr(memcg, 'job_id', '?')!r})",
         )
 

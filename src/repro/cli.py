@@ -719,8 +719,9 @@ def cmd_ci(args: argparse.Namespace) -> int:
             exit_code = 1
         else:
             print("ci: columnar equivalence smoke passed "
-                  f"({report['sli_samples']} SLI samples identical "
-                  "across scalar, machine-pooled, cluster-pooled)")
+                  f"({report['sli_samples']} SLI samples, cold-age "
+                  "histograms and far-page gauges identical across "
+                  "scalar, machine-pooled, cluster-pooled)")
     if exit_code == 0 and not args.skip_bench:
         # Zero-copy telemetry: blocks gathered from pool columns must
         # leave byte-identical stores to the per-entry object oracle,

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.agent.node_agent import NodeAgent, SliSample, control_agents
 from repro.agent.telemetry import TelemetryExporter, export_telemetry
 from repro.common.errors import OutOfMemoryError, SchedulingError
 from repro.common.events import EventKind, EventLog
 from repro.common.rng import SeedSequenceFactory
 from repro.common.simtime import DEFAULT_TICK_SECONDS, Clock, PeriodicSchedule
-from repro.common.units import MIN_COLD_AGE_THRESHOLD
+from repro.common.units import MIN_COLD_AGE_THRESHOLD, PAGE_SIZE
 from repro.common.validation import check_positive
 from repro.core.coverage import CoverageSample
 from repro.core.histograms import AgeBins, default_age_bins
@@ -354,9 +356,9 @@ class Cluster:
             self._step_jobs(now)
 
             self._pooled_scan(now)
-            for machine in self.machines:
-                machine.tick(now)
-                self._relieve_pressure(machine, now)
+            for machine, (near, far) in zip(self.machines, self._tier_pages()):
+                machine.tick(now, far_pages=far)
+                self._relieve_pressure(machine, now, near)
 
             # One control round and one export round for all due machines.
             controlled = control_agents(
@@ -408,19 +410,33 @@ class Cluster:
         """
         if self._scan_schedule is None or not self._scan_schedule.due(now):
             return
-        memcgs = [
-            memcg
-            for machine in self.machines
-            for memcg in machine.memcgs.values()
-        ]
+        memcgs = [m for mc in self.machines for m in mc.memcgs.values()]
         with self.tracer.span("kstaled.scan", sim_time=now):
             self.pool.scan_all(memcgs)
-        per_row = self.pool.last_scan_row_pages
-        for machine in self.machines:
-            pages = 0
-            for memcg in machine.memcgs.values():
-                pages += int(per_row[memcg._pool_row])
-            machine.kstaled.record_scan(pages)
+        pages = self._machine_sums(self.pool.last_scan_row_pages).tolist()
+        for machine, scanned in zip(self.machines, pages):
+            machine.kstaled.record_scan(scanned)
+
+    def _tier_pages(self) -> List[List[int]]:
+        """Every machine's ``[near, far]`` resident page counts, now.
+
+        A cluster-scoped pool counts all rows in one segment-wise pass.
+        A kstaled scan moves no page between tiers, so the counts hold
+        through every machine's tick until an eviction.
+        """
+        if self.pool is None:
+            return [[m.near_bytes // PAGE_SIZE, m.far_pages] for m in self.machines]
+        return self._machine_sums(self.pool.tier_pages()).tolist()
+
+    def _machine_sums(self, per_row: np.ndarray) -> np.ndarray:
+        """Sum a per-pool-row array (1-D or 2-D) over each machine's
+        memcgs: one gather in machine-major order, one prefix sum."""
+        rows = [m._pool_row for mc in self.machines for m in mc.memcgs.values()]
+        sizes = [len(machine.memcgs) for machine in self.machines]
+        ends = np.cumsum(sizes)
+        prefix = np.zeros((len(rows) + 1,) + per_row.shape[1:], dtype=np.int64)
+        np.cumsum(per_row[rows], axis=0, out=prefix[1:])
+        return prefix[ends] - prefix[ends - sizes]
 
     def _pooled_reclaim(self, machines: List[Machine]) -> None:
         """One reclaim round for every (proactive) machine whose agent
@@ -510,15 +526,21 @@ class Cluster:
         self.events.record(self.clock.now, EventKind.CLUSTER_MACHINE_REPAIRED,
                            machine=machine_id)
 
-    def _relieve_pressure(self, machine: Machine, now: int) -> None:
-        """Evict best-effort jobs while a machine is over capacity."""
-        while machine.free_bytes < 0:
+    def _relieve_pressure(self, machine: Machine, now: int, near: int) -> None:
+        """Evict best-effort jobs while a machine is over capacity.
+
+        ``near`` is the tick's near-page count (:meth:`_tier_pages`);
+        after an eviction the machine is recounted exactly.
+        """
+        used = near * PAGE_SIZE + machine.arena.footprint_bytes
+        while used > machine.config.dram_bytes:
             victim = self.scheduler.evict_for_pressure(machine.machine_id, now)
             if victim is None:
                 break
             job = self.running.pop(victim, None)
             if job is not None:
                 job.stop()
+            used = machine.used_bytes
 
     def _sample_coverage(self, now: int) -> None:
         for machine in self.machines:

@@ -180,7 +180,9 @@ def columnar_equivalence(clusters: int = 2, machines: int = 4,
     the lot — under the scalar kernel, the columnar kernel with
     per-machine pools, and the columnar kernel with cluster-scoped
     pools.  ``equivalent`` is true only when all three produce identical
-    coverage reports *and* identical SLI histories, sample by sample.
+    coverage reports, identical SLI histories (sample by sample), the
+    same cold-age histogram (counts and young) for every live memcg, and
+    the same ``repro_far_pages`` gauge for every machine.
     """
     check_positive(hours, "hours")
     seconds = int(hours * HOUR)
@@ -189,6 +191,7 @@ def columnar_equivalence(clusters: int = 2, machines: int = 4,
     for kernel, scope in (("scalar", "machine"),
                           ("columnar", "machine"),
                           ("columnar", "cluster")):
+        registry = MetricRegistry()
         fleet = quickfleet(
             clusters=clusters,
             machines_per_cluster=machines,
@@ -201,7 +204,7 @@ def columnar_equivalence(clusters: int = 2, machines: int = 4,
             pool_scope=scope,
             scan_period=60,
             churn_duration_range=(1800, 7200),
-            registry=MetricRegistry(),
+            registry=registry,
             tracer=Tracer(),
         )
         start = time.perf_counter()
@@ -212,7 +215,16 @@ def columnar_equivalence(clusters: int = 2, machines: int = 4,
              s.normalized_rate_pct_per_min, s.threshold)
             for s in fleet.sli_history
         )
-        snapshots.append((fleet.coverage_report(), sli))
+        cold = tuple(
+            (job_id, tuple(memcg.cold_age_histogram.counts.tolist()),
+             memcg.cold_age_histogram.young_count)
+            for machine in fleet.machines
+            for job_id, memcg in sorted(machine.memcgs.items())
+        )
+        far_gauges = [
+            s.value for _l, s in registry.get(MetricName.FAR_PAGES).series()
+        ]
+        snapshots.append((fleet.coverage_report(), sli, cold, far_gauges))
     return {
         "clusters": clusters,
         "machines_per_cluster": machines,

@@ -8,13 +8,15 @@ owned either by one machine or by a whole cluster (``pool_scope``):
 
 * **per-page columns** (``resident``, ``age_scans``, ``accessed``, tier
   ``state``, ``incompressible``, ``dirtied``, ``unevictable``,
-  ``payload_bytes``, ``lru_active``, THP ``huge_group``, the histogram-bin
-  cache and the reclaim mask) live in dense pool-wide arrays, one
+  ``payload_bytes``, ``lru_active``, THP ``huge_group``, the reclaim mask
+  and the ``owner_row`` back-pointer) live in dense pool-wide arrays, one
   contiguous *segment* per memcg;
 * **per-memcg histograms** (cold-age snapshot and cumulative promotion
   counts) live as rows of two ``(memcgs, bins)`` matrices plus young-count
-  vectors, so a scan updates every job's histogram with a handful of
-  ``bincount`` scatter-adds.
+  vectors.  A scan adds promotions with one ``bincount`` and *recounts*
+  every cold-age snapshot with another, as the paper's kstaled does;
+  per-row page counts and reclaim thresholds are segment-wise passes
+  over one cached segment table (:meth:`MachinePagePool.segments`).
 
 :class:`ColumnarMemCg` is a :class:`~repro.kernel.memcg.MemCg` whose
 arrays are numpy *views* into the pool: every inherited method —
@@ -47,8 +49,8 @@ from repro.common.units import MAX_PAGE_AGE_SCANS
 from repro.core.histograms import AgeBins, AgeHistogram
 from repro.kernel.compression import sample_payloads
 from repro.kernel.memcg import (
+    _FAR,
     _HIST_NO_PAGE,
-    _HIST_YOUNG,
     Fault,
     MemCg,
     PageState,
@@ -70,7 +72,6 @@ _PAGE_FIELDS: Tuple[Tuple[str, type, object], ...] = (
     ("payload_bytes", np.int32, 0),
     ("lru_active", np.bool_, False),
     ("huge_group", np.int64, -1),
-    ("hist_bin", np.int16, _HIST_NO_PAGE),
     ("reclaim_mask", np.bool_, False),
     ("owner_row", np.int32, -1),
 )
@@ -89,7 +90,6 @@ _VIEW_BINDINGS: Tuple[Tuple[str, str], ...] = (
     ("payload_bytes", "payload_bytes"),
     ("lru_active", "lru_active"),
     ("huge_group", "huge_group"),
-    ("_hist_bin", "hist_bin"),
     ("_reclaim_mask", "reclaim_mask"),
 )
 
@@ -116,7 +116,6 @@ COLUMN_CONTRACTS = {
     "MachinePagePool.payload_bytes": {"dtype": "int32", "ndim": 1},
     "MachinePagePool.lru_active": {"dtype": "bool", "ndim": 1},
     "MachinePagePool.huge_group": {"dtype": "int64", "ndim": 1},
-    "MachinePagePool.hist_bin": {"dtype": "int16", "ndim": 1},
     "MachinePagePool.reclaim_mask": {"dtype": "bool", "ndim": 1},
     "MachinePagePool.owner_row": {"dtype": "int32", "ndim": 1},
     # Per-memcg rows (histogram matrices + bookkeeping vectors).
@@ -172,6 +171,12 @@ class ColumnarMemCg(MemCg):
     _pool_row: int = -1
     #: The owning pool; assigned by :meth:`MachinePagePool.add`.
     _pool: Optional["MachinePagePool"] = None
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # The pooled scan recounts cold-age histograms, so the scalar
+        # fold's per-slot bin cache has no use here.
+        del self._hist_bin
 
     # The reclaim threshold and zswap gate are written by the node agent
     # once per control round but *read* by the pooled reclaim mask for
@@ -260,6 +265,8 @@ class MachinePagePool:
         #: :meth:`scan_all` — the cluster layer reads these to book scan
         #: pages back to each machine when the pool is cluster-scoped.
         self.last_scan_row_pages = np.zeros(0, dtype=np.int64)
+        #: :meth:`segments` cache; None after a layout change.
+        self._segment_table: Optional[Tuple[np.ndarray, ...]] = None
 
         #: Age (in scans) -> histogram bin; shared by every segment since
         #: the scan period is a machine-level parameter.
@@ -279,6 +286,7 @@ class MachinePagePool:
         row = self._take_row()
         base = self.used
         self.used += n
+        self._segment_table = None
         self.row_base[row] = base
         self.row_size[row] = n
         self.row_memcg[row] = memcg
@@ -321,6 +329,7 @@ class MachinePagePool:
         self.used = new_used
 
         self.row_base[self.row_base > base] -= size
+        self._segment_table = None
         self.row_base[row] = 0
         self.row_size[row] = 0
         self.row_reclaim_thr[row] = _NEVER_SCANS
@@ -382,6 +391,21 @@ class MachinePagePool:
             if memcg is not None and self.row_base[memcg._pool_row] >= floor_base:
                 self.bind(memcg)
 
+    def segments(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Live rows in base order, with their segment bases and sizes.
+
+        Segments tile ``[0, used)``, so ``np.add.reduceat`` over the bases
+        and ``np.repeat`` over the sizes are exact per-row passes.  Cached
+        per layout; :meth:`add` and :meth:`remove` (compaction) drop it.
+        """
+        if self._segment_table is None:
+            live = np.flatnonzero(self.row_size)
+            live = live[np.argsort(self.row_base[live])]
+            self._segment_table = (
+                live, self.row_base[live], self.row_size[live]
+            )
+        return self._segment_table
+
     def _take_row(self) -> int:
         if self._free_rows:
             self._free_rows.sort()
@@ -423,23 +447,21 @@ class MachinePagePool:
     # Pooled accounting reductions (replace per-memcg Python sums)
     # ------------------------------------------------------------------
 
-    def resident_pages(self) -> int:
-        """Machine-wide resident pages (near + far), one pass."""
-        return int(np.count_nonzero(self.resident[: self.used]))
+    def _row_sums(self, per_slot: np.ndarray) -> np.ndarray:
+        """Per-row sums of a ``[0, used)`` array (free rows: zero), one
+        ``np.add.reduceat`` over the segments in base order."""
+        sums = np.zeros(self._row_cap, dtype=np.int64)
+        if self.used:
+            rows, bases, _sizes = self.segments()
+            sums[rows] = np.add.reduceat(per_slot, bases, dtype=np.int64)
+        return sums
 
-    def near_pages(self) -> int:
-        """Machine-wide pages held uncompressed in DRAM."""
-        u = self.used
-        return int(np.count_nonzero(
-            self.resident[:u] & (self.state[:u] == PageState.NEAR)
-        ))
-
-    def far_pages(self) -> int:
-        """Machine-wide pages held compressed in the zswap arena."""
-        u = self.used
-        return int(np.count_nonzero(
-            self.resident[:u] & (self.state[:u] == PageState.FAR)
-        ))
+    def tier_pages(self) -> np.ndarray:
+        """Every row's resident ``[near, far]`` page counts, as an int64
+        ``(rows, 2)`` array indexed by pool row."""
+        res = self.resident[: self.used]
+        far = self._row_sums(res & (self.state[: self.used] == _FAR))
+        return np.stack([self._row_sums(res) - far, far], axis=1)
 
     def cold_pages(self, threshold_seconds: float) -> int:
         """Machine-wide resident pages idle at least ``threshold_seconds``."""
@@ -460,11 +482,10 @@ class MachinePagePool:
 
         The zero-copy half of the telemetry fast path: one fancy-index
         gather per histogram column (the gathers *are* the copies — the
-        returned arrays never alias live pool storage) plus a single
-        cumulative-sum sweep over the rows' covering page span for the
-        per-row resident counts.  No per-job Python loop runs here; the
-        exporter packs the result into a
-        :class:`~repro.model.trace.TelemetryBlock` as-is.
+        returned arrays never alias live pool storage) plus one
+        segment-wise reduction for the per-row resident counts.  No
+        per-job Python loop runs here; the exporter packs the result into
+        a :class:`~repro.model.trace.TelemetryBlock` as-is.
 
         Args:
             rows: pool row ordinals of the memcgs to export, in export
@@ -481,39 +502,8 @@ class MachinePagePool:
             per-memcg scalar reads.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        n = rows.size
-        nbins = self._nbins
-        if n == 0:
-            return {
-                "promotion_counts": np.zeros((0, nbins), dtype=np.int64),
-                "promotion_young": np.zeros(0, dtype=np.int64),
-                "cold_counts": np.zeros((0, nbins), dtype=np.int64),
-                "cold_young": np.zeros(0, dtype=np.int64),
-                "working_set_pages": np.zeros(0, dtype=np.int64),
-                "resident_pages": np.zeros(0, dtype=np.int64),
-            }
         cold_counts = self.cold_counts[rows]
         cold_young = self.cold_young[rows]
-        # Per-row resident counts: gather exactly the rows' page slots
-        # (segments are contiguous; np.repeat builds the concatenated
-        # ranges) and reduce each segment with one prefix sum — the cost
-        # is O(pages owned by ``rows``), matching the scalar per-memcg
-        # ``count_nonzero`` walk even when other machines' segments share
-        # a cluster-scoped pool.
-        bases = self.row_base[rows]
-        sizes = self.row_size[rows]
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        total = int(ends[-1]) if n else 0
-        slots = (
-            np.repeat(bases - starts, sizes)
-            + np.arange(total, dtype=np.int64)
-        )
-        prefix = np.concatenate([
-            np.zeros(1, dtype=np.int64),
-            np.cumsum(self.resident[slots], dtype=np.int64),
-        ])
-        resident = prefix[ends] - prefix[starts]
         # Working set: young pages plus every bin strictly below the
         # window (the vectorized twin of ``slo.working_set_pages``).
         idx = bisect_left(self.bins.thresholds, min_cold_age_seconds)
@@ -524,7 +514,7 @@ class MachinePagePool:
             "cold_counts": cold_counts,
             "cold_young": cold_young,
             "working_set_pages": working_set,
-            "resident_pages": resident,
+            "resident_pages": self._row_sums(self.resident[: self.used])[rows],
         }
 
     # ------------------------------------------------------------------
@@ -587,7 +577,8 @@ class MachinePagePool:
         saturating increment, two-list LRU maintenance, dirty-page payload
         resampling (per memcg, with that memcg's own RNG, in iteration
         order — the draw sequences match the scalar kernel exactly), and
-        the incremental cold-age histogram fold.
+        a recount of every cold-age histogram (the result the scalar
+        kernel's incremental fold must reach).
 
         Args:
             memcgs: every memcg bound to the pool (all machines' memcgs
@@ -659,22 +650,11 @@ class MachinePagePool:
                 memcg.invalidate_reclaim_cache()
         self.dirtied[:u] &= not_res
 
-        self._update_cold_histograms_pooled(u, res, age, owner)
+        self._recount_cold_histograms(res, age, owner)
 
         if invariants_enabled():
             for memcg in memcg_list:
                 check_memcg_histogram(memcg)
-        # Per-row resident counts: what the scalar kernel books as
-        # ``pages_scanned`` per memcg.  Kept for the cluster layer, which
-        # attributes one pooled scan back to many machines' kstaleds.
-        # Segments tile [0, used) contiguously, so one segment-wise
-        # reduction in base order counts every row.
-        live = np.flatnonzero(self.row_size)
-        live = live[np.argsort(self.row_base[live])]
-        self.last_scan_row_pages = np.zeros(self._row_cap, dtype=np.int64)
-        self.last_scan_row_pages[live] = np.add.reduceat(
-            res, self.row_base[live], dtype=np.int64
-        )
         return int(self.last_scan_row_pages.sum())
 
     def _propagate_huge_bits_pooled(self, u: int, res: np.ndarray) -> None:
@@ -693,48 +673,26 @@ class MachinePagePool:
             aggregate = np.bincount(groups, weights=bits[hp], minlength=u) > 0
             bits[hp] = aggregate[groups]
 
-    def _update_cold_histograms_pooled(
-        self, u: int, res: np.ndarray, age: np.ndarray, owner: np.ndarray
+    def _recount_cold_histograms(
+        self, res: np.ndarray, age: np.ndarray, owner: np.ndarray
     ) -> None:
-        """Incremental cold-age fold for all memcgs: the pooled twin of
-        ``MemCg._update_cold_histogram`` (same changed-bin detection, same
-        ±1 contributions, summed per (row, bin) by bincount)."""
-        # Branch-free: every slot's bin, then non-resident slots shifted
-        # to the no-page sentinel (``clip`` only bounds the lookup).
-        new_bins = self._bin_lut.take(age, mode="clip")
-        new_bins -= _HIST_NO_PAGE
-        new_bins *= res
-        new_bins += _HIST_NO_PAGE
-        hist_bin = self.hist_bin[:u]
-        changed = np.flatnonzero(new_bins != hist_bin)
-        if changed.size == 0:
-            return
-        rows = owner[changed].astype(np.int64)
-        old = hist_bin[changed].astype(np.int64)
-        new = new_bins[changed].astype(np.int64)
-        flat = self.cold_counts.reshape(-1)
-        nbins = self._nbins
-        old_binned = old >= 0
-        if old_binned.any():
-            flat -= np.bincount(
-                rows[old_binned] * nbins + old[old_binned], minlength=flat.size
-            )
-        old_young = old == _HIST_YOUNG
-        if old_young.any():
-            self.cold_young -= np.bincount(
-                rows[old_young], minlength=self._row_cap
-            )
-        new_binned = new >= 0
-        if new_binned.any():
-            flat += np.bincount(
-                rows[new_binned] * nbins + new[new_binned], minlength=flat.size
-            )
-        new_young = new == _HIST_YOUNG
-        if new_young.any():
-            self.cold_young += np.bincount(
-                rows[new_young], minlength=self._row_cap
-            )
-        hist_bin[changed] = new_bins[changed]
+        """Recount every row's cold-age snapshot from live page ages.
+
+        One ``bincount`` keyed by ``(row, bin + 2)``: column 0 collects
+        the slots holding no page, column 1 the young bucket (bin -1).
+        The no-page column also yields each row's resident count, which
+        is what the scan books as pages examined.  Free rows count zero.
+        """
+        width = self._nbins + 2
+        keys = self._bin_lut.take(age, mode="clip")
+        keys -= _HIST_NO_PAGE
+        keys *= res
+        counts = np.bincount(
+            owner * width + keys, minlength=self._row_cap * width
+        ).reshape(self._row_cap, width)
+        self.cold_young[:] = counts[:, 1]
+        self.cold_counts[:] = counts[:, 2:]
+        self.last_scan_row_pages = self.row_size - counts[:, 0]
 
     # ------------------------------------------------------------------
     # Pooled kreclaimd candidate evaluation
@@ -748,9 +706,10 @@ class MachinePagePool:
         Builds the eligibility mask (resident, NEAR, evictable,
         compressible, age at or beyond the *owning memcg's* threshold) in
         a single pass — per-row thresholds are pre-encoded in
-        ``row_reclaim_thr`` (maintained by the memcg property setters, so
-        no per-memcg gather loop runs here) — then groups the candidate
-        list back into memcg-local indices along segment boundaries.
+        ``row_reclaim_thr`` (maintained by the memcg property setters) and
+        spread to their slots with one ``np.repeat`` over the segments in
+        base order — then groups the candidate list back into memcg-local
+        indices along segment boundaries.
         Memcgs with zswap disabled or a non-finite threshold carry the
         never-matches sentinel and yield nothing, matching
         ``MemCg.reclaim_candidates``.
@@ -762,13 +721,14 @@ class MachinePagePool:
         u = self.used
         if u == 0:
             return []
-        owner = self.owner_row[:u]
+        seg_rows, _bases, sizes = self.segments()
+        thresholds = np.repeat(self.row_reclaim_thr[seg_rows], sizes)
         mask = (
             self.resident[:u]
             & (self.state[:u] == PageState.NEAR)
             & ~self.unevictable[:u]
             & ~self.incompressible[:u]
-            & (self.age_scans[:u] >= self.row_reclaim_thr[owner])
+            & (self.age_scans[:u] >= thresholds)
         )
         cand = np.flatnonzero(mask)
         if cand.size == 0:
@@ -776,7 +736,7 @@ class MachinePagePool:
         # Segments are contiguous, so candidates sorted by slot are also
         # grouped by owning row; one boundary scan replaces the two
         # searchsorted calls per memcg.
-        rows = owner[cand]
+        rows = self.owner_row[cand]
         starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         bounds = np.append(starts[1:], rows.size)
         spans = {

@@ -240,7 +240,7 @@ class Machine:
     def near_bytes(self) -> int:
         """DRAM used by uncompressed pages."""
         if self._private_pool is not None:
-            return self._private_pool.near_pages() * PAGE_SIZE
+            return int(self._private_pool.tier_pages()[:, 0].sum()) * PAGE_SIZE
         total = 0
         for memcg in self.memcgs.values():
             total += memcg.near_pages
@@ -260,7 +260,7 @@ class Machine:
     def far_pages(self) -> int:
         """Pages currently stored compressed, machine-wide."""
         if self._private_pool is not None:
-            return self._private_pool.far_pages()
+            return int(self._private_pool.tier_pages()[:, 1].sum())
         total = 0
         for memcg in self.memcgs.values():
             total += memcg.far_pages
@@ -408,12 +408,14 @@ class Machine:
     # Daemons
     # ------------------------------------------------------------------
 
-    def tick(self, now: int) -> None:
+    def tick(self, now: int, far_pages: Optional[int] = None) -> None:
         """Advance machine time: run kstaled (if due) and kreclaimd.
 
         The node agent's control loop runs *between* kstaled scans and
         kreclaimd passes; the cluster layer sequences
         ``machine.tick -> agent.control -> machine.run_reclaim``.
+        ``far_pages`` is this tick's far-page count when the caller has
+        it (the cluster counts a shared pool's machines in one pass).
         """
         require(now >= self.now, "time went backwards")
         self.now = now
@@ -424,7 +426,7 @@ class Machine:
             # else's segments too.
             self.kstaled.maybe_scan(now, self.memcgs.values(), pool=self.pool)
         self._g_arena.set(self.arena.footprint_bytes)
-        self._g_far.set(self.far_pages)
+        self._g_far.set(self.far_pages if far_pages is None else far_pages)
         if invariants_enabled():
             check_machine_accounting(self)
 

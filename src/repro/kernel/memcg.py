@@ -268,8 +268,9 @@ class MemCg:
                 state at the next scan and resamples payload content).
 
         Returns:
-            Indices of touched pages that were in far memory — the caller
-            must route them through zswap decompression (promotion).
+            Indices of touched pages that were in far memory, each once,
+            in first-occurrence order — the caller must route them
+            through zswap decompression (promotion).
         """
         indices = np.asarray(indices)
         if indices.size == 0:
@@ -278,7 +279,11 @@ class MemCg:
         self.accessed[live] = True
         if write:
             self.dirtied[live] = True
-        return live[self.state[live] == _FAR]
+        far = live[self.state[live] == _FAR]
+        if far.size > 1 and not (far[1:] > far[:-1]).all():
+            # A slot repeated in one touch faults once, where it first occurs.
+            far = far[np.sort(np.unique(far, return_index=True)[1])]
+        return far
 
     @classmethod
     def promote_batch(cls, faults: Sequence[Fault]) -> None:
@@ -501,7 +506,8 @@ class MemCg:
         re-added.  A memcg where nothing moved (no touches, every page at
         the saturated age, no churn) exits without touching the histogram
         at all — the idle-job fast path.  The result is always identical
-        to :meth:`_rebuild_cold_histogram`.
+        to :meth:`_rebuild_cold_histogram`.  This fold is the scalar
+        oracle; the columnar kernel recounts instead.
         """
         new_bins = np.full(self.capacity_pages, _HIST_NO_PAGE, dtype=np.int16)
         res = self.resident
@@ -521,26 +527,19 @@ class MemCg:
         if new_binned.size:
             hist.counts += np.bincount(new_binned, minlength=len(self.bins))
         hist.young_count += int((new == _HIST_YOUNG).sum())
-        # In-place so the cache array keeps its identity: the columnar
-        # kernel aliases ``_hist_bin`` into a machine-wide pool, and a
-        # rebind here would silently detach the memcg from the pool.
-        self._hist_bin[:] = new_bins
+        self._hist_bin = new_bins
 
-    def _rebuild_cold_histogram(self) -> None:
-        """Snapshot page ages into the cold-age histogram from scratch.
+    def _rebuild_cold_histogram(self) -> AgeHistogram:
+        """The cold-age snapshot recounted from live page ages.
 
-        Kept as the ground-truth (and cache-reseeding) path; the scan uses
-        the incremental :meth:`_update_cold_histogram`.
+        Side-effect free: the ground truth that the scan's incremental
+        fold (and the columnar kernel's pooled recount) must reproduce.
         """
-        self.cold_age_histogram.clear()
-        res = self.resident
-        ages = np.minimum(self.age_scans[res], MAX_PAGE_AGE_SCANS)
-        self._hist_bin.fill(_HIST_NO_PAGE)
-        self._hist_bin[res] = self._bin_lut[ages]
-        binned = self._hist_bin[res]
-        self.cold_age_histogram.young_count = int((binned == _HIST_YOUNG).sum())
+        hist = AgeHistogram(self.bins)
+        ages = np.minimum(self.age_scans[self.resident], MAX_PAGE_AGE_SCANS)
+        binned = self._bin_lut[ages]
+        hist.young_count = int(np.count_nonzero(binned == _HIST_YOUNG))
         valid = binned[binned >= 0]
         if valid.size:
-            self.cold_age_histogram.counts += np.bincount(
-                valid, minlength=len(self.bins)
-            )
+            hist.counts += np.bincount(valid, minlength=len(self.bins))
+        return hist

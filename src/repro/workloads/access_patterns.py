@@ -17,8 +17,9 @@ measures in real WSC jobs:
   adversarial case for age-based cold detection.
 
 Every pattern implements :class:`AccessPattern`: ``step`` returns the page
-indices read and written during one simulator tick.  Patterns own no page
-state; they index into the job's page space ``[0, n_pages)``.
+indices read and written during one simulator tick, thinned to an
+activity ``level``.  Patterns own no page state; they index into the
+job's page space ``[0, n_pages)``.
 """
 
 from __future__ import annotations
@@ -55,10 +56,30 @@ class AccessPattern(abc.ABC):
         self.n_pages = int(n_pages)
 
     @abc.abstractmethod
-    def step(
-        self, now: int, interval_seconds: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Page indices ``(reads, writes)`` touched during this interval."""
+    def step(self, now: int, interval_seconds: int, rng: np.random.Generator,
+             level: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+        """Page indices ``(reads, writes)`` touched during this interval.
+
+        Below full activity (``level < 1``) each touched page survives
+        with probability ``level``, and the writes are the surviving
+        writes (see :class:`DiurnalModulation`).
+        """
+
+
+def _split_writes(touched: np.ndarray, write_fraction: float, level: float,
+                  rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """The write split of ``touched`` pages, then the activity thinning.
+
+    Below full activity the ``k`` write and ``k`` keep doubles come from
+    one ``rng.random(2k)`` call: the same doubles, in the same order, as
+    two ``random(k)`` calls.
+    """
+    k = touched.size
+    if level >= 1.0:
+        return touched, touched[rng.random(k) < write_fraction]
+    draws = rng.random(2 * k)
+    keep = draws[k:] < level
+    return touched[keep], touched[(draws[:k] < write_fraction) & keep]
 
 
 class HeterogeneousPoissonPattern(AccessPattern):
@@ -87,9 +108,8 @@ class HeterogeneousPoissonPattern(AccessPattern):
         self._touch_prob_interval: Optional[int] = None
         self._touch_prob: Optional[np.ndarray] = None
 
-    def step(
-        self, now: int, interval_seconds: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def step(self, now: int, interval_seconds: int, rng: np.random.Generator,
+             level: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
         # The rates are fixed and the simulator ticks at a constant
         # interval, so the per-page touch probabilities are computed once
         # and reused every tick.
@@ -97,10 +117,7 @@ class HeterogeneousPoissonPattern(AccessPattern):
             self._touch_prob_interval = interval_seconds
             self._touch_prob = -np.expm1(-self.rates * interval_seconds)
         touched = np.flatnonzero(rng.random(self.n_pages) < self._touch_prob)
-        if touched.size == 0:
-            return touched, touched
-        writes = touched[rng.random(touched.size) < self.write_fraction]
-        return touched, writes
+        return _split_writes(touched, self.write_fraction, level, rng)
 
 
 def make_rates_for_cold_fraction(
@@ -212,9 +229,8 @@ class ZipfianPattern(AccessPattern):
         weights = 1.0 / np.power(np.arange(1, n_pages + 1, dtype=np.float64), alpha)
         self._cdf = np.cumsum(weights / weights.sum())
 
-    def step(
-        self, now: int, interval_seconds: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def step(self, now: int, interval_seconds: int, rng: np.random.Generator,
+             level: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
         n_accesses = rng.poisson(self.accesses_per_second * interval_seconds)
         if n_accesses == 0:
             empty = np.zeros(0, dtype=np.int64)
@@ -229,9 +245,7 @@ class ZipfianPattern(AccessPattern):
         # CDF's floating-point tail maps to index ``n_pages``.
         mask = np.zeros(self.n_pages + 1, dtype=bool)
         mask[pages] = True
-        touched = np.flatnonzero(mask)
-        writes = touched[rng.random(touched.size) < self.write_fraction]
-        return touched, writes
+        return _split_writes(np.flatnonzero(mask), self.write_fraction, level, rng)
 
 
 class ScanPattern(AccessPattern):
@@ -259,9 +273,8 @@ class ScanPattern(AccessPattern):
         self.period_seconds = int(period_seconds)
         self.sweep_seconds = int(sweep_seconds)
 
-    def step(
-        self, now: int, interval_seconds: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def step(self, now: int, interval_seconds: int, rng: np.random.Generator,
+             level: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
         start = now % self.period_seconds
         end = start + interval_seconds
         lo = self._position(start)
@@ -270,6 +283,8 @@ class ScanPattern(AccessPattern):
             touched = np.arange(lo, hi, dtype=np.int64)
         else:
             touched = np.zeros(0, dtype=np.int64)
+        if level < 1.0:
+            touched = touched[rng.random(touched.size) < level]
         return touched, np.zeros(0, dtype=np.int64)
 
     def _position(self, t: int) -> int:
@@ -308,9 +323,8 @@ class PhasedPattern(AccessPattern):
         self._phase_index: Optional[int] = None
         self._hot_start = 0
 
-    def step(
-        self, now: int, interval_seconds: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def step(self, now: int, interval_seconds: int, rng: np.random.Generator,
+             level: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
         phase = now // self.phase_seconds
         if phase != self._phase_index:
             self._phase_index = phase
@@ -327,9 +341,7 @@ class PhasedPattern(AccessPattern):
         else:
             mask[self._hot_start :] = True
             mask[: end - self.n_pages] = True
-        touched = np.flatnonzero(mask)
-        writes = touched[rng.random(touched.size) < 0.2]
-        return touched, writes
+        return _split_writes(np.flatnonzero(mask), 0.2, level, rng)
 
 
 class DiurnalModulation(AccessPattern):
@@ -362,22 +374,10 @@ class DiurnalModulation(AccessPattern):
         angle = 2.0 * math.pi * ((now + self.phase_seconds) % DAY) / DAY
         return 1.0 - self.amplitude * 0.5 * (1.0 - math.cos(angle))
 
-    def step(
-        self, now: int, interval_seconds: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        reads, writes = self.inner.step(now, interval_seconds, rng)
-        level = self.activity_level(now)
-        if level >= 1.0 or reads.size == 0:
-            return reads, writes
-        keep = rng.random(reads.size) < level
-        kept_reads = reads[keep]
-        if writes.size == 0:
-            return kept_reads, writes
-        # Every pattern in this module returns sorted-unique reads with
-        # writes a subset of them, so the surviving writes are just the
-        # writes whose position in ``reads`` kept its page — no need for
-        # ``np.intersect1d``'s sort.  Writes absent from ``reads`` (foreign
-        # patterns) are dropped, exactly as the intersection would.
-        pos = np.minimum(np.searchsorted(reads, writes), reads.size - 1)
-        kept_writes = writes[(reads[pos] == writes) & keep[pos]]
-        return kept_reads, kept_writes
+    def step(self, now: int, interval_seconds: int, rng: np.random.Generator,
+             level: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+        # The inner pattern thins its own draws: the keep split rides on
+        # its write split's random draw.  Nested levels multiply.
+        return self.inner.step(
+            now, interval_seconds, rng, level * self.activity_level(now)
+        )

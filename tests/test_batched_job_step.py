@@ -263,13 +263,18 @@ def test_backends_agree_over_a_churning_run():
                  memcg.promotion_histogram.counts.tobytes(),
                  memcg.promotion_histogram.young_count,
                  memcg.cold_age_histogram.counts.tobytes(),
+                 memcg.cold_age_histogram.young_count,
                  memcg.promoted_pages_total)
                 for job, memcg in machine.memcgs.items()
             ) for machine in machines],
+            [(machine.kstaled.pages_scanned, machine.registry.get(
+                "repro_far_pages").labels(machine=machine.machine_id).value)
+             for machine in machines],
         ))
     assert sum(
         memcg[-1] for machine in snapshots[0][4] for memcg in machine
     ) > 0
     assert any(job.startswith("churn") for job, *_ in snapshots[0][2][0])
+    assert any(far for _scanned, far in snapshots[0][5])
     assert snapshots[1] == snapshots[0]
     assert snapshots[2] == snapshots[0]

@@ -15,11 +15,9 @@ from repro.kernel.memcg import MemCg, PageState
 
 def assert_histogram_matches_rebuild(memcg: MemCg) -> None:
     """The incremental snapshot must equal a from-scratch rebuild."""
-    counts = memcg.cold_age_histogram.counts.copy()
-    young = memcg.cold_age_histogram.young_count
-    memcg._rebuild_cold_histogram()
-    np.testing.assert_array_equal(counts, memcg.cold_age_histogram.counts)
-    assert young == memcg.cold_age_histogram.young_count
+    truth = memcg._rebuild_cold_histogram()
+    np.testing.assert_array_equal(memcg.cold_age_histogram.counts, truth.counts)
+    assert memcg.cold_age_histogram.young_count == truth.young_count
 
 
 class TestIncrementalHistogram:
@@ -67,9 +65,7 @@ class TestIncrementalHistogram:
         from repro.checks.invariants import set_invariants_enabled
 
         # The fast path is observed via object identity of the cached
-        # bins; the REPRO_CHECKS histogram invariant (on by default in
-        # this suite) reseeds that cache after every scan, so pin the
-        # checks off for this one observer-effect-sensitive test.
+        # bins; pin the REPRO_CHECKS hooks off so only the scan runs.
         set_invariants_enabled(False)
         try:
             memcg.allocate(300)

@@ -1,0 +1,282 @@
+"""Segment-wise pooled accounting against the per-memcg ground truth.
+
+A cluster-scoped :class:`~repro.kernel.columnar.MachinePagePool` recounts
+every cold-age histogram with one ``bincount`` per scan and counts every
+row's near and far pages with one segment-wise pass per tick; the cluster
+sums those rows per machine for the far-pages gauge and the over-capacity
+test.  These tests pin both against what each memcg computes for itself
+(``_rebuild_cold_histogram``, ``near_pages``/``far_pages``) through
+churn (segment compaction and row reuse), huge pages, promotions and a
+pressure eviction that the three kernel backends must handle alike.
+They also cover the ``REPRO_CHECKS`` hook that guards the recount, and
+the touch of a page listed twice in one batch.
+"""
+
+import numpy as np
+import pytest
+
+from repro.checks.invariants import (
+    InvariantViolation,
+    check_machine_accounting,
+    check_memcg_histogram,
+    set_invariants_enabled,
+)
+from repro.cluster.cluster import Cluster
+from repro.common.rng import SeedSequenceFactory
+from repro.common.units import MIB, PAGE_SIZE
+from repro.kernel.columnar import MachinePagePool
+from repro.kernel.compression import ContentProfile
+from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
+from repro.kernel.memcg import PageState
+from repro.obs import MetricRegistry, Tracer
+from repro.workloads.access_patterns import ZipfianPattern
+from repro.workloads.job_generator import JobSpec
+
+_PROFILE = ContentProfile(incompressible_fraction=0.1, min_ratio=1.5)
+_HUGE = 8
+
+
+def _cluster(kernel="columnar", scope="cluster", machines=3, dram=64 * MIB,
+             overcommit=0.0, placement="best_fit"):
+    config = MachineConfig(
+        dram_bytes=dram, mode=FarMemoryMode.PROACTIVE, kernel=kernel,
+        scan_period=60,
+    )
+    return Cluster(
+        "c", machines, config, SeedSequenceFactory(11),
+        overcommit=overcommit, placement=placement, pool_scope=scope,
+        registry=MetricRegistry(), tracer=Tracer(),
+    )
+
+
+def _exact_tiers(cluster):
+    return [
+        [machine.near_bytes // PAGE_SIZE, machine.far_pages]
+        for machine in cluster.machines
+    ]
+
+
+def _assert_pool_counts(cluster, scanned):
+    """Per-row and per-machine counts equal each memcg's own."""
+    pool = cluster.pool
+    tiers = pool.tier_pages()
+    live = set()
+    for machine in cluster.machines:
+        for memcg in machine.memcgs.values():
+            row = memcg._pool_row
+            live.add(row)
+            assert tiers[row].tolist() == [memcg.near_pages, memcg.far_pages]
+            if scanned:
+                truth = memcg._rebuild_cold_histogram()
+                assert pool.cold_counts[row].tolist() == truth.counts.tolist()
+                assert int(pool.cold_young[row]) == truth.young_count
+                assert pool.last_scan_row_pages[row] == memcg.resident_pages
+    free = [row for row in range(len(tiers)) if row not in live]
+    assert not tiers[free].any()
+    if scanned:
+        assert not pool.cold_counts[free].any()
+        assert not pool.cold_young[free].any()
+        assert not pool.last_scan_row_pages[free].any()
+    assert cluster._tier_pages() == _exact_tiers(cluster)
+    # The cached segment table matches one rebuilt from scratch.
+    rows, bases, sizes = pool.segments()
+    fresh = np.flatnonzero(pool.row_size)
+    fresh = fresh[np.argsort(pool.row_base[fresh])]
+    assert rows.tolist() == fresh.tolist()
+    assert bases.tolist() == pool.row_base[fresh].tolist()
+    assert sizes.tolist() == pool.row_size[fresh].tolist()
+    assert int(sizes.sum()) == pool.used
+
+
+def _random_op(rng, cluster, next_job):
+    machine = cluster.machines[int(rng.integers(len(cluster.machines)))]
+    jobs = sorted(machine.memcgs)
+    op = int(rng.integers(8))
+    if op == 0 or not jobs:
+        job = f"j{next_job}"
+        machine.add_job(job, int(rng.integers(16, 97)), _PROFILE)
+        machine.allocate(job, int(rng.integers(1, 17)))
+        return next_job + 1
+    job = jobs[int(rng.integers(len(jobs)))]
+    memcg = machine.memcgs[job]
+    if op == 1 and len(jobs) > 1:
+        machine.remove_job(job)  # compacts the segments behind it
+    elif op == 2:
+        free = memcg.capacity_pages - memcg.resident_pages
+        if free:
+            machine.allocate(job, int(rng.integers(1, free + 1)))
+    elif op == 3:
+        live = np.flatnonzero(memcg.resident)
+        if live.size > 2:
+            machine.release(job, rng.choice(live, size=live.size // 3,
+                                             replace=False))
+    elif op == 4:
+        near = np.flatnonzero(
+            memcg.resident & (memcg.state == PageState.NEAR)
+            & (memcg.huge_group < 0)
+        )
+        if near.size:
+            pick = rng.choice(near, size=max(1, near.size // 2), replace=False)
+            machine.zswap.compress(memcg, np.sort(pick))
+    elif op == 5:
+        live = np.flatnonzero(memcg.resident)
+        if live.size:
+            # Repeated slots on purpose: each far page promotes once.
+            machine.touch(job, rng.choice(live, size=live.size),
+                          write=bool(rng.integers(2)))
+    elif op == 6:
+        near = memcg.resident & (memcg.state == PageState.NEAR)
+        for start in range(0, memcg.capacity_pages - _HUGE + 1, _HUGE):
+            window = slice(start, start + _HUGE)
+            if near[window].all() and (memcg.huge_group[window] < 0).all():
+                memcg.map_huge(start, _HUGE)
+                break
+    else:
+        memcg.age_scans[memcg.resident] = rng.integers(
+            0, 300, memcg.resident_pages
+        ).clip(max=255)
+    return next_job
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pooled_counts_match_every_memcg(seed):
+    rng = np.random.default_rng(seed)
+    cluster = _cluster()
+    next_job = 0
+    for step in range(240):
+        next_job = _random_op(rng, cluster, next_job)
+        scanned = step % 6 == 5
+        if scanned:
+            cluster.pool.scan_all([
+                memcg for machine in cluster.machines
+                for memcg in machine.memcgs.values()
+            ])
+        _assert_pool_counts(cluster, scanned)
+    assert next_job > len(cluster.pool.row_memcg) // 2  # rows were reused
+
+
+def _spec(job_id, pages, priority):
+    return JobSpec(
+        job_id=job_id, pages=pages, cpu_cores=1.0, priority=priority,
+        content_profile=ContentProfile(incompressible_fraction=0.0,
+                                       min_ratio=2.0),
+        pattern_factory=lambda rng: ZipfianPattern(pages, 0.05),
+    )
+
+
+def _overloaded(kernel, scope):
+    """Two 4 MiB machines; promotions push the first over capacity."""
+    cluster = _cluster(kernel, scope, machines=2, dram=4 * MIB,
+                       overcommit=1.0, placement="spread")
+    first, second = cluster.machines
+    cluster.submit(_spec("a0", 700, 0))  # first machine (tie)
+    cluster.submit(_spec("b0", 900, 1))  # the emptier machine
+    a0 = first.memcgs["a0"]
+    first.zswap.compress(a0, np.arange(650))
+    cluster.submit(_spec("a1", 500, 2))  # the emptier machine again
+    assert set(first.memcgs) == {"a0", "a1"}
+    first.touch("a0", np.arange(700))  # every far page promotes
+    assert first.free_bytes < 0 <= second.free_bytes
+    return cluster
+
+
+def _backend_state(cluster):
+    gauges = cluster.registry.get("repro_far_pages")
+    return (
+        sorted(cluster.running),
+        cluster.scheduler.evictions_total,
+        [s.value for _labels, s in gauges.series()],
+        [(m.far_pages, m.used_bytes, m.kstaled.pages_scanned)
+         for m in cluster.machines],
+        [sorted(
+            (job, memcg.cold_age_histogram.counts.tolist(),
+             memcg.cold_age_histogram.young_count, memcg.age_scans.tobytes())
+            for job, memcg in m.memcgs.items()
+        ) for m in cluster.machines],
+    )
+
+
+def test_over_capacity_machine_evicts_on_pooled_counts():
+    states = []
+    for kernel, scope in (("scalar", "machine"), ("columnar", "machine"),
+                          ("columnar", "cluster")):
+        cluster = _overloaded(kernel, scope)
+        assert cluster._tier_pages() == _exact_tiers(cluster)
+        cluster.tick()
+        # The lowest-priority job on the overloaded machine went.
+        assert "a0" not in cluster.running
+        assert cluster.scheduler.evictions_total == 1
+        assert all(m.free_bytes >= 0 for m in cluster.machines)
+        if cluster.pool is not None:
+            _assert_pool_counts(cluster, scanned=False)
+        for _ in range(5):
+            cluster.tick()
+        states.append(_backend_state(cluster))
+    assert states[1] == states[0]
+    assert states[2] == states[0]
+
+
+class TestRecountInvariant:
+    """Under REPRO_CHECKS the pooled snapshot is checked against a real
+    recount: the check reads the pool rows and writes nothing."""
+
+    @pytest.fixture(autouse=True)
+    def checks_on(self):
+        set_invariants_enabled(True)
+        yield
+        set_invariants_enabled(None)
+
+    def _scanned(self):
+        cluster = _cluster(machines=2)
+        for i, machine in enumerate(cluster.machines):
+            machine.add_job(f"j{i}", 64, _PROFILE)
+            machine.allocate(f"j{i}", 64)
+        memcgs = [m for mc in cluster.machines for m in mc.memcgs.values()]
+        for _ in range(4):
+            cluster.pool.scan_all(memcgs)
+        return cluster.pool, memcgs
+
+    def test_clean_pool_passes_and_is_untouched(self):
+        pool, memcgs = self._scanned()
+        before = pool.cold_counts.copy(), pool.cold_young.copy()
+        for memcg in memcgs:
+            check_memcg_histogram(memcg)
+        assert np.array_equal(pool.cold_counts, before[0])
+        assert np.array_equal(pool.cold_young, before[1])
+
+    def test_corrupt_pool_row_raises(self):
+        pool, memcgs = self._scanned()
+        pool.cold_counts[memcgs[1]._pool_row, 1] += 1
+        check_memcg_histogram(memcgs[0])
+        with pytest.raises(InvariantViolation, match="cold_histogram"):
+            check_memcg_histogram(memcgs[1])
+
+    def test_scan_with_a_faulty_recount_raises(self, monkeypatch):
+        pool, memcgs = self._scanned()
+        recount = MachinePagePool._recount_cold_histograms
+
+        def faulty(self, *args):
+            recount(self, *args)
+            self.cold_young[memcgs[0]._pool_row] -= 1
+
+        monkeypatch.setattr(MachinePagePool, "_recount_cold_histograms",
+                            faulty)
+        with pytest.raises(InvariantViolation, match="cold_histogram"):
+            pool.scan_all(memcgs)
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "columnar"])
+def test_repeated_slot_in_one_touch_promotes_once(kernel):
+    config = MachineConfig(dram_bytes=64 * MIB, kernel=kernel)
+    machine = Machine("m", config, seeds=SeedSequenceFactory(3),
+                      registry=MetricRegistry(), tracer=Tracer())
+    memcg = machine.add_job("j", 8, ContentProfile(incompressible_fraction=0.0,
+                                                   min_ratio=2.0))
+    machine.allocate("j", 8)
+    assert machine.zswap.compress(memcg, np.arange(8)) == 8
+
+    assert memcg.touch(np.array([5, 3, 5, 3, 6])).tolist() == [5, 3, 6]
+    assert machine.touch("j", np.array([3, 3, 4])) == 2
+    assert machine.far_pages == machine.arena.live_objects == 6
+    assert memcg.promoted_pages_total == 2
+    check_machine_accounting(machine)
