@@ -24,6 +24,7 @@ from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.kstaled import SCAN_SECONDS_PER_PAGE, Kstaled
 from repro.kernel.memcg import MemCg
+from repro.kernel.oracle import ScalarPagePool
 from repro.workloads import HeterogeneousPoissonPattern, make_rates_for_cold_fraction
 
 N_PAGES = 64 * 512  # 64 huge-page regions
@@ -70,6 +71,8 @@ def detection_run():
         np.random.default_rng(1),
     )
     memcg.allocate(N_PAGES)
+    pool = ScalarPagePool(memcg.bins, memcg.scan_period)
+    pool.add(memcg)
     kstaled = Kstaled()
     thermostat = ThermostatDetector(
         N_PAGES,
@@ -84,7 +87,8 @@ def detection_run():
         if t % thermostat.config.epoch_seconds == 0 and t > 0:
             thermostat.end_epoch(t)
             thermostat.begin_epoch(rng)
-        kstaled.maybe_scan(t, [memcg])
+        if kstaled.due(t):
+            kstaled.record_scan(pool.scan_all([memcg]))
     return rates, memcg, kstaled, thermostat
 
 

@@ -73,12 +73,12 @@ class TelemetryExporter:
         tracer: span tracer (defaults to the process-global one).
     """
 
-    #: When True (the default) and both ends are columnar — the machine
-    #: runs a :class:`~repro.kernel.columnar.MachinePagePool` and the sink
-    #: implements ``add_block`` — each export window ships as one
+    #: When True (the default) and the sink implements ``add_block``,
+    #: each export window ships as one
     #: :class:`~repro.model.trace.TelemetryBlock` gathered straight from
-    #: pool columns, with no per-job ``TraceEntry`` objects.  Tests flip
-    #: this off to force the entry path as the bit-equivalence oracle.
+    #: the machine's page-pool columns, with no per-job ``TraceEntry``
+    #: objects.  Tests flip this off to force the entry path as the
+    #: bit-equivalence oracle.
     prefer_blocks: bool = True
 
     def __init__(
@@ -277,11 +277,7 @@ class TelemetryExporter:
         """True when this export ships on the block rung: the fastest
         of the delivery ladder (blocks gathered from pool columns, one
         ``add_batch`` of entries, per-entry ``add``) both ends support."""
-        return (
-            self.prefer_blocks
-            and self.machine.pool is not None
-            and hasattr(self.sink, "add_block")
-        )
+        return self.prefer_blocks and hasattr(self.sink, "add_block")
 
     def _period_baseline(
         self, now: int, job_id: str, memcg
@@ -309,9 +305,7 @@ class TelemetryExporter:
     def _export_entries(self, now: int, entry_time: int) -> None:
         """Object-path export window (the block rung's oracle)."""
         batch: Optional[List[TraceEntry]] = (
-            [] if (self.machine.pool is not None
-                   and hasattr(self.sink, "add_batch"))
-            else None
+            [] if hasattr(self.sink, "add_batch") else None
         )
         for job_id, memcg in self.machine.memcgs.items():
             last = self._period_baseline(now, job_id, memcg)

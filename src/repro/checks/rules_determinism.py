@@ -218,7 +218,7 @@ _PAGE_AXIS_ATTRS = frozenset(
     {
         "resident", "age_scans", "accessed", "state", "incompressible",
         "dirtied", "unevictable", "payload_bytes", "lru_active",
-        "huge_group", "reclaim_mask", "owner_row",
+        "huge_group", "owner_row",
         "used", "capacity_pages",
     }
 )

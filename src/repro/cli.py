@@ -307,7 +307,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"equivalent={tick['equivalent']})",
     ))
     eq = report["equivalence"]
-    print(f"equivalence: scalar == columnar/machine == columnar/cluster "
+    print(f"equivalence: scalar reference == columnar page pool "
           f"over {eq['simulated_hours']:g} h of churn: {eq['equivalent']} "
           f"({eq['sli_samples']} SLI samples)")
     speedup = report["speedup"]
@@ -704,9 +704,9 @@ def cmd_ci(args: argparse.Namespace) -> int:
             print("ci: trace bench smoke passed "
                   f"(peak-mem ratio {report['peak_mem_ratio']:.3f})")
     if exit_code == 0 and not args.skip_bench:
-        # And for the fleet kernel: the columnar backends (machine- and
-        # cluster-pooled) must replay a churning fleet bit-identically
-        # to the scalar oracle.  Equivalence only — never timing.
+        # And for the fleet kernel: the columnar page pool must replay a
+        # churning fleet bit-identically to the scalar reference pool.
+        # Equivalence only — never timing.
         from repro.engine.bench import columnar_equivalence
 
         print("ci: running columnar kernel equivalence smoke ...")
@@ -714,14 +714,14 @@ def cmd_ci(args: argparse.Namespace) -> int:
                                       hours=0.25)
         if not report["equivalent"]:
             print("ci: columnar equivalence smoke FAILED "
-                  "(pooled kernel diverged from the scalar oracle)",
+                  "(columnar pool diverged from the scalar reference)",
                   file=sys.stderr)
             exit_code = 1
         else:
             print("ci: columnar equivalence smoke passed "
                   f"({report['sli_samples']} SLI samples, cold-age "
-                  "histograms and far-page gauges identical across "
-                  "scalar, machine-pooled, cluster-pooled)")
+                  "histograms and far-page gauges identical on the "
+                  "scalar reference and columnar pools)")
     if exit_code == 0 and not args.skip_bench:
         # Zero-copy telemetry: blocks gathered from pool columns must
         # leave byte-identical stores to the per-entry object oracle,

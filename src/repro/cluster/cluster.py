@@ -5,20 +5,21 @@ to one cluster): every machine runs the kernel daemons, a node agent with
 the §4.3 policy, and a telemetry exporter feeding the shared trace
 database.  The cluster advances all of them on a common clock and handles
 job lifecycle, memory-pressure eviction, and coverage sampling.
+
+All its machines keep their page state in the cluster's one page pool,
+so each layer runs as one round per tick over every due machine.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.agent.node_agent import NodeAgent, SliSample, control_agents
 from repro.agent.telemetry import TelemetryExporter, export_telemetry
 from repro.common.errors import OutOfMemoryError, SchedulingError
 from repro.common.events import EventKind, EventLog
-from repro.common.rng import SeedSequenceFactory
-from repro.common.simtime import DEFAULT_TICK_SECONDS, Clock, PeriodicSchedule
+from repro.common.rng import SeedSequenceFactory, seed_index
+from repro.common.simtime import DEFAULT_TICK_SECONDS, Clock
 from repro.common.units import MIN_COLD_AGE_THRESHOLD, PAGE_SIZE
 from repro.common.validation import check_positive
 from repro.core.coverage import CoverageSample
@@ -32,8 +33,12 @@ from repro.core.threshold_policy import (
 from repro.cluster.job import RunningJob
 from repro.cluster.scheduler import BorgScheduler
 from repro.cluster.trace_db import TraceDatabase
-from repro.kernel.columnar import MachinePagePool
-from repro.kernel.machine import Machine, MachineConfig
+from repro.kernel.machine import (
+    Machine,
+    MachineConfig,
+    reclaim_machines,
+    tick_machines,
+)
 from repro.obs import (
     MetricName,
     MetricRegistry,
@@ -66,14 +71,6 @@ class Cluster:
         bins: candidate-threshold grid; defaults to the paper grid.
         overcommit: scheduler memory overcommit fraction.
         placement: scheduler strategy ("best_fit" or "spread").
-        pool_scope: with the columnar kernel, where the page pool lives —
-            ``"machine"`` (default: each machine owns a private
-            :class:`~repro.kernel.columnar.MachinePagePool`) or
-            ``"cluster"`` (one pool shared by every machine; the cluster
-            scans and reclaims all of them in single pooled sweeps,
-            amortizing the per-machine numpy dispatch across the whole
-            engine shard).  Bit-equivalent by contract; ignored for the
-            scalar kernel.
         control_period: seconds between node-agent control rounds
             (default: one minute, the paper's cadence).  Dense
             simulation configs stretch it to trade SLI sampling
@@ -98,16 +95,11 @@ class Cluster:
         bins: Optional[AgeBins] = None,
         overcommit: float = 0.0,
         placement: str = "best_fit",
-        pool_scope: str = "machine",
         control_period: Optional[int] = None,
         registry: Optional[MetricRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
         check_positive(n_machines, "n_machines")
-        if pool_scope not in ("machine", "cluster"):
-            raise ValueError(
-                f'pool_scope must be "machine" or "cluster", got {pool_scope!r}'
-            )
         self.name = name
         self.seeds = seeds
         self.bins = bins if bins is not None else default_age_bins()
@@ -123,16 +115,9 @@ class Cluster:
 
         self._wire_event_bridge()
 
-        #: Cluster-scoped columnar pool (None = per-machine pools or the
-        #: scalar kernel).  Shared by every machine below; the cluster
-        #: drives the pooled scan/reclaim passes from :meth:`tick`.
-        self.pool: Optional[MachinePagePool] = None
-        self._scan_schedule: Optional[PeriodicSchedule] = None
-        if pool_scope == "cluster" and machine_config.kernel == "columnar":
-            self.pool = MachinePagePool(self.bins, machine_config.scan_period)
-            # Mirrors the schedule each machine's kstaled would follow, so
-            # pooled scans land at exactly the per-machine scan instants.
-            self._scan_schedule = PeriodicSchedule(machine_config.scan_period)
+        #: The page pool of every machine below; the cluster drives its
+        #: scan and reclaim rounds from :meth:`tick`.
+        self.pool = machine_config.make_pool(self.bins)
 
         self.machines: List[Machine] = [
             Machine(
@@ -316,7 +301,7 @@ class Cluster:
                 break
 
     def _job_index(self, spec: JobSpec) -> int:
-        return abs(hash(spec.job_id)) & 0x7FFFFFFF
+        return seed_index(spec.job_id, 31, absolute=True)
 
     def _cpu_of(self, job_id: str) -> float:
         try:
@@ -355,20 +340,14 @@ class Cluster:
 
             self._step_jobs(now)
 
-            self._pooled_scan(now)
-            for machine, (near, far) in zip(self.machines, self._tier_pages()):
-                machine.tick(now, far_pages=far)
+            tiers = tick_machines(self.machines, now)
+            for machine, (near, _far) in zip(self.machines, tiers):
                 self._relieve_pressure(machine, now, near)
 
-            # One control round and one export round for all due machines.
-            controlled = control_agents(
+            # One control, reclaim and export round for all due machines.
+            reclaim_machines(control_agents(
                 [a for a in self.agents.values() if a.schedule.due(now)], now
-            )
-            if self.pool is None:
-                for machine in controlled:
-                    machine.run_reclaim()
-            else:
-                self._pooled_reclaim(controlled)
+            ))
             export_telemetry(
                 [e for e in self.exporters.values() if e.schedule.due(now)],
                 now,
@@ -397,73 +376,6 @@ class Cluster:
                 )
             for machine, touches in batches.items():
                 machine.touch_jobs(touches)
-
-    def _pooled_scan(self, now: int) -> None:
-        """One kstaled pass for the whole cluster (cluster-scoped pool).
-
-        Equivalent to every machine scanning on its own tick — scans on
-        different machines touch disjoint pool segments and each memcg
-        draws from its own RNG stream, so hoisting them into one sweep
-        changes neither results nor draw sequences.  Pages and CPU cost
-        are booked back to each machine's kstaled so the per-machine
-        counters and metrics match the scalar kernel exactly.
-        """
-        if self._scan_schedule is None or not self._scan_schedule.due(now):
-            return
-        memcgs = [m for mc in self.machines for m in mc.memcgs.values()]
-        with self.tracer.span("kstaled.scan", sim_time=now):
-            self.pool.scan_all(memcgs)
-        pages = self._machine_sums(self.pool.last_scan_row_pages).tolist()
-        for machine, scanned in zip(self.machines, pages):
-            machine.kstaled.record_scan(scanned)
-
-    def _tier_pages(self) -> List[List[int]]:
-        """Every machine's ``[near, far]`` resident page counts, now.
-
-        A cluster-scoped pool counts all rows in one segment-wise pass.
-        A kstaled scan moves no page between tiers, so the counts hold
-        through every machine's tick until an eviction.
-        """
-        if self.pool is None:
-            return [[m.near_bytes // PAGE_SIZE, m.far_pages] for m in self.machines]
-        return self._machine_sums(self.pool.tier_pages()).tolist()
-
-    def _machine_sums(self, per_row: np.ndarray) -> np.ndarray:
-        """Sum a per-pool-row array (1-D or 2-D) over each machine's
-        memcgs: one gather in machine-major order, one prefix sum."""
-        rows = [m._pool_row for mc in self.machines for m in mc.memcgs.values()]
-        sizes = [len(machine.memcgs) for machine in self.machines]
-        ends = np.cumsum(sizes)
-        prefix = np.zeros((len(rows) + 1,) + per_row.shape[1:], dtype=np.int64)
-        np.cumsum(per_row[rows], axis=0, out=prefix[1:])
-        return prefix[ends] - prefix[ends - sizes]
-
-    def _pooled_reclaim(self, machines: List[Machine]) -> None:
-        """One reclaim round for every (proactive) machine whose agent
-        just ran.
-
-        Evaluates the shared pool's candidate mask once, then hands each
-        machine's kreclaimd its own ``(memcg, candidates)`` slice —
-        budgets, LRU ordering, compression, and metrics all stay
-        per-machine, identical to each machine reclaiming alone.
-        """
-        if not machines:
-            return
-        with self.tracer.span("kreclaimd.pairs"):
-            pairs = self.pool.reclaim_pairs(
-                [m for machine in machines for m in machine.memcgs.values()]
-            )
-        index = 0
-        for machine in machines:
-            own = machine.memcgs
-            mine = []
-            while (
-                index < len(pairs)
-                and own.get(pairs[index][0].job_id) is pairs[index][0]
-            ):
-                mine.append(pairs[index])
-                index += 1
-            machine.kreclaimd.run(own.values(), pairs=mine)
 
     def run(self, seconds: int) -> None:
         """Run the cluster forward by ``seconds``."""
@@ -529,7 +441,7 @@ class Cluster:
     def _relieve_pressure(self, machine: Machine, now: int, near: int) -> None:
         """Evict best-effort jobs while a machine is over capacity.
 
-        ``near`` is the tick's near-page count (:meth:`_tier_pages`);
+        ``near`` is the tick's near-page count (:func:`tick_machines`);
         after an eviction the machine is recounted exactly.
         """
         used = near * PAGE_SIZE + machine.arena.footprint_bytes

@@ -11,7 +11,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.common.rng import SeedSequenceFactory
+from repro.common.rng import SeedSequenceFactory, seed_index
 from repro.kernel.machine import Machine
 from repro.workloads.job_generator import JobSpec
 
@@ -38,7 +38,7 @@ class RunningJob:
         self.spec = spec
         self.machine = machine
         self.start_time = int(start_time)
-        job_index = abs(hash(spec.job_id)) & 0x7FFFFFFF
+        job_index = seed_index(spec.job_id, 31, absolute=True)
         self._pattern_rng = seeds.stream("pattern", job=job_index)
         self._drive_rng = seeds.stream("drive", job=job_index)
         self.pattern = spec.pattern_factory(self._pattern_rng)

@@ -287,8 +287,8 @@ def quickfleet(
     machine_dram_gib: float = 4.0,
     job_pages_range: Optional[tuple] = None,
     mode: FarMemoryMode = FarMemoryMode.PROACTIVE,
-    kernel: str = "scalar",
-    pool_scope: str = "machine",
+    kernel: str = "columnar",
+    pool_scope: str = "cluster",
     scan_period: Optional[int] = None,
     control_period: Optional[int] = None,
     policy_config: Optional[object] = None,
@@ -302,6 +302,9 @@ def quickfleet(
 ) -> WSC:
     """Build a small, ready-to-run fleet with a calibrated job mix.
 
+    Each cluster keeps the page state of all its machines in one page
+    pool (columnar unless ``kernel`` asks for the reference).
+
     Args:
         clusters: number of clusters.
         machines_per_cluster: machines per cluster.
@@ -311,13 +314,14 @@ def quickfleet(
         job_pages_range: (min_pages, max_pages) clip for job sizes;
             defaults to 4-32 MiB jobs so examples run in seconds.
         mode: far-memory mode for every machine.
-        kernel: page-state backend for every machine — ``"scalar"`` or
-            ``"columnar"`` (machine-pooled arrays, bit-equivalent; see
-            :mod:`repro.kernel.columnar`).
-        pool_scope: columnar pool placement — ``"machine"`` (private pool
-            per machine) or ``"cluster"`` (one shared pool per cluster;
-            scans and reclaim batch across all of a cluster's machines).
-            Ignored for the scalar kernel.
+        kernel: page-pool class of every cluster — ``"columnar"`` (see
+            :mod:`repro.kernel.columnar`) or the bit-equivalent reference
+            ``"scalar"`` (:mod:`repro.kernel.oracle`), which only
+            equivalence checks use.
+        pool_scope: accepted for older callers and must be
+            ``"cluster"``: every cluster owns exactly one page pool.  The
+            per-machine pools are gone, and any other value raises
+            :class:`ValueError`.
         scan_period: kstaled period override in seconds (defaults to the
             kernel default, 120 s).
         control_period: node-agent control round period override in
@@ -348,6 +352,12 @@ def quickfleet(
     Returns:
         A :class:`WSC` with all jobs placed (and optionally warmed up).
     """
+    if pool_scope != "cluster":
+        raise ValueError(
+            f"pool_scope={pool_scope!r}: per-machine page pools were "
+            f"removed; every cluster owns one page pool, so the only "
+            f'accepted value is "cluster"'
+        )
     seeds = SeedSequenceFactory(seed)
     if trace_db is None:
         trace_db = TraceDatabase()
@@ -378,7 +388,6 @@ def quickfleet(
             policy_config=policy_config,
             overcommit=0.0,
             placement=placement,
-            pool_scope=pool_scope,
             control_period=control_period,
             registry=registry,
             tracer=tracer,

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 
-__all__ = ["SeedSequenceFactory", "stream"]
+__all__ = ["SeedSequenceFactory", "seed_index", "stream"]
 
 
 class SeedSequenceFactory:
@@ -61,3 +61,19 @@ class SeedSequenceFactory:
 def stream(seed: int, name: str, **indices: int) -> np.random.Generator:
     """One-shot convenience wrapper around :class:`SeedSequenceFactory`."""
     return SeedSequenceFactory(seed).stream(name, **indices)
+
+
+def seed_index(key: str, bits: int, absolute: bool = False) -> int:
+    """A ``bits``-wide stream index for a job or machine name:
+    ``hash(key)`` (its absolute value when ``absolute``) masked to
+    ``bits`` bits.
+
+    The values depend on ``PYTHONHASHSEED``: string hashing is salted
+    per interpreter, so runs reproduce only under a fixed hash seed
+    (the golden-digest tests pin ``PYTHONHASHSEED=0``).  A stable hash
+    here would change every seeded output.
+    """
+    value = hash(key)
+    if absolute:
+        value = abs(value)
+    return value & ((1 << bits) - 1)

@@ -3,21 +3,21 @@
 Four sections, all produced by :func:`run_bench`:
 
 * **tick_path** — the same machines ticked through one kstaled/kreclaimd
-  cycle per simulated minute, once with the scalar per-page kernel and
-  once with the columnar pooled kernel.  This is the number the columnar
-  kernel exists for: ticks/sec on the online tick path, with the
-  speedup recorded as ``speedup_columnar``.
-* **equivalence** — a full churning simulation run under all three
-  backends (scalar, columnar with per-machine pools, columnar with
-  cluster-scoped pools); ``equivalent`` is true only when coverage
-  reports and complete SLI histories are identical.
+  cycle per simulated minute, once on the reference scalar page pool and
+  once on the columnar one.  This is the number the columnar pool
+  exists for: ticks/sec on the online tick path, with the speedup
+  recorded as ``speedup_columnar``.
+* **equivalence** — a full churning simulation run on both page pools
+  (the scalar reference and the columnar one); ``equivalent`` is true
+  only when coverage reports, complete SLI histories, cold-age
+  histograms and far-pages gauges are identical.
 * **serial / parallel** — a hundreds-of-machines fleet timed through the
   serial :meth:`WSC.run` loop and again under :class:`FleetEngine`.
   When the host cannot give the parallel run more than one physical
   core, ``speedup`` is ``null`` and ``note`` says why — a 1-core
   "speedup" is noise, not signal.
 * **thousand_machine_hour** — one simulated hour over a 1,000-machine
-  fleet on a single core via the cluster-pooled columnar kernel,
+  fleet on a single core via the columnar page pool,
   compared against the wall time of the legacy 8-machine scalar bench.
 
 ``docs/performance.md`` explains how to read the output.
@@ -38,6 +38,7 @@ from repro.cluster.wsc import quickfleet
 from repro.common.units import HOUR, MIB, PAGE_SIZE
 from repro.common.validation import check_positive
 from repro.engine.parallel import FleetEngine, default_worker_count
+from repro.kernel.machine import reclaim_machines, tick_machines
 from repro.obs import MetricName, MetricRegistry, Tracer
 
 __all__ = [
@@ -53,9 +54,9 @@ __all__ = [
 _LEGACY_SHAPE = {"clusters": 4, "machines": 2, "jobs": 3, "hours": 2.0}
 
 
-def _build_fleet(clusters: int, machines: int, jobs: int, seed: int,
-                 kernel: str = "scalar", pool_scope: str = "machine"):
-    """The legacy bench workload: 8 GiB machines, 16-64 MiB jobs, churn."""
+def _build_fleet(clusters: int, machines: int, jobs: int, seed: int):
+    """The legacy bench workload: 8 GiB machines, 16-64 MiB jobs, churn,
+    on the scalar reference pool."""
     return quickfleet(
         clusters=clusters,
         machines_per_cluster=machines,
@@ -65,18 +66,16 @@ def _build_fleet(clusters: int, machines: int, jobs: int, seed: int,
         mean_cold_fraction=0.20,
         job_pages_range=((16 * MIB) // PAGE_SIZE, (64 * MIB) // PAGE_SIZE),
         churn_duration_range=(2 * HOUR, 12 * HOUR),
-        kernel=kernel,
-        pool_scope=pool_scope,
+        kernel="scalar",
         registry=MetricRegistry(),
         tracer=Tracer(),
     )
 
 
-def _build_dense_fleet(clusters: int, machines: int, jobs: int, seed: int,
-                       kernel: str, pool_scope: str = "machine"):
+def _build_dense_fleet(clusters: int, machines: int, jobs: int, seed: int):
     """The dense fleet workload: many small machines, mostly-cold jobs.
 
-    This is the shape the columnar kernel targets — hundreds to
+    This is the shape the columnar page pool targets — hundreds to
     thousands of machines per core — so both the serial-vs-parallel
     section and the thousand-machine hour use it.  The tracer is
     disabled and the kstaled/agent periods are stretched (240 s scans,
@@ -92,8 +91,6 @@ def _build_dense_fleet(clusters: int, machines: int, jobs: int, seed: int,
         machine_dram_gib=0.25,
         mean_cold_fraction=0.90,
         job_pages_range=(16, 64),
-        kernel=kernel,
-        pool_scope=pool_scope,
         scan_period=240,
         control_period=300,
         registry=MetricRegistry(),
@@ -114,14 +111,14 @@ def tick_path_bench(machines: int = 20, jobs: int = 384, ticks: int = 10,
     """Scalar vs columnar throughput on the machine tick path.
 
     Ticks every machine through ``ticks`` simulated minutes of
-    kstaled/kreclaimd work (no job stepping, no node agents — just the
-    per-minute kernel path the columnar backend vectorizes) and reports
-    ticks/sec for each kernel plus the columnar speedup.  The default
+    kstaled/kreclaimd rounds (no job stepping, no node agents — just the
+    per-minute kernel path the columnar pool vectorizes) and reports
+    ticks/sec for each page pool plus the columnar speedup.  The default
     shape is many small memcgs per machine — the regime warehouse-scale
-    machines actually run in, and the one where the scalar kernel's cost
-    is per-memcg dispatch rather than per-page work.  As a cheap
+    machines actually run in, and the one where the scalar reference's
+    cost is per-memcg dispatch rather than per-page work.  As a cheap
     equivalence check the total pages scanned and pages in far memory
-    must match bit-for-bit between the two kernels.
+    must match bit-for-bit between the two pools.
     """
     sections: Dict[str, Dict] = {}
     state = {}
@@ -143,9 +140,8 @@ def tick_path_bench(machines: int = 20, jobs: int = 384, ticks: int = 10,
         start = time.perf_counter()
         now = 0
         for _ in range(ticks):
-            for machine in cluster.machines:
-                machine.tick(now)
-                machine.run_reclaim()
+            tick_machines(cluster.machines, now)
+            reclaim_machines(cluster.machines)
             now += 60
         wall = time.perf_counter() - start
         state[kernel] = (
@@ -174,23 +170,20 @@ def tick_path_bench(machines: int = 20, jobs: int = 384, ticks: int = 10,
 def columnar_equivalence(clusters: int = 2, machines: int = 4,
                          jobs: int = 12, hours: float = 1.0,
                          seed: int = 77) -> Dict:
-    """Full-simulation equivalence across all three kernel backends.
+    """Full-simulation equivalence of the two page pools.
 
     Runs the same churning fleet — job arrivals, node agents, telemetry,
-    the lot — under the scalar kernel, the columnar kernel with
-    per-machine pools, and the columnar kernel with cluster-scoped
-    pools.  ``equivalent`` is true only when all three produce identical
-    coverage reports, identical SLI histories (sample by sample), the
-    same cold-age histogram (counts and young) for every live memcg, and
-    the same ``repro_far_pages`` gauge for every machine.
+    the lot — on the reference scalar pool and on the columnar pool.
+    ``equivalent`` is true only when both produce identical coverage
+    reports, identical SLI histories (sample by sample), the same
+    cold-age histogram (counts and young) for every live memcg, and the
+    same ``repro_far_pages`` gauge for every machine.
     """
     check_positive(hours, "hours")
     seconds = int(hours * HOUR)
     walls: Dict[str, float] = {}
     snapshots = []
-    for kernel, scope in (("scalar", "machine"),
-                          ("columnar", "machine"),
-                          ("columnar", "cluster")):
+    for kernel in ("scalar", "columnar"):
         registry = MetricRegistry()
         fleet = quickfleet(
             clusters=clusters,
@@ -201,7 +194,6 @@ def columnar_equivalence(clusters: int = 2, machines: int = 4,
             job_pages_range=((1 * MIB) // PAGE_SIZE,
                              (4 * MIB) // PAGE_SIZE),
             kernel=kernel,
-            pool_scope=scope,
             scan_period=60,
             churn_duration_range=(1800, 7200),
             registry=registry,
@@ -209,7 +201,7 @@ def columnar_equivalence(clusters: int = 2, machines: int = 4,
         )
         start = time.perf_counter()
         fleet.run(seconds)
-        walls[f"{kernel}/{scope}"] = round(time.perf_counter() - start, 3)
+        walls[kernel] = round(time.perf_counter() - start, 3)
         sli = tuple(
             (s.job_id, s.time, s.working_set_pages, s.promotions,
              s.normalized_rate_pct_per_min, s.threshold)
@@ -312,8 +304,6 @@ def zero_copy_equivalence(clusters: int = 2, machines: int = 3,
                     machine_dram_gib=1.0,
                     job_pages_range=((1 * MIB) // PAGE_SIZE,
                                      (4 * MIB) // PAGE_SIZE),
-                    kernel="columnar",
-                    pool_scope="cluster",
                     scan_period=60,
                     churn_duration_range=(1800, 7200),
                     registry=registry,
@@ -379,17 +369,16 @@ def thousand_machine_hour(machines: int = 1000, seed: int = 42,
                           budget_seconds: Optional[float] = None) -> Dict:
     """One simulated hour, ``machines`` machines, one core, columnar.
 
-    Uses cluster-scoped pools (one shared page pool per 100-machine
-    cluster) so each cluster's scan and reclaim run as a handful of
-    array sweeps instead of hundreds of per-machine calls.  When
+    Each 100-machine cluster keeps its page state in one columnar pool,
+    so its scan and reclaim run as a handful of array sweeps instead of
+    hundreds of per-machine calls.  When
     ``budget_seconds`` is given (the legacy 8-machine scalar bench
     wall), ``under_scalar_8_machine_bench`` records whether the
     thousand-machine hour beat it.
     """
     check_positive(machines, "machines")
     clusters = max(1, machines // 100)
-    fleet = _build_dense_fleet(clusters, machines // clusters, 1, seed,
-                               kernel="columnar", pool_scope="cluster")
+    fleet = _build_dense_fleet(clusters, machines // clusters, 1, seed)
     start = time.perf_counter()
     fleet.run(HOUR, collect_sli=False)
     wall = time.perf_counter() - start
@@ -398,7 +387,6 @@ def thousand_machine_hour(machines: int = 1000, seed: int = 42,
         "jobs_per_machine": 1,
         "simulated_hours": 1.0,
         "kernel": "columnar",
-        "pool_scope": "cluster",
         "scan_period_seconds": 240,
         "control_period_seconds": 300,
         "workers": 1,
@@ -439,8 +427,8 @@ def run_bench(
             at 4).
         barrier_seconds: engine barrier interval.
         tick_machines / tick_jobs / tick_ticks: tick-path section shape.
-        equivalence_hours: simulated hours for the three-backend
-            equivalence section.
+        equivalence_hours: simulated hours for the two-pool equivalence
+            section.
         thousand_machines: machine count for the thousand-machine-hour
             section; 0 skips it (and the legacy reference run it is
             compared against).
@@ -461,19 +449,14 @@ def run_bench(
     tick_path = tick_path_bench(tick_machines, tick_jobs, tick_ticks, seed)
     equivalence = columnar_equivalence(hours=equivalence_hours, seed=seed + 35)
 
-    # Serial vs parallel on the dense hundreds-of-machines fleet.  The
-    # columnar cluster-pooled kernel is the production configuration at
-    # this scale, so that is what both runs use.
-    serial_fleet = _build_dense_fleet(clusters, machines, jobs, seed,
-                                      kernel="columnar",
-                                      pool_scope="cluster")
+    # Serial vs parallel on the dense hundreds-of-machines fleet, both on
+    # the columnar pool.
+    serial_fleet = _build_dense_fleet(clusters, machines, jobs, seed)
     start = time.perf_counter()
     serial_fleet.run(seconds)
     serial_wall = time.perf_counter() - start
 
-    parallel_fleet = _build_dense_fleet(clusters, machines, jobs, seed,
-                                        kernel="columnar",
-                                        pool_scope="cluster")
+    parallel_fleet = _build_dense_fleet(clusters, machines, jobs, seed)
     engine = FleetEngine(parallel_fleet, workers=workers,
                          barrier_seconds=barrier_seconds)
     start = time.perf_counter()
@@ -518,7 +501,6 @@ def run_bench(
             "simulated_hours": hours,
             "seed": seed,
             "kernel": "columnar",
-            "pool_scope": "cluster",
         },
         "host": {
             "physical_cores": host_cores,

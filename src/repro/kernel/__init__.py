@@ -16,6 +16,7 @@ from repro.kernel.kreclaimd import Kreclaimd
 from repro.kernel.kstaled import Kstaled
 from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
 from repro.kernel.memcg import MemCg, PageState
+from repro.kernel.oracle import ScalarPagePool
 from repro.kernel.remote import RemoteAccessModel, RemoteMemoryPool
 from repro.kernel.tiers import (
     NVM_DEVICE,
@@ -54,6 +55,7 @@ __all__ = [
     "MachineConfig",
     "MemCg",
     "PageState",
+    "ScalarPagePool",
     "Zswap",
     "ZswapJobStats",
 ]

@@ -1,15 +1,15 @@
 """The columnar fleet kernel: pooled page state.
 
-The scalar kernel keeps one set of numpy arrays per memcg, so every tick
-pays a Python dispatch per memcg — ~30 array ops per ``scan_update``, the
-reclaim mask, the accounting sums — multiplied by every job on every
-machine.  This module pools all of it in one :class:`MachinePagePool`,
-owned either by one machine or by a whole cluster (``pool_scope``):
+Every machine keeps its page state in a :class:`MachinePagePool`: a
+standalone machine owns one, and every machine of a cluster shares the
+cluster's.  Pooling removes the per-memcg Python dispatch a scan, a
+reclaim pass or an accounting sum would otherwise pay for every job on
+every machine:
 
 * **per-page columns** (``resident``, ``age_scans``, ``accessed``, tier
   ``state``, ``incompressible``, ``dirtied``, ``unevictable``,
-  ``payload_bytes``, ``lru_active``, THP ``huge_group``, the reclaim mask
-  and the ``owner_row`` back-pointer) live in dense pool-wide arrays, one
+  ``payload_bytes``, ``lru_active``, THP ``huge_group`` and the
+  ``owner_row`` back-pointer) live in dense pool-wide arrays, one
   contiguous *segment* per memcg;
 * **per-memcg histograms** (cold-age snapshot and cumulative promotion
   counts) live as rows of two ``(memcgs, bins)`` matrices plus young-count
@@ -21,18 +21,17 @@ owned either by one machine or by a whole cluster (``pool_scope``):
 :class:`ColumnarMemCg` is a :class:`~repro.kernel.memcg.MemCg` whose
 arrays are numpy *views* into the pool: every inherited method —
 ``allocate``/``release``/``touch``, zswap's tier flips, huge-page
-mapping — runs unchanged on the views and stays O(touched), and is
-bit-identical to the scalar kernel *by construction*.  The pooled fast
-paths (:meth:`MachinePagePool.scan_all`,
+mapping — runs unchanged on the views and stays O(touched).  The pooled
+passes (:meth:`MachinePagePool.scan_all`,
 :meth:`MachinePagePool.reclaim_pairs`, the batched
 :meth:`MachinePagePool.promote`, the accounting reductions) replay the
-exact per-slot arithmetic of the scalar methods as whole-pool array ops;
-the scalar kernel remains the bit-equivalence oracle, exactly as
+exact per-slot arithmetic of the scalar memcg methods as whole-pool
+array ops.  :class:`~repro.kernel.oracle.ScalarPagePool` answers the
+same interface with those scalar methods and is the bit-equivalence
+oracle (``MachineConfig(kernel="scalar")``), exactly as
 ``CompiledTrace``/``replay_compiled`` oracle the vectorized model.
-
-Select the backend with ``MachineConfig(kernel="columnar")``; everything
-downstream (node agent, telemetry, faults, the parallel engine) is
-unaware of the layout.
+Everything above the pool (machine, cluster, node agent, telemetry,
+faults, the parallel engine) calls only that interface.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ _PAGE_FIELDS: Tuple[Tuple[str, type, object], ...] = (
     ("payload_bytes", np.int32, 0),
     ("lru_active", np.bool_, False),
     ("huge_group", np.int64, -1),
-    ("reclaim_mask", np.bool_, False),
     ("owner_row", np.int32, -1),
 )
 
@@ -90,7 +88,6 @@ _VIEW_BINDINGS: Tuple[Tuple[str, str], ...] = (
     ("payload_bytes", "payload_bytes"),
     ("lru_active", "lru_active"),
     ("huge_group", "huge_group"),
-    ("_reclaim_mask", "reclaim_mask"),
 )
 
 #: Per-row reclaim-threshold sentinel no page age can meet (ages saturate
@@ -116,7 +113,6 @@ COLUMN_CONTRACTS = {
     "MachinePagePool.payload_bytes": {"dtype": "int32", "ndim": 1},
     "MachinePagePool.lru_active": {"dtype": "bool", "ndim": 1},
     "MachinePagePool.huge_group": {"dtype": "int64", "ndim": 1},
-    "MachinePagePool.reclaim_mask": {"dtype": "bool", "ndim": 1},
     "MachinePagePool.owner_row": {"dtype": "int32", "ndim": 1},
     # Per-memcg rows (histogram matrices + bookkeeping vectors).
     "MachinePagePool.row_base": {"dtype": "int64", "ndim": 1},
@@ -167,16 +163,16 @@ class ColumnarMemCg(MemCg):
     the views cover the same slots the private arrays would.
     """
 
-    #: Row in the pool's per-memcg matrices; assigned by the pool.
-    _pool_row: int = -1
     #: The owning pool; assigned by :meth:`MachinePagePool.add`.
     _pool: Optional["MachinePagePool"] = None
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # The pooled scan recounts cold-age histograms, so the scalar
-        # fold's per-slot bin cache has no use here.
+        # The pooled scan recounts cold-age histograms and the pooled
+        # reclaim pass builds its own mask, so the scalar fold's per-slot
+        # bin cache and the cached reclaim mask have no use here.
         del self._hist_bin
+        del self._reclaim_mask
 
     # The reclaim threshold and zswap gate are written by the node agent
     # once per control round but *read* by the pooled reclaim mask for
@@ -223,8 +219,8 @@ class ColumnarMemCg(MemCg):
 
 
 class MachinePagePool:
-    """Columnar storage for the page state of every memcg of one machine
-    (private pool) or of every machine of one cluster (shared pool).
+    """Columnar storage for the page state of every memcg of one
+    standalone machine, or of every machine of one cluster.
 
     Segments are contiguous and compacted on removal (higher segments
     slide down), so the pooled passes always sweep one dense ``[0, used)``
@@ -236,6 +232,8 @@ class MachinePagePool:
         bins: the fleet-wide candidate-threshold grid.
         scan_period: the machine's kstaled period (uniform across memcgs).
     """
+
+    memcg_class = ColumnarMemCg
 
     def __init__(self, bins: AgeBins, scan_period: int):
         self.bins = bins
@@ -262,8 +260,8 @@ class MachinePagePool:
         self.row_memcg: List[Optional[ColumnarMemCg]] = []
         self._free_rows: List[int] = []
         #: Per-row resident-page counts from the most recent
-        #: :meth:`scan_all` — the cluster layer reads these to book scan
-        #: pages back to each machine when the pool is cluster-scoped.
+        #: :meth:`scan_all` — the scan round sums these per machine to book
+        #: each machine's kstaled its own pages.
         self.last_scan_row_pages = np.zeros(0, dtype=np.int64)
         #: :meth:`segments` cache; None after a layout change.
         self._segment_table: Optional[Tuple[np.ndarray, ...]] = None
@@ -371,7 +369,7 @@ class MachinePagePool:
 
     #: True while the memcg views may alias dead storage (set on pickle,
     #: cleared by :meth:`rebind_all`).  Lets the many machines sharing a
-    #: cluster-scoped pool rebind it exactly once after unpickling.
+    #: cluster's pool rebind it exactly once after unpickling.
     _views_stale = False
 
     def __getstate__(self):
@@ -390,6 +388,11 @@ class MachinePagePool:
         for memcg in self.row_memcg:
             if memcg is not None and self.row_base[memcg._pool_row] >= floor_base:
                 self.bind(memcg)
+
+    @property
+    def memcg_count(self) -> int:
+        """Memcgs the pool holds."""
+        return self._n_rows - len(self._free_rows)
 
     def segments(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live rows in base order, with their segment bases and sizes.
@@ -543,7 +546,6 @@ class MachinePagePool:
             memcg.promoted_pages_total += count
             if memcg.promoted_counter is not None:
                 memcg.promoted_counter.inc(count)
-            memcg.invalidate_reclaim_cache()
 
     def _add_promotion_ages(
         self, rows: np.ndarray, ages: np.ndarray
@@ -582,7 +584,7 @@ class MachinePagePool:
 
         Args:
             memcgs: every memcg bound to the pool (all machines' memcgs
-                when the pool is cluster-scoped), in scan order — the
+                when the pool is a cluster's), in scan order — the
                 order their dirty pages draw fresh payloads.
 
         Returns:
@@ -646,8 +648,6 @@ class MachinePagePool:
                 ] = sample_payloads([
                     (m.content_profile, hi - lo, m._rng) for m, lo, hi in dirty
                 ])
-            for memcg, _lo, _hi in dirty:
-                memcg.invalidate_reclaim_cache()
         self.dirtied[:u] &= not_res
 
         self._recount_cold_histograms(res, age, owner)
@@ -701,7 +701,7 @@ class MachinePagePool:
     def reclaim_pairs(
         self, memcgs: Iterable[MemCg]
     ) -> List[Tuple[MemCg, np.ndarray]]:
-        """Reclaim candidates for every memcg from one machine-wide mask.
+        """Reclaim candidates for every memcg from one pool-wide mask.
 
         Builds the eligibility mask (resident, NEAR, evictable,
         compressible, age at or beyond the *owning memcg's* threshold) in

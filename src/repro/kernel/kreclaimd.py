@@ -2,24 +2,23 @@
 
 Once the node agent publishes a per-job cold-age threshold, kreclaimd walks
 each memcg's LRU, finds pages whose age meets or exceeds that job's
-threshold, and hands them to zswap for compression.  It runs as a
-background task in slack cycles; a per-invocation page budget models the
-"unobtrusive background task" behaviour (it never stalls allocations the
-way reactive direct reclaim does — that contrast is the §3.2 ablation).
+threshold, and hands them to zswap for compression.  The page pool lists
+the candidates (``reclaim_pairs``); the daemon walks them in LRU order.
+It runs as a background task in slack cycles; a per-invocation page
+budget models the "unobtrusive background task" behaviour (it never
+stalls allocations the way reactive direct reclaim does — that contrast
+is the §3.2 ablation).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.validation import check_positive
 from repro.kernel.memcg import MemCg
 from repro.kernel.zswap import Zswap
-
-if TYPE_CHECKING:
-    from repro.kernel.columnar import MachinePagePool
 from repro.obs import (
     MetricName,
     MetricRegistry,
@@ -79,41 +78,26 @@ class Kreclaimd:
         self._tracer = tracer
         self._bind_metrics(registry)
 
-    def run(
-        self,
-        memcgs: Iterable[MemCg],
-        pool: Optional["MachinePagePool"] = None,
-        pairs: Optional[Iterable[Tuple[MemCg, np.ndarray]]] = None,
-    ) -> int:
+    def run(self, pairs: Sequence[Tuple[MemCg, np.ndarray]]) -> int:
         """One reclaim pass; returns pages moved to far memory.
 
-        Per memcg: skip jobs whose zswap is disabled (warm-up or at their
-        memory limit), collect LRU candidates at the current threshold,
-        oldest first, and compress within the remaining budget.  With a
-        columnar ``pool``, candidate collection runs as one machine-wide
-        mask pass instead of per-memcg array work; ordering, budgeting and
-        compression are identical either way.  ``pairs`` supplies
-        pre-computed ``(memcg, candidates)`` pairs instead — the cluster
-        layer uses it to evaluate one shared cluster-scoped pool mask and
-        hand each machine its slice, keeping budget and metrics
-        per-machine.
+        ``pairs`` are the pass's ``(memcg, candidates)`` in walk order, as
+        the page pool's ``reclaim_pairs`` lists them (zswap-disabled
+        memcgs and empty candidate sets already left out).  Per memcg:
+        order the candidates the way the LRU walk visits them, oldest
+        first, and compress within the remaining budget.
         """
-        if pairs is not None and isinstance(pairs, list) and not pairs:
-            # Nothing eligible this pass.  Book the run (the scalar path
-            # books empty passes too) without paying for span and stream
-            # setup — at cluster scope most machines hit this every round.
+        if not pairs:
+            # Nothing eligible this pass.  Book the run without paying
+            # for the span — in a cluster most machines hit this every
+            # round.
             self.runs += 1
             self._m_runs.inc()
             return 0
         budget = self.pages_per_run
         moved = 0
-        stream = (
-            iter(pairs)
-            if pairs is not None
-            else self._candidate_stream(memcgs, pool)
-        )
         with self._tracer.span("kreclaimd.run"):
-            for memcg, candidates in stream:
+            for memcg, candidates in pairs:
                 # LRU walk order: inactive list first, oldest first.
                 candidates = memcg.reclaim_order(candidates)
                 if budget is not None:
@@ -131,21 +115,3 @@ class Kreclaimd:
         self._m_runs.inc()
         self._m_pages.inc(moved)
         return moved
-
-    @staticmethod
-    def _candidate_stream(
-        memcgs: Iterable[MemCg],
-        pool: Optional["MachinePagePool"],
-    ) -> Iterator[Tuple[MemCg, np.ndarray]]:
-        """Yield ``(memcg, candidates)`` in LRU-walk order, skipping
-        zswap-disabled memcgs and empty candidate sets."""
-        if pool is not None:
-            yield from pool.reclaim_pairs(memcgs)
-            return
-        for memcg in memcgs:
-            if not memcg.zswap_enabled:
-                continue
-            candidates = memcg.reclaim_candidates(memcg.cold_age_threshold)
-            if candidates.size == 0:
-                continue
-            yield memcg, candidates

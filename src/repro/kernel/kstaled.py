@@ -2,30 +2,21 @@
 
 kstaled walks page tables every ``scan_period`` (120 s), reads and clears
 PTE accessed bits, maintains the 8-bit per-page ages, and updates the two
-per-job histograms the control plane consumes.  The heavy lifting is inside
-:meth:`repro.kernel.memcg.MemCg.scan_update`; this daemon sequences scans
-across memcgs, tracks its own CPU cost (the paper budgets <11 % of one
-logical core), and exposes scan counters for tests and monitoring.
+per-job histograms the control plane consumes.  The page pool's
+``scan_all`` does the sweep, run by the scan round
+:func:`repro.kernel.machine.scan_machines`; this daemon keeps each
+machine's scan schedule, tracks its CPU cost (the paper budgets <11 % of
+one logical core), and exposes scan counters for tests and monitoring.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Optional
 
 from repro.common.simtime import PeriodicSchedule
 from repro.common.units import KSTALED_SCAN_PERIOD
 from repro.common.validation import check_positive
-from repro.kernel.memcg import MemCg
-
-if TYPE_CHECKING:
-    from repro.kernel.columnar import MachinePagePool
-from repro.obs import (
-    MetricName,
-    MetricRegistry,
-    Tracer,
-    get_registry,
-    get_tracer,
-)
+from repro.obs import MetricName, MetricRegistry, get_registry
 
 __all__ = ["Kstaled"]
 
@@ -42,7 +33,6 @@ class Kstaled:
         scan_period: seconds between scans of each memcg (120 s).
         machine_id: label value for exported metrics ("" standalone).
         registry: metrics registry (defaults to the process-global one).
-        tracer: span tracer (defaults to the process-global one).
     """
 
     def __init__(
@@ -50,7 +40,6 @@ class Kstaled:
         scan_period: int = KSTALED_SCAN_PERIOD,
         machine_id: str = "",
         registry: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ):
         check_positive(scan_period, "scan_period")
         self.scan_period = int(scan_period)
@@ -60,9 +49,7 @@ class Kstaled:
         self.pages_scanned = 0
         self.cpu_seconds = 0.0
 
-        registry = registry if registry is not None else get_registry()
-        self._tracer = tracer if tracer is not None else get_tracer()
-        self._bind_metrics(registry)
+        self._bind_metrics(registry if registry is not None else get_registry())
 
     def _bind_metrics(self, registry: MetricRegistry) -> None:
         machine_id = self.machine_id
@@ -80,57 +67,18 @@ class Kstaled:
             ("machine",)
         ).labels(machine=machine_id)
 
-    def rebind_observability(self, registry: MetricRegistry,
-                             tracer: Tracer) -> None:
-        """Re-point metric handles and tracer after a cross-process move."""
-        self._tracer = tracer
+    def rebind_observability(self, registry: MetricRegistry) -> None:
+        """Re-point metric handles after a cross-process move."""
         self._bind_metrics(registry)
 
-    def maybe_scan(
-        self,
-        now: int,
-        memcgs: Iterable[MemCg],
-        pool: Optional["MachinePagePool"] = None,
-    ) -> bool:
-        """Run a scan if the period boundary has been crossed.
-
-        Returns True when a scan ran.
-        """
-        if not self._schedule.due(now):
-            return False
-        with self._tracer.span("kstaled.scan", sim_time=now):
-            self.scan(memcgs, pool=pool)
-        return True
-
-    def scan(
-        self,
-        memcgs: Iterable[MemCg],
-        pool: Optional["MachinePagePool"] = None,
-    ) -> None:
-        """Unconditionally scan every memcg once.
-
-        With a columnar ``pool``, the whole machine is aged and re-binned
-        in one array sweep (:meth:`MachinePagePool.scan_all`); otherwise
-        each memcg runs its own ``scan_update``.  Both paths are
-        bit-equivalent.
-        """
-        if pool is not None:
-            pages = pool.scan_all(memcgs)
-        else:
-            pages = 0
-            for memcg in memcgs:
-                memcg.scan_update()
-                pages += memcg.resident_pages
-        self.record_scan(pages)
+    def due(self, now: int) -> bool:
+        """True (once) when ``now`` crossed a scan-period boundary."""
+        return self._schedule.due(now)
 
     def record_scan(self, pages: int) -> None:
-        """Book one completed scan of ``pages`` resident pages.
-
-        Used by :meth:`scan` and by the cluster layer when a shared
-        cluster-scoped pool runs the scan externally: the sweep happens
-        once for all machines, but each machine's kstaled still accounts
-        its own pages, CPU cost, and metrics.
-        """
+        """Book one completed scan of ``pages`` resident pages (a pool's
+        ``scan_all`` sweeps every machine sharing it at once; each
+        machine's kstaled books its own share)."""
         self.pages_scanned += pages
         self.cpu_seconds += pages * SCAN_SECONDS_PER_PAGE
         self.scans_completed += 1

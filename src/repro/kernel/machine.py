@@ -8,6 +8,13 @@ kreclaimd, zswap over a global zsmalloc arena, and reactive direct reclaim
 * the memory fast path (:meth:`touch`, :meth:`allocate`, :meth:`release`),
 * a per-tick :meth:`tick` that runs whichever daemons are due.
 
+Page state lives in a page pool (``MachineConfig.kernel`` picks its
+class): a standalone machine owns one, and every machine of a cluster
+shares the cluster's.  A pool is swept whole, so the tick, scan and
+reclaim are *rounds* over the machines sharing it (:func:`tick_machines`,
+:func:`scan_machines`, :func:`reclaim_machines`); a standalone machine
+runs them on a list of one.
+
 The far-memory *mode* selects the paper's system (``PROACTIVE``), the Linux
 default baseline (``REACTIVE``), or no far memory at all (``OFF``).
 """
@@ -16,14 +23,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.checks.invariants import check_machine_accounting, invariants_enabled
 from repro.common.errors import OutOfMemoryError, SimulationError
 from repro.common.events import EventKind, EventLog
-from repro.common.rng import SeedSequenceFactory
+from repro.common.rng import SeedSequenceFactory, seed_index
 from repro.common.units import KSTALED_SCAN_PERIOD, PAGE_SIZE
 from repro.common.validation import check_positive, require
 from repro.core.histograms import AgeBins, default_age_bins
@@ -32,11 +39,12 @@ from repro.kernel.compression import (
     CompressionLatencyModel,
     ContentProfile,
 )
-from repro.kernel.columnar import ColumnarMemCg, MachinePagePool
+from repro.kernel.columnar import MachinePagePool
 from repro.kernel.direct_reclaim import DirectReclaim
 from repro.kernel.kreclaimd import Kreclaimd
 from repro.kernel.kstaled import Kstaled
 from repro.kernel.memcg import MemCg
+from repro.kernel.oracle import ScalarPagePool
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.kernel.zswap import Zswap, ZswapJobStats
 from repro.obs import (
@@ -47,7 +55,17 @@ from repro.obs import (
     get_tracer,
 )
 
-__all__ = ["FarMemoryMode", "MachineConfig", "Machine"]
+__all__ = [
+    "FarMemoryMode",
+    "MachineConfig",
+    "Machine",
+    "reclaim_machines",
+    "scan_machines",
+    "tick_machines",
+]
+
+#: ``MachineConfig.kernel`` -> page-pool class.
+_POOL_CLASSES = {"columnar": MachinePagePool, "scalar": ScalarPagePool}
 
 
 class FarMemoryMode(enum.Enum):
@@ -72,9 +90,10 @@ class MachineConfig:
         latency_model: compression cost model.
         zswap_max_pool_fraction: cap on the arena footprint as a fraction
             of DRAM (0 = uncapped; upstream zswap defaults to 20 %).
-        kernel: page-state backend — ``"scalar"`` (one array set per
-            memcg) or ``"columnar"`` (machine-pooled arrays; see
-            :mod:`repro.kernel.columnar`).  Bit-equivalent by contract.
+        kernel: page-pool class — ``"columnar"`` (pooled arrays, see
+            :mod:`repro.kernel.columnar`) or ``"scalar"`` (the reference
+            pool of :mod:`repro.kernel.oracle`, for equivalence checks).
+            Bit-equivalent by contract.
     """
 
     dram_bytes: int = 256 << 30
@@ -84,13 +103,13 @@ class MachineConfig:
     kreclaimd_pages_per_run: Optional[int] = None
     latency_model: CompressionLatencyModel = DEFAULT_LATENCY_MODEL
     zswap_max_pool_fraction: float = 0.0
-    kernel: str = "scalar"
+    kernel: str = "columnar"
 
     def __post_init__(self) -> None:
         check_positive(self.dram_bytes, "dram_bytes")
         check_positive(self.scan_period, "scan_period")
         require(
-            self.kernel in ("scalar", "columnar"),
+            self.kernel in _POOL_CLASSES,
             f'kernel must be "scalar" or "columnar", got {self.kernel!r}',
         )
         require(
@@ -101,6 +120,10 @@ class MachineConfig:
             0.0 <= self.zswap_max_pool_fraction <= 1.0,
             "zswap_max_pool_fraction must be in [0, 1]",
         )
+
+    def make_pool(self, bins: AgeBins) -> MachinePagePool:
+        """A fresh, empty page pool of this config's kernel."""
+        return _POOL_CLASSES[self.kernel](bins, self.scan_period)
 
 
 class Machine:
@@ -116,14 +139,8 @@ class Machine:
             with this machine's id as the ``machine`` label (defaults to
             the process-global registry).
         tracer: span tracer for the daemons (defaults to the global one).
-        pool: an externally owned cluster-scoped
-            :class:`~repro.kernel.columnar.MachinePagePool` shared by
-            every machine in a cluster (requires ``kernel="columnar"``).
-            A shared pool changes who *drives* the kernel fast paths —
-            the cluster scans and reclaims all machines in one pooled
-            sweep — but not their results: accounting falls back to the
-            per-memcg view reductions, which are bit-identical.  Omitted
-            (the default), a columnar machine owns a private pool.
+        pool: the cluster's page pool, shared by all of its machines;
+            omitted, the machine owns a fresh one of ``config.kernel``.
     """
 
     def __init__(
@@ -146,25 +163,9 @@ class Machine:
         self.tracer = tracer if tracer is not None else get_tracer()
 
         self.memcgs: Dict[str, MemCg] = {}
-        #: Columnar backend: the page pool holding this machine's memcg
-        #: segments (None = scalar).  ``pool_shared`` marks a
-        #: cluster-scoped pool: segments of *other* machines live in the
-        #: same arrays, so machine-wide reductions, scans, and reclaim
-        #: must not sweep the whole pool from here.
-        if pool is not None:
-            require(
-                config.kernel == "columnar",
-                "a shared pool requires the columnar kernel",
-            )
-            self.pool: Optional[MachinePagePool] = pool
-            self.pool_shared = True
-        else:
-            self.pool = (
-                MachinePagePool(self.bins, config.scan_period)
-                if config.kernel == "columnar"
-                else None
-            )
-            self.pool_shared = False
+        #: The page pool holding this machine's memcgs (and, in a
+        #: cluster, every other machine's).
+        self.pool = pool if pool is not None else config.make_pool(self.bins)
         self.arena = ZsmallocArena(machine_id=machine_id,
                                    registry=self.registry,
                                    tracer=self.tracer)
@@ -180,7 +181,7 @@ class Machine:
             tracer=self.tracer,
         )
         self.kstaled = Kstaled(config.scan_period, machine_id=machine_id,
-                               registry=self.registry, tracer=self.tracer)
+                               registry=self.registry)
         self.kreclaimd = Kreclaimd(self.zswap, config.kreclaimd_pages_per_run,
                                    machine_id=machine_id,
                                    registry=self.registry, tracer=self.tracer)
@@ -219,7 +220,7 @@ class Machine:
             memcg.promoted_counter = self._m_promoted
         self.arena.rebind_observability(registry, tracer)
         self.zswap.rebind_observability(registry, tracer)
-        self.kstaled.rebind_observability(registry, tracer)
+        self.kstaled.rebind_observability(registry)
         self.kreclaimd.rebind_observability(registry, tracer)
 
     # ------------------------------------------------------------------
@@ -227,24 +228,9 @@ class Machine:
     # ------------------------------------------------------------------
 
     @property
-    def _private_pool(self) -> Optional[MachinePagePool]:
-        """The pool, when whole-pool sweeps equal machine-wide answers.
-
-        A cluster-scoped pool also holds other machines' segments, so the
-        accounting reductions fall back to per-memcg sums over the views
-        (same arithmetic, restricted to this machine's segments).
-        """
-        return None if self.pool_shared else self.pool
-
-    @property
     def near_bytes(self) -> int:
         """DRAM used by uncompressed pages."""
-        if self._private_pool is not None:
-            return int(self._private_pool.tier_pages()[:, 0].sum()) * PAGE_SIZE
-        total = 0
-        for memcg in self.memcgs.values():
-            total += memcg.near_pages
-        return total * PAGE_SIZE
+        return sum(m.near_pages for m in self.memcgs.values()) * PAGE_SIZE
 
     @property
     def used_bytes(self) -> int:
@@ -259,12 +245,7 @@ class Machine:
     @property
     def far_pages(self) -> int:
         """Pages currently stored compressed, machine-wide."""
-        if self._private_pool is not None:
-            return int(self._private_pool.tier_pages()[:, 1].sum())
-        total = 0
-        for memcg in self.memcgs.values():
-            total += memcg.far_pages
-        return total
+        return sum(m.far_pages for m in self.memcgs.values())
 
     def saved_bytes(self) -> int:
         """DRAM reclaimed by compression: far bytes minus arena footprint."""
@@ -272,8 +253,6 @@ class Machine:
 
     def cold_pages(self, threshold_seconds: float) -> int:
         """Machine-wide pages idle at least ``threshold_seconds``."""
-        if self._private_pool is not None:
-            return self._private_pool.cold_pages(threshold_seconds)
         return sum(
             m.cold_pages(threshold_seconds) for m in self.memcgs.values()
         )
@@ -291,18 +270,17 @@ class Machine:
         """Create a memcg for a newly scheduled job."""
         require(job_id not in self.memcgs, f"job {job_id} already on machine")
         profile = content_profile if content_profile is not None else ContentProfile()
-        memcg_class = MemCg if self.pool is None else ColumnarMemCg
-        memcg = memcg_class(
+        memcg = self.pool.memcg_class(
             job_id=job_id,
             capacity_pages=capacity_pages,
             content_profile=profile,
             bins=self.bins,
-            rng=self._seeds.stream("payload", machine=hash(self.machine_id) & 0xFFFF,
-                                   job=hash(job_id) & 0xFFFFFF),
+            rng=self._seeds.stream("payload",
+                                   machine=seed_index(self.machine_id, 16),
+                                   job=seed_index(job_id, 24)),
             scan_period=self.config.scan_period,
         )
-        if self.pool is not None:
-            self.pool.add(memcg)
+        self.pool.add(memcg)
         memcg.start_time = self.now
         memcg.promoted_counter = self._m_promoted
         # Proactive mode: zswap is enabled per job after warm-up by the node
@@ -320,8 +298,7 @@ class Machine:
             raise SimulationError(f"job {job_id} not on machine {self.machine_id}")
         far = np.flatnonzero(memcg.far_mask())
         self.zswap.evict_job(memcg, far)
-        if self.pool is not None:
-            self.pool.remove(memcg)
+        self.pool.remove(memcg)
         self.events.record(self.now, EventKind.MACHINE_JOB_REMOVED, job=job_id,
                            machine=self.machine_id)
         return self.zswap.stats_for(job_id)
@@ -408,51 +385,27 @@ class Machine:
     # Daemons
     # ------------------------------------------------------------------
 
-    def tick(self, now: int, far_pages: Optional[int] = None) -> None:
-        """Advance machine time: run kstaled (if due) and kreclaimd.
-
-        The node agent's control loop runs *between* kstaled scans and
-        kreclaimd passes; the cluster layer sequences
-        ``machine.tick -> agent.control -> machine.run_reclaim``.
-        ``far_pages`` is this tick's far-page count when the caller has
-        it (the cluster counts a shared pool's machines in one pass).
-        """
-        require(now >= self.now, "time went backwards")
-        self.now = now
-        if not self.pool_shared:
-            # With a cluster-scoped pool the cluster runs one pooled scan
-            # for all machines (Cluster._pooled_scan) and books pages back
-            # via Kstaled.record_scan; scanning here would age everyone
-            # else's segments too.
-            self.kstaled.maybe_scan(now, self.memcgs.values(), pool=self.pool)
-        self._g_arena.set(self.arena.footprint_bytes)
-        self._g_far.set(self.far_pages if far_pages is None else far_pages)
-        if invariants_enabled():
-            check_machine_accounting(self)
+    def tick(self, now: int) -> None:
+        """Advance machine time: run kstaled (if due) and set the gauges
+        (a :func:`tick_machines` round on a list of one)."""
+        tick_machines([self], now)
 
     def run_reclaim(self) -> int:
-        """One kreclaimd pass (proactive mode only); returns pages moved.
-
-        With a cluster-scoped pool this is a no-op: the cluster batches
-        one reclaim round for every machine whose agent just controlled
-        (:meth:`Cluster._pooled_reclaim`), evaluating the shared candidate
-        mask once instead of per machine.
-        """
-        if self.config.mode is not FarMemoryMode.PROACTIVE or self.pool_shared:
+        """One kreclaimd pass (proactive mode only); returns pages moved
+        (a :func:`reclaim_machines` round on a list of one)."""
+        if self.config.mode is not FarMemoryMode.PROACTIVE:
             return 0
-        return self.kreclaimd.run(self.memcgs.values(), pool=self.pool)
+        return reclaim_machines([self])[0]
 
     def __setstate__(self, state: dict) -> None:
         # The parallel engine ships machines by pickle.  Columnar memcgs
-        # arrive without their view arrays (see
-        # ``ColumnarMemCg.__getstate__``); the pool carries the data, so
-        # rebind every memcg to its segment on this side of the fork.  A
-        # cluster-scoped pool is referenced by many machines; the
-        # staleness flag makes the rebind run once, not once per machine.
+        # arrive without their views (``ColumnarMemCg.__getstate__``), so
+        # rebind them to the pool here; the staleness flag makes a pool
+        # shared by many machines rebind once.  The reference pool has
+        # no views.
         self.__dict__.update(state)
-        pool = self.__dict__.get("pool")
-        if pool is not None and getattr(pool, "_views_stale", True):
-            pool.rebind_all()
+        if getattr(self.pool, "_views_stale", False):
+            self.pool.rebind_all()
 
     def _memcg(self, job_id: str) -> MemCg:
         memcg = self.memcgs.get(job_id)
@@ -461,3 +414,96 @@ class Machine:
                 f"job {job_id} not on machine {self.machine_id}"
             )
         return memcg
+
+
+# ----------------------------------------------------------------------
+# Kernel rounds over the machines sharing one page pool
+# ----------------------------------------------------------------------
+
+
+def pool_memcgs(machines: Sequence[Machine]) -> List[MemCg]:
+    """Every memcg of ``machines``, machine by machine in job-arrival
+    order (the order reclaim spends budgets in).  Dicts keep insertion
+    order and a cluster crosses the engine whole, so no merge reorders
+    it."""
+    return [m for mc in machines for m in mc.memcgs.values()]  # repro: noqa[DET003]
+
+
+def machine_sums(machines: Sequence[Machine],
+                 per_row: np.ndarray) -> np.ndarray:
+    """Sum a per-pool-row array (1-D or 2-D) over each machine's memcgs:
+    one gather in machine-major order, one prefix sum."""
+    rows = [m._pool_row for m in pool_memcgs(machines)]
+    sizes = [len(machine.memcgs) for machine in machines]
+    ends = np.cumsum(sizes)
+    prefix = np.zeros((len(rows) + 1,) + per_row.shape[1:], dtype=np.int64)
+    np.cumsum(per_row[rows], axis=0, out=prefix[1:])
+    return prefix[ends] - prefix[ends - sizes]
+
+
+def tick_machines(machines: Sequence[Machine],
+                  now: int) -> List[List[int]]:
+    """Advance every machine of one page pool to ``now``: the kstaled
+    round (:func:`scan_machines`), then each machine's gauges.  Returns
+    each machine's ``[near, far]`` pages from one pass over the pool; a
+    scan moves no page between tiers, so they hold until an eviction."""
+    for machine in machines:
+        require(now >= machine.now, "time went backwards")
+        machine.now = now
+    scan_machines(machines, now)
+    tiers = machine_sums(machines, machines[0].pool.tier_pages()).tolist()
+    checked = invariants_enabled()
+    for machine, (_near, far) in zip(machines, tiers):
+        machine._g_arena.set(machine.arena.footprint_bytes)
+        machine._g_far.set(far)
+        if checked:
+            check_machine_accounting(machine)
+    return tiers
+
+
+def scan_machines(machines: Sequence[Machine], now: int) -> None:
+    """One kstaled round over every machine of one page pool, if due.
+
+    The machines' schedules fall due together (one period, one clock),
+    and one ``scan_all`` over all their memcgs equals each machine
+    scanning alone: segments are disjoint and each memcg draws from its
+    own RNG stream.  Each machine's kstaled books its own pages.
+    """
+    if not machines[0].kstaled.due(now):
+        return
+    pool = machines[0].pool
+    memcgs = pool_memcgs(machines)
+    require(
+        all([machine.kstaled.due(now) for machine in machines[1:]])
+        and len(memcgs) == pool.memcg_count,
+        "a scan round covers every machine of its page pool",
+    )
+    with machines[0].tracer.span("kstaled.scan", sim_time=now):
+        pool.scan_all(memcgs)
+    pages = machine_sums(machines, pool.last_scan_row_pages).tolist()
+    for machine, scanned in zip(machines, pages):
+        machine.kstaled.record_scan(scanned)
+
+
+def reclaim_machines(machines: Sequence[Machine]) -> List[int]:
+    """One kreclaimd round for machines of one page pool; returns the
+    pages each machine moved.  One candidate pass over the pool, sliced
+    back to each machine's kreclaimd, so budgets, LRU order and metrics
+    stay per machine."""
+    if not machines:
+        return []
+    with machines[0].tracer.span("kreclaimd.pairs"):
+        pairs = machines[0].pool.reclaim_pairs(pool_memcgs(machines))
+    moved = []
+    index = 0
+    for machine in machines:
+        own = machine.memcgs
+        mine = []
+        while (
+            index < len(pairs)
+            and own.get(pairs[index][0].job_id) is pairs[index][0]
+        ):
+            mine.append(pairs[index])
+            index += 1
+        moved.append(machine.kreclaimd.run(mine))
+    return moved

@@ -80,6 +80,10 @@ class MemCg:
         scan_period: kstaled scan period in seconds.
     """
 
+    #: Row in the owning page pool's per-memcg arrays; assigned by the
+    #: pool (-1 while the memcg belongs to none).
+    _pool_row: int = -1
+
     def __init__(
         self,
         job_id: str,
@@ -289,9 +293,9 @@ class MemCg:
     def promote_batch(cls, faults: Sequence[Fault]) -> None:
         """Flip faulted pages NEAR and account them as promotions.
 
-        The scalar kernel applies :meth:`mark_near` and
-        :meth:`record_promotions` per ``(memcg, far)`` pair, in order; the
-        columnar kernel overrides this with one pooled pass.
+        The reference applies :meth:`mark_near` and
+        :meth:`record_promotions` per ``(memcg, far)`` pair, in order;
+        columnar memcgs override this with one pooled pass.
         """
         for memcg, indices in faults:
             memcg.mark_near(indices)

@@ -1,0 +1,109 @@
+"""The reference page pool: the scalar kernel behind the pool interface.
+
+:class:`ScalarPagePool` answers the calls of
+:class:`~repro.kernel.columnar.MachinePagePool` with the per-memcg
+methods of :class:`~repro.kernel.memcg.MemCg`: each memcg keeps its own
+arrays, scans with ``scan_update`` (the incremental cold-histogram fold)
+and lists candidates with ``reclaim_candidates``; its memcgs promote with
+``MemCg.promote_batch``.  It is the oracle the columnar pool is held to,
+bit for bit, selected with ``MachineConfig(kernel="scalar")`` by the
+equivalence suites and ``repro ci``.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
+
+from repro.core.histograms import AgeBins
+from repro.core.slo import working_set_pages
+from repro.kernel.memcg import MemCg
+
+__all__ = ["ScalarPagePool"]
+
+
+class ScalarPagePool:
+    """Pool rows over self-contained memcgs, handed out as the columnar
+    pool hands them out (lowest free row first), so per-row arrays of
+    the two pools line up."""
+
+    memcg_class = MemCg
+
+    def __init__(self, bins: AgeBins, scan_period: int):
+        self.bins = bins
+        self.scan_period = int(scan_period)
+        self.row_memcg: List[Optional[MemCg]] = []
+        self._free_rows: List[int] = []
+        #: Per-row resident-page counts from the most recent scan.
+        self.last_scan_row_pages = np.zeros(0, dtype=np.int64)
+
+    def add(self, memcg: MemCg) -> None:
+        if self._free_rows:
+            self._free_rows.sort()
+            memcg._pool_row = self._free_rows.pop(0)
+        else:
+            memcg._pool_row = len(self.row_memcg)
+            self.row_memcg.append(None)
+        self.row_memcg[memcg._pool_row] = memcg
+
+    def remove(self, memcg: MemCg) -> None:
+        self.row_memcg[memcg._pool_row] = None
+        self._free_rows.append(memcg._pool_row)
+        memcg._pool_row = -1
+
+    @property
+    def memcg_count(self) -> int:
+        return len(self.row_memcg) - len(self._free_rows)
+
+    def tier_pages(self) -> np.ndarray:
+        tiers = np.zeros((len(self.row_memcg), 2), dtype=np.int64)
+        for row, memcg in enumerate(self.row_memcg):
+            if memcg is not None:
+                tiers[row] = (memcg.near_pages, memcg.far_pages)
+        return tiers
+
+    def cold_pages(self, threshold_seconds: float) -> int:
+        return sum(m.cold_pages(threshold_seconds)
+                   for m in self.row_memcg if m is not None)
+
+    def export_columns(
+        self, rows: np.ndarray, min_cold_age_seconds: int
+    ) -> Dict[str, np.ndarray]:
+        memcgs = [self.row_memcg[row] for row in np.asarray(rows).tolist()]
+        shape = (len(memcgs), len(self.bins))
+        cold = [m.cold_age_histogram for m in memcgs]
+        promo = [m.promotion_histogram for m in memcgs]
+        return {
+            "promotion_counts": np.array(
+                [h.counts for h in promo], np.int64).reshape(shape),
+            "promotion_young": np.array(
+                [h.young_count for h in promo], np.int64),
+            "cold_counts": np.array(
+                [h.counts for h in cold], np.int64).reshape(shape),
+            "cold_young": np.array([h.young_count for h in cold], np.int64),
+            "working_set_pages": np.array(
+                [working_set_pages(h, min_cold_age_seconds) for h in cold],
+                np.int64),
+            "resident_pages": np.array(
+                [m.resident_pages for m in memcgs], np.int64),
+        }
+
+    def scan_all(self, memcgs: Iterable[MemCg]) -> int:
+        pages = np.zeros(len(self.row_memcg), dtype=np.int64)
+        for memcg in memcgs:
+            memcg.scan_update()
+            pages[memcg._pool_row] = memcg.resident_pages
+        self.last_scan_row_pages = pages
+        return int(pages.sum())
+
+    def reclaim_pairs(
+        self, memcgs: Iterable[MemCg]
+    ) -> List[Tuple[MemCg, np.ndarray]]:
+        pairs = []
+        for memcg in memcgs:
+            if memcg.zswap_enabled:
+                candidates = memcg.reclaim_candidates(memcg.cold_age_threshold)
+                if candidates.size:
+                    pairs.append((memcg, candidates))
+        return pairs

@@ -20,4 +20,4 @@ class Pool:
             self.payload_bytes[page] = 0
 
     def slow_mask(self, u):
-        return [p for p in np.flatnonzero(self.reclaim_mask[:u])]  # finding
+        return [p for p in np.flatnonzero(self.unevictable[:u])]  # finding

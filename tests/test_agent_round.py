@@ -118,7 +118,6 @@ def run_fleet(policy, redeploy, seed=17):
         machine_dram_gib=1.0,
         job_pages_range=((1 << 20) // PAGE_SIZE, (4 << 20) // PAGE_SIZE),
         kernel="columnar",
-        pool_scope="cluster",
         scan_period=60,
         churn_duration_range=(1200, 3600),
         policy_config=policy,

@@ -210,12 +210,12 @@ class TestBatchEqualsPerJobSequence:
         assert memcg.dirtied[far].all()
 
 
-def _fleet(kernel, scope):
+def _fleet(kernel):
     fleet = quickfleet(
         clusters=1, machines_per_cluster=2, jobs_per_machine=3, seed=5,
         machine_dram_gib=0.25,
         job_pages_range=((1 * MIB) // PAGE_SIZE, (2 * MIB) // PAGE_SIZE),
-        kernel=kernel, pool_scope=scope, scan_period=60,
+        kernel=kernel, scan_period=60,
         churn_duration_range=(1800, 5400),
         registry=MetricRegistry(), tracer=Tracer(),
     )
@@ -241,10 +241,8 @@ def _fleet(kernel, scope):
 
 def test_backends_agree_over_a_churning_run():
     snapshots = []
-    for kernel, scope in (
-        ("scalar", "machine"), ("columnar", "machine"), ("columnar", "cluster"),
-    ):
-        fleet = _fleet(kernel, scope)
+    for kernel in ("scalar", "columnar"):
+        fleet = _fleet(kernel)
         fleet.run(7200)
         machines = fleet.clusters[0].machines
         snapshots.append((
@@ -277,4 +275,3 @@ def test_backends_agree_over_a_churning_run():
     assert any(job.startswith("churn") for job, *_ in snapshots[0][2][0])
     assert any(far for _scanned, far in snapshots[0][5])
     assert snapshots[1] == snapshots[0]
-    assert snapshots[2] == snapshots[0]

@@ -657,7 +657,6 @@ class TestColumnarBlockPath:
                 seed=21,
                 machine_dram_gib=1.0,
                 kernel="columnar",
-                pool_scope="cluster",
                 churn_duration_range=(1800, 7200),
                 registry=MetricRegistry(),
                 tracer=Tracer(),

@@ -65,7 +65,6 @@ def run_fleet(root, prefer_blocks, outage_machine=None, down=(-1, -1)):
         machine_dram_gib=1.0,
         job_pages_range=((1 << 20) // PAGE_SIZE, (4 << 20) // PAGE_SIZE),
         kernel="columnar",
-        pool_scope="cluster",
         scan_period=60,
         registry=registry,
         tracer=Tracer(),

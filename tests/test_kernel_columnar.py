@@ -1,13 +1,14 @@
-"""Randomized property tests: the columnar kernel vs the scalar oracle.
+"""Randomized property tests: the columnar pool vs the scalar reference.
 
-The columnar backend (:mod:`repro.kernel.columnar`) promises
-*bit-equivalence* with the scalar kernel: pooled scan, pooled reclaim,
-promotion, huge-page propagation, churn and compaction must all produce
-exactly the per-page state, histograms, and daemon counters the scalar
-kernel produces.  These tests drive both backends through identical
-randomized operation scripts — at machine scope and at cluster scope
-(one shared pool, scanned and reclaimed the way ``Cluster`` drives it) —
-and assert full-state equality along the way.  A chaos scenario at the
+The columnar pool (:mod:`repro.kernel.columnar`) promises
+*bit-equivalence* with the reference pool (:mod:`repro.kernel.oracle`):
+pooled scan, pooled reclaim, promotion, huge-page propagation, churn and
+compaction must all produce exactly the per-page state, histograms, and
+daemon counters the scalar memcg methods produce.  These tests drive both
+pools through identical randomized operation scripts — standalone
+machines, and machines sharing one pool driven by the same scan and
+reclaim rounds ``Cluster`` runs — and assert full-state equality along
+the way.  A chaos scenario at the
 engine level checks the same property end to end.
 
 Two helper contracts promised elsewhere are property-tested here too:
@@ -24,7 +25,6 @@ import pytest
 
 from repro.cluster.wsc import quickfleet
 from repro.common.rng import SeedSequenceFactory
-from repro.common.simtime import PeriodicSchedule
 from repro.common.units import MIB, PAGE_SIZE
 from repro.core.threshold_policy import (
     _sorted_percentile,
@@ -33,7 +33,13 @@ from repro.core.threshold_policy import (
 from repro.faults import attach_scenario
 from repro.kernel.columnar import _NEVER_SCANS, MachinePagePool
 from repro.kernel.compression import ContentProfile
-from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
+from repro.kernel.machine import (
+    FarMemoryMode,
+    Machine,
+    MachineConfig,
+    reclaim_machines,
+    tick_machines,
+)
 from repro.kernel.memcg import PageState
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.obs import MetricRegistry, Tracer
@@ -107,9 +113,8 @@ def _machine_state(machine):
 
 
 class _Backend:
-    """A list of machines ticked and reclaimed the standalone way
-    (each machine drives its own kstaled/kreclaimd — the scalar kernel
-    and the columnar kernel with private per-machine pools)."""
+    """A list of standalone machines, each ticked and reclaimed on its
+    own page pool."""
 
     def __init__(self, machines):
         self.machines = machines
@@ -127,53 +132,15 @@ class _Backend:
 
 
 class _PooledBackend(_Backend):
-    """Machines sharing one cluster-scoped pool, driven exactly the way
-    ``Cluster._pooled_scan`` / ``Cluster._pooled_reclaim`` drive them:
-    one pool-wide scan booked back per machine, one pool-wide candidate
-    mask sliced back to each machine's kreclaimd."""
-
-    def __init__(self, machines, pool):
-        super().__init__(machines)
-        self.pool = pool
-        self._schedule = PeriodicSchedule(SCAN_PERIOD)
+    """Machines sharing one page pool, driven by the rounds ``Cluster``
+    runs: one pool-wide scan booked back per machine, one pool-wide
+    candidate mask sliced back to each machine's kreclaimd."""
 
     def tick(self, now):
-        if self._schedule.due(now):
-            memcgs = [
-                memcg
-                for machine in self.machines
-                for memcg in machine.memcgs.values()
-            ]
-            self.pool.scan_all(memcgs)
-            per_row = self.pool.last_scan_row_pages
-            for machine in self.machines:
-                pages = sum(
-                    int(per_row[memcg._pool_row])
-                    for memcg in machine.memcgs.values()
-                )
-                machine.kstaled.record_scan(pages)
-        for machine in self.machines:
-            machine.tick(now)
+        tick_machines(self.machines, now)
 
     def reclaim(self):
-        pairs = self.pool.reclaim_pairs(
-            [
-                memcg
-                for machine in self.machines
-                for memcg in machine.memcgs.values()
-            ]
-        )
-        index = 0
-        for machine in self.machines:
-            own = machine.memcgs
-            mine = []
-            while (
-                index < len(pairs)
-                and own.get(pairs[index][0].job_id) is pairs[index][0]
-            ):
-                mine.append(pairs[index])
-                index += 1
-            machine.kreclaimd.run(own.values(), pairs=mine)
+        reclaim_machines(self.machines)
 
 
 def _apply_random_ops(rng, oracle, candidate, steps):
@@ -300,8 +267,7 @@ class TestRandomizedEquivalence:
             [
                 _make_machine("columnar", i, seed, shared_pool=pool)
                 for i in range(2)
-            ],
-            pool,
+            ]
         )
         _apply_random_ops(rng, oracle, candidate, steps=100)
 
@@ -370,16 +336,12 @@ class TestPoolCompaction:
 
 
 class TestChaosReplay:
-    """A mixed chaos scenario replays identically under every backend:
+    """A mixed chaos scenario replays identically on both page pools:
     same coverage report, same SLI history, sample for sample."""
 
     def test_mixed_scenario_identical_across_backends(self):
         snapshots = []
-        for kernel, scope in (
-            ("scalar", "machine"),
-            ("columnar", "machine"),
-            ("columnar", "cluster"),
-        ):
+        for kernel in ("scalar", "columnar"):
             fleet = quickfleet(
                 clusters=1,
                 machines_per_cluster=3,
@@ -390,7 +352,6 @@ class TestChaosReplay:
                     (1 * MIB) // PAGE_SIZE, (4 * MIB) // PAGE_SIZE
                 ),
                 kernel=kernel,
-                pool_scope=scope,
                 scan_period=60,
                 churn_duration_range=(1800, 5400),
                 registry=MetricRegistry(),
@@ -406,11 +367,10 @@ class TestChaosReplay:
             snapshots.append((fleet.coverage_report(), sli))
         assert len(snapshots[0][1]) > 0
         assert snapshots[1] == snapshots[0]
-        assert snapshots[2] == snapshots[0]
 
 
 class TestSharedPoolPickle:
-    """The parallel engine ships clusters by pickle; a cluster-scoped
+    """The parallel engine ships clusters by pickle; a cluster's page
     pool must rebind its memcg views exactly once on arrival and the
     clone must continue bit-identically."""
 
@@ -421,8 +381,6 @@ class TestSharedPoolPickle:
             jobs_per_machine=4,
             seed=5,
             machine_dram_gib=0.5,
-            kernel="columnar",
-            pool_scope="cluster",
             scan_period=60,
             registry=MetricRegistry(),
             tracer=Tracer(),

@@ -8,6 +8,7 @@ from repro.kernel.compression import ContentProfile
 from repro.kernel.kreclaimd import Kreclaimd
 from repro.kernel.kstaled import Kstaled
 from repro.kernel.memcg import MemCg
+from repro.kernel.oracle import ScalarPagePool
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.kernel.zswap import Zswap
 
@@ -18,27 +19,44 @@ def compressible_memcg(rng):
     return MemCg("job", 1000, profile, default_age_bins(), rng)
 
 
+def _pool(*memcgs):
+    """The memcgs under test, held by a reference page pool."""
+    pool = ScalarPagePool(default_age_bins(), 120)
+    for memcg in memcgs:
+        pool.add(memcg)
+    return pool
+
+
+def _reclaim(reclaimd, memcg):
+    return reclaimd.run(_pool(memcg).reclaim_pairs([memcg]))
+
+
 class TestKstaled:
     def test_scans_on_period_boundaries(self, compressible_memcg):
         kstaled = Kstaled(scan_period=120)
         compressible_memcg.allocate(100)
-        ran = [t for t in range(0, 601, 60)
-               if kstaled.maybe_scan(t, [compressible_memcg])]
+        pool = _pool(compressible_memcg)
+        ran = [t for t in range(0, 601, 60) if kstaled.due(t)]
+        for _t in ran:
+            kstaled.record_scan(pool.scan_all([compressible_memcg]))
         assert ran == [0, 120, 240, 360, 480, 600]
         assert kstaled.scans_completed == 6
 
     def test_ages_accumulate_across_scans(self, compressible_memcg):
         kstaled = Kstaled()
         idx = compressible_memcg.allocate(10)
+        pool = _pool(compressible_memcg)
         for t in range(0, 601, 120):
-            kstaled.maybe_scan(t, [compressible_memcg])
+            if kstaled.due(t):
+                kstaled.record_scan(pool.scan_all([compressible_memcg]))
         # First scan consumed the allocation touch; 5 further scans aged.
         assert (compressible_memcg.age_scans[idx] == 5).all()
 
     def test_cpu_budget_accounting(self, compressible_memcg):
         kstaled = Kstaled()
         compressible_memcg.allocate(1000)
-        kstaled.scan([compressible_memcg])
+        kstaled.record_scan(
+            _pool(compressible_memcg).scan_all([compressible_memcg]))
         assert kstaled.pages_scanned == 1000
         assert kstaled.cpu_seconds > 0
 
@@ -56,7 +74,8 @@ class TestKstaled:
     def test_utilization_of_core(self, compressible_memcg):
         kstaled = Kstaled()
         compressible_memcg.allocate(500)
-        kstaled.scan([compressible_memcg])
+        kstaled.record_scan(
+            _pool(compressible_memcg).scan_all([compressible_memcg]))
         assert kstaled.utilization_of_core(120) > 0
         assert kstaled.utilization_of_core(0) == 0.0
 
@@ -74,9 +93,9 @@ class TestKreclaimd:
         compressible_memcg.allocate(100)
         self._aged_memcg(compressible_memcg, scans=2)  # 240s old
         compressible_memcg.cold_age_threshold = 480.0
-        assert reclaimd.run([compressible_memcg]) == 0
+        assert _reclaim(reclaimd, compressible_memcg) == 0
         compressible_memcg.cold_age_threshold = 240.0
-        assert reclaimd.run([compressible_memcg]) == 100
+        assert _reclaim(reclaimd, compressible_memcg) == 100
 
     def test_skips_disabled_jobs(self, compressible_memcg):
         zswap = Zswap(ZsmallocArena())
@@ -85,7 +104,7 @@ class TestKreclaimd:
         self._aged_memcg(compressible_memcg)
         compressible_memcg.cold_age_threshold = 120.0
         compressible_memcg.zswap_enabled = False
-        assert reclaimd.run([compressible_memcg]) == 0
+        assert _reclaim(reclaimd, compressible_memcg) == 0
 
     def test_budget_bounds_work_per_run(self, compressible_memcg):
         zswap = Zswap(ZsmallocArena())
@@ -93,8 +112,8 @@ class TestKreclaimd:
         compressible_memcg.allocate(100)
         self._aged_memcg(compressible_memcg)
         compressible_memcg.cold_age_threshold = 120.0
-        assert reclaimd.run([compressible_memcg]) == 30
-        assert reclaimd.run([compressible_memcg]) == 30
+        assert _reclaim(reclaimd, compressible_memcg) == 30
+        assert _reclaim(reclaimd, compressible_memcg) == 30
 
     def test_oldest_first(self, rng):
         profile = ContentProfile(incompressible_fraction=0.0, min_ratio=1.5)
@@ -106,7 +125,7 @@ class TestKreclaimd:
         memcg.cold_age_threshold = 120.0
         zswap = Zswap(ZsmallocArena())
         reclaimd = Kreclaimd(zswap, pages_per_run=10)
-        reclaimd.run([memcg])
+        _reclaim(reclaimd, memcg)
         assert memcg.far_mask()[idx[:10]].all()
         assert not memcg.far_mask()[idx[10:]].any()
 
@@ -116,6 +135,6 @@ class TestKreclaimd:
         compressible_memcg.allocate(50)
         self._aged_memcg(compressible_memcg)
         compressible_memcg.cold_age_threshold = 120.0
-        reclaimd.run([compressible_memcg])
+        _reclaim(reclaimd, compressible_memcg)
         assert reclaimd.runs == 1
         assert reclaimd.pages_reclaimed == 50

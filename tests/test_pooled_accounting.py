@@ -1,15 +1,18 @@
 """Segment-wise pooled accounting against the per-memcg ground truth.
 
-A cluster-scoped :class:`~repro.kernel.columnar.MachinePagePool` recounts
+A cluster's :class:`~repro.kernel.columnar.MachinePagePool` recounts
 every cold-age histogram with one ``bincount`` per scan and counts every
 row's near and far pages with one segment-wise pass per tick; the cluster
 sums those rows per machine for the far-pages gauge and the over-capacity
 test.  These tests pin both against what each memcg computes for itself
 (``_rebuild_cold_histogram``, ``near_pages``/``far_pages``) through
 churn (segment compaction and row reuse), huge pages, promotions and a
-pressure eviction that the three kernel backends must handle alike.
-They also cover the ``REPRO_CHECKS`` hook that guards the recount, and
-the touch of a page listed twice in one batch.
+pressure eviction that both page pools must handle alike.  The same
+random-op harness holds the columnar pool to the reference
+:class:`~repro.kernel.oracle.ScalarPagePool` call by call over the whole
+pool interface.  They also cover the ``REPRO_CHECKS`` hook that guards
+the recount, the touch of a page listed twice in one batch, and who owns
+which pool.
 """
 
 import numpy as np
@@ -26,8 +29,15 @@ from repro.common.rng import SeedSequenceFactory
 from repro.common.units import MIB, PAGE_SIZE
 from repro.kernel.columnar import MachinePagePool
 from repro.kernel.compression import ContentProfile
-from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
-from repro.kernel.memcg import PageState
+from repro.cluster.wsc import quickfleet
+from repro.kernel.machine import (
+    FarMemoryMode,
+    Machine,
+    MachineConfig,
+    machine_sums,
+)
+from repro.kernel.memcg import MemCg, PageState
+from repro.kernel.oracle import ScalarPagePool
 from repro.obs import MetricRegistry, Tracer
 from repro.workloads.access_patterns import ZipfianPattern
 from repro.workloads.job_generator import JobSpec
@@ -36,7 +46,7 @@ _PROFILE = ContentProfile(incompressible_fraction=0.1, min_ratio=1.5)
 _HUGE = 8
 
 
-def _cluster(kernel="columnar", scope="cluster", machines=3, dram=64 * MIB,
+def _cluster(kernel="columnar", machines=3, dram=64 * MIB,
              overcommit=0.0, placement="best_fit"):
     config = MachineConfig(
         dram_bytes=dram, mode=FarMemoryMode.PROACTIVE, kernel=kernel,
@@ -44,9 +54,15 @@ def _cluster(kernel="columnar", scope="cluster", machines=3, dram=64 * MIB,
     )
     return Cluster(
         "c", machines, config, SeedSequenceFactory(11),
-        overcommit=overcommit, placement=placement, pool_scope=scope,
+        overcommit=overcommit, placement=placement,
         registry=MetricRegistry(), tracer=Tracer(),
     )
+
+
+def _pooled_tiers(cluster):
+    """Each machine's ``[near, far]`` pages, summed from the pool's rows
+    the way the tick round counts them."""
+    return machine_sums(cluster.machines, cluster.pool.tier_pages()).tolist()
 
 
 def _exact_tiers(cluster):
@@ -77,7 +93,7 @@ def _assert_pool_counts(cluster, scanned):
         assert not pool.cold_counts[free].any()
         assert not pool.cold_young[free].any()
         assert not pool.last_scan_row_pages[free].any()
-    assert cluster._tier_pages() == _exact_tiers(cluster)
+    assert _pooled_tiers(cluster) == _exact_tiers(cluster)
     # The cached segment table matches one rebuilt from scratch.
     rows, bases, sizes = pool.segments()
     fresh = np.flatnonzero(pool.row_size)
@@ -155,6 +171,118 @@ def test_pooled_counts_match_every_memcg(seed):
     assert next_job > len(cluster.pool.row_memcg) // 2  # rows were reused
 
 
+def _live_memcgs(cluster):
+    return [m for machine in cluster.machines for m in machine.memcgs.values()]
+
+
+def _retune(rng, cluster):
+    """Give one memcg a random reclaim threshold and zswap gate, so the
+    candidate lists have something to disagree about."""
+    memcgs = sorted(_live_memcgs(cluster), key=lambda m: m.job_id)
+    if memcgs:
+        memcg = memcgs[int(rng.integers(len(memcgs)))]
+        memcg.cold_age_threshold = float(
+            rng.choice([0.0, 60.0, 240.0, 1200.0, np.inf])
+        )
+        memcg.zswap_enabled = bool(rng.integers(4))
+
+
+def _interface_answers(cluster, scan):
+    """Every answer of the page-pool interface, as comparable values."""
+    pool = cluster.pool
+    memcgs = _live_memcgs(cluster)
+    rows = np.array([m._pool_row for m in memcgs], dtype=np.int64)
+    answers = {"rows": rows.tolist()}
+    if scan:
+        answers["scan_all"] = pool.scan_all(memcgs)
+        answers["last_scan_row_pages"] = pool.last_scan_row_pages[rows].tolist()
+    answers["tier_pages"] = pool.tier_pages()[rows].tolist()
+    answers["cold_pages"] = [pool.cold_pages(t) for t in (0, 60, 300, 3600)]
+    answers["reclaim_pairs"] = [
+        (memcg.job_id, candidates.dtype.str, candidates.tolist())
+        for memcg, candidates in pool.reclaim_pairs(memcgs)
+    ]
+    answers["export_columns"] = {
+        name: (column.dtype.str, column.tolist())
+        for name, column in sorted(pool.export_columns(rows, 300).items())
+    }
+    answers["histograms"] = [
+        (memcg.job_id,
+         memcg.cold_age_histogram.counts.tolist(),
+         memcg.cold_age_histogram.young_count,
+         memcg.promotion_histogram.counts.tolist(),
+         memcg.promotion_histogram.young_count)
+        for memcg in memcgs
+    ]
+    return answers
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reference_and_columnar_pools_conform(seed):
+    """The same op script on a reference-pool cluster and a columnar one
+    (each op draws from its own copy of one seeded stream): after every
+    op, every interface call answers alike."""
+    clusters = [_cluster("scalar"), _cluster("columnar")]
+    assert isinstance(clusters[0].pool, ScalarPagePool)
+    assert isinstance(clusters[1].pool, MachinePagePool)
+    rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    next_jobs = [0, 0]
+    scans = 0
+    for step in range(240):
+        scan = step % 6 == 5
+        answers = []
+        for i, cluster in enumerate(clusters):
+            next_jobs[i] = _random_op(rngs[i], cluster, next_jobs[i])
+            _retune(rngs[i], cluster)
+            answers.append(_interface_answers(cluster, scan))
+        assert answers[1] == answers[0], f"diverged at step {step}"
+        scans += scan and answers[0]["scan_all"] > 0
+    assert scans > 10
+    assert next_jobs[0] > len(clusters[1].pool.row_memcg) // 2
+
+
+class TestPagePoolOwnership:
+    """One runtime kernel: every machine runs on a page pool."""
+
+    def test_machine_pool_scope_is_rejected(self):
+        with pytest.raises(ValueError, match="pool_scope='machine'.* removed"):
+            quickfleet(pool_scope="machine")
+
+    def test_every_machine_of_a_cluster_shares_its_pool(self):
+        for kernel in ("scalar", "columnar"):
+            cluster = _cluster(kernel)
+            assert all(m.pool is cluster.pool for m in cluster.machines)
+        fleet = quickfleet(clusters=2, machines_per_cluster=2,
+                           jobs_per_machine=1, machine_dram_gib=0.25,
+                           registry=MetricRegistry(), tracer=Tracer())
+        pools = [cluster.pool for cluster in fleet.clusters]
+        assert pools[0] is not pools[1]
+        for cluster in fleet.clusters:
+            assert isinstance(cluster.pool, MachinePagePool)
+            assert all(m.pool is cluster.pool for m in cluster.machines)
+
+    def test_standalone_machine_owns_a_pool(self):
+        machines = [
+            Machine(f"m{i}", MachineConfig(dram_bytes=64 * MIB),
+                    registry=MetricRegistry(), tracer=Tracer())
+            for i in range(2)
+        ]
+        assert all(isinstance(m.pool, MachinePagePool) for m in machines)
+        assert machines[0].pool is not machines[1].pool
+        memcg = machines[0].add_job("j", 16, _PROFILE)
+        assert machines[0].pool.row_memcg[memcg._pool_row] is memcg
+        machines[0].remove_job("j")
+        assert machines[0].pool is not None
+
+    def test_scalar_kernel_builds_the_reference_pool(self):
+        config = MachineConfig(dram_bytes=64 * MIB, kernel="scalar")
+        machine = Machine("m", config, registry=MetricRegistry(),
+                          tracer=Tracer())
+        assert isinstance(machine.pool, ScalarPagePool)
+        assert type(machine.add_job("j", 16, _PROFILE)) is MemCg
+        assert MachineConfig().kernel == "columnar"
+
+
 def _spec(job_id, pages, priority):
     return JobSpec(
         job_id=job_id, pages=pages, cpu_cores=1.0, priority=priority,
@@ -164,9 +292,9 @@ def _spec(job_id, pages, priority):
     )
 
 
-def _overloaded(kernel, scope):
+def _overloaded(kernel):
     """Two 4 MiB machines; promotions push the first over capacity."""
-    cluster = _cluster(kernel, scope, machines=2, dram=4 * MIB,
+    cluster = _cluster(kernel, machines=2, dram=4 * MIB,
                        overcommit=1.0, placement="spread")
     first, second = cluster.machines
     cluster.submit(_spec("a0", 700, 0))  # first machine (tie)
@@ -198,22 +326,20 @@ def _backend_state(cluster):
 
 def test_over_capacity_machine_evicts_on_pooled_counts():
     states = []
-    for kernel, scope in (("scalar", "machine"), ("columnar", "machine"),
-                          ("columnar", "cluster")):
-        cluster = _overloaded(kernel, scope)
-        assert cluster._tier_pages() == _exact_tiers(cluster)
+    for kernel in ("scalar", "columnar"):
+        cluster = _overloaded(kernel)
+        assert _pooled_tiers(cluster) == _exact_tiers(cluster)
         cluster.tick()
         # The lowest-priority job on the overloaded machine went.
         assert "a0" not in cluster.running
         assert cluster.scheduler.evictions_total == 1
         assert all(m.free_bytes >= 0 for m in cluster.machines)
-        if cluster.pool is not None:
+        if kernel == "columnar":
             _assert_pool_counts(cluster, scanned=False)
         for _ in range(5):
             cluster.tick()
         states.append(_backend_state(cluster))
     assert states[1] == states[0]
-    assert states[2] == states[0]
 
 
 class TestRecountInvariant:

@@ -659,8 +659,8 @@ class TestBatchAppend:
         ]
 
     def test_columnar_fleet_batch_export_matches_scalar(self, tmp_path):
-        """End to end: the columnar kernel's batched telemetry stores the
-        same entries the scalar kernel's per-entry path does."""
+        """End to end: the columnar pool's block telemetry stores the
+        same entries the reference pool's entry path does."""
         from repro.cluster.wsc import quickfleet
         from repro.obs import Tracer
 
@@ -672,10 +672,11 @@ class TestBatchAppend:
             fleet = quickfleet(
                 clusters=1, machines_per_cluster=2, jobs_per_machine=4,
                 seed=11, machine_dram_gib=1.0, kernel=kernel,
-                pool_scope="cluster" if kernel == "columnar" else "machine",
                 registry=MetricRegistry(), tracer=Tracer(),
                 trace_db=db,
             )
+            for exporter in fleet.clusters[0].exporters.values():
+                exporter.prefer_blocks = kernel == "columnar"
             fleet.run(3600)
             db.flush()
             dumps[kernel] = {

@@ -326,7 +326,7 @@ class TestExporterBlockFailure:
         exporter = TelemetryExporter(
             machine, sink, registry=registry, tracer=Tracer()
         )
-        assert machine.pool is not None  # block path active
+        assert exporter._takes_blocks()  # block path active
         for t in range(0, 3601, 300):
             if outage is not None:
                 sink.down = outage[0] <= t <= outage[1]
@@ -395,7 +395,6 @@ class TestSinkOutageColumnarFleet:
             jobs_per_machine=3,
             seed=seed,
             kernel="columnar",
-            pool_scope="cluster",
             registry=registry,
             tracer=Tracer(),
             trace_db=db,
