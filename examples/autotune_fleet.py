@@ -81,7 +81,7 @@ def main() -> None:
         ],
         slo_limit=5.0,  # monitoring guardrail on per-minute sample p98
     )
-    reached_production = deployment.deploy(best, HAND_TUNED)
+    reached_production = deployment.deploy(best)
     for outcome in deployment.outcomes:
         print(f"  stage {outcome.stage.name}: p98 "
               f"{outcome.p98_promotion_rate:.3f} %/min -> "

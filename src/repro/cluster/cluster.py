@@ -7,7 +7,10 @@ database.  The cluster advances all of them on a common clock and handles
 job lifecycle, memory-pressure eviction, and coverage sampling.
 
 All its machines keep their page state in the cluster's one page pool,
-so each layer runs as one round per tick over every due machine.
+so each layer runs as one round per tick over every due machine: the
+job step (one draw round into pool slots, one touch round with one
+pooled promotion), the kstaled scan, node-agent control with kreclaimd,
+and telemetry export.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.core.threshold_policy import (
     ThresholdPolicyConfig,
     as_policy,
 )
-from repro.cluster.job import RunningJob
+from repro.cluster.job import RunningJob, StepPlan
 from repro.cluster.scheduler import BorgScheduler
 from repro.cluster.trace_db import TraceDatabase
 from repro.kernel.machine import (
@@ -38,6 +41,7 @@ from repro.kernel.machine import (
     MachineConfig,
     reclaim_machines,
     tick_machines,
+    touch_machines,
 )
 from repro.obs import (
     MetricName,
@@ -161,6 +165,8 @@ class Cluster:
             for m in self.machines
         }
         self.running: Dict[str, RunningJob] = {}
+        #: The job step's cached plan (:meth:`_step_jobs`).
+        self._step_plan: Optional[StepPlan] = None
         #: Machines whose SLI telemetry is currently lost (e.g. the fault
         #: injector's sink outage).  Their agents keep controlling; the
         #: cluster just drops their samples on the floor at drain time, so
@@ -360,22 +366,32 @@ class Cluster:
         self.clock.advance()
 
     def _step_jobs(self, now: int) -> None:
-        """Every job's accesses for this tick, one touch batch per machine.
+        """Every job's accesses for this tick: one draw round, then one
+        touch round.
 
-        Draws run in ``running`` order on each job's own RNG stream and
-        never read memory state, so drawing them all first leaves every
-        draw unchanged.  Each machine then runs its jobs' touches (in the
-        same order, reads before writes) as one batch: one promotion pass
-        and one zswap decompress per machine instead of per job.
+        The draw round (:class:`~repro.cluster.job.StepPlan`) samples
+        every job on its own RNG stream into pool slots; the touch round
+        (:func:`~repro.kernel.machine.touch_machines`) makes one pool
+        touch pass for the reads, one for the writes, and one pooled
+        promotion for every machine.  The plan
+        is rebuilt whenever the pool layout or the tick interval changes.
         """
         with self.tracer.span("job.step", sim_time=now):
-            batches: Dict[Machine, list] = {}
-            for job in self.running.values():
-                batches.setdefault(job.machine, []).extend(
-                    job.accesses(now, self.clock.tick_seconds)
+            plan = self._step_plan
+            interval = self.clock.tick_seconds
+            if plan is None or not plan.fits(self.pool, interval):
+                plan = self._step_plan = StepPlan(
+                    self.running.values(), self.pool, interval
                 )
-            for machine, touches in batches.items():
-                machine.touch_jobs(touches)
+            reads, writes = plan.draw(now, self.pool.used)
+            touch_machines(self.machines, reads, writes)
+
+    def __getstate__(self) -> dict:
+        # The engine ships clusters by pickle; the plan is rebuilt on
+        # demand, so it never travels.
+        state = self.__dict__.copy()
+        state["_step_plan"] = None
+        return state
 
     def run(self, seconds: int) -> None:
         """Run the cluster forward by ``seconds``."""

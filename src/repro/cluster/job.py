@@ -1,21 +1,26 @@
-"""A job instance running on a machine.
+"""A job instance running on a machine, and a cluster's job-step plan.
 
-Binds a :class:`~repro.workloads.job_generator.JobSpec` to a machine:
-allocates the job's pages, instantiates its access pattern, and translates
-pattern-space page indices into memcg slot indices on every tick.
+:class:`RunningJob` binds a :class:`~repro.workloads.job_generator.JobSpec`
+to a machine: it allocates the job's pages (its whole memcg, so its page
+map is the identity) and instantiates its access pattern.
+:class:`StepPlan` draws one tick of every job's accesses as slots of
+their page pool: every Poisson job in one
+:class:`~repro.workloads.access_patterns.PoissonDraw`, every other job
+through its pattern's own ``step``, offset into the pool.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.common.rng import SeedSequenceFactory, seed_index
 from repro.kernel.machine import Machine
+from repro.workloads.access_patterns import PoissonDraw, poisson_parts
 from repro.workloads.job_generator import JobSpec
 
-__all__ = ["RunningJob"]
+__all__ = ["RunningJob", "StepPlan"]
 
 
 class RunningJob:
@@ -60,24 +65,65 @@ class RunningJob:
         duration = self.spec.duration_seconds
         return duration is not None and now - self.start_time >= duration
 
-    def accesses(
-        self, now: int, interval_seconds: int
-    ) -> List[Tuple[str, np.ndarray, bool]]:
-        """Draw one tick of the access pattern as machine touches.
-
-        Returns ``(job_id, memcg slots, is_write)`` triples for
-        :meth:`Machine.touch_jobs`, reads before writes.  The draw uses
-        only the job's own RNG and never reads memory state, so a cluster
-        may draw every job before any touch runs.
-        """
-        reads, writes = self.pattern.step(now, interval_seconds, self._drive_rng)
-        touches = []
-        if reads.size:
-            touches.append((self.job_id, self.page_map[reads], False))
-        if writes.size:
-            touches.append((self.job_id, self.page_map[writes], True))
-        return touches
-
     def stop(self) -> None:
         """Tear the job down on its machine."""
         self.machine.remove_job(self.job_id)
+
+
+class StepPlan:
+    """One cluster's job step, cached between ticks.
+
+    Splits the running jobs into *Poisson jobs* -- a
+    :class:`~repro.workloads.access_patterns.HeterogeneousPoissonPattern`,
+    bare or under diurnal modulation, whose page map is the identity --
+    which draw together in one :class:`PoissonDraw` over the pool's
+    slots, and the rest, which step alone.  It holds each job's drive RNG,
+    pattern and segment base, so it is valid for one pool layout and one
+    tick interval (:meth:`fits`).
+
+    Args:
+        jobs: the running jobs, in ``running`` order.
+        pool: their page pool.
+        interval_seconds: the tick length.
+    """
+
+    def __init__(self, jobs: Iterable[RunningJob], pool,
+                 interval_seconds: int):
+        self.layout_version = pool.layout_version
+        self.interval_seconds = interval_seconds
+        poisson = []
+        #: ``(job, segment base)`` of every job that steps alone.
+        self.others: List[Tuple[RunningJob, int]] = []
+        for job in jobs:
+            memcg = job.machine.memcgs[job.job_id]
+            base = int(pool.row_base[memcg._pool_row])
+            parts = poisson_parts(job.pattern)
+            if parts is not None and np.array_equal(
+                job.page_map, np.arange(parts[0].n_pages)
+            ):
+                poisson.append((job._drive_rng, parts[0], base, parts[1]))
+            else:
+                self.others.append((job, base))
+        self.poisson = PoissonDraw(poisson, interval_seconds)
+
+    def fits(self, pool, interval_seconds: int) -> bool:
+        """True while the pool layout and tick interval are the plan's."""
+        return (pool.layout_version == self.layout_version
+                and interval_seconds == self.interval_seconds)
+
+    def draw(self, now: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Every job's ``(reads, writes)`` for this tick, as pool slots
+        (``size`` is the pool's slots in use).  Each job draws on its own
+        RNG and never reads memory state, so the order jobs draw in does
+        not matter."""
+        reads, writes = self.poisson.draw(size, now)
+        if not self.others:
+            return reads, writes
+        read_parts, write_parts = [reads], [writes]
+        for job, base in self.others:
+            job_reads, job_writes = job.pattern.step(
+                now, self.interval_seconds, job._drive_rng
+            )
+            read_parts.append(job.page_map[job_reads] + base)
+            write_parts.append(job.page_map[job_writes] + base)
+        return np.concatenate(read_parts), np.concatenate(write_parts)

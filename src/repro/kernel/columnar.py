@@ -23,7 +23,8 @@ arrays are numpy *views* into the pool: every inherited method —
 ``allocate``/``release``/``touch``, zswap's tier flips, huge-page
 mapping — runs unchanged on the views and stays O(touched).  The pooled
 passes (:meth:`MachinePagePool.scan_all`,
-:meth:`MachinePagePool.reclaim_pairs`, the batched
+:meth:`MachinePagePool.reclaim_pairs`, the touch pass
+:meth:`MachinePagePool.touch` and the batched
 :meth:`MachinePagePool.promote`, the accounting reductions) replay the
 exact per-slot arithmetic of the scalar memcg methods as whole-pool
 array ops.  :class:`~repro.kernel.oracle.ScalarPagePool` answers the
@@ -50,9 +51,10 @@ from repro.kernel.compression import sample_payloads
 from repro.kernel.memcg import (
     _FAR,
     _HIST_NO_PAGE,
-    Fault,
     MemCg,
     PageState,
+    Promotion,
+    touch_pages,
 )
 
 __all__ = ["ColumnarMemCg", "MachinePagePool", "PooledAgeHistogram"]
@@ -211,12 +213,6 @@ class ColumnarMemCg(MemCg):
         state.pop("promotion_histogram", None)
         return state
 
-    @classmethod
-    def promote_batch(cls, faults: Sequence[Fault]) -> None:
-        """One :meth:`MachinePagePool.promote` pass (a machine's memcgs
-        share one pool)."""
-        faults[0][0]._pool.promote(faults)
-
 
 class MachinePagePool:
     """Columnar storage for the page state of every memcg of one
@@ -265,6 +261,9 @@ class MachinePagePool:
         self.last_scan_row_pages = np.zeros(0, dtype=np.int64)
         #: :meth:`segments` cache; None after a layout change.
         self._segment_table: Optional[Tuple[np.ndarray, ...]] = None
+        #: Bumped by every layout change (:meth:`add`, :meth:`remove`), so
+        #: callers can cache what depends on segment bases.
+        self.layout_version = 0
 
         #: Age (in scans) -> histogram bin; shared by every segment since
         #: the scan period is a machine-level parameter.
@@ -285,6 +284,7 @@ class MachinePagePool:
         base = self.used
         self.used += n
         self._segment_table = None
+        self.layout_version += 1
         self.row_base[row] = base
         self.row_size[row] = n
         self.row_memcg[row] = memcg
@@ -328,6 +328,7 @@ class MachinePagePool:
 
         self.row_base[self.row_base > base] -= size
         self._segment_table = None
+        self.layout_version += 1
         self.row_base[row] = 0
         self.row_size[row] = 0
         self.row_reclaim_thr[row] = _NEVER_SCANS
@@ -524,25 +525,38 @@ class MachinePagePool:
     # Pooled promotion
     # ------------------------------------------------------------------
 
-    def promote(self, faults: Sequence[Fault]) -> None:
-        """Account a batch's faults as promotions in one pool pass.
+    def touch(self, slots: np.ndarray, write: bool) -> np.ndarray:
+        """One touch pass over pool slots: the MMU for every memcg at once.
 
-        The pooled twin of :meth:`MemCg.promote_batch`: one state write,
-        one age reset, and one ``bincount`` into the promotion-histogram
-        rows (from the pre-reset ages, like :meth:`scan_all`); the
-        per-memcg counters advance in batch order.
+        Skips slots holding no page, sets the accessed bits (and the
+        dirtied bits for a write), and flips the far pages NEAR, so a
+        later pass finds them near.  Returns those far slots, each once,
+        in first-occurrence order.  Segments are disjoint, so this is
+        :meth:`MemCg.touch` and ``mark_near`` on each memcg's share.
         """
-        rows = np.array([memcg._pool_row for memcg, _i in faults])
-        sizes = np.array([indices.size for _m, indices in faults])
-        row_of = np.repeat(rows, sizes)
-        slots = (
-            np.concatenate([indices for _m, indices in faults])
-            + self.row_base[row_of]
-        )
+        far = touch_pages(self, slots, write)
+        self.state[far] = PageState.NEAR
+        return far
+
+    def payloads(self, slots: np.ndarray) -> np.ndarray:
+        """The payload sizes of pool slots."""
+        return self.payload_bytes[slots]
+
+    def promote(self, slots: np.ndarray,
+                promotions: Sequence[Promotion]) -> None:
+        """Account faulted pool slots as promotions in one pool pass.
+
+        ``slots`` are grouped by ``promotions``, one ``(memcg, pages)``
+        entry per run.  The pooled twin of ``mark_near`` plus
+        :meth:`MemCg.record_promotions`: one state write, one age reset,
+        and one ``bincount`` into the promotion-histogram rows (from the
+        pre-reset ages, like :meth:`scan_all`); the per-memcg counters
+        advance in order.
+        """
         self.state[slots] = PageState.NEAR
-        self._add_promotion_ages(row_of, self.age_scans[slots])
+        self._add_promotion_ages(self.owner_row[slots], self.age_scans[slots])
         self.age_scans[slots] = 0
-        for (memcg, _indices), count in zip(faults, sizes.tolist()):
+        for memcg, count in promotions:
             memcg.promoted_pages_total += count
             if memcg.promoted_counter is not None:
                 memcg.promoted_counter.inc(count)

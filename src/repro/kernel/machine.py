@@ -5,14 +5,16 @@ kreclaimd, zswap over a global zsmalloc arena, and reactive direct reclaim
 — behind the API the node agent and cluster scheduler use:
 
 * job lifecycle (:meth:`add_job` / :meth:`remove_job`),
-* the memory fast path (:meth:`touch`, :meth:`allocate`, :meth:`release`),
+* the memory fast path (:meth:`touch`/:meth:`touch_jobs`,
+  :meth:`allocate`, :meth:`release`),
 * a per-tick :meth:`tick` that runs whichever daemons are due.
 
 Page state lives in a page pool (``MachineConfig.kernel`` picks its
 class): a standalone machine owns one, and every machine of a cluster
-shares the cluster's.  A pool is swept whole, so the tick, scan and
-reclaim are *rounds* over the machines sharing it (:func:`tick_machines`,
-:func:`scan_machines`, :func:`reclaim_machines`); a standalone machine
+shares the cluster's.  A pool is swept whole, so the touch, tick, scan
+and reclaim are *rounds* over the machines sharing it
+(:func:`touch_machines`, :func:`tick_machines`, :func:`scan_machines`,
+:func:`reclaim_machines`); a standalone machine, or one job's touch,
 runs them on a list of one.
 
 The far-memory *mode* selects the paper's system (``PROACTIVE``), the Linux
@@ -46,7 +48,7 @@ from repro.kernel.kstaled import Kstaled
 from repro.kernel.memcg import MemCg
 from repro.kernel.oracle import ScalarPagePool
 from repro.kernel.zsmalloc import ZsmallocArena
-from repro.kernel.zswap import Zswap, ZswapJobStats
+from repro.kernel.zswap import Zswap, ZswapJobStats, decompress_rounds
 from repro.obs import (
     MetricName,
     MetricRegistry,
@@ -62,6 +64,7 @@ __all__ = [
     "reclaim_machines",
     "scan_machines",
     "tick_machines",
+    "touch_machines",
 ]
 
 #: ``MachineConfig.kernel`` -> page-pool class.
@@ -357,12 +360,12 @@ class Machine:
     def touch_jobs(
         self, touches: Sequence[Tuple[str, np.ndarray, bool]]
     ) -> int:
-        """Run a tick's page accesses; faults on far pages promote them.
+        """Run page accesses; faults on far pages promote them (a
+        :func:`touch_machines` round on a list of one).
 
-        Touches run in order (within a job, reads before writes): a far
-        page faults in the first touch that reaches it and is NEAR for
-        every later one.  A single zswap decompress then promotes every
-        fault of the batch (one pool pass for columnar memcgs).
+        Every read runs before every write, so each job's reads come
+        before its writes: a far page faults in the first touch that
+        reaches it and is NEAR for every later one.
 
         Args:
             touches: ``(job_id, page slots, is_write)`` triples.
@@ -370,16 +373,14 @@ class Machine:
         Returns:
             The number of promotions performed.
         """
-        faults = []
+        reads: List[np.ndarray] = []
+        writes: List[np.ndarray] = []
         for job_id, indices, write in touches:
-            memcg = self._memcg(job_id)
-            far = memcg.touch(indices, write=write)
-            if far.size:
-                memcg.mark_near(far)
-                faults.append((memcg, far))
-        if faults:
-            self.zswap.decompress_batch(faults)
-        return sum(int(far.size) for _memcg, far in faults)
+            base = int(self.pool.row_base[self._memcg(job_id)._pool_row])
+            (writes if write else reads).append(
+                np.asarray(indices, dtype=np.int64) + base
+            )
+        return touch_machines([self], _joined(reads), _joined(writes))[0]
 
     # ------------------------------------------------------------------
     # Daemons
@@ -507,3 +508,57 @@ def reclaim_machines(machines: Sequence[Machine]) -> List[int]:
             index += 1
         moved.append(machine.kreclaimd.run(mine))
     return moved
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def touch_machines(machines: Sequence[Machine], reads: np.ndarray,
+                   writes: np.ndarray) -> List[int]:
+    """One tick's page accesses for machines of one page pool; faults on
+    far pages promote them.  Returns the pages each machine promoted.
+
+    ``reads`` and ``writes`` are pool slots.  One pool touch pass runs
+    every read, then one every write; segments are disjoint, so this is
+    each job reading, then writing, on its own.  The faults are grouped
+    by ``owner_row`` into ``(memcg, touch)`` pairs -- machine by machine,
+    memcgs in arrival order, reads before writes -- and promoted in one
+    pass: one payload gather, one pool ``promote``, and zswap's
+    accounting (:func:`~repro.kernel.zswap.decompress_rounds`).
+    """
+    pool = machines[0].pool
+    read_far = pool.touch(reads, False)
+    far = np.concatenate([read_far, pool.touch(writes, True)])
+    promoted = [0] * len(machines)
+    if far.size == 0:
+        return promoted
+    memcgs = pool_memcgs(machines)
+    machine_of = np.repeat(np.arange(len(machines)),
+                           [len(machine.memcgs) for machine in machines])
+    # Pair key: twice the memcg's rank, plus one for writes.
+    rank = np.zeros(len(pool.row_memcg), dtype=np.int64)
+    rank[[memcg._pool_row for memcg in memcgs]] = np.arange(
+        0, 2 * len(memcgs), 2
+    )
+    key = rank[pool.owner_row[far]]
+    key[read_far.size :] += 1
+    order = np.argsort(key, kind="stable")
+    far = far[order]
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    owners = (key[starts] // 2).tolist()
+    counts = np.diff(np.append(starts, key.size)).tolist()
+    pairs = [(memcgs[owner], count) for owner, count in zip(owners, counts)]
+
+    payloads = pool.payloads(far)
+    pool.promote(far, pairs)
+    rounds: List[Tuple[Zswap, list]] = []
+    for pair, index in zip(pairs, machine_of[owners].tolist()):
+        zswap = machines[index].zswap
+        if not rounds or rounds[-1][0] is not zswap:
+            rounds.append((zswap, []))
+        rounds[-1][1].append(pair)
+        promoted[index] += pair[1]
+    decompress_rounds(rounds, payloads)
+    return promoted

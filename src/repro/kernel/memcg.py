@@ -24,7 +24,7 @@ the cold-age threshold and the soft limit protecting the working set.
 from __future__ import annotations
 
 import enum
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -64,8 +64,26 @@ class PageState(enum.IntEnum):
 _NEAR = int(PageState.NEAR)
 _FAR = int(PageState.FAR)
 
-#: Far pages one touch faulted on: ``(memcg, page slots)``.
-Fault = Tuple["MemCg", np.ndarray]
+#: One (job, touch) pair's promotions: ``(memcg, pages faulted)``.
+Promotion = Tuple["MemCg", int]
+
+
+def touch_pages(pages, indices: np.ndarray, write: bool) -> np.ndarray:
+    """The MMU over one set of page columns (a memcg's, or a pool's).
+
+    Marks the resident ``indices`` accessed (and dirtied for a write) and
+    returns the touched far pages, each once, in first-occurrence order.
+    ``pages`` needs ``resident``, ``accessed``, ``dirtied`` and ``state``.
+    """
+    live = indices[pages.resident[indices]]
+    pages.accessed[live] = True
+    if write:
+        pages.dirtied[live] = True
+    far = live[pages.state[live] == _FAR]
+    if far.size > 1 and not (far[1:] > far[:-1]).all():
+        # A slot repeated in one touch faults once, where it first occurs.
+        far = far[np.sort(np.unique(far, return_index=True)[1])]
+    return far
 
 
 class MemCg:
@@ -279,27 +297,7 @@ class MemCg:
         indices = np.asarray(indices)
         if indices.size == 0:
             return indices
-        live = indices[self.resident[indices]]
-        self.accessed[live] = True
-        if write:
-            self.dirtied[live] = True
-        far = live[self.state[live] == _FAR]
-        if far.size > 1 and not (far[1:] > far[:-1]).all():
-            # A slot repeated in one touch faults once, where it first occurs.
-            far = far[np.sort(np.unique(far, return_index=True)[1])]
-        return far
-
-    @classmethod
-    def promote_batch(cls, faults: Sequence[Fault]) -> None:
-        """Flip faulted pages NEAR and account them as promotions.
-
-        The reference applies :meth:`mark_near` and
-        :meth:`record_promotions` per ``(memcg, far)`` pair, in order;
-        columnar memcgs override this with one pooled pass.
-        """
-        for memcg, indices in faults:
-            memcg.mark_near(indices)
-            memcg.record_promotions(indices)
+        return touch_pages(self, indices, write)
 
     def record_promotions(self, indices: np.ndarray) -> None:
         """Account faults on far pages: age-at-access into the promotion

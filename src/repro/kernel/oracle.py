@@ -3,22 +3,25 @@
 :class:`ScalarPagePool` answers the calls of
 :class:`~repro.kernel.columnar.MachinePagePool` with the per-memcg
 methods of :class:`~repro.kernel.memcg.MemCg`: each memcg keeps its own
-arrays, scans with ``scan_update`` (the incremental cold-histogram fold)
-and lists candidates with ``reclaim_candidates``; its memcgs promote with
-``MemCg.promote_batch``.  It is the oracle the columnar pool is held to,
+arrays, scans with ``scan_update`` (the incremental cold-histogram fold),
+lists candidates with ``reclaim_candidates``, and is touched and promoted
+with ``touch``, ``mark_near`` and ``record_promotions``.  Pool slots are
+laid out as the columnar pool lays them out (segments in add order,
+compacted on removal), so a touch round addresses both pools alike.  It
+is the oracle the columnar pool is held to,
 bit for bit, selected with ``MachineConfig(kernel="scalar")`` by the
 equivalence suites and ``repro ci``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.histograms import AgeBins
 from repro.core.slo import working_set_pages
-from repro.kernel.memcg import MemCg
+from repro.kernel.memcg import MemCg, Promotion
 
 __all__ = ["ScalarPagePool"]
 
@@ -37,20 +40,76 @@ class ScalarPagePool:
         self._free_rows: List[int] = []
         #: Per-row resident-page counts from the most recent scan.
         self.last_scan_row_pages = np.zeros(0, dtype=np.int64)
+        #: The columnar pool's slot space: segment bases by row, the
+        #: owning row of every slot, and the slots in use.
+        self.row_base: List[int] = []
+        self.owner_row = np.zeros(0, dtype=np.int32)
+        self.used = 0
+        self.layout_version = 0
 
     def add(self, memcg: MemCg) -> None:
         if self._free_rows:
             self._free_rows.sort()
-            memcg._pool_row = self._free_rows.pop(0)
+            row = self._free_rows.pop(0)
         else:
-            memcg._pool_row = len(self.row_memcg)
+            row = len(self.row_memcg)
             self.row_memcg.append(None)
-        self.row_memcg[memcg._pool_row] = memcg
+            self.row_base.append(0)
+        memcg._pool_row = row
+        self.row_memcg[row] = memcg
+        self.row_base[row] = self.used
+        self.owner_row = np.concatenate([
+            self.owner_row, np.full(memcg.capacity_pages, row, np.int32)
+        ])
+        self.used += memcg.capacity_pages
+        self.layout_version += 1
 
     def remove(self, memcg: MemCg) -> None:
-        self.row_memcg[memcg._pool_row] = None
-        self._free_rows.append(memcg._pool_row)
+        row = memcg._pool_row
+        base, size = self.row_base[row], memcg.capacity_pages
+        self.owner_row = np.delete(self.owner_row, slice(base, base + size))
+        self.used -= size
+        for other in range(len(self.row_base)):
+            if self.row_base[other] > base:
+                self.row_base[other] -= size
+        self.layout_version += 1
+        self.row_memcg[row] = None
+        self._free_rows.append(row)
         memcg._pool_row = -1
+
+    def _runs(self, slots: np.ndarray) -> Iterator[Tuple[MemCg, int, int, int]]:
+        """``(memcg, base, lo, hi)`` per run of ``slots`` one memcg owns."""
+        owners = self.owner_row[slots]
+        if owners.size == 0:
+            return
+        starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
+        ends = np.append(starts[1:], owners.size)
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            row = int(owners[lo])
+            yield self.row_memcg[row], self.row_base[row], lo, hi
+
+    def touch(self, slots: np.ndarray, write: bool) -> np.ndarray:
+        far = [np.zeros(0, dtype=np.int64)]
+        for memcg, base, lo, hi in self._runs(slots):
+            hit = memcg.touch(slots[lo:hi] - base, write=write)
+            memcg.mark_near(hit)
+            far.append(hit + base)
+        return np.concatenate(far)
+
+    def payloads(self, slots: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.zeros(0, dtype=np.int32)] + [
+            memcg.payload_bytes[slots[lo:hi] - base]
+            for memcg, base, lo, hi in self._runs(slots)
+        ])
+
+    def promote(self, slots: np.ndarray,
+                promotions: Sequence[Promotion]) -> None:
+        end = 0
+        for memcg, count in promotions:
+            start, end = end, end + count
+            local = slots[start:end] - self.row_base[memcg._pool_row]
+            memcg.mark_near(local)
+            memcg.record_promotions(local)
 
     @property
     def memcg_count(self) -> int:

@@ -8,12 +8,17 @@ and decompresses pages on fault, keeping them decompressed thereafter.
 All CPU time spent compressing, decompressing, and *failing* to compress
 (the wasted cycles on incompressible data the paper calls out in §3.2) is
 accounted per job, which is what Fig. 8 plots.
+
+Promotions arrive as a round over every machine of a page pool
+(:func:`decompress_rounds`, after the pool's own promotion pass): one
+latency-model call, then one arena release and one span per machine.
+:meth:`Zswap.decompress` is a round of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +27,7 @@ from repro.kernel.compression import (
     DEFAULT_LATENCY_MODEL,
     CompressionLatencyModel,
 )
-from repro.kernel.memcg import Fault, MemCg
+from repro.kernel.memcg import MemCg, Promotion
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.obs import (
     MetricName,
@@ -32,7 +37,7 @@ from repro.obs import (
     get_tracer,
 )
 
-__all__ = ["Zswap", "ZswapJobStats"]
+__all__ = ["Zswap", "ZswapJobStats", "decompress_rounds"]
 
 
 @dataclass
@@ -247,58 +252,22 @@ class Zswap:
     def decompress(self, memcg: MemCg, indices: np.ndarray) -> float:
         """Fault one memcg's far pages back to near memory (promotion).
 
-        A one-item :meth:`decompress_batch`; returns the total
-        decompression latency incurred.
-        """
-        return self.decompress_batch([(memcg, indices)])
-
-    def decompress_batch(self, faults: Sequence[Fault]) -> float:
-        """Fault a batch of far pages back to near memory (promotion).
-
         Pages are removed from the arena, flipped to NEAR, and kept
         decompressed (the paper avoids repeated decompression by leaving
-        promoted pages uncompressed until they turn cold again).  The
-        whole batch shares one arena release, one latency-model call and
-        one span; promotion accounting goes through the memcg class's
-        :meth:`~repro.kernel.memcg.MemCg.promote_batch`.  Per-job stats,
-        the CPU counter and the latency reservoirs advance per
-        ``(memcg, far)`` pair, in batch order, exactly as one
-        :meth:`decompress` call per pair would.
-
-        Args:
-            faults: ``(memcg, far page slots)`` pairs in fault order.
-
-        Returns:
-            The total decompression latency of the batch.
+        promoted pages uncompressed until they turn cold again).  A
+        :func:`decompress_rounds` round of one, after the memcg's own
+        ``mark_near`` and ``record_promotions``; returns the total
+        decompression latency incurred.
         """
-        faults = [
-            (memcg, np.asarray(indices))
-            for memcg, indices in faults
-            if np.size(indices)
-        ]
-        if not faults:
+        indices = np.asarray(indices)
+        if indices.size == 0:
             return 0.0
-        grand_total = 0.0
-        with self._tracer.span("zswap.decompress"):
-            payloads = np.concatenate(
-                [memcg.payload_bytes[indices] for memcg, indices in faults]
-            )
-            self.arena.release(payloads)
-            type(faults[0][0]).promote_batch(faults)
-
-            latencies = self.latency_model.decompress_seconds(payloads)
-            end = 0
-            for memcg, indices in faults:
-                start, end = end, end + indices.size
-                job_latencies = latencies[start:end]
-                stats = self.stats_for(memcg.job_id)
-                stats.pages_decompressed += int(indices.size)
-                total = float(job_latencies.sum())
-                stats.decompress_seconds += total
-                self._m_decompress_cpu.inc(total)
-                self._sample_latencies(stats, job_latencies)
-                grand_total += total
-        return grand_total
+        payloads = memcg.payload_bytes[indices]
+        memcg.mark_near(indices)
+        memcg.record_promotions(indices)
+        return decompress_rounds(
+            [(self, [(memcg, int(indices.size))])], payloads
+        )
 
     def _sample_latencies(
         self, stats: ZswapJobStats, latencies: np.ndarray
@@ -340,3 +309,46 @@ class Zswap:
         if far_indices.size == 0:
             return
         self.arena.release(memcg.payload_bytes[far_indices])
+
+
+def decompress_rounds(
+    rounds: Sequence[Tuple[Zswap, Sequence[Promotion]]],
+    payloads: np.ndarray,
+) -> float:
+    """zswap's half of one promotion pass over many machines.
+
+    The page pool has already flipped the faulted pages NEAR and
+    accounted them; this frees their arena objects and charges their
+    decompression.  One latency-model call covers every machine (the
+    machines of one pool share one config).  Each machine then makes one
+    arena release and, per ``(memcg, pages)`` pair in order, advances the
+    job's stats, its decompress-CPU counter and its latency reservoir,
+    all inside one ``zswap.decompress`` span: the same slices, sums and
+    draws as one :meth:`Zswap.decompress` call per pair.
+
+    Args:
+        rounds: ``(zswap, pairs)`` per machine, in fault order.
+        payloads: the faulted pages' payload sizes, in the same order.
+
+    Returns:
+        The total decompression latency.
+    """
+    latencies = rounds[0][0].latency_model.decompress_seconds(payloads)
+    grand_total = 0.0
+    end = 0
+    for zswap, pairs in rounds:
+        with zswap._tracer.span("zswap.decompress"):
+            start = end
+            end += sum(count for _memcg, count in pairs)
+            zswap.arena.release(payloads[start:end])
+            for memcg, count in pairs:
+                job_latencies = latencies[start : start + count]
+                start += count
+                stats = zswap.stats_for(memcg.job_id)
+                stats.pages_decompressed += count
+                total = float(job_latencies.sum())
+                stats.decompress_seconds += total
+                zswap._m_decompress_cpu.inc(total)
+                zswap._sample_latencies(stats, job_latencies)
+                grand_total += total
+    return grand_total

@@ -20,13 +20,19 @@ Every pattern implements :class:`AccessPattern`: ``step`` returns the page
 indices read and written during one simulator tick, thinned to an
 activity ``level``.  Patterns own no page state; they index into the
 job's page space ``[0, n_pages)``.
+
+:class:`PoissonDraw` is the Poisson draw for many jobs at once, each in
+its own segment of one slot space: a cluster draws every Poisson job of
+its page pool with one, and ``HeterogeneousPoissonPattern.step`` is one
+on a single job at base 0.  The write/keep rule (:func:`_split_writes`)
+is shared by every pattern that splits its touches.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,11 +46,13 @@ from repro.common.validation import (
 __all__ = [
     "AccessPattern",
     "HeterogeneousPoissonPattern",
+    "PoissonDraw",
     "ZipfianPattern",
     "ScanPattern",
     "PhasedPattern",
     "DiurnalModulation",
     "make_rates_for_cold_fraction",
+    "poisson_parts",
 ]
 
 
@@ -66,20 +74,33 @@ class AccessPattern(abc.ABC):
         """
 
 
-def _split_writes(touched: np.ndarray, write_fraction: float, level: float,
-                  rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+#: One job's share of a write/keep split: its drive RNG, write fraction,
+#: activity level and ``[lo, hi)`` slice of the touched list.
+Split = Tuple[np.random.Generator, float, float, int, int]
+
+
+def _split_writes(touched: np.ndarray,
+                  splits: Iterable[Split]) -> Tuple[np.ndarray, np.ndarray]:
     """The write split of ``touched`` pages, then the activity thinning.
 
-    Below full activity the ``k`` write and ``k`` keep doubles come from
-    one ``rng.random(2k)`` call: the same doubles, in the same order, as
-    two ``random(k)`` calls.
+    Each job draws ``k`` write doubles for its ``k`` touched pages and,
+    below full activity, ``k`` keep doubles after them; a page is read if
+    kept, and written if kept and under the write fraction.
+    ``Generator.random`` takes one 64-bit word per double whatever the
+    call size, so the two ``random(k)`` calls are the same doubles, in the
+    same order, as one ``random(2k)``.
     """
-    k = touched.size
-    if level >= 1.0:
-        return touched, touched[rng.random(k) < write_fraction]
-    draws = rng.random(2 * k)
-    keep = draws[k:] < level
-    return touched[keep], touched[(draws[:k] < write_fraction) & keep]
+    write = np.empty(touched.size, dtype=bool)
+    keep = None
+    for rng, write_fraction, level, lo, hi in splits:
+        np.less(rng.random(hi - lo), write_fraction, out=write[lo:hi])
+        if level < 1.0:
+            if keep is None:
+                keep = np.ones(touched.size, dtype=bool)
+            np.less(rng.random(hi - lo), level, out=keep[lo:hi])
+    if keep is None:
+        return touched, touched[write]
+    return touched[keep], touched[write & keep]
 
 
 class HeterogeneousPoissonPattern(AccessPattern):
@@ -108,16 +129,97 @@ class HeterogeneousPoissonPattern(AccessPattern):
         self._touch_prob_interval: Optional[int] = None
         self._touch_prob: Optional[np.ndarray] = None
 
-    def step(self, now: int, interval_seconds: int, rng: np.random.Generator,
-             level: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-        # The rates are fixed and the simulator ticks at a constant
-        # interval, so the per-page touch probabilities are computed once
-        # and reused every tick.
+    def touch_prob(self, interval_seconds: int) -> np.ndarray:
+        """Per-page probability of a touch within one interval.
+
+        The rates are fixed and the simulator ticks at a constant
+        interval, so this is computed once and reused every tick.
+        """
         if interval_seconds != self._touch_prob_interval:
             self._touch_prob_interval = interval_seconds
             self._touch_prob = -np.expm1(-self.rates * interval_seconds)
-        touched = np.flatnonzero(rng.random(self.n_pages) < self._touch_prob)
-        return _split_writes(touched, self.write_fraction, level, rng)
+        return self._touch_prob
+
+    def step(self, now: int, interval_seconds: int, rng: np.random.Generator,
+             level: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+        return PoissonDraw([(rng, self, 0, ())], interval_seconds).draw(
+            self.n_pages, now, level
+        )
+
+
+class PoissonDraw:
+    """One tick of Poisson touches for many jobs in one slot space.
+
+    Job ``j`` owns the slots ``[base_j, base_j + n_pages_j)`` of a space
+    of ``size`` slots (a page pool; a standalone pattern is one job at
+    base 0).  :meth:`draw` fills each job's segment of one bool mask from
+    its own ``random(n_pages)`` call, finds every touched slot with one
+    ``flatnonzero`` and each job's slice of them with one
+    ``searchsorted``, then runs :func:`_split_writes` over the slices.
+    Every job's stream sees the calls :meth:`HeterogeneousPoissonPattern.step`
+    makes, in the same order.
+
+    Args:
+        jobs: ``(drive rng, pattern, base, modulations)`` per job;
+            ``modulations`` are the :class:`DiurnalModulation` wrappers
+            around the pattern, outermost first.
+        interval_seconds: the tick length.
+    """
+
+    def __init__(
+        self,
+        jobs: Sequence[Tuple[np.random.Generator, HeterogeneousPoissonPattern,
+                             int, Tuple["DiurnalModulation", ...]]],
+        interval_seconds: int,
+    ):
+        self.jobs = [
+            (rng, pattern, pattern.touch_prob(interval_seconds), int(base),
+             mods)
+            for rng, pattern, base, mods in jobs
+        ]
+        self.bounds = np.array(
+            [(base, base + pattern.n_pages)
+             for _rng, pattern, _prob, base, _mods in self.jobs],
+            dtype=np.int64,
+        ).reshape(-1)
+
+    def draw(self, size: int, now: int,
+             level: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+        """Slots ``(reads, writes)`` of every job, ascending.
+
+        ``level`` scales every job's activity, after its own modulations
+        (a standalone :meth:`DiurnalModulation.step` passes its level in).
+        """
+        mask = np.zeros(size, dtype=bool)
+        for rng, _pattern, prob, base, _mods in self.jobs:
+            np.less(rng.random(prob.size), prob,
+                    out=mask[base : base + prob.size])
+        touched = np.flatnonzero(mask)
+        edges = np.searchsorted(touched, self.bounds).tolist()
+        splits = []
+        for (rng, pattern, _prob, _base, mods), lo, hi in zip(
+            self.jobs, edges[::2], edges[1::2]
+        ):
+            job_level = level
+            for modulation in mods:
+                job_level = job_level * modulation.activity_level(now)
+            splits.append((rng, pattern.write_fraction, job_level, lo, hi))
+        return _split_writes(touched, splits)
+
+
+def poisson_parts(
+    pattern: AccessPattern,
+) -> Optional[Tuple[HeterogeneousPoissonPattern,
+                    Tuple["DiurnalModulation", ...]]]:
+    """A :class:`HeterogeneousPoissonPattern`, bare or under
+    :class:`DiurnalModulation`, as ``(inner, modulations)``; else None."""
+    mods = []
+    while isinstance(pattern, DiurnalModulation):
+        mods.append(pattern)
+        pattern = pattern.inner
+    if isinstance(pattern, HeterogeneousPoissonPattern):
+        return pattern, tuple(mods)
+    return None
 
 
 def make_rates_for_cold_fraction(
@@ -245,7 +347,10 @@ class ZipfianPattern(AccessPattern):
         # CDF's floating-point tail maps to index ``n_pages``.
         mask = np.zeros(self.n_pages + 1, dtype=bool)
         mask[pages] = True
-        return _split_writes(np.flatnonzero(mask), self.write_fraction, level, rng)
+        touched = np.flatnonzero(mask)
+        return _split_writes(
+            touched, [(rng, self.write_fraction, level, 0, touched.size)]
+        )
 
 
 class ScanPattern(AccessPattern):
@@ -341,7 +446,8 @@ class PhasedPattern(AccessPattern):
         else:
             mask[self._hot_start :] = True
             mask[: end - self.n_pages] = True
-        return _split_writes(np.flatnonzero(mask), 0.2, level, rng)
+        touched = np.flatnonzero(mask)
+        return _split_writes(touched, [(rng, 0.2, level, 0, touched.size)])
 
 
 class DiurnalModulation(AccessPattern):

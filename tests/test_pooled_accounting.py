@@ -35,6 +35,7 @@ from repro.kernel.machine import (
     Machine,
     MachineConfig,
     machine_sums,
+    touch_machines,
 )
 from repro.kernel.memcg import MemCg, PageState
 from repro.kernel.oracle import ScalarPagePool
@@ -104,10 +105,56 @@ def _assert_pool_counts(cluster, scanned):
     assert int(sizes.sum()) == pool.used
 
 
-def _random_op(rng, cluster, next_job):
+def _pool_touch(rng, cluster, record):
+    """One touch round over the whole pool: random memcgs, in random
+    order, read and write random slots of their segments with repeats
+    (and slots holding no page), so far pages sit in the reads only, the
+    writes only and both.  Records what each pool touch pass returned and
+    what each machine promoted, and how many far pages the reads only,
+    the writes only and both reached."""
+    pool = cluster.pool
+    memcgs = _live_memcgs(cluster)
+    reads, writes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    reach = np.zeros(3, dtype=np.int64)
+    for i in rng.permutation(len(memcgs)).tolist():
+        memcg = memcgs[i]
+        if rng.random() < 0.3:
+            continue
+        base = int(pool.row_base[memcg._pool_row])
+        cap = memcg.capacity_pages
+        read = rng.integers(0, cap, int(rng.integers(0, cap)))
+        write = rng.integers(0, cap, int(rng.integers(0, cap)))
+        far = np.flatnonzero(memcg.far_mask())
+        in_read, in_write = np.isin(far, read), np.isin(far, write)
+        reach += [(in_read & ~in_write).sum(), (in_write & ~in_read).sum(),
+                  (in_read & in_write).sum()]
+        reads.append(base + read)
+        writes.append(base + write)
+    passes = []
+    real_touch = pool.touch
+
+    def recording_touch(slots, write):
+        far = real_touch(slots, write)
+        passes.append((write, far.dtype.str, far.tolist()))
+        return far
+
+    pool.touch = recording_touch
+    try:
+        promoted = touch_machines(cluster.machines, np.concatenate(reads),
+                                  np.concatenate(writes))
+    finally:
+        del pool.touch
+    record["touch"] = (passes, promoted, reach.tolist(),
+                       pool.layout_version > pool.memcg_count)
+
+
+def _random_op(rng, cluster, next_job, record=None):
     machine = cluster.machines[int(rng.integers(len(cluster.machines)))]
     jobs = sorted(machine.memcgs)
-    op = int(rng.integers(8))
+    op = int(rng.integers(9))
+    if op == 8:
+        _pool_touch(rng, cluster, record if record is not None else {})
+        return next_job
     if op == 0 or not jobs:
         job = f"j{next_job}"
         machine.add_job(job, int(rng.integers(16, 97)), _PROFILE)
@@ -214,6 +261,24 @@ def _interface_answers(cluster, scan):
          memcg.promotion_histogram.young_count)
         for memcg in memcgs
     ]
+    answers["pages"] = [
+        (memcg.job_id, memcg.promoted_pages_total, [
+            np.asarray(getattr(memcg, column)).tobytes() for column in (
+                "resident", "age_scans", "accessed", "state", "dirtied",
+                "incompressible", "payload_bytes", "lru_active",
+                "huge_group",
+            )
+        ])
+        for memcg in memcgs
+    ]
+    answers["zswap"] = [
+        (machine.arena.stats(), sorted(
+            (job, stats.pages_decompressed, stats.decompress_seconds,
+             tuple(stats.decompress_latencies))
+            for job, stats in machine.zswap.job_stats.items()
+        ))
+        for machine in cluster.machines
+    ]
     return answers
 
 
@@ -228,17 +293,30 @@ def test_reference_and_columnar_pools_conform(seed):
     rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
     next_jobs = [0, 0]
     scans = 0
+    touches = []
     for step in range(240):
         scan = step % 6 == 5
         answers = []
         for i, cluster in enumerate(clusters):
-            next_jobs[i] = _random_op(rngs[i], cluster, next_jobs[i])
+            record = {}
+            next_jobs[i] = _random_op(rngs[i], cluster, next_jobs[i], record)
             _retune(rngs[i], cluster)
             answers.append(_interface_answers(cluster, scan))
+            answers[-1]["touch"] = record.get("touch")
         assert answers[1] == answers[0], f"diverged at step {step}"
         scans += scan and answers[0]["scan_all"] > 0
+        if answers[0]["touch"] is not None:
+            touches.append(answers[0]["touch"])
     assert scans > 10
     assert next_jobs[0] > len(clusters[1].pool.row_memcg) // 2
+    # Touch rounds reached far pages through the reads only, the writes
+    # only and both, also after segments were compacted; every far page
+    # was returned and promoted once.
+    reach = np.sum([t[2] for t in touches if t[3]], axis=0)
+    assert (reach > 0).all()
+    returned = sum(len(far) for t in touches for _w, _dt, far in t[0])
+    assert returned == sum(sum(t[1]) for t in touches) == sum(
+        sum(t[2]) for t in touches)
 
 
 class TestPagePoolOwnership:
