@@ -720,8 +720,9 @@ def cmd_ci(args: argparse.Namespace) -> int:
         else:
             print("ci: columnar equivalence smoke passed "
                   f"({report['sli_samples']} SLI samples, cold-age "
-                  "histograms and far-page gauges identical on the "
-                  "scalar reference and columnar pools)")
+                  "histograms, far-page gauges, arena and zswap stats "
+                  "and reclaim counters identical on the scalar "
+                  "reference and columnar pools)")
     if exit_code == 0 and not args.skip_bench:
         # Zero-copy telemetry: blocks gathered from pool columns must
         # leave byte-identical stores to the per-entry object oracle,

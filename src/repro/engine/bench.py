@@ -176,8 +176,10 @@ def columnar_equivalence(clusters: int = 2, machines: int = 4,
     the lot — on the reference scalar pool and on the columnar pool.
     ``equivalent`` is true only when both produce identical coverage
     reports, identical SLI histories (sample by sample), the same
-    cold-age histogram (counts and young) for every live memcg, and the
-    same ``repro_far_pages`` gauge for every machine.
+    cold-age histogram (counts and young) for every live memcg, the
+    same ``repro_far_pages`` gauge and arena stats for every machine, the
+    same zswap stats for every job (compressed, rejected, decompressed,
+    payload bytes) and the same ``repro_pages_reclaimed_total`` series.
     """
     check_positive(hours, "hours")
     seconds = int(hours * HOUR)
@@ -216,7 +218,22 @@ def columnar_equivalence(clusters: int = 2, machines: int = 4,
         far_gauges = [
             s.value for _l, s in registry.get(MetricName.FAR_PAGES).series()
         ]
-        snapshots.append((fleet.coverage_report(), sli, cold, far_gauges))
+        # What the pooled reclaim round writes: arenas, per-job zswap
+        # stats (departed jobs' included) and the reclaim counters.
+        arenas = tuple(machine.arena.stats() for machine in fleet.machines)
+        zswap = tuple(
+            (machine.machine_id, job_id, stats.pages_compressed,
+             stats.pages_rejected, stats.pages_decompressed,
+             stats.payload_bytes_stored)
+            for machine in fleet.machines
+            for job_id, stats in sorted(machine.zswap.job_stats.items())
+        )
+        reclaimed = [
+            (labels, s.value) for labels, s in
+            registry.get(MetricName.PAGES_RECLAIMED_TOTAL).series()
+        ]
+        snapshots.append((fleet.coverage_report(), sli, cold, far_gauges,
+                          arenas, zswap, reclaimed))
     return {
         "clusters": clusters,
         "machines_per_cluster": machines,

@@ -476,24 +476,21 @@ class MachinePagePool:
         ))
 
     # ------------------------------------------------------------------
-    # Zero-copy telemetry export
+    # Histogram gathers (the agent's round, the zero-copy export)
     # ------------------------------------------------------------------
 
-    def export_columns(
+    def histogram_columns(
         self, rows: np.ndarray, min_cold_age_seconds: int
     ) -> Dict[str, np.ndarray]:
-        """Materialize one export window's telemetry columns for ``rows``.
+        """Gather the kernel histograms of ``rows``, one output row each.
 
-        The zero-copy half of the telemetry fast path: one fancy-index
-        gather per histogram column (the gathers *are* the copies — the
-        returned arrays never alias live pool storage) plus one
-        segment-wise reduction for the per-row resident counts.  No
-        per-job Python loop runs here; the exporter packs the result into
-        a :class:`~repro.model.trace.TelemetryBlock` as-is.
+        One fancy-index gather per column (the gathers *are* the copies:
+        the returned arrays never alias live pool storage).  The node
+        agent's round reads these; :meth:`export_columns` adds the
+        resident counts for the exporter.
 
         Args:
-            rows: pool row ordinals of the memcgs to export, in export
-                order (one output row each).
+            rows: pool row ordinals, in output order.
             min_cold_age_seconds: the SLO's working-set window; the
                 working-set column replays
                 :func:`repro.core.slo.working_set_pages` per row.
@@ -501,9 +498,8 @@ class MachinePagePool:
         Returns:
             Columns keyed ``promotion_counts``/``promotion_young``
             (cumulative, since pool start), ``cold_counts``/``cold_young``
-            (current snapshot), ``working_set_pages``, and
-            ``resident_pages`` — int64 throughout, bit-identical to the
-            per-memcg scalar reads.
+            (current snapshot) and ``working_set_pages`` -- int64
+            throughout, bit-identical to the per-memcg scalar reads.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cold_counts = self.cold_counts[rows]
@@ -511,15 +507,30 @@ class MachinePagePool:
         # Working set: young pages plus every bin strictly below the
         # window (the vectorized twin of ``slo.working_set_pages``).
         idx = bisect_left(self.bins.thresholds, min_cold_age_seconds)
-        working_set = cold_young + cold_counts[:, :idx].sum(axis=1)
         return {
             "promotion_counts": self.promo_counts[rows],
             "promotion_young": self.promo_young[rows],
             "cold_counts": cold_counts,
             "cold_young": cold_young,
-            "working_set_pages": working_set,
-            "resident_pages": self._row_sums(self.resident[: self.used])[rows],
+            "working_set_pages": cold_young + cold_counts[:, :idx].sum(axis=1),
         }
+
+    def export_columns(
+        self, rows: np.ndarray, min_cold_age_seconds: int
+    ) -> Dict[str, np.ndarray]:
+        """Materialize one export window's telemetry columns for ``rows``.
+
+        The zero-copy half of the telemetry fast path:
+        :meth:`histogram_columns` plus one segment-wise reduction for the
+        per-row ``resident_pages``.  No per-job Python loop runs here; the
+        exporter packs the result into a
+        :class:`~repro.model.trace.TelemetryBlock` as-is.
+        """
+        columns = self.histogram_columns(rows, min_cold_age_seconds)
+        columns["resident_pages"] = self._row_sums(
+            self.resident[: self.used]
+        )[np.asarray(rows, dtype=np.int64)]
+        return columns
 
     # ------------------------------------------------------------------
     # Pooled promotion
@@ -712,29 +723,21 @@ class MachinePagePool:
     # Pooled kreclaimd candidate evaluation
     # ------------------------------------------------------------------
 
-    def reclaim_pairs(
-        self, memcgs: Iterable[MemCg]
-    ) -> List[Tuple[MemCg, np.ndarray]]:
-        """Reclaim candidates for every memcg from one pool-wide mask.
+    def _reclaim_slots(self) -> np.ndarray:
+        """Every reclaim candidate's pool slot, ascending, from one
+        pool-wide mask.
 
-        Builds the eligibility mask (resident, NEAR, evictable,
-        compressible, age at or beyond the *owning memcg's* threshold) in
-        a single pass — per-row thresholds are pre-encoded in
-        ``row_reclaim_thr`` (maintained by the memcg property setters) and
-        spread to their slots with one ``np.repeat`` over the segments in
-        base order — then groups the candidate list back into memcg-local
-        indices along segment boundaries.
-        Memcgs with zswap disabled or a non-finite threshold carry the
-        never-matches sentinel and yield nothing, matching
-        ``MemCg.reclaim_candidates``.
-
-        Returns:
-            ``(memcg, local_candidates)`` pairs in iteration order,
-            candidates ascending — byte-identical to the scalar walk.
+        The mask is resident, NEAR, evictable, compressible and aged at
+        or beyond the *owning memcg's* threshold.  Per-row thresholds are
+        pre-encoded in ``row_reclaim_thr`` (maintained by the memcg
+        property setters) and spread to their slots with one
+        ``np.repeat`` over the segments in base order.  Memcgs with zswap
+        disabled or a non-finite threshold carry the never-matches
+        sentinel and yield nothing, matching ``MemCg.reclaim_candidates``.
         """
         u = self.used
         if u == 0:
-            return []
+            return np.zeros(0, dtype=np.int64)
         seg_rows, _bases, sizes = self.segments()
         thresholds = np.repeat(self.row_reclaim_thr[seg_rows], sizes)
         mask = (
@@ -744,7 +747,19 @@ class MachinePagePool:
             & ~self.incompressible[:u]
             & (self.age_scans[:u] >= thresholds)
         )
-        cand = np.flatnonzero(mask)
+        return np.flatnonzero(mask)
+
+    def reclaim_pairs(
+        self, memcgs: Iterable[MemCg]
+    ) -> List[Tuple[MemCg, np.ndarray]]:
+        """Reclaim candidates for every memcg, grouped back into
+        memcg-local indices along segment boundaries.
+
+        Returns:
+            ``(memcg, local_candidates)`` pairs in iteration order,
+            candidates ascending -- byte-identical to the scalar walk.
+        """
+        cand = self._reclaim_slots()
         if cand.size == 0:
             return []
         # Segments are contiguous, so candidates sorted by slot are also
@@ -766,3 +781,68 @@ class MachinePagePool:
                 (memcg, cand[lo:hi] - int(self.row_base[memcg._pool_row]))
             )
         return pairs
+
+    def reclaim_walk(
+        self, memcgs: Sequence[MemCg]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every memcg's reclaim candidates as pool slots, in the order
+        kreclaimd walks them.
+
+        ``memcgs`` sets the walk order.  Within a memcg the walk is its
+        LRU order (:meth:`MemCg.reclaim_order`: inactive list first,
+        oldest first, ties by ascending slot), so one stable ``lexsort``
+        keyed by (memcg rank, list, age) over the ascending candidate
+        mask is every memcg's ``reclaim_order`` at once.
+
+        Returns:
+            ``(slots, ranks)``: the candidate slots, and for each the
+            index in ``memcgs`` of its owner (non-decreasing).
+        """
+        cand = self._reclaim_slots()
+        if cand.size == 0:
+            return cand, cand
+        rank = np.full(len(self.row_memcg), -1, dtype=np.int64)
+        rank[[memcg._pool_row for memcg in memcgs]] = np.arange(len(memcgs))
+        ranks = rank[self.owner_row[cand]]
+        # Rows outside ``memcgs`` (another pool user's) take no part.
+        if ranks.min() < 0:
+            keep = ranks >= 0
+            cand, ranks = cand[keep], ranks[keep]
+        order = np.lexsort(
+            (-self.age_scans[cand], self.lru_active[cand], ranks)
+        )
+        return cand[order], ranks[order]
+
+    # ------------------------------------------------------------------
+    # Pooled zswap store (tier flips over pool slots)
+    # ------------------------------------------------------------------
+
+    def mark_incompressible(self, slots: np.ndarray) -> None:
+        """Flag pool slots whose compression attempt was rejected."""
+        self.incompressible[slots] = True
+
+    def mark_far(self, slots: np.ndarray) -> None:
+        """Move pool slots to the FAR tier: :meth:`MemCg.mark_far` on
+        every owner's share."""
+        self.state[slots] = PageState.FAR
+        self.dirtied[slots] = False
+
+    def split_huge_at(self, slots: np.ndarray) -> None:
+        """Split every huge mapping holding one of ``slots`` back to base
+        pages (:meth:`MemCg.split_huge_at` on every owner's share).
+
+        Group ids plus the owner's segment base are pool-global, so one
+        membership test over the pool's huge pages finds every page of
+        the touched mappings.
+        """
+        groups = self.huge_group[slots]
+        huge = groups >= 0
+        if not huge.any():
+            return
+        touched = np.unique(
+            groups[huge] + self.row_base[self.owner_row[slots[huge]]]
+        )
+        hg = self.huge_group[: self.used]
+        hp = np.flatnonzero(hg >= 0)
+        pool_groups = hg[hp] + self.row_base[self.owner_row[hp]]
+        self.huge_group[hp[np.isin(pool_groups, touched)]] = -1

@@ -3,22 +3,26 @@
 Once the node agent publishes a per-job cold-age threshold, kreclaimd walks
 each memcg's LRU, finds pages whose age meets or exceeds that job's
 threshold, and hands them to zswap for compression.  The page pool lists
-the candidates (``reclaim_pairs``); the daemon walks them in LRU order.
-It runs as a background task in slack cycles; a per-invocation page
-budget models the "unobtrusive background task" behaviour (it never
+the candidates in LRU walk order for every machine sharing it
+(``reclaim_walk``); :func:`walk_rounds` spends each machine's budget
+along that walk, and zswap stores the result in one pass.
+:meth:`Kreclaimd.run` is the same walk one memcg at a time.
+
+kreclaimd runs as a background task in slack cycles; a per-invocation
+page budget models the "unobtrusive background task" behaviour (it never
 stalls allocations the way reactive direct reclaim does — that contrast
 is the §3.2 ablation).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.validation import check_positive
 from repro.kernel.memcg import MemCg
-from repro.kernel.zswap import Zswap
+from repro.kernel.zswap import StoreRun, Zswap
 from repro.obs import (
     MetricName,
     MetricRegistry,
@@ -27,7 +31,7 @@ from repro.obs import (
     get_tracer,
 )
 
-__all__ = ["Kreclaimd"]
+__all__ = ["Kreclaimd", "walk_rounds"]
 
 
 class Kreclaimd:
@@ -79,39 +83,82 @@ class Kreclaimd:
         self._bind_metrics(registry)
 
     def run(self, pairs: Sequence[Tuple[MemCg, np.ndarray]]) -> int:
-        """One reclaim pass; returns pages moved to far memory.
+        """One reclaim pass, memcg by memcg; returns pages moved to far
+        memory.
 
         ``pairs`` are the pass's ``(memcg, candidates)`` in walk order, as
         the page pool's ``reclaim_pairs`` lists them (zswap-disabled
         memcgs and empty candidate sets already left out).  Per memcg:
         order the candidates the way the LRU walk visits them, oldest
-        first, and compress within the remaining budget.
+        first, and compress within the remaining budget.  This is the
+        walk a machine's reclaim round
+        (:func:`~repro.kernel.machine.reclaim_machines`) replays for a
+        whole page pool at once.
         """
-        if not pairs:
-            # Nothing eligible this pass.  Book the run without paying
-            # for the span — in a cluster most machines hit this every
-            # round.
-            self.runs += 1
-            self._m_runs.inc()
-            return 0
         budget = self.pages_per_run
         moved = 0
-        with self._tracer.span("kreclaimd.run"):
-            for memcg, candidates in pairs:
-                # LRU walk order: inactive list first, oldest first.
-                candidates = memcg.reclaim_order(candidates)
-                if budget is not None:
-                    if budget <= 0:
-                        break
-                    candidates = candidates[:budget]
-                stored = self.zswap.compress(memcg, candidates)
-                moved += stored
-                if budget is not None:
-                    # Attempted pages consume budget whether or not they
-                    # stored: cycles were spent either way.
-                    budget -= int(candidates.size)
+        for memcg, candidates in pairs:
+            # LRU walk order: inactive list first, oldest first.
+            candidates = memcg.reclaim_order(candidates)
+            if budget is not None:
+                if budget <= 0:
+                    break
+                candidates = candidates[:budget]
+            moved += self.zswap.compress(memcg, candidates)
+            if budget is not None:
+                # Attempted pages consume budget whether or not they
+                # stored: cycles were spent either way.
+                budget -= int(candidates.size)
+        self.record(moved)
+        return moved
+
+    def record(self, moved: int) -> None:
+        """Book one completed pass that moved ``moved`` pages."""
         self.runs += 1
         self.pages_reclaimed += moved
         self._m_runs.inc()
         self._m_pages.inc(moved)
-        return moved
+
+
+def walk_rounds(
+    daemons: Sequence[Kreclaimd], memcgs: Sequence[MemCg],
+    machine_of: np.ndarray, slots: np.ndarray, ranks: np.ndarray,
+) -> Tuple[np.ndarray, List[Tuple[int, List[StoreRun]]]]:
+    """Spend each machine's kreclaimd budget along one pool's reclaim walk.
+
+    ``slots`` and ``ranks`` are a page pool's ``reclaim_walk(memcgs)``,
+    and ``machine_of[rank]`` is the index in ``daemons`` of the memcg's
+    machine (non-decreasing in rank).  A budget counts attempted pages,
+    stored or not, so each machine attempts the first ``pages_per_run``
+    pages of its own walk, and a memcg that starts past them is not
+    visited at all: what :meth:`Kreclaimd.run` does memcg by memcg.
+
+    Returns:
+        The attempted slots, and ``(daemon index, runs)`` per machine
+        with any, in walk order: the runs ``(memcg, lo, hi)`` tile the
+        attempted slots (:func:`~repro.kernel.zswap.compress_rounds`).
+    """
+    bounds = np.flatnonzero(np.r_[True, ranks[1:] != ranks[:-1], True])
+    owners = ranks[bounds[:-1]].tolist()
+    left = [daemon.pages_per_run for daemon in daemons]
+    budgeted = any(budget is not None for budget in left)
+    attempted = []
+    rounds: List[Tuple[int, List[StoreRun]]] = []
+    end = 0
+    for owner, machine, lo, hi in zip(
+        owners, machine_of[owners].tolist(),
+        bounds[:-1].tolist(), bounds[1:].tolist(),
+    ):
+        budget = left[machine]
+        if budget is not None:
+            if budget <= 0:
+                continue
+            hi = min(hi, lo + budget)
+            left[machine] = budget - (hi - lo)
+        if budgeted:
+            attempted.append(slots[lo:hi])
+        if not rounds or rounds[-1][0] != machine:
+            rounds.append((machine, []))
+        rounds[-1][1].append((memcgs[owner], end, end + hi - lo))
+        end += hi - lo
+    return (np.concatenate(attempted) if budgeted else slots), rounds

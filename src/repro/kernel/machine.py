@@ -43,12 +43,17 @@ from repro.kernel.compression import (
 )
 from repro.kernel.columnar import MachinePagePool
 from repro.kernel.direct_reclaim import DirectReclaim
-from repro.kernel.kreclaimd import Kreclaimd
+from repro.kernel.kreclaimd import Kreclaimd, walk_rounds
 from repro.kernel.kstaled import Kstaled
 from repro.kernel.memcg import MemCg
 from repro.kernel.oracle import ScalarPagePool
 from repro.kernel.zsmalloc import ZsmallocArena
-from repro.kernel.zswap import Zswap, ZswapJobStats, decompress_rounds
+from repro.kernel.zswap import (
+    Zswap,
+    ZswapJobStats,
+    compress_rounds,
+    decompress_rounds,
+)
 from repro.obs import (
     MetricName,
     MetricRegistry,
@@ -488,25 +493,37 @@ def scan_machines(machines: Sequence[Machine], now: int) -> None:
 
 def reclaim_machines(machines: Sequence[Machine]) -> List[int]:
     """One kreclaimd round for machines of one page pool; returns the
-    pages each machine moved.  One candidate pass over the pool, sliced
-    back to each machine's kreclaimd, so budgets, LRU order and metrics
-    stay per machine."""
+    pages each machine moved.
+
+    One pooled pass: the pool lists every memcg's candidates in LRU walk
+    order (one mask, one ``lexsort``), kreclaimd spends each machine's
+    budget along the walk (:func:`~repro.kernel.kreclaimd.walk_rounds`),
+    and zswap stores the attempted pages
+    (:func:`~repro.kernel.zswap.compress_rounds`).  Per-job stats and
+    budgets stay per machine, in walk order; each machine's kreclaimd
+    books its own pass.
+    """
     if not machines:
         return []
-    with machines[0].tracer.span("kreclaimd.pairs"):
-        pairs = machines[0].pool.reclaim_pairs(pool_memcgs(machines))
-    moved = []
-    index = 0
-    for machine in machines:
-        own = machine.memcgs
-        mine = []
-        while (
-            index < len(pairs)
-            and own.get(pairs[index][0].job_id) is pairs[index][0]
-        ):
-            mine.append(pairs[index])
-            index += 1
-        moved.append(machine.kreclaimd.run(mine))
+    pool = machines[0].pool
+    memcgs = pool_memcgs(machines)
+    moved = [0] * len(machines)
+    with machines[0].tracer.span("kreclaimd.run"):
+        slots, ranks = pool.reclaim_walk(memcgs)
+        if slots.size:
+            machine_of = np.repeat(np.arange(len(machines)),
+                                   [len(machine.memcgs) for machine in machines])
+            slots, rounds = walk_rounds(
+                [machine.kreclaimd for machine in machines], memcgs,
+                machine_of, slots, ranks,
+            )
+            stored = compress_rounds(pool, slots, [
+                (machines[index].zswap, runs) for index, runs in rounds
+            ])
+            for (index, _runs), pages in zip(rounds, stored):
+                moved[index] = pages
+    for machine, pages in zip(machines, moved):
+        machine.kreclaimd.record(pages)
     return moved
 
 

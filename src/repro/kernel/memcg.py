@@ -351,6 +351,12 @@ class MemCg:
         """Split a huge mapping back to base pages (THP split)."""
         self.huge_group[self.huge_group == group] = -1
 
+    def split_huge_at(self, indices: np.ndarray) -> None:
+        """Split every huge mapping holding one of ``indices``."""
+        groups = self.huge_group[indices]
+        for group in np.unique(groups[groups >= 0]).tolist():
+            self.split_huge(group)
+
     def _propagate_huge_bits(self) -> None:
         """Share accessed/dirty bits within each huge mapping.
 
@@ -394,6 +400,11 @@ class MemCg:
         """Move pages back to the NEAR tier (zswap decompressed them)."""
         self.state[indices] = PageState.NEAR
         self.invalidate_reclaim_cache()
+
+    def payloads(self, indices: np.ndarray) -> np.ndarray:
+        """The payload sizes of pages (a memcg is the page space of a
+        one-memcg zswap store, as a pool is of a reclaim round)."""
+        return self.payload_bytes[indices]
 
     def mark_incompressible(self, indices: np.ndarray) -> None:
         """Flag pages whose compression attempt was rejected."""

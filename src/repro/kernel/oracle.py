@@ -126,7 +126,7 @@ class ScalarPagePool:
         return sum(m.cold_pages(threshold_seconds)
                    for m in self.row_memcg if m is not None)
 
-    def export_columns(
+    def histogram_columns(
         self, rows: np.ndarray, min_cold_age_seconds: int
     ) -> Dict[str, np.ndarray]:
         memcgs = [self.row_memcg[row] for row in np.asarray(rows).tolist()]
@@ -144,9 +144,16 @@ class ScalarPagePool:
             "working_set_pages": np.array(
                 [working_set_pages(h, min_cold_age_seconds) for h in cold],
                 np.int64),
-            "resident_pages": np.array(
-                [m.resident_pages for m in memcgs], np.int64),
         }
+
+    def export_columns(
+        self, rows: np.ndarray, min_cold_age_seconds: int
+    ) -> Dict[str, np.ndarray]:
+        columns = self.histogram_columns(rows, min_cold_age_seconds)
+        columns["resident_pages"] = np.array(
+            [self.row_memcg[row].resident_pages
+             for row in np.asarray(rows).tolist()], np.int64)
+        return columns
 
     def scan_all(self, memcgs: Iterable[MemCg]) -> int:
         pages = np.zeros(len(self.row_memcg), dtype=np.int64)
@@ -166,3 +173,29 @@ class ScalarPagePool:
                 if candidates.size:
                     pairs.append((memcg, candidates))
         return pairs
+
+    def reclaim_walk(
+        self, memcgs: Sequence[MemCg]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        slots = [np.zeros(0, dtype=np.int64)]
+        ranks = [np.zeros(0, dtype=np.int64)]
+        for rank, memcg in enumerate(memcgs):
+            if not memcg.zswap_enabled:
+                continue
+            candidates = memcg.reclaim_candidates(memcg.cold_age_threshold)
+            slots.append(memcg.reclaim_order(candidates)
+                         + self.row_base[memcg._pool_row])
+            ranks.append(np.full(candidates.size, rank, dtype=np.int64))
+        return np.concatenate(slots), np.concatenate(ranks)
+
+    def mark_incompressible(self, slots: np.ndarray) -> None:
+        for memcg, base, lo, hi in self._runs(slots):
+            memcg.mark_incompressible(slots[lo:hi] - base)
+
+    def mark_far(self, slots: np.ndarray) -> None:
+        for memcg, base, lo, hi in self._runs(slots):
+            memcg.mark_far(slots[lo:hi] - base)
+
+    def split_huge_at(self, slots: np.ndarray) -> None:
+        for memcg, base, lo, hi in self._runs(slots):
+            memcg.split_huge_at(slots[lo:hi] - base)

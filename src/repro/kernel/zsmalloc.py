@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.obs import (
     get_tracer,
 )
 
-__all__ = ["ZsmallocArena", "ArenaStats"]
+__all__ = ["ZsmallocArena", "ArenaStats", "size_classes"]
 
 #: Granularity of size classes, matching Linux zsmalloc's step.
 SIZE_CLASS_STEP = 32
@@ -44,6 +44,55 @@ ZSPAGE_BYTES = ZSPAGE_PAGES * PAGE_SIZE
 
 #: Per-object metadata overhead (handle + zspage bookkeeping share).
 OBJECT_METADATA_BYTES = 16
+
+
+#: One arena's share of a batch, by size class in ascending order: the
+#: class sizes, the object counts and the payload bytes, as three lists.
+ClassGroups = Tuple[List[int], List[int], List[int]]
+
+
+def size_classes(
+    payload_bytes: np.ndarray,
+    owners: Union[int, np.ndarray] = 0,
+    n_owners: int = 1,
+    step: int = SIZE_CLASS_STEP,
+) -> List[ClassGroups]:
+    """Group payloads by size class, for many arenas in one pass.
+
+    Payloads never exceed a page, so the class *indices* live in a
+    small dense range, and two ``np.bincount`` calls keyed by
+    ``(owner, class)`` replace a sort per arena.
+
+    Args:
+        payload_bytes: the payload sizes (all positive).
+        owners: the index of each payload's arena, in ``[0, n_owners)``.
+        n_owners: the number of arenas.
+        step: the arenas' size-class granularity.
+
+    Returns:
+        For each owner, its :data:`ClassGroups` (what
+        :meth:`ZsmallocArena.store_grouped` and
+        :meth:`ZsmallocArena.release_grouped` take).
+    """
+    payloads = np.asarray(payload_bytes, dtype=np.int64)
+    if payloads.size == 0:
+        return [([], [], []) for _ in range(n_owners)]
+    require(bool((payloads > 0).all()), "payloads must be positive")
+    class_index = (payloads + (OBJECT_METADATA_BYTES + step - 1)) // step
+    width = int(class_index.max()) + 1
+    keys = class_index + np.asarray(owners, dtype=np.int64) * width
+    counts = np.bincount(keys, minlength=n_owners * width)
+    sums = np.bincount(keys, weights=payloads, minlength=n_owners * width)
+    present = np.flatnonzero(counts)
+    groups = (((present % width) * step).tolist(), counts[present].tolist(),
+              sums[present].astype(np.int64).tolist())
+    if n_owners == 1:
+        return [groups]
+    bounds = np.searchsorted(present, np.arange(n_owners + 1) * width).tolist()
+    return [
+        tuple(column[lo:hi] for column in groups)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -155,49 +204,46 @@ class ZsmallocArena:
         gross = payload_bytes + OBJECT_METADATA_BYTES
         return self._step * math.ceil(gross / self._step)
 
-    def _class(self, class_bytes: int) -> _SizeClass:
-        cls = self._classes.get(class_bytes)
-        if cls is None:
-            cls = _SizeClass(class_bytes)
-            self._classes[class_bytes] = cls
-        return cls
-
     # ------------------------------------------------------------------
     # Allocation API (batch-oriented: kreclaimd compresses pages in bulk)
     # ------------------------------------------------------------------
 
-    def _grouped(self, payload_bytes: np.ndarray):
-        """Yield ``(class_bytes, object_count, payload_sum)`` per size class.
-
-        Payloads never exceed a page, so the class *indices* live in a
-        small dense range and two ``np.bincount`` calls replace the sort
-        inside ``np.unique``; ascending-class yield order is preserved.
-        """
-        payloads = np.asarray(payload_bytes, dtype=np.int64)
-        if payloads.size == 0:
-            return
-        require(bool((payloads > 0).all()), "payloads must be positive")
-        step = self._step
-        class_index = (payloads + (OBJECT_METADATA_BYTES + step - 1)) // step
-        counts = np.bincount(class_index)
-        sums = np.bincount(class_index, weights=payloads)
-        for index in np.flatnonzero(counts):
-            yield int(index) * step, int(counts[index]), int(sums[index])
+    @property
+    def step(self) -> int:
+        """Size-class granularity in bytes."""
+        return self._step
 
     def store(self, payload_bytes: np.ndarray) -> None:
         """Store one object per entry of ``payload_bytes``."""
-        for class_bytes, count, payload_sum in self._grouped(payload_bytes):
-            cls = self._class(class_bytes)
-            zspages_before = cls.zspages
+        self.store_grouped(size_classes(payload_bytes, step=self._step)[0])
+
+    def store_grouped(self, groups: ClassGroups) -> None:
+        """:meth:`store`, from payloads already grouped by
+        :func:`size_classes` with this arena's step."""
+        classes = self._classes
+        live = payload = zspages = internal = reused_bytes = 0
+        for class_bytes, count, payload_sum in zip(*groups):
+            cls = classes.get(class_bytes)
+            if cls is None:
+                cls = classes[class_bytes] = _SizeClass(class_bytes)
+            per_zspage = cls.objects_per_zspage
+            slots = cls.live + cls.holes
             reused = min(cls.holes, count)
             cls.holes -= reused
             cls.live += count
             cls.payload_bytes += payload_sum
-            self._footprint_total += (cls.zspages - zspages_before) * ZSPAGE_BYTES
-            self._live_total += count
-            self._payload_total += payload_sum
-            self._internal_total += count * class_bytes - payload_sum
-            self._external_total -= reused * class_bytes
+            # The class's zspages after the store minus before (ceilings).
+            zspages += (-(-(slots + count - reused) // per_zspage)
+                        - -(-slots // per_zspage))
+            live += count
+            payload += payload_sum
+            internal += count * class_bytes - payload_sum
+            reused_bytes += reused * class_bytes
+        self._footprint_total += zspages * ZSPAGE_BYTES
+        self._live_total += live
+        self._payload_total += payload
+        self._internal_total += internal
+        self._external_total -= reused_bytes
 
     def release(self, payload_bytes: np.ndarray) -> None:
         """Free the objects previously stored with these payload sizes.
@@ -205,8 +251,15 @@ class ZsmallocArena:
         Freeing turns live slots into holes, so the zspage count (and the
         footprint) is unchanged until compaction squeezes the holes out.
         """
-        for class_bytes, count, payload_sum in self._grouped(payload_bytes):
-            cls = self._classes.get(class_bytes)
+        self.release_grouped(size_classes(payload_bytes, step=self._step)[0])
+
+    def release_grouped(self, groups: ClassGroups) -> None:
+        """:meth:`release`, from payloads already grouped by
+        :func:`size_classes` with this arena's step."""
+        classes = self._classes
+        live = payload = internal = freed_bytes = 0
+        for class_bytes, count, payload_sum in zip(*groups):
+            cls = classes.get(class_bytes)
             if cls is None or cls.live < count:
                 raise SimulationError(
                     f"release of {count} objects from size class {class_bytes} "
@@ -215,10 +268,14 @@ class ZsmallocArena:
             cls.live -= count
             cls.holes += count
             cls.payload_bytes -= payload_sum
-            self._live_total -= count
-            self._payload_total -= payload_sum
-            self._internal_total -= count * class_bytes - payload_sum
-            self._external_total += count * class_bytes
+            live += count
+            payload += payload_sum
+            internal += count * class_bytes - payload_sum
+            freed_bytes += count * class_bytes
+        self._live_total -= live
+        self._payload_total -= payload
+        self._internal_total -= internal
+        self._external_total += freed_bytes
 
     def compact(self) -> int:
         """Explicit compaction (node-agent triggered); returns bytes freed."""
@@ -251,6 +308,11 @@ class ZsmallocArena:
     def live_objects(self) -> int:
         """Number of stored objects."""
         return self._live_total
+
+    @property
+    def external_fragmentation_bytes(self) -> int:
+        """Bytes held by free holes (compaction would release them)."""
+        return self._external_total
 
     def stats(self) -> ArenaStats:
         """Full accounting snapshot (O(1) — from the running totals)."""

@@ -6,8 +6,9 @@ per-job loop it replaced: each controller is driven through
 ``observe(interval_hist, wss)`` one job at a time, from ``AgeHistogram``
 diffs and the scalar ``working_set_pages``.  Both run the same seeded,
 cluster-pooled fleet, through a mid-run policy deployment and a
-corrupt-histogram rewarm, and must agree on everything the agent
-publishes.
+corrupt-histogram rewarm, on each page pool (the round reads histograms
+by pool row, and each pool answers that read its own way), and must
+agree on everything the agent publishes.
 """
 
 import math
@@ -108,7 +109,7 @@ def reference_round(agents, now, baselines):
     return controlled
 
 
-def run_fleet(policy, redeploy, seed=17):
+def run_fleet(policy, redeploy, kernel, seed=17):
     registry = MetricRegistry()
     fleet = quickfleet(
         clusters=1,
@@ -117,7 +118,7 @@ def run_fleet(policy, redeploy, seed=17):
         seed=seed,
         machine_dram_gib=1.0,
         job_pages_range=((1 << 20) // PAGE_SIZE, (4 << 20) // PAGE_SIZE),
-        kernel="columnar",
+        kernel=kernel,
         scan_period=60,
         churn_duration_range=(1200, 3600),
         policy_config=policy,
@@ -162,20 +163,25 @@ FIXED = FixedThresholdPolicy(threshold_seconds=240, warmup_seconds=300)
 THERMOSTAT = ThermostatPolicy()
 
 
-@pytest.mark.parametrize("policy, redeploy", [
-    (PAPER, THERMOSTAT),
-    (FIXED, PAPER),
-    (THERMOSTAT, FIXED),
-], ids=["paper", "fixed", "thermostat"])
-def test_agent_round_matches_per_job_reference(monkeypatch, policy, redeploy):
-    rounds = run_fleet(policy, redeploy)
+@pytest.mark.parametrize("policy, redeploy, kernel", [
+    (PAPER, THERMOSTAT, "columnar"),
+    (FIXED, PAPER, "columnar"),
+    (THERMOSTAT, FIXED, "columnar"),
+    (PAPER, THERMOSTAT, "scalar"),
+    (FIXED, PAPER, "scalar"),
+    (THERMOSTAT, FIXED, "scalar"),
+], ids=["paper", "fixed", "thermostat",
+        "paper-scalar", "fixed-scalar", "thermostat-scalar"])
+def test_agent_round_matches_per_job_reference(monkeypatch, policy, redeploy,
+                                               kernel):
+    rounds = run_fleet(policy, redeploy, kernel)
 
     baselines = {}
     monkeypatch.setattr(
         cluster_module, "control_agents",
         lambda agents, now: reference_round(agents, now, baselines),
     )
-    reference = run_fleet(policy, redeploy)
+    reference = run_fleet(policy, redeploy, kernel)
 
     assert rounds["rewarms"] > 0  # the corrupt-histogram path ran
     assert len(rounds["sli"]) > 0

@@ -239,11 +239,19 @@ def _fleet(kernel):
     return fleet
 
 
-def test_backends_agree_over_a_churning_run():
+def test_backends_agree_over_a_churning_run(monkeypatch):
+    # The pools are compared only with each other below, so a job-step
+    # fault common to both would pass that; the per-job oracle also
+    # holds every tick of both runs to stepping each job alone.
+    from tests.test_job_step_rounds import _Oracle
+
+    oracle = _Oracle(monkeypatch)
     snapshots = []
+    ticks = 0
     for kernel in ("scalar", "columnar"):
         fleet = _fleet(kernel)
         fleet.run(7200)
+        ticks += 7200 // fleet.clusters[0].clock.tick_seconds
         machines = fleet.clusters[0].machines
         snapshots.append((
             fleet.coverage_report(),
@@ -274,4 +282,5 @@ def test_backends_agree_over_a_churning_run():
     ) > 0
     assert any(job.startswith("churn") for job, *_ in snapshots[0][2][0])
     assert any(far for _scanned, far in snapshots[0][5])
+    assert oracle.ticks == ticks
     assert snapshots[1] == snapshots[0]
