@@ -13,14 +13,22 @@ paper's 32 %, and the hand-tuned baseline uses K=98, S=1800.
 from __future__ import annotations
 
 import pathlib
+from typing import List
 
+import numpy as np
 import pytest
 
 from repro.analysis import slo_violation_fraction
 from repro.cluster import quickfleet
 from repro.common.units import HOUR, MIB, PAGE_SIZE
 from repro.core import ThresholdPolicyConfig
-from repro.model import FarMemoryModel
+from repro.core.histograms import AgeHistogram, default_age_bins
+from repro.model import (
+    TRACE_PERIOD_SECONDS,
+    FarMemoryModel,
+    JobTrace,
+    TraceEntry,
+)
 from repro.autotuner import AutotuningPipeline
 
 #: The hand-tuned baseline configuration (paper's stage B-C).  Manual
@@ -56,6 +64,68 @@ MEASUREMENT_FLEET_KWARGS = dict(
     mean_cold_fraction=0.20,
     job_pages_range=((16 * MIB) // PAGE_SIZE, (64 * MIB) // PAGE_SIZE),
 )
+
+
+def synthetic_fleet_traces(
+    jobs: int, intervals: int, seed: int
+) -> List[JobTrace]:
+    """A deterministic synthetic fleet of per-job traces.
+
+    Jobs get lognormal-ish working sets and promotion/cold histograms
+    whose mass drifts over time, so the replayed thresholds actually move
+    (a constant trace would let the rolling percentile degenerate and
+    understate the scalar reference's cost).
+    """
+    rng = np.random.default_rng(seed)
+    bins = default_age_bins()
+    traces = []
+    for j in range(jobs):
+        trace = JobTrace(f"bench-job-{j}")
+        base_wss = int(rng.integers(2_000, 200_000))
+        for t in range(intervals):
+            promo = AgeHistogram(bins)
+            cold = AgeHistogram(bins)
+            drift = 1.0 + 0.5 * np.sin(2.0 * np.pi * t / max(intervals, 1))
+            promo.add_binned(
+                rng.integers(0, max(2, int(base_wss * 0.002 * drift)),
+                             size=len(bins))
+            )
+            cold.add_binned(
+                rng.integers(0, max(2, int(base_wss * 0.05)), size=len(bins))
+            )
+            wss = max(0, int(base_wss * drift + rng.integers(-500, 500)))
+            trace.append(
+                TraceEntry(
+                    job_id=trace.job_id,
+                    machine_id=f"bench-m{j % 16}",
+                    time=t * TRACE_PERIOD_SECONDS,
+                    working_set_pages=wss,
+                    promotion_histogram=promo,
+                    cold_age_histogram=cold,
+                    resident_pages=wss + int(rng.integers(0, base_wss)),
+                )
+            )
+        traces.append(trace)
+    return traces
+
+
+@pytest.fixture(scope="session")
+def synthetic_fleet() -> List[JobTrace]:
+    """24 synthetic jobs, one day of 5-minute intervals each."""
+    return synthetic_fleet_traces(jobs=24, intervals=288, seed=17)
+
+
+@pytest.fixture(scope="session")
+def what_if_batch() -> List[ThresholdPolicyConfig]:
+    """Eight candidate configurations spanning the autotuner's search
+    dimensions (K, S, spike reaction)."""
+    return [
+        ThresholdPolicyConfig(percentile_k=k, warmup_seconds=s,
+                              history_length=60,
+                              spike_reaction=(k, s) != (90.0, 1800))
+        for s in (600, 1800)
+        for k in (90.0, 95.0, 98.0, 99.0)
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -34,9 +34,9 @@ reported at the hazard line, with the entry→constructor chain attached.
 
 Source-side allowlist: functions in ``obs/`` (measures wall time by
 design), ``checks/`` (the invariant gate reads ``REPRO_CHECKS`` from
-the environment), ``common/rng.py`` (the one sanctioned generator
-factory), and ``*bench.py`` harnesses are never treated as taint
-sources — mirroring the local rules' allowlists.
+the environment) and ``common/rng.py`` (the one sanctioned generator
+factory) are never treated as taint sources — mirroring the local
+rules' allowlists.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ SOURCE_ALLOWLIST_FRAGMENTS: Tuple[str, ...] = (
     "common/rng.py",
 )
 
-#: Rel-path suffixes exempt as sources (throughput harnesses).
-SOURCE_ALLOWLIST_SUFFIXES: Tuple[str, ...] = ("bench.py",)
-
 #: Rel-path fragments that make a function a tick-path sink.
 SINK_PATH_FRAGMENTS: Tuple[str, ...] = ("kernel/", "engine/", "model/")
 
@@ -80,17 +77,12 @@ class _Taint:
 
 
 def _source_exempt(fn: FunctionInfo) -> bool:
-    rel = fn.rel_path
-    if any(fragment in rel for fragment in SOURCE_ALLOWLIST_FRAGMENTS):
-        return True
-    return any(rel.endswith(suffix) for suffix in SOURCE_ALLOWLIST_SUFFIXES)
+    return any(fragment in fn.rel_path
+               for fragment in SOURCE_ALLOWLIST_FRAGMENTS)
 
 
 def _is_sink(fn: FunctionInfo) -> bool:
-    rel = fn.rel_path
-    if any(rel.endswith(suffix) for suffix in SOURCE_ALLOWLIST_SUFFIXES):
-        return False  # bench harnesses measure wall time by design
-    return any(fragment in rel for fragment in SINK_PATH_FRAGMENTS)
+    return any(fragment in fn.rel_path for fragment in SINK_PATH_FRAGMENTS)
 
 
 def _propagate(graph: CallGraph) -> Dict[str, _Taint]:

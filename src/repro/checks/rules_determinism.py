@@ -5,9 +5,8 @@ serial ≡ parallel bit-equivalence contract makes all three load-bearing):
 
 * **DET001** — simulation logic must read :class:`repro.common.simtime`
   clocks, never the wall clock.  Wall time is allowed only in the
-  observability layer (``obs/``, which *measures* wall time by design)
-  and the throughput harnesses (``engine/bench.py``,
-  ``model/bench.py``).
+  observability layer (``obs/``, which *measures* wall time by design);
+  the benchmark (``perfbench/``) lives outside the package.
 * **DET002** — all randomness must flow through
   :class:`repro.common.rng.SeedSequenceFactory` (or an explicitly seeded
   ``np.random.Generator``); the stdlib ``random`` module and numpy's
@@ -85,11 +84,11 @@ class _WallClockVisitor(RuleVisitor):
 
 @register
 class WallClockRule(Rule):
-    """DET001: no wall-clock reads outside obs/ and engine/bench.py."""
+    """DET001: no wall-clock reads outside obs/."""
 
     id = "DET001"
     title = "wall-clock read in simulation code"
-    allowlist = ("repro/obs/", "repro/engine/bench.py", "repro/model/bench.py")
+    allowlist = ("repro/obs/",)
     visitor_class = _WallClockVisitor
 
 

@@ -10,11 +10,6 @@ Commands:
   offline experimentation with the fast far memory model.
 * ``metrics`` — run an instrumented fleet and print the health report,
   or the full metric exposition (``--format prom|json``).
-* ``bench`` — time the same fleet serially and under the parallel
-  engine (``BENCH_fleet.json``), with ``--model`` the fast far memory
-  model scalar-vs-vectorized (``BENCH_model.json``), or with ``--trace``
-  the columnar trace store against the object path
-  (``BENCH_trace.json``).
 * ``trace`` — inspect and convert columnar trace stores: ``stats``,
   ``window``, ``export``/``import`` (jsonl <-> columnar), ``compact``.
 * ``chaos`` — run a named fault-injection scenario and report the SLO
@@ -23,6 +18,11 @@ Commands:
   fleet (optionally under chaos) and report the per-stage verdicts.
 * ``ci`` — the one-command gate: tier-1 tests with runtime invariants on
   (``REPRO_CHECKS=1``) plus the ``repro lint`` static-analysis suite.
+  The equivalence gates (scalar ≡ vectorized replay, object ≡ columnar
+  store, reference ≡ columnar pool, serial ≡ parallel fleet) are tier-1
+  tests, so they run there with the invariants on.
+
+Throughput is measured by ``perfbench/run.py``, the one benchmark.
 """
 
 from __future__ import annotations
@@ -262,172 +262,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Throughput comparison: fleet engine (BENCH_fleet.json), the fast
-    far memory model (``--model``, BENCH_model.json), or the columnar
-    trace store (``--trace``, BENCH_trace.json)."""
-    if args.model:
-        return _cmd_bench_model(args)
-    if args.trace:
-        return _cmd_bench_trace(args)
-    from repro.engine.bench import run_bench
-
-    kwargs = dict(
-        hours=args.hours,
-        clusters=args.clusters,
-        machines=args.machines,
-        jobs=args.jobs,
-        seed=args.seed,
-        workers=args.workers,
-        barrier_seconds=args.barrier_seconds,
-    )
-    if kwargs["jobs"] is None:
-        kwargs["jobs"] = 1
-    if args.quick:
-        kwargs.update(hours=0.5, clusters=2, machines=10, jobs=1,
-                      tick_machines=10, tick_jobs=16, tick_ticks=10,
-                      equivalence_hours=0.25, thousand_machines=0)
-    print(f"Benchmarking {kwargs['clusters']} clusters x "
-          f"{kwargs['machines']} machines for {kwargs['hours']:g} "
-          f"simulated hours (tick path, equivalence, serial vs "
-          f"parallel)...")
-    report = run_bench(output=args.output, **kwargs)
-    tick = report["tick_path"]
-    print(render_table(
-        ["", "wall s", "ticks/s"],
-        [
-            ("scalar", f"{tick['scalar']['wall_seconds']:.2f}",
-             f"{tick['scalar']['ticks_per_second']:.1f}"),
-            ("columnar", f"{tick['columnar']['wall_seconds']:.2f}",
-             f"{tick['columnar']['ticks_per_second']:.1f}"),
-        ],
-        title=f"Tick path, {tick['machines']} machines x "
-              f"{tick['jobs_per_machine']} jobs (columnar "
-              f"{tick['speedup_columnar']:.1f}x, "
-              f"equivalent={tick['equivalent']})",
-    ))
-    eq = report["equivalence"]
-    print(f"equivalence: scalar reference == columnar page pool "
-          f"over {eq['simulated_hours']:g} h of churn: {eq['equivalent']} "
-          f"({eq['sli_samples']} SLI samples)")
-    speedup = report["speedup"]
-    speedup_text = "n/a" if speedup is None else f"{speedup:.2f}x"
-    print(render_table(
-        ["", "wall s", "ticks/s", "pages scanned/s"],
-        [
-            ("serial", f"{report['serial']['wall_seconds']:.2f}",
-             f"{report['serial']['ticks_per_second']:.1f}",
-             f"{report['serial']['pages_scanned_per_second']:.0f}"),
-            (f"parallel x{report['parallel']['workers']}",
-             f"{report['parallel']['wall_seconds']:.2f}",
-             f"{report['parallel']['ticks_per_second']:.1f}",
-             f"{report['parallel']['pages_scanned_per_second']:.0f}"),
-        ],
-        title=f"Fleet throughput (speedup {speedup_text}, "
-              f"equivalent={report['equivalent']})",
-    ))
-    if report["note"]:
-        print(f"note: {report['note']}")
-    if report["parallel"]["fallback_reason"]:
-        print(f"note: ran serially — {report['parallel']['fallback_reason']}")
-    thousand = report["thousand_machine_hour"]
-    if thousand is not None:
-        line = (f"thousand-machine hour: {thousand['machines']} machines "
-                f"on one core in {thousand['wall_seconds']:.2f}s")
-        if "under_scalar_8_machine_bench" in thousand:
-            line += (f" — under the 8-machine scalar bench "
-                     f"({thousand['scalar_8_machine_wall_seconds']:.2f}s): "
-                     f"{thousand['under_scalar_8_machine_bench']}")
-        print(line)
-    print(f"Wrote {args.output}")
-    return 0 if report["equivalent"] else 1
-
-
-def _cmd_bench_model(args: argparse.Namespace) -> int:
-    """The ``repro bench --model`` half: fast-model throughput."""
-    from repro.model.bench import run_model_bench
-
-    kwargs = dict(
-        jobs=args.jobs if args.jobs is not None else 24,
-        intervals=args.intervals,
-        configs=args.configs,
-        workers=args.workers,
-        seed=args.seed,
-    )
-    if args.quick:
-        kwargs.update(jobs=6, intervals=48, configs=4)
-    # The fleet default filename would mislabel a model report.
-    output = args.output
-    if output == "BENCH_fleet.json":
-        output = "BENCH_model.json"
-    print(f"Benchmarking the fast model: {kwargs['jobs']} traces x "
-          f"{kwargs['intervals']} intervals x {kwargs['configs']} configs "
-          f"(scalar per-config, then batched vectorized)...")
-    report = run_model_bench(output=output, **kwargs)
-    rows = [
-        ("scalar per-config", f"{report['scalar']['wall_seconds']:.2f}",
-         f"{report['scalar']['configs_per_second']:.2f}"),
-        ("batched vectorized", f"{report['vectorized']['wall_seconds']:.2f}",
-         f"{report['vectorized']['configs_per_second']:.2f}"),
-    ]
-    if report["parallel"] is not None:
-        rows.append(
-            (f"vectorized x{report['parallel']['workers']}",
-             f"{report['parallel']['wall_seconds']:.2f}",
-             f"{report['parallel']['configs_per_second']:.2f}")
-        )
-    print(render_table(
-        ["", "wall s", "configs/s"],
-        rows,
-        title=f"Model throughput (speedup "
-              f"{report['speedup_vectorized']:.2f}x, "
-              f"equivalent={report['equivalent']})",
-    ))
-    print(f"Wrote {output}")
-    return 0 if report["equivalent"] else 1
-
-
-def _cmd_bench_trace(args: argparse.Namespace) -> int:
-    """The ``repro bench --trace`` half: columnar store vs object path."""
-    from repro.tracestore.bench import run_trace_bench
-
-    kwargs = dict(
-        jobs=args.jobs if args.jobs is not None else 24,
-        intervals=args.intervals,
-        configs=args.configs,
-        seed=args.seed,
-    )
-    if args.quick:
-        kwargs.update(jobs=6, intervals=48, configs=2)
-    # The fleet default filename would mislabel a trace-store report.
-    output = args.output
-    if output == "BENCH_fleet.json":
-        output = "BENCH_trace.json"
-    print(f"Benchmarking the trace store: {kwargs['jobs']} jobs x "
-          f"{kwargs['intervals']} intervals, replayed from objects and "
-          f"from on-disk columns...")
-    report = run_trace_bench(output=output, **kwargs)
-    obj, col = report["object_path"], report["columnar_path"]
-    print(render_table(
-        ["", "compile s", "evaluate s", "peak MiB"],
-        [
-            ("object path", f"{obj['compile_wall_seconds']:.3f}",
-             f"{obj['evaluate_wall_seconds']:.3f}",
-             f"{obj['peak_bytes'] / MIB:.1f}"),
-            ("columnar path", f"{col['compile_wall_seconds']:.3f}",
-             f"{col['evaluate_wall_seconds']:.3f}",
-             f"{col['peak_bytes'] / MIB:.1f}"),
-        ],
-        title=f"Trace store ({report['ingest']['rows_per_second']:.0f} "
-              f"rows/s ingest, compile speedup "
-              f"{report['compile_speedup']:.2f}x, peak-mem ratio "
-              f"{report['peak_mem_ratio']:.3f}, "
-              f"equivalent={report['equivalent']})",
-    ))
-    print(f"Wrote {output}")
-    return 0 if report["equivalent"] else 1
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     """Inspect/convert columnar trace stores (``repro trace ...``)."""
     from repro.common.errors import TraceError
@@ -651,7 +485,6 @@ def cmd_ci(args: argparse.Namespace) -> int:
     import os
     import subprocess
 
-    exit_code = 0
     if not args.skip_tests:
         env = dict(os.environ, REPRO_CHECKS="1")
         print("ci: running tier-1 tests with REPRO_CHECKS=1 ...")
@@ -671,94 +504,7 @@ def cmd_ci(args: argparse.Namespace) -> int:
         paths=[], format="text", rule=None, baseline=None,
         update_baseline=None, ci=True, flow=flow,
     )
-    exit_code = max(exit_code, cmd_lint(lint_args))
-    if exit_code == 0 and not args.skip_bench:
-        # The quick model-bench smoke gates only on scalar==vectorized
-        # equivalence — speedups flake on loaded CI hosts, bit-identical
-        # reports must not.
-        from repro.model.bench import run_model_bench
-
-        print("ci: running model bench smoke (bench --model --quick) ...")
-        report = run_model_bench(jobs=6, intervals=48, configs=4)
-        if not report["equivalent"]:
-            print("ci: model bench smoke FAILED "
-                  "(vectorized replay diverged from the scalar oracle)",
-                  file=sys.stderr)
-            exit_code = 1
-        else:
-            print("ci: model bench smoke passed "
-                  f"(speedup {report['speedup_vectorized']:.2f}x)")
-    if exit_code == 0 and not args.skip_bench:
-        # Same idea for the trace store: gate only on the columnar path
-        # reproducing the object path bit-identically, never on timing.
-        from repro.tracestore.bench import run_trace_bench
-
-        print("ci: running trace bench smoke (bench --trace --quick) ...")
-        report = run_trace_bench(jobs=6, intervals=48, configs=2)
-        if not report["equivalent"]:
-            print("ci: trace bench smoke FAILED "
-                  "(columnar replay diverged from the object path)",
-                  file=sys.stderr)
-            exit_code = 1
-        else:
-            print("ci: trace bench smoke passed "
-                  f"(peak-mem ratio {report['peak_mem_ratio']:.3f})")
-    if exit_code == 0 and not args.skip_bench:
-        # And for the fleet kernel: the columnar page pool must replay a
-        # churning fleet bit-identically to the scalar reference pool.
-        # Equivalence only — never timing.
-        from repro.engine.bench import columnar_equivalence
-
-        print("ci: running columnar kernel equivalence smoke ...")
-        report = columnar_equivalence(clusters=1, machines=2, jobs=4,
-                                      hours=0.25)
-        if not report["equivalent"]:
-            print("ci: columnar equivalence smoke FAILED "
-                  "(columnar pool diverged from the scalar reference)",
-                  file=sys.stderr)
-            exit_code = 1
-        else:
-            print("ci: columnar equivalence smoke passed "
-                  f"({report['sli_samples']} SLI samples, cold-age "
-                  "histograms, far-page gauges, arena and zswap stats "
-                  "and reclaim counters identical on the scalar "
-                  "reference and columnar pools)")
-    if exit_code == 0 and not args.skip_bench:
-        # Zero-copy telemetry: blocks gathered from pool columns must
-        # leave byte-identical stores to the per-entry object oracle,
-        # serial and parallel, also while one machine's sink is down
-        # and its export rounds split.  Equivalence only — never timing.
-        from repro.engine.bench import zero_copy_equivalence
-
-        print("ci: running zero-copy telemetry equivalence smoke ...")
-        report = zero_copy_equivalence(clusters=1, machines=2, jobs=4,
-                                       hours=0.25)
-        if not report["equivalent"]:
-            print("ci: zero-copy telemetry smoke FAILED "
-                  "(block ingest diverged from the per-entry oracle)",
-                  file=sys.stderr)
-            exit_code = 1
-        else:
-            print("ci: zero-copy telemetry smoke passed "
-                  f"({report['rows']} rows byte-identical across "
-                  "block and entry paths, serial and parallel, "
-                  "through a one-machine sink outage)")
-    if exit_code == 0 and not args.skip_bench:
-        # The canary-controller smoke: a deliberately SLO-breaching
-        # policy must be rolled back (never promoted), the decision must
-        # be bit-identical serial vs parallel, and a zero-telemetry soak
-        # must fail closed.
-        from repro.autotuner import canary_smoke
-
-        print("ci: running canary controller smoke ...")
-        try:
-            canary_smoke()
-        except AssertionError as exc:
-            print(f"ci: canary smoke FAILED ({exc})", file=sys.stderr)
-            exit_code = 1
-        else:
-            print("ci: canary smoke passed (breach rolled back, "
-                  "serial==parallel, fail-closed on silence)")
+    exit_code = cmd_lint(lint_args)
     print("ci: " + ("clean" if exit_code == 0 else "FAILED"))
     return exit_code
 
@@ -839,42 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None,
                    help="write to this file instead of stdout")
     p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("bench",
-                       help="fleet, fast-model, or trace-store throughput "
-                            "harness")
-    p.add_argument("--model", action="store_true",
-                   help="benchmark the fast far memory model (scalar "
-                        "per-config vs batched vectorized evaluate_many) "
-                        "instead of the fleet engine")
-    p.add_argument("--trace", action="store_true",
-                   help="benchmark the columnar trace store (ingest "
-                        "throughput, compile-from-columns vs the object "
-                        "path) instead of the fleet engine")
-    p.add_argument("--clusters", type=int, default=4)
-    p.add_argument("--machines", type=int, default=50,
-                   help="machines per cluster (fleet section)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="jobs per machine (fleet, default 1) or traces "
-                        "in the synthetic fleet (--model, default 24)")
-    p.add_argument("--hours", type=float, default=1.0,
-                   help="simulated hours per run")
-    p.add_argument("--intervals", type=int, default=288,
-                   help="5-minute periods per trace (--model only)")
-    p.add_argument("--configs", type=int, default=8,
-                   help="configurations per batch (--model only)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: min(4, cpus))")
-    p.add_argument("--barrier-seconds", type=int, default=60,
-                   help="engine barrier interval in simulated seconds")
-    p.add_argument("--quick", action="store_true",
-                   help="small fast configuration (CI smoke run)")
-    p.add_argument("--output", default="BENCH_fleet.json",
-                   help="report file (with --model the default becomes "
-                        "BENCH_model.json; with --trace, "
-                        "BENCH_trace.json)")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "trace",
@@ -993,9 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the whole-program flow passes "
                         "(FLOW001/FLOW002/CON001/CON002); local per-file "
                         "rules still run")
-    p.add_argument("--skip-bench", action="store_true",
-                   help="skip the quick equivalence smokes (model bench, "
-                        "trace bench, columnar kernel)")
     p.add_argument("pytest_args", nargs=argparse.REMAINDER,
                    help="extra arguments forwarded to pytest verbatim "
                         "(put them after any ci flags)")

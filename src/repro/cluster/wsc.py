@@ -107,14 +107,12 @@ class WSC:
             return self._session.now(self)
         return self._clusters[0].clock.now
 
-    def run(self, seconds: int, collect_sli: bool = True,
-            engine=None) -> None:
+    def run(self, seconds: int, engine=None) -> None:
         """Advance every cluster by ``seconds``, in lockstep ticks.
 
         Args:
-            seconds: simulated seconds to advance.
-            collect_sli: drain per-cluster SLI samples into
-                :attr:`sli_history` each tick.
+            seconds: simulated seconds to advance.  Every tick drains
+                the clusters' SLI samples into :attr:`sli_history`.
             engine: optional :class:`repro.engine.FleetEngine` bound to
                 this fleet; when given, execution is delegated to it
                 (parallel across worker processes where possible) with
@@ -122,16 +120,15 @@ class WSC:
         """
         check_positive(seconds, "seconds")
         if engine is not None:
-            engine.run(seconds, collect_sli=collect_sli)
+            engine.run(seconds)
             return
         self._close_session()
         end = self.now + seconds
         while self.now < end:
             for cluster in self._clusters:
                 cluster.tick()
-            if collect_sli:
-                for cluster in self._clusters:
-                    self.sli_history.extend(cluster.drain_sli_samples())
+            for cluster in self._clusters:
+                self.sli_history.extend(cluster.drain_sli_samples())
 
     def deploy_policy(self, policy: object) -> None:
         """Fleet-wide rollout of a cold-memory policy.

@@ -13,8 +13,10 @@ coverage reports and SLI histories to the serial run.
   when a caller needs the live clusters.
 * :func:`plan_shards` — deterministic LPT assignment of clusters to
   workers.
-* :mod:`repro.engine.bench` — the ``repro bench`` serial-vs-parallel
-  throughput harness behind ``BENCH_fleet.json``.
+
+Serial and parallel throughput are measured by ``perfbench/run.py``
+(``parallel_speedup``); serial ≡ parallel is held by the tier-1 tests
+in ``tests/test_engine_parallel.py`` and ``tests/test_fleet_equivalence.py``.
 """
 
 from repro.engine.parallel import (

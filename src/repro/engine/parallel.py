@@ -67,6 +67,7 @@ from repro.checks.invariants import check_merge_delta, invariants_enabled
 from repro.common.errors import ReproError, TraceError
 from repro.common.validation import check_positive, require
 from repro.engine.sharding import ShardPlan, plan_shards
+from repro.model.trace import TelemetryBlock
 from repro.obs import MetricName, MetricRegistry, Stopwatch, Tracer
 
 __all__ = [
@@ -190,8 +191,8 @@ def _point_sinks(clusters, sink) -> None:
             exporter.sink = sink
 
 
-def _tick_chunk(clusters, cluster_indices: Sequence[int], ticks: int,
-                collect_sli: bool) -> List[Tuple[int, int, list]]:
+def _tick_chunk(clusters, cluster_indices: Sequence[int],
+                ticks: int) -> List[Tuple[int, int, list]]:
     """Tick the indexed clusters ``ticks`` times, in cluster order.
 
     Returns the SLI batches drained on the way, each tagged ``(tick_seq,
@@ -201,11 +202,10 @@ def _tick_chunk(clusters, cluster_indices: Sequence[int], ticks: int,
     for tick_seq in range(ticks):
         for ci in cluster_indices:
             clusters[ci].tick()
-        if collect_sli:
-            for ci in cluster_indices:
-                samples = clusters[ci].drain_sli_samples()
-                if samples:
-                    sli_batches.append((tick_seq, ci, samples))
+        for ci in cluster_indices:
+            samples = clusters[ci].drain_sli_samples()
+            if samples:
+                sli_batches.append((tick_seq, ci, samples))
     return sli_batches
 
 
@@ -240,7 +240,7 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
             cmd = msg[0]
             if cmd == "advance":
                 trace_mark = mark()
-                batches = _tick_chunk(clusters, cluster_indices, *msg[1:])
+                batches = _tick_chunk(clusters, cluster_indices, msg[1])
                 conn.send(("ok", batches, since(trace_mark)))
             elif cmd == "call":
                 _, fn, args, indices = msg
@@ -361,8 +361,8 @@ class _Session:
         """Fleet time: a cluster the parent ticks is always current."""
         return fleet._clusters[self.local[0]].clock.now
 
-    def run(self, fleet, total_ticks: int, barrier_ticks: int,
-            collect_sli: bool) -> Tuple[int, int]:
+    def run(self, fleet, total_ticks: int,
+            barrier_ticks: int) -> Tuple[int, int]:
         """Advance every shard ``total_ticks``; returns the barriers made
         and the forked shards taken over on the way."""
         live = len(self.conns)
@@ -371,13 +371,12 @@ class _Session:
         try:
             while ticks_done < total_ticks:
                 chunk = min(barrier_ticks, total_ticks - ticks_done)
-                command = ("advance", chunk, collect_sli)
+                command = ("advance", chunk)
                 self._send(fleet, command)
                 # The parent ticks its clusters while the workers tick
                 # theirs.
                 with Stopwatch() as local:
-                    results = [self._advance_local(fleet, self.local, chunk,
-                                                   collect_sli)]
+                    results = [self._advance_local(fleet, self.local, chunk)]
                 # Replies are collected (and failures handled) *before*
                 # anything is folded in, so a failure never leaves the
                 # fleet holding half a barrier.
@@ -390,11 +389,10 @@ class _Session:
                             results.append(replies[si][1:])
                         else:  # taken over: this chunk runs in the parent
                             results.append(self._advance_local(
-                                fleet, self.shards[si].cluster_indices,
-                                chunk, collect_sli,
+                                fleet, self.shards[si].cluster_indices, chunk,
                             ))
                 with Stopwatch() as merge:
-                    _merge_barrier(fleet, results, collect_sli)
+                    _merge_barrier(fleet, results)
                 local_seconds += local.seconds
                 wait_seconds += wait.seconds
                 merge_seconds += merge.seconds
@@ -556,7 +554,7 @@ class _Session:
                                            scratch_db)
             if entry[0] == "advance":
                 # Already merged at its barrier; discard.
-                _tick_chunk(fleet._clusters, indices, entry[1], entry[2])
+                _tick_chunk(fleet._clusters, indices, entry[1])
                 result = None
             else:
                 _, fn, args, call_indices = entry
@@ -572,12 +570,11 @@ class _Session:
         return result
 
     def _advance_local(self, fleet, cluster_indices: Sequence[int],
-                       chunk: int, collect_sli: bool) -> Tuple[list, object]:
+                       chunk: int) -> Tuple[list, object]:
         """One barrier chunk of clusters the parent ticks, shaped like a
         worker's ``advance`` reply (the trace delta is what the staging
         sink drains)."""
-        sli_batches = _tick_chunk(fleet._clusters, cluster_indices, chunk,
-                                  collect_sli)
+        sli_batches = _tick_chunk(fleet._clusters, cluster_indices, chunk)
         return sli_batches, self.staging.drain()
 
 
@@ -588,18 +585,13 @@ def _merge_shipment(fleet, span_stats, metric_delta) -> None:
     fleet.registry.merge(metric_delta)
 
 
-def _merge_barrier(fleet, results: List[Tuple[list, object]],
-                   collect_sli: bool) -> None:
+def _merge_barrier(fleet, results: List[Tuple[list, object]]) -> None:
     """Fold one barrier interval's SLI and trace deltas into the fleet.
 
     ``results`` holds one ``(sli_batches, trace_delta)`` pair per
     shard; a trace delta is a list of entries or one
     :class:`TelemetryBlock`.
     """
-    # Imported here, not at module top: repro.model's package init
-    # pulls in the model bench, which imports this module back.
-    from repro.model.trace import TelemetryBlock
-
     sli_batches: List[Tuple[int, int, list]] = []
     trace_entries = []
     trace_blocks: List[TelemetryBlock] = []
@@ -609,11 +601,10 @@ def _merge_barrier(fleet, results: List[Tuple[list, object]],
             trace_blocks.append(trace_delta)
         elif trace_delta:
             trace_entries.extend(trace_delta)
-    if collect_sli:
-        # Reconstruct the serial drain order: per tick, cluster order.
-        sli_batches.sort(key=lambda batch: (batch[0], batch[1]))
-        for _, _, samples in sli_batches:
-            fleet.sli_history.extend(samples)
+    # Reconstruct the serial drain order: per tick, cluster order.
+    sli_batches.sort(key=lambda batch: (batch[0], batch[1]))
+    for _, _, samples in sli_batches:
+        fleet.sli_history.extend(samples)
     # Canonical cross-job order; per-job order is already serial-exact
     # because every job lives on exactly one shard.  When every shard
     # shipped a block and the fleet database speaks blocks, the barrier
@@ -740,7 +731,7 @@ class FleetEngine:
             owners.append(id(getattr(source, "__self__", source)))  # repro: noqa[FLOW001]
         return len(owners) != len(set(owners))
 
-    def run(self, seconds: int, collect_sli: bool = True) -> EngineStats:
+    def run(self, seconds: int) -> EngineStats:
         """Advance the fleet by ``seconds``; returns what was executed."""
         check_positive(seconds, "seconds")
         fleet = self.fleet
@@ -748,7 +739,7 @@ class FleetEngine:
         total_ticks = math.ceil(seconds / tick_seconds)
         ok, reason = self.parallelizable()
         if not ok:
-            fleet.run(seconds, collect_sli=collect_sli)
+            fleet.run(seconds)
             self.last_stats = EngineStats(
                 mode="serial", workers=1, ticks=total_ticks, barriers=0,
                 fallback_reason=reason,
@@ -765,7 +756,6 @@ class FleetEngine:
         _count_phases(fleet, start=start.seconds)
         barriers, taken_over = self._session.run(
             fleet, total_ticks, max(1, self.barrier_seconds // tick_seconds),
-            collect_sli,
         )
         self.last_stats = EngineStats(
             mode="parallel", workers=len(self._session.shards),

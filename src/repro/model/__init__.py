@@ -1,6 +1,5 @@
 """The fast far memory model: trace schema, MapReduce engine, offline replay."""
 
-from repro.model.bench import run_model_bench
 from repro.model.mapreduce import MapReduce, mapreduce
 from repro.model.replay import (
     FarMemoryModel,
@@ -34,5 +33,4 @@ __all__ = [
     "TraceEntry",
     "mapreduce",
     "replay_compiled",
-    "run_model_bench",
 ]

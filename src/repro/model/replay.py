@@ -22,8 +22,8 @@ Three optimizations multiply on this path:
 1. **Vectorized replay** — each trace compiles once into dense suffix-sum
    tensors (:class:`repro.model.trace.CompiledTrace`) and the §4.3 policy
    is replayed over arrays (:func:`replay_compiled`).  The scalar
-   interval-by-interval loop (:func:`_replay_one_job`) stays as the
-   semantic oracle; both produce bit-identical reports.
+   interval-by-interval loop (:func:`replay_reference`) is the semantic
+   reference the tests hold it to; both produce bit-identical results.
 2. **Batched evaluation, across configs and across traces** —
    :meth:`FarMemoryModel.evaluate_many` replays a whole batch of candidate
    configurations in *one* MapReduce, and each map task is a range of
@@ -74,6 +74,7 @@ __all__ = [
     "FleetReplayReport",
     "FarMemoryModel",
     "replay_compiled",
+    "replay_reference",
 ]
 
 
@@ -133,17 +134,20 @@ class FleetReplayReport:
         return self.promotion_rate_p98 <= self.slo_target
 
 
-def _replay_one_job(
+def replay_reference(
     trace: JobTrace,
     config: ThresholdPolicyConfig,
     slo: PromotionRateSlo,
 ) -> JobReplayResult:
-    """Replay the control algorithm over one job's trace (scalar oracle).
+    """Replay the control algorithm over one job's trace, interval by
+    interval, through the online :class:`ColdAgeThresholdPolicy`.
 
     For each interval the threshold chosen from history *before* observing
     the interval governs it — exactly the online ordering, where the agent
     publishes a threshold and the next minute runs under it.  This is the
-    reference implementation :func:`replay_compiled` is proven against.
+    test-only reference :func:`replay_compiled` (and so
+    :class:`FarMemoryModel`) is proven bit-identical against; nothing in
+    the runtime calls it.
     """
     result = JobReplayResult(job_id=trace.job_id)
     if not trace.entries:
@@ -199,8 +203,8 @@ def replay_compiled(
     (:func:`~repro.core.threshold_policy.replay_threshold_batch`), and
     only the percentile decode and the histogram lookups are per-config —
     whole-array operations over every row.  Every arithmetic step mirrors
-    :func:`_replay_one_job` operation for operation, so results are
-    bit-identical to the scalar oracle.
+    :func:`replay_reference` operation for operation, so results are
+    bit-identical to the scalar reference.
     """
     groups: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
     for index, trace in enumerate(compiled):
@@ -299,40 +303,31 @@ def _plan_tasks(
 # ----------------------------------------------------------------------
 #
 # The pool initializer runs once per worker process and parks the model's
-# replay payload (compiled traces — or raw traces for the scalar oracle)
-# in this module-global dict, keyed by a per-model token so several models
+# compiled traces in this module-global dict, keyed by a per-model token so several models
 # sharing one process (workers=1 runs in-process) never clobber each
 # other.  Map tasks then carry only ``(start, stop, configs)``: a range of
 # whole traces (see :func:`_plan_tasks`) and the config batch.
 
-_ReplayPayload = Union[List[CompiledTrace], List[JobTrace]]
-_WORKER_STATE: Dict[str, Tuple[_ReplayPayload, PromotionRateSlo]] = {}
+_WORKER_STATE: Dict[str, Tuple[List[CompiledTrace], PromotionRateSlo]] = {}
 _MODEL_TOKENS = itertools.count()
 
 
 def _init_model_worker(
-    token: str, payload: _ReplayPayload, slo: PromotionRateSlo
+    token: str, compiled: List[CompiledTrace], slo: PromotionRateSlo
 ) -> None:
-    """Pool initializer: receive the replay payload once per worker."""
-    _WORKER_STATE[token] = (payload, slo)
+    """Pool initializer: receive the compiled traces once per worker."""
+    _WORKER_STATE[token] = (compiled, slo)
 
 
 def _replay_batch_task(
     task: Tuple[int, int, List[ThresholdPolicyConfig]],
     token: str,
-    vectorized: bool,
 ) -> List[List[JobReplayResult]]:
     """One map task: replay the whole config batch against a range of
     traces; ``result[i][j]`` is trace ``start + i`` under config ``j``."""
     start, stop, configs = task
-    payload, slo = _WORKER_STATE[token]
-    units = payload[start:stop]
-    if vectorized:
-        return replay_compiled(units, configs, slo)
-    return [
-        [_replay_one_job(unit, config, slo) for config in configs]
-        for unit in units
-    ]
+    compiled, slo = _WORKER_STATE[token]
+    return replay_compiled(compiled[start:stop], configs, slo)
 
 
 def _collect(
@@ -356,14 +351,10 @@ class FarMemoryModel:
         traces: per-job traces (e.g. ``trace_db.traces()``), or
             already-compiled :class:`CompiledTrace` tensors (e.g. a
             columnar store's ``compiled_traces()``) — the latter skip
-            object materialization entirely but require the vectorized
-            replay path.
+            object materialization entirely.
         slo: the promotion-rate SLO used both inside the policy and as the
             fleet constraint.
         workers: MapReduce worker processes (1 = in-process).
-        vectorized: replay compiled tensors (default) or drive the scalar
-            policy loop per interval (the reference oracle — identical
-            results, orders of magnitude slower).
         registry: metrics registry (defaults to the process registry).
         tracer: span tracer (defaults to the process tracer).
     """
@@ -373,7 +364,6 @@ class FarMemoryModel:
         traces: Sequence[Union[JobTrace, CompiledTrace]],
         slo: Optional[PromotionRateSlo] = None,
         workers: int = 1,
-        vectorized: bool = True,
         registry=None,
         tracer=None,
     ):
@@ -383,15 +373,9 @@ class FarMemoryModel:
             raise ConfigurationError(
                 "traces must be all JobTrace or all CompiledTrace, not a mix"
             )
-        if precompiled and not vectorized:
-            raise ConfigurationError(
-                "pre-compiled traces have no entries to drive the scalar "
-                "oracle; use vectorized=True"
-            )
         self.traces = [] if precompiled else items
         self.slo = slo if slo is not None else PromotionRateSlo()
         self.workers = workers
-        self.vectorized = vectorized
         registry = registry if registry is not None else get_registry()
         self._tracer = tracer if tracer is not None else get_tracer()
         self._m_configs = registry.counter(
@@ -427,20 +411,14 @@ class FarMemoryModel:
 
     def _ensure_pipeline(self) -> MapReduce:
         if self._pipeline is None:
-            payload: _ReplayPayload = (
-                self.compiled_traces if self.vectorized else self.traces
-            )
             self._token = f"model-{next(_MODEL_TOKENS)}"
             self._pipeline = MapReduce(
-                mapper=functools.partial(
-                    _replay_batch_task,
-                    token=self._token,
-                    vectorized=self.vectorized,
-                ),
+                mapper=functools.partial(_replay_batch_task,
+                                         token=self._token),
                 reducer=_collect,
                 workers=self.workers,
                 initializer=_init_model_worker,
-                initargs=(self._token, payload, self.slo),
+                initargs=(self._token, self.compiled_traces, self.slo),
             )
         return self._pipeline
 
@@ -482,11 +460,7 @@ class FarMemoryModel:
         if not configs:
             return []
         pipeline = self._ensure_pipeline()
-        lengths = (
-            [trace.intervals for trace in self.compiled_traces]
-            if self.vectorized
-            else [len(trace.entries) for trace in self.traces]
-        )
+        lengths = [trace.intervals for trace in self.compiled_traces]
         n_traces = len(lengths)
         window = max(config.history_length for config in configs)
         tasks = [

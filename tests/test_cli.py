@@ -42,31 +42,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["metrics", "--format", "xml"])
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.clusters == 4
-        assert args.workers is None
-        assert args.barrier_seconds == 60
-        assert args.output == "BENCH_fleet.json"
-        assert not args.quick
-        assert args.func.__name__ == "cmd_bench"
-
-    def test_bench_quick_flag_and_workers(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--workers", "2", "--output", "/tmp/b.json"]
-        )
-        assert args.quick
-        assert args.workers == 2
-        assert args.output == "/tmp/b.json"
-
-    def test_bench_model_defaults(self):
-        args = build_parser().parse_args(["bench", "--model"])
-        assert args.model
-        assert args.jobs is None
-        assert args.intervals == 288
-        assert args.configs == 8
-        assert not build_parser().parse_args(["bench"]).model
-
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
         assert args.scenario == "mixed"
@@ -90,7 +65,6 @@ class TestParser:
     def test_ci_defaults(self):
         args = build_parser().parse_args(["ci"])
         assert not args.skip_tests
-        assert not args.skip_bench
         assert args.pytest_args == []
         assert args.func.__name__ == "cmd_ci"
 
@@ -124,42 +98,6 @@ class TestExecution:
         from repro.cluster.trace_db import TraceDatabase
 
         assert len(TraceDatabase.load_jsonl(out)) > 0
-
-    def test_bench_writes_report(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--quick", "--workers", "2", "--output", str(out)]
-        )
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["equivalent"]
-        assert report["tick_path"]["equivalent"]
-        assert report["tick_path"]["columnar"]["ticks_per_second"] > 0
-        assert report["equivalence"]["equivalent"]
-        assert report["serial"]["ticks_per_second"] > 0
-        assert report["parallel"]["ticks_per_second"] > 0
-        assert report["host"]["physical_cores"] >= 1
-        # --quick skips the thousand-machine-hour section.
-        assert report["thousand_machine_hour"] is None
-        # On a 1-core host the parallel run cannot beat serial, so the
-        # report must say "no measurable speedup" rather than invent one.
-        if report["parallel"]["workers"] <= 1:
-            assert report["speedup"] is None
-            assert report["note"]
-        assert "speedup" in capsys.readouterr().out.lower()
-
-    def test_bench_model_writes_report(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "model.json"
-        code = main(["bench", "--model", "--quick", "--output", str(out)])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["equivalent"] is True
-        assert report["vectorized"]["configs_per_second"] > 0
-        assert "speedup" in capsys.readouterr().out.lower()
 
     def test_figures_writes_directory(self, tmp_path, capsys):
         code = main(
@@ -269,14 +207,11 @@ class TestCiCommand:
         assert "repro lint --ci" in out
         assert "ci: clean" in out
         assert "tier-1 tests" not in out
+        # The equivalence gates are tier-1 tests: nothing runs after lint.
+        assert "smoke" not in out
 
 
 class TestTraceParser:
-    def test_bench_trace_flag(self):
-        args = build_parser().parse_args(["bench", "--trace"])
-        assert args.trace
-        assert not build_parser().parse_args(["bench"]).trace
-
     def test_trace_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace"])
@@ -381,18 +316,6 @@ class TestTraceCommand:
         assert code == 2
         assert "bad.jsonl:1" in capsys.readouterr().err
 
-    def test_bench_trace_writes_report(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "trace.json"
-        code = main(["bench", "--trace", "--quick", "--output", str(out)])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["equivalent"] is True
-        assert report["ingest"]["rows"] > 0
-        assert report["columnar_path"]["peak_bytes"] > 0
-        assert "peak-mem ratio" in capsys.readouterr().out
-
 
 class TestCanaryCli:
     def test_parser_defaults(self):
@@ -426,9 +349,3 @@ class TestCanaryCli:
         out = capsys.readouterr().out
         assert "Canary smoke" in out
         assert "rolled_back" in out
-
-    def test_ci_skip_bench_skips_the_canary_smoke(self, capsys):
-        code = main(["ci", "--skip-tests", "--skip-bench"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "canary controller smoke" not in out

@@ -571,7 +571,7 @@ class TestMetricShipping:
         )
         worker.start()
         try:
-            parent.send(("advance", 2, True))
+            parent.send(("advance", 2))
             reply = parent.recv()
             assert reply[0] == "ok" and len(reply) == 3
             parent.send(("finalize",))
@@ -579,7 +579,7 @@ class TestMetricShipping:
             assert {r["name"] for r in delta} >= {
                 MetricName.PAGES_SCANNED_TOTAL
             }
-            parent.send(("advance", 1, True))
+            parent.send(("advance", 1))
             parent.recv()
             parent.send(("close",))
             _, clusters, _, last_delta = parent.recv()

@@ -32,18 +32,6 @@ class TestMachineRelease:
 
 
 class TestWscRunModes:
-    def test_run_without_sli_collection(self):
-        fleet = quickfleet(clusters=1, machines_per_cluster=1,
-                           jobs_per_machine=2, seed=6)
-        fleet.run(600, collect_sli=False)
-        assert fleet.sli_history == []
-        # SLI samples still accumulate inside the agents, undreained.
-        assert any(
-            agent.sli_samples
-            for cluster in fleet.clusters
-            for agent in cluster.agents.values()
-        )
-
     def test_empty_fleet_percentile(self):
         fleet = quickfleet(clusters=1, machines_per_cluster=1,
                            jobs_per_machine=1, seed=6)

@@ -11,8 +11,8 @@ from repro.model.replay import (
     MAX_TASK_POOL_CELLS,
     FarMemoryModel,
     _plan_tasks,
-    _replay_one_job,
     replay_compiled,
+    replay_reference,
 )
 from repro.model.trace import CompiledTrace, JobTrace, TraceEntry
 from repro.obs import MetricName, MetricRegistry
@@ -86,6 +86,20 @@ EQUIVALENCE_CONFIGS = [
 ]
 
 
+def reference_reports(traces, configs):
+    """The scalar reference's fleet reports under the default SLO: every
+    trace replayed by :func:`replay_reference`, reduced to a fleet report
+    as the model reduces its own."""
+    slo = PromotionRateSlo()
+    return [
+        replay._reduce_fleet(
+            [replay_reference(trace, config, slo) for trace in traces],
+            config=config, slo=slo,
+        )
+        for config in configs
+    ]
+
+
 def assert_bit_identical(scalar, vectorized):
     __tracebackhide__ = True
     assert scalar.job_id == vectorized.job_id
@@ -97,7 +111,7 @@ def assert_bit_identical(scalar, vectorized):
 class TestReplayOneJob:
     def test_quiet_job_captures_cold_memory(self):
         config = ThresholdPolicyConfig(percentile_k=90, warmup_seconds=0)
-        result = _replay_one_job(make_trace(), config, PromotionRateSlo())
+        result = replay_reference(make_trace(), config, PromotionRateSlo())
         assert result.intervals == 12
         # First interval has no history -> threshold disabled -> 0 captured.
         assert result.cold_pages_captured[0] == 0.0
@@ -107,15 +121,15 @@ class TestReplayOneJob:
 
     def test_warmup_suppresses_early_intervals(self):
         config = ThresholdPolicyConfig(percentile_k=90, warmup_seconds=1500)
-        result = _replay_one_job(make_trace(), config, PromotionRateSlo())
+        result = replay_reference(make_trace(), config, PromotionRateSlo())
         # 1500s warm-up = five 300s intervals disabled (plus the first).
         assert all(c == 0 for c in result.cold_pages_captured[:5])
         assert result.cold_pages_captured[-1] > 0
 
     def test_noisy_job_captures_less(self):
         config = ThresholdPolicyConfig(percentile_k=90, warmup_seconds=0)
-        quiet = _replay_one_job(make_trace(), config, PromotionRateSlo())
-        noisy = _replay_one_job(
+        quiet = replay_reference(make_trace(), config, PromotionRateSlo())
+        noisy = replay_reference(
             make_trace(promo_ages=[200.0] * 400),  # heavy cold re-touch
             config,
             PromotionRateSlo(),
@@ -124,7 +138,7 @@ class TestReplayOneJob:
 
     def test_empty_trace(self):
         config = ThresholdPolicyConfig()
-        result = _replay_one_job(JobTrace("j"), config, PromotionRateSlo())
+        result = replay_reference(JobTrace("j"), config, PromotionRateSlo())
         assert result.intervals == 0
         assert result.mean_cold_pages == 0.0
 
@@ -208,7 +222,7 @@ class TestFleetModel:
 
         trace = make_trace(promo_ages=[300.0] * 50, n_entries=8)
         config = ThresholdPolicyConfig(percentile_k=75, warmup_seconds=600)
-        result = _replay_one_job(trace, config, PromotionRateSlo())
+        result = replay_reference(trace, config, PromotionRateSlo())
 
         policy = ColdAgeThresholdPolicy(
             config, trace.entries[0].bins, PromotionRateSlo()
@@ -236,7 +250,7 @@ class TestVectorizedEquivalence:
         compiled = trace.compile()
         (vectorized,) = replay_compiled([compiled], EQUIVALENCE_CONFIGS, slo)
         for config, vec in zip(EQUIVALENCE_CONFIGS, vectorized):
-            assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+            assert_bit_identical(replay_reference(trace, config, slo), vec)
 
     def test_empty_trace(self):
         slo = PromotionRateSlo()
@@ -254,7 +268,7 @@ class TestVectorizedEquivalence:
         config = ThresholdPolicyConfig(warmup_seconds=10**9)
         trace = make_trace(n_entries=10)
         vec = replay_compiled([trace.compile()], [config], slo)[0][0]
-        assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+        assert_bit_identical(replay_reference(trace, config, slo), vec)
         assert all(t == float("inf") for t in vec.thresholds)
         assert all(c == 0.0 for c in vec.cold_pages_captured)
 
@@ -267,7 +281,7 @@ class TestVectorizedEquivalence:
         )
         # promo_scale=1 keeps integers(0, 1) == 0: no promotions at all.
         vec = replay_compiled([trace.compile()], [config], slo)[0][0]
-        assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+        assert_bit_identical(replay_reference(trace, config, slo), vec)
         assert all(r == 0.0 for r in vec.normalized_rates)
 
     def test_zero_wss_with_promotions_rates_are_inf(self):
@@ -280,7 +294,7 @@ class TestVectorizedEquivalence:
         rng = np.random.default_rng(13)
         trace = make_random_trace(rng, n_entries=8, zero_wss_at=range(8))
         vec = replay_compiled([trace.compile()], [config], slo)[0][0]
-        assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+        assert_bit_identical(replay_reference(trace, config, slo), vec)
         assert any(r == float("inf") for r in vec.normalized_rates)
 
     def test_model_scalar_mode_matches_vectorized_mode(self):
@@ -289,9 +303,7 @@ class TestVectorizedEquivalence:
                   for s in range(3)] + [JobTrace("empty")]
         config = ThresholdPolicyConfig(percentile_k=95, warmup_seconds=600)
         vec_report = FarMemoryModel(traces).evaluate(config)
-        scalar_report = FarMemoryModel(traces, vectorized=False).evaluate(
-            config
-        )
+        (scalar_report,) = reference_reports(traces, [config])
         assert vec_report == scalar_report
 
 
@@ -331,15 +343,14 @@ class TestFleetBatchEquivalence:
         for trace, per_config in zip(fleet, batched):
             assert len(per_config) == len(EQUIVALENCE_CONFIGS)
             for config, vec in zip(EQUIVALENCE_CONFIGS, per_config):
-                assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+                assert_bit_identical(replay_reference(trace, config, slo), vec)
 
     def test_model_reports_equal_across_workers_and_oracle(self, fleet):
         with FarMemoryModel(fleet) as model:
             serial = model.evaluate_many(EQUIVALENCE_CONFIGS)
         with FarMemoryModel(fleet, workers=2) as model:
             parallel = model.evaluate_many(EQUIVALENCE_CONFIGS)
-        with FarMemoryModel(fleet, vectorized=False) as model:
-            oracle = model.evaluate_many(EQUIVALENCE_CONFIGS)
+        oracle = reference_reports(fleet, EQUIVALENCE_CONFIGS)
         assert serial == parallel
         assert serial == oracle
 

@@ -12,6 +12,7 @@ from repro.common.errors import (
     TraceStoreError,
 )
 from repro.core.histograms import AgeBins, AgeHistogram, default_age_bins
+from repro.core.threshold_policy import ThresholdPolicyConfig
 from repro.model.replay import FarMemoryModel
 from repro.model.trace import (
     TRACE_PERIOD_SECONDS,
@@ -441,25 +442,21 @@ class TestColumnarTraceDatabase:
     def test_model_replays_from_columns(self, tmp_path):
         """The acceptance-criteria path: evaluate_many over compiled
         tensors built straight from disk equals the object path."""
-        from repro.model.bench import bench_configs
-
         db = ColumnarTraceDatabase(tmp_path / "s", buffer_rows=8)
         for trace in random_fleet(jobs=3, seed=12):
             for entry in trace.entries:
                 db.add(entry)
         db.flush()
-        batch = bench_configs(3)
+        batch = [
+            ThresholdPolicyConfig(percentile_k=k, warmup_seconds=600,
+                                  history_length=60)
+            for k in (90.0, 95.0, 98.0)
+        ]
         with FarMemoryModel(db.traces()) as object_model:
             expected = object_model.evaluate_many(batch)
         with FarMemoryModel(db.compiled_traces()) as columnar_model:
             actual = columnar_model.evaluate_many(batch)
         assert actual == expected
-
-    def test_precompiled_requires_vectorized(self, tmp_path):
-        db = ColumnarTraceDatabase(tmp_path / "s")
-        db.add(make_entry("a", 0))
-        with pytest.raises(ConfigurationError, match="vectorized"):
-            FarMemoryModel(db.compiled_traces(), vectorized=False)
 
     def test_mixed_trace_kinds_rejected(self, tmp_path):
         db = ColumnarTraceDatabase(tmp_path / "s")
