@@ -2,8 +2,8 @@
 
 ``perfbench/run.py`` hashes everything one loop produces (coverage, SLI
 history, compiled replay tensors, model reports and the canary verdict).
-Running fleet 0 of each workload serially must reproduce the digests
-below bit for bit.  A change that is meant to be a pure optimization of
+Running fleet 0 of each workload must reproduce the digests below bit
+for bit, serially and through the parallel engine.  A change that is meant to be a pure optimization of
 the simulator (batching, vectorizing, reordering independent work) must
 leave them untouched; a change that alters behaviour on purpose records
 new constants here and says why.
@@ -25,7 +25,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: ``run_loop`` digests of fleet 0, serial engine, per workload.
+#: ``run_loop`` digests of fleet 0, per workload (either engine).
 GOLDEN_DIGESTS = {
     "loop": "8f8b161ac4cef0c5147953d49f86ff1a2c0836d3dcc241d20de07494946a75c2",
     "dense": "aa917afbed176abb13578874333694a42f8e083f7c1749f8dbdb5df5e8821d85",
@@ -40,17 +40,31 @@ run = importlib.util.module_from_spec(spec)
 sys.modules[spec.name] = run
 spec.loader.exec_module(run)
 run._import_program()
+from repro.engine import FleetEngine
 from repro.obs import Tracer
 
+modes = []
+real_run = FleetEngine.run
+
+def spy(engine, seconds):
+    stats = real_run(engine, seconds)
+    modes.append(stats.mode)
+    return stats
+
+FleetEngine.run = spy
 digests = {}
 for name in sys.argv[2:]:
-    with tempfile.TemporaryDirectory() as store:
-        result = run.run_loop(run.WORKLOADS[name], 0, Tracer(enabled=False),
-                              Path(store), parallel=False)
-    if result.errors:
-        raise SystemExit(f"{name}: {result.errors}")
-    digests[name] = result.digest
-print(json.dumps(digests))
+    for parallel in (False, True):
+        del modes[:]
+        with tempfile.TemporaryDirectory() as store:
+            result = run.run_loop(run.WORKLOADS[name], 0,
+                                  Tracer(enabled=False), Path(store),
+                                  parallel=parallel)
+        digests[name, parallel] = {"digest": result.digest,
+                                   "errors": result.errors,
+                                   "modes": list(modes)}
+print(json.dumps({f"{name}/{'parallel' if parallel else 'serial'}": report
+                  for (name, parallel), report in digests.items()}))
 """
 
 
@@ -68,7 +82,22 @@ def digests():
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN_DIGESTS))
 def test_serial_loop_digest_is_pinned(digests, workload):
-    assert digests[workload] == GOLDEN_DIGESTS[workload]
+    report = digests[f"{workload}/serial"]
+    assert report["errors"] == []
+    assert report["modes"] == []  # no engine at all
+    assert report["digest"] == GOLDEN_DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_DIGESTS))
+def test_parallel_loop_digest_is_pinned(digests, workload):
+    """Serial ≡ parallel on the benchmark's own loop: every engine run of
+    it (the simulation, then each canary soak) takes the parallel path,
+    and the loop reproduces the serial digest."""
+    report = digests[f"{workload}/parallel"]
+    assert report["errors"] == []
+    assert len(report["modes"]) >= 2
+    assert set(report["modes"]) == {"parallel"}
+    assert report["digest"] == GOLDEN_DIGESTS[workload]
 
 
 _PARALLEL_SCRIPT = """
