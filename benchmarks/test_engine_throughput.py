@@ -52,7 +52,7 @@ def timed_runs():
     parallel = _dense_fleet()
     start = time.perf_counter()
     # One run is one session: the timed region includes its close.
-    with FleetEngine(parallel, workers=4, barrier_seconds=60) as engine:
+    with FleetEngine(parallel, workers=4) as engine:
         stats = engine.run(HOUR // 2)
     parallel_wall = time.perf_counter() - start
     return serial, parallel, stats, serial_wall / parallel_wall

@@ -85,8 +85,6 @@ class TraceDatabase:
         """Entries added after ``mark`` was taken.
 
         Per-job order is preserved; jobs are visited in insertion order.
-        The parallel engine uses this to ship only the trace delta of each
-        barrier interval from worker to parent.
         """
         out: List[TraceEntry] = []
         for job_id, trace in self._by_job.items():

@@ -8,9 +8,10 @@ contract: a parallel run with the same seeds produces bit-identical
 coverage reports and SLI histories to the serial run.
 
 * :class:`FleetEngine` — the parallel executor: a session forks W - 1
-  workers once, keeps their clusters across runs (barrier per simulated
-  minute, one metric delta per worker per run) and ships them back once,
-  when a caller needs the live clusters.
+  workers once, keeps their clusters across runs (one round trip per
+  worker per run of up to a simulated hour, carrying its SLI samples,
+  telemetry and metric delta) and ships them back once, when a caller
+  needs the live clusters.
 * :func:`plan_shards` — deterministic LPT assignment of clusters to
   workers.
 

@@ -13,19 +13,21 @@ Design (and why it is deterministic):
   shards stay at their session-start state, untouched.
 
 * **The parent is one of the W processes.**  It ticks the shard with the
-  fewest machines (it also merges) between sending a barrier's
-  ``advance`` and collecting the replies.  That shard stays live all
-  session; its telemetry stages in a sink each barrier drains, so it
-  merges exactly like a worker's delta.
+  fewest machines (it also merges) between sending an ``advance`` and
+  collecting the replies.  That shard stays live all session.
 
-* **Barrier per simulated minute.**  Workers ship each chunk's SLI
-  samples, tagged ``(tick, cluster)``, and new trace entries (or one
-  trace block); the parent sorts the SLI batches back into the serial
-  drain order, making ``WSC.sli_history`` bit-identical to a serial run.
-
-* **Metrics once per run.**  Nothing reads the parent's registry while a
-  run is in flight: at its end (``finalize``) each worker ships its span
-  stats and one metric delta since its previous shipment, so every
+* **One advance per run.**  Clusters never read each other inside a run,
+  so a run is one ``advance`` per worker (one per :data:`SHIP_SECONDS`
+  of a longer run, which bounds a worker's buffer).  Every process
+  stages its shard's telemetry in a sink drained after each tick; a
+  worker's one reply carries its SLI batches, tagged ``(tick,
+  cluster)``, those per-tick trace deltas, its span stats and one metric
+  delta since its previous reply.  The parent then folds every shard's
+  interval in tick by tick: SLI back in the serial drain order (making
+  ``WSC.sli_history`` bit-identical to a serial run) and one trace chunk
+  per tick, so the store seals segments at the same rows.  Nothing reads
+  the fleet's registry, SLI history or store mid-run (cluster events and
+  fault injectors act on their own cluster only), and every metric
   series reaches the parent exactly once.
 
 * **One seam between runs.**  :meth:`WSC.map_clusters` sends a
@@ -115,7 +117,7 @@ class EngineStats:
         workers: processes that ticked shards, the parent included (its
             session forks ``workers - 1``); 1 for serial.
         ticks: simulated ticks executed.
-        barriers: barrier synchronizations performed (0 for serial).
+        advances: ``advance`` round trips made (0 for serial).
         fallback_reason: why the serial path ran, if it did.
         shard_fallbacks: forked shards whose worker hung or died during
             this run and were replayed in the parent (the run still
@@ -125,18 +127,23 @@ class EngineStats:
     mode: str
     workers: int
     ticks: int
-    barriers: int
+    advances: int
     fallback_reason: Optional[str] = None
     shard_fallbacks: int = 0
 
 
-class _EntryStaging:
-    """Telemetry sink of the clusters the parent ticks itself.
+#: Simulated seconds one ``advance`` covers at most: a run ships its
+#: telemetry, SLI samples and metrics at least this often.
+SHIP_SECONDS = 3600
 
-    Holds what they export between two barriers, so each barrier merges
-    them with the workers' rows through the canonical sorted path.  No
+
+class _EntryStaging:
+    """Telemetry sink of the clusters a process ticks for the engine.
+
+    Holds what they export in one tick, so the parent merges every
+    shard's rows of that tick through the canonical sorted path.  No
     ``add_block``: it mirrors a fleet database without the block
-    protocol, so the parent's exporters take a worker's delivery rung.
+    protocol, so its exporters take the entry delivery rung.
     """
 
     def __init__(self) -> None:
@@ -155,7 +162,7 @@ class _EntryStaging:
 
 
 class _BlockStaging(_EntryStaging):
-    """Block-protocol staging: a barrier drains one concatenated block.
+    """Block-protocol staging: a tick drains one concatenated block.
 
     Entries (per-entry exporters, spill replays) stage as blocks of their
     own, in arrival order, so every job's rows keep their order.
@@ -166,8 +173,6 @@ class _BlockStaging(_EntryStaging):
 
     def add_batch(self, entries) -> None:
         if entries:
-            from repro.model.trace import TelemetryBlock
-
             self._staged.append(TelemetryBlock.from_entries(entries))
 
     def add_block(self, block) -> None:
@@ -177,8 +182,6 @@ class _BlockStaging(_EntryStaging):
     def drain(self):
         """One :class:`TelemetryBlock` of everything staged since the last
         drain, or an empty list when nothing was."""
-        from repro.model.trace import TelemetryBlock
-
         blocks = super().drain()
         return TelemetryBlock.concat(blocks) if blocks else []
 
@@ -191,14 +194,16 @@ def _point_sinks(clusters, sink) -> None:
             exporter.sink = sink
 
 
-def _tick_chunk(clusters, cluster_indices: Sequence[int],
-                ticks: int) -> List[Tuple[int, int, list]]:
+def _tick_chunk(clusters, cluster_indices: Sequence[int], ticks: int,
+                staging: _EntryStaging) -> Tuple[list, list]:
     """Tick the indexed clusters ``ticks`` times, in cluster order.
 
     Returns the SLI batches drained on the way, each tagged ``(tick_seq,
-    cluster_index)`` so the parent can rebuild the serial drain order.
+    cluster_index)`` so the parent can rebuild the serial drain order,
+    and what ``staging`` (their telemetry sink) held after each tick.
     """
     sli_batches: List[Tuple[int, int, list]] = []
+    telemetry = []
     for tick_seq in range(ticks):
         for ci in cluster_indices:
             clusters[ci].tick()
@@ -206,62 +211,57 @@ def _tick_chunk(clusters, cluster_indices: Sequence[int],
             samples = clusters[ci].drain_sli_samples()
             if samples:
                 sli_batches.append((tick_seq, ci, samples))
-    return sli_batches
+        telemetry.append(staging.drain())
+    return sli_batches, telemetry
 
 
 def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
                  ship_blocks: bool = False) -> None:
     """Worker loop: own a shard's clusters for a whole engine session.
 
-    * ``advance``: tick a barrier chunk; reply with its SLI batches and
-      trace delta — with ``ship_blocks``, one :class:`TelemetryBlock` of
-      pending column rows (a worker never seals segments).
+    * ``advance``: tick an interval; reply with its SLI batches, its
+      per-tick trace deltas (with ``ship_blocks``, each one
+      :class:`TelemetryBlock`), the span stats and one metric delta since
+      the previous reply.
     * ``call``: reply with ``fn(cluster, *args)`` per indexed cluster.
-    * ``finalize`` (end of a run): reply with the span stats and one
-      metric delta since the previous shipment.
-    * ``close``: reply like ``finalize`` plus the owned clusters, then
-      exit.
+    * ``close``: reply with the owned clusters, the span stats and the
+      last metric delta, then exit.
     """
     # The inherited heap is the parent's, alive for the whole session:
     # keep this process's collections off it (an O(1) move to the
     # permanent generation).  The parent's own collector is never touched.
     gc.freeze()
     clusters, registry, tracer = fleet._clusters, fleet.registry, fleet.tracer
-    trace_db = fleet.trace_db
-    mark = trace_db.block_marker if ship_blocks else trace_db.mark
-    since = trace_db.block_since if ship_blocks else trace_db.entries_since
+    staging = _BlockStaging() if ship_blocks else _EntryStaging()
+    _point_sinks([clusters[ci] for ci in cluster_indices], staging)
     # The fork copied the parent's span history and metric values; the
     # stats and deltas this worker reports are purely its own.
     tracer.reset()
-    metric_base = registry.baseline()
+    metric_mark = registry.mark()
     try:
         while True:
             msg = conn.recv()
             cmd = msg[0]
             if cmd == "advance":
-                trace_mark = mark()
-                batches = _tick_chunk(clusters, cluster_indices, msg[1])
-                conn.send(("ok", batches, since(trace_mark)))
+                conn.send(("ok",
+                           *_tick_chunk(clusters, cluster_indices, msg[1],
+                                        staging),
+                           tracer.stats(), registry.delta(metric_mark)))
+                # Off the parent's critical path: it has its reply.
+                tracer.reset()
+                metric_mark = registry.mark()
             elif cmd == "call":
                 _, fn, args, indices = msg
                 conn.send(("ok", [fn(clusters[ci], *args) for ci in indices]))
-            elif cmd == "finalize":
-                conn.send(("ok", tracer.stats(), registry.delta(metric_base)))
-                # Off the parent's critical path: it has its reply.
-                tracer.reset()
-                metric_base = registry.baseline()
             elif cmd == "close":
-                from repro.cluster.trace_db import TraceDatabase
-
                 reply = ("clusters", [clusters[ci] for ci in cluster_indices],
-                         tracer.stats(), registry.delta(metric_base))
+                         tracer.stats(), registry.delta(metric_mark))
                 # Ship the clusters bare: the forked registry (every
-                # series of the fleet) and trace database would otherwise
-                # be pickled, only for the parent's rebind to drop them.
+                # series of the fleet) would otherwise be pickled, only
+                # for the parent's rebind to drop it.
                 for cluster in reply[1]:
                     cluster.rebind_runtime(MetricRegistry(enabled=False),
-                                           Tracer(enabled=False),
-                                           TraceDatabase())
+                                           Tracer(enabled=False), staging)
                 conn.send(reply)
                 break
             else:  # pragma: no cover - protocol misuse
@@ -362,15 +362,16 @@ class _Session:
         return fleet._clusters[self.local[0]].clock.now
 
     def run(self, fleet, total_ticks: int,
-            barrier_ticks: int) -> Tuple[int, int]:
-        """Advance every shard ``total_ticks``; returns the barriers made
-        and the forked shards taken over on the way."""
+            ship_ticks: int) -> Tuple[int, int]:
+        """Advance every shard ``total_ticks``, ``ship_ticks`` per
+        ``advance``; returns the advances made and the forked shards taken
+        over on the way."""
         live = len(self.conns)
-        barriers = ticks_done = 0
+        advances = ticks_done = 0
         local_seconds = wait_seconds = merge_seconds = 0.0
         try:
             while ticks_done < total_ticks:
-                chunk = min(barrier_ticks, total_ticks - ticks_done)
+                chunk = min(ship_ticks, total_ticks - ticks_done)
                 command = ("advance", chunk)
                 self._send(fleet, command)
                 # The parent ticks its clusters while the workers tick
@@ -379,38 +380,34 @@ class _Session:
                     results = [self._advance_local(fleet, self.local, chunk)]
                 # Replies are collected (and failures handled) *before*
                 # anything is folded in, so a failure never leaves the
-                # fleet holding half a barrier.
+                # fleet holding half an interval.
                 with Stopwatch() as wait:
                     waiting = list(self.conns)
                     replies = self._replies(fleet)
                     for si in waiting:
                         if si in replies:
                             self.logs[si].append(command)
-                            results.append(replies[si][1:])
+                            results.append(replies[si][1:3])
                         else:  # taken over: this chunk runs in the parent
                             results.append(self._advance_local(
                                 fleet, self.shards[si].cluster_indices, chunk,
                             ))
                 with Stopwatch() as merge:
-                    _merge_barrier(fleet, results)
+                    _merge_interval(fleet, results, chunk)
+                    for si, reply in replies.items():
+                        _merge_shipment(fleet, *reply[3:])
+                        self.merged[si] = len(self.logs[si])
                 local_seconds += local.seconds
                 wait_seconds += wait.seconds
                 merge_seconds += merge.seconds
                 ticks_done += chunk
-                barriers += 1
-            # The run's metrics and spans; the clusters stay in the
-            # workers.
-            with Stopwatch() as finalize:
-                self._send(fleet, ("finalize",))
-                for si, (_, stats, delta) in self._replies(fleet).items():
-                    _merge_shipment(fleet, stats, delta)
-                    self.merged[si] = len(self.logs[si])
+                advances += 1
         except BaseException:
             self._end(fleet)
             raise
         _count_phases(fleet, local=local_seconds, wait=wait_seconds,
-                      merge=merge_seconds, finalize=finalize.seconds)
-        return barriers, live - len(self.conns)
+                      merge=merge_seconds)
+        return advances, live - len(self.conns)
 
     def call(self, fleet, fn: Callable, args: tuple,
              indices: Sequence[int]) -> list:
@@ -532,18 +529,16 @@ class _Session:
         its clusters replay the shard's log.  Entries whose metric deltas
         were merged count into a scratch registry, the rest into the live
         one, so every series arrives exactly once; replayed SLI samples
-        and trace rows were merged at their barriers and are discarded.
+        and trace rows were merged with their advances and are discarded.
         Returns the replayed results of the log's last entry when it is a
         ``call`` (the call in flight), else None.
         """
-        from repro.cluster.trace_db import TraceDatabase
-
         _stop_workers({si: self.conns.pop(si)}, {si: self.procs[si]})
         log, merged = self.logs.pop(si), self.merged.pop(si)
         indices = self.shards[si].cluster_indices
         clusters = [fleet._clusters[ci] for ci in indices]
         scratch_tracer = Tracer(enabled=False)
-        scratch_db = TraceDatabase()
+        scratch_sink = _EntryStaging()
         result = None
         for position, entry in enumerate(log):
             if position in (0, merged):
@@ -551,10 +546,10 @@ class _Session:
                             else MetricRegistry(enabled=False))
                 for cluster in clusters:
                     cluster.rebind_runtime(registry, scratch_tracer,
-                                           scratch_db)
+                                           scratch_sink)
             if entry[0] == "advance":
-                # Already merged at its barrier; discard.
-                _tick_chunk(fleet._clusters, indices, entry[1])
+                # Already merged with its advance; discard.
+                _tick_chunk(fleet._clusters, indices, entry[1], scratch_sink)
                 result = None
             else:
                 _, fn, args, call_indices = entry
@@ -570,12 +565,11 @@ class _Session:
         return result
 
     def _advance_local(self, fleet, cluster_indices: Sequence[int],
-                       chunk: int) -> Tuple[list, object]:
-        """One barrier chunk of clusters the parent ticks, shaped like a
-        worker's ``advance`` reply (the trace delta is what the staging
-        sink drains)."""
-        sli_batches = _tick_chunk(fleet._clusters, cluster_indices, chunk)
-        return sli_batches, self.staging.drain()
+                       chunk: int) -> Tuple[list, list]:
+        """One interval of clusters the parent ticks: the SLI batches and
+        per-tick trace deltas of a worker's ``advance`` reply."""
+        return _tick_chunk(fleet._clusters, cluster_indices, chunk,
+                           self.staging)
 
 
 def _merge_shipment(fleet, span_stats, metric_delta) -> None:
@@ -585,32 +579,43 @@ def _merge_shipment(fleet, span_stats, metric_delta) -> None:
     fleet.registry.merge(metric_delta)
 
 
-def _merge_barrier(fleet, results: List[Tuple[list, object]]) -> None:
-    """Fold one barrier interval's SLI and trace deltas into the fleet.
+def _merge_interval(fleet, results: List[Tuple[list, list]],
+                    ticks: int) -> None:
+    """Fold one interval's SLI and trace deltas into the fleet.
 
-    ``results`` holds one ``(sli_batches, trace_delta)`` pair per
-    shard; a trace delta is a list of entries or one
-    :class:`TelemetryBlock`.
+    ``results`` holds one ``(sli_batches, trace_deltas)`` pair per
+    shard, with one trace delta per tick.
     """
     sli_batches: List[Tuple[int, int, list]] = []
-    trace_entries = []
-    trace_blocks: List[TelemetryBlock] = []
-    for batches, trace_delta in results:
+    for batches, _ in results:
         sli_batches.extend(batches)
-        if isinstance(trace_delta, TelemetryBlock):
-            trace_blocks.append(trace_delta)
-        elif trace_delta:
-            trace_entries.extend(trace_delta)
     # Reconstruct the serial drain order: per tick, cluster order.
     sli_batches.sort(key=lambda batch: (batch[0], batch[1]))
     for _, _, samples in sli_batches:
         fleet.sli_history.extend(samples)
+    for tick_seq in range(ticks):
+        _merge_tick(fleet, [deltas[tick_seq] for _, deltas in results])
+
+
+def _merge_tick(fleet, trace_deltas: list) -> None:
+    """Fold one tick's trace deltas, one per shard, into the fleet
+    database as one chunk.
+
+    A trace delta is a list of entries or one :class:`TelemetryBlock`.
+    """
+    trace_entries = []
+    trace_blocks: List[TelemetryBlock] = []
+    for trace_delta in trace_deltas:
+        if isinstance(trace_delta, TelemetryBlock):
+            trace_blocks.append(trace_delta)
+        elif trace_delta:
+            trace_entries.extend(trace_delta)
     # Canonical cross-job order; per-job order is already serial-exact
     # because every job lives on exactly one shard.  When every shard
-    # shipped a block and the fleet database speaks blocks, the barrier
+    # shipped a block and the fleet database speaks blocks, the tick
     # folds in as one concatenated, lexsorted block.  Blocks on mixed
-    # threshold grids take the entry path for that barrier; both commit
-    # one chunk per barrier, so sealed segments come out identical.
+    # threshold grids take the entry path for that tick; both commit
+    # one chunk per tick, so sealed segments come out identical.
     if trace_blocks and not trace_entries and hasattr(
         fleet.trace_db, "add_block"
     ):
@@ -654,23 +659,19 @@ class FleetEngine:
         workers: processes that tick shards, the parent included
             (default: usable CPUs, clamped to the cluster count); a
             session forks one fewer.
-        barrier_seconds: simulated seconds per barrier chunk; the default
-            of 60 synchronizes every simulated minute.
         recv_timeout_seconds: how long (wall-clock) to wait for a worker's
             reply before declaring it hung and replaying its shard in the
             parent; ``None`` waits forever.
-        ship_blocks: ship each barrier's trace delta as one zero-copy
+        ship_blocks: ship each tick's trace delta as one zero-copy
             :class:`TelemetryBlock` instead of a list of entries; by
             default, when the fleet's trace database speaks the block
-            protocol (``block_since`` + ``add_block``).  Results are
-            bit-identical either way.
+            protocol (``add_block``).  Results are bit-identical either
+            way.
     """
 
     def __init__(self, fleet, workers: Optional[int] = None,
-                 barrier_seconds: int = 60,
                  recv_timeout_seconds: Optional[float] = 300.0,
                  ship_blocks: Optional[bool] = None):
-        check_positive(barrier_seconds, "barrier_seconds")
         self.fleet = fleet
         if workers is None:
             workers = default_worker_count()
@@ -678,12 +679,9 @@ class FleetEngine:
         if recv_timeout_seconds is not None:
             check_positive(recv_timeout_seconds, "recv_timeout_seconds")
         self.workers = min(int(workers), len(fleet._clusters))
-        self.barrier_seconds = int(barrier_seconds)
         self.recv_timeout_seconds = recv_timeout_seconds
         if ship_blocks is None:
-            ship_blocks = hasattr(fleet.trace_db, "block_since") and hasattr(
-                fleet.trace_db, "add_block"
-            )
+            ship_blocks = hasattr(fleet.trace_db, "add_block")
         self.ship_blocks = bool(ship_blocks)
         self.last_stats: Optional[EngineStats] = None
         self._session: Optional[_Session] = None
@@ -741,7 +739,7 @@ class FleetEngine:
         if not ok:
             fleet.run(seconds)
             self.last_stats = EngineStats(
-                mode="serial", workers=1, ticks=total_ticks, barriers=0,
+                mode="serial", workers=1, ticks=total_ticks, advances=0,
                 fallback_reason=reason,
             )
             return self.last_stats
@@ -754,11 +752,11 @@ class FleetEngine:
                                          self.ship_blocks,
                                          self.recv_timeout_seconds)
         _count_phases(fleet, start=start.seconds)
-        barriers, taken_over = self._session.run(
-            fleet, total_ticks, max(1, self.barrier_seconds // tick_seconds),
+        advances, taken_over = self._session.run(
+            fleet, total_ticks, max(1, SHIP_SECONDS // tick_seconds),
         )
         self.last_stats = EngineStats(
             mode="parallel", workers=len(self._session.shards),
-            ticks=total_ticks, barriers=barriers, shard_fallbacks=taken_over,
+            ticks=total_ticks, advances=advances, shard_fallbacks=taken_over,
         )
         return self.last_stats

@@ -403,7 +403,7 @@ class TelemetryBlock:
     def concat(cls, blocks: Sequence["TelemetryBlock"]) -> "TelemetryBlock":
         """Concatenate blocks row-wise, merging the string tables.
 
-        The parallel engine's barrier merge concatenates per-shard block
+        The parallel engine's per-tick merge concatenates per-shard block
         deltas in deterministic shard order; string tables merge
         first-seen, and ordinal columns are remapped through a lookup
         vector (no per-row Python work).

@@ -650,12 +650,7 @@ class MetricRegistry:
     # ------------------------------------------------------------------
 
     def baseline(self) -> Dict[Tuple[str, Tuple[Tuple[str, str], ...]], object]:
-        """Raw per-series values keyed by (name, label pairs).
-
-        Pass the result to :meth:`delta` later to get only what changed in
-        between — the shard-side half of the parallel-engine merge
-        protocol.
-        """
+        """Raw per-series values keyed by (name, label pairs)."""
         base: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], object] = {}
         for metric in self.metrics():
             for pairs, series in metric.series():
@@ -668,8 +663,26 @@ class MetricRegistry:
                     base[key] = series.value
         return base
 
-    def delta(self, baseline: Dict) -> List[Dict[str, object]]:
-        """Snapshot-shaped records for series that changed since ``baseline``.
+    def mark(self) -> Dict[object, object]:
+        """An opaque position marker for :meth:`delta`.
+
+        Every series' raw state, keyed by the series object itself, so a
+        later :meth:`delta` builds label keys and records only for the
+        series that changed — the shard-side half of the parallel-engine
+        merge protocol.
+        """
+        return {
+            series: (
+                (tuple(series.bucket_counts), series.sum, series.count)
+                if isinstance(series, _HistogramSeries) else series.value
+            )
+            for metric in self._metrics.values()
+            for series in metric._series.values()
+        }
+
+    def delta(self, since: Dict[object, object]) -> List[Dict[str, object]]:
+        """Snapshot-shaped records for series that changed since the
+        :meth:`mark` ``since`` (``{}``: since every series was created).
 
         Counters report the *increment* (not the absolute value), gauges
         the current value, histograms the per-bucket count increments plus
@@ -678,17 +691,33 @@ class MetricRegistry:
         fork-time copies of other shards' series.  Records carry ``help``
         so :meth:`merge` can register missing families.
         """
+        if since and isinstance(next(iter(since)), tuple):
+            raise MetricError("delta() takes a mark(), not a baseline()")
         records: List[Dict[str, object]] = []
         for metric in self.metrics():
-            for pairs, series in metric.series():
-                prev = baseline.get((metric.name, pairs))
+            kind = metric.kind
+            changed = []
+            for key, series in metric._series.items():
+                prev = since.get(series)
+                if kind == "histogram":
+                    # NaN observations are skipped whole, so the buckets
+                    # move exactly when the count does.
+                    moved = series.count != (prev[2] if prev else 0)
+                elif kind == "counter":
+                    moved = series.value != (prev or 0.0)
+                else:  # gauge: ship the absolute value when it changed
+                    moved = prev is None or series.value != prev
+                if moved:
+                    changed.append((key, series, prev))
+            changed.sort(key=lambda item: item[0])
+            for key, series, prev in changed:
                 record: Dict[str, object] = {
                     "name": metric.name,
-                    "kind": metric.kind,
+                    "kind": kind,
                     "help": metric.help_text,
-                    "labels": dict(pairs),
+                    "labels": dict(zip(metric.labelnames, key)),
                 }
-                if isinstance(metric, Histogram):
+                if kind == "histogram":
                     prev_counts, prev_sum, prev_count = (
                         prev if prev is not None
                         else ((0,) * len(series.bucket_counts), 0.0, 0)
@@ -696,22 +725,15 @@ class MetricRegistry:
                     bucket_deltas = [
                         c - p for c, p in zip(series.bucket_counts, prev_counts)
                     ]
-                    if series.count == prev_count and not any(bucket_deltas):
-                        continue
                     record["count"] = series.count - prev_count
                     record["sum"] = series.sum - prev_sum
                     record["buckets"] = [
                         {"le": upper, "count": count}
                         for upper, count in zip(series.uppers, bucket_deltas)
                     ] + [{"le": "+Inf", "count": bucket_deltas[-1]}]
-                elif metric.kind == "counter":
-                    increment = series.value - (prev if prev is not None else 0.0)
-                    if increment == 0.0:
-                        continue
-                    record["value"] = increment
-                else:  # gauge: ship the absolute value when it changed
-                    if prev is not None and series.value == prev:
-                        continue
+                elif kind == "counter":
+                    record["value"] = series.value - (prev or 0.0)
+                else:
                     record["value"] = series.value
                 records.append(record)
         return records
@@ -729,24 +751,36 @@ class MetricRegistry:
             return
         if isinstance(source, MetricRegistry):
             source = source.delta({})
+        # Records of one family arrive together: register each family
+        # once per merge, not once per record.
+        families: Dict[Tuple[str, object, Tuple[str, ...]], _Metric] = {}
         for record in source:
             name = str(record["name"])
             kind = record["kind"]
             labels = dict(record.get("labels") or {})
             labelnames = tuple(labels)
             help_text = str(record.get("help", ""))
+            family = families.get((name, kind, labelnames))
+            if family is None:
+                if kind == "counter":
+                    family = self.counter(name, help_text, labelnames)
+                elif kind == "gauge":
+                    family = self.gauge(name, help_text, labelnames)
+                elif kind == "histogram":
+                    family = self.histogram(
+                        name, help_text, labelnames,
+                        buckets=[float(b["le"]) for b in record["buckets"][:-1]],
+                    )
+                else:
+                    raise MetricError(f"{name}: unknown metric kind {kind!r}")
+                families[name, kind, labelnames] = family
+            series = family.labels(**labels)
             if kind == "counter":
-                series = self.counter(name, help_text, labelnames).labels(**labels)
                 series.inc(record["value"])
             elif kind == "gauge":
-                series = self.gauge(name, help_text, labelnames).labels(**labels)
                 series.set(record["value"])
-            elif kind == "histogram":
+            else:
                 buckets = record["buckets"]
-                uppers = tuple(float(b["le"]) for b in buckets[:-1])
-                family = self.histogram(name, help_text, labelnames,
-                                        buckets=uppers)
-                series = family.labels(**labels)
                 if len(series.bucket_counts) != len(buckets):
                     raise MetricError(
                         f"{name}: cannot merge histogram with "
@@ -757,8 +791,6 @@ class MetricRegistry:
                     series.bucket_counts[i] += int(bucket["count"])
                 series.sum += float(record["sum"])
                 series.count += int(record["count"])
-            else:
-                raise MetricError(f"{name}: unknown metric kind {kind!r}")
 
 
 #: A permanently disabled registry for code that wants observability off.

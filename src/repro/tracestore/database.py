@@ -2,9 +2,9 @@
 
 The in-memory :class:`~repro.cluster.trace_db.TraceDatabase` is the
 simulator's telemetry warehouse; everything that talks to it does so
-through duck typing — the ``TraceSink`` protocol (``add``), the parallel
-engine's delta shipping (``mark``/``entries_since``), and the model's
-trace reads (``trace_for``/``traces``).  This class implements the same
+through duck typing — the ``TraceSink`` protocol (``add``), delta reads
+(``mark``/``entries_since``), and the model's trace reads
+(``trace_for``/``traces``).  This class implements the same
 surface on top of the columnar on-disk store, so a fleet can be wired to
 it with no changes to the node agent, the fault injector's sink-outage
 wrapper, or the engine:
@@ -24,8 +24,6 @@ import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
 
 from repro.common.errors import TraceError
 from repro.model.trace import (
@@ -132,56 +130,13 @@ class ColumnarTraceDatabase:
         """Entries added after ``mark`` was taken.
 
         Per-job order is preserved; jobs are visited in insertion order.
-        When the delta is still entirely in the write buffer — the
-        steady state for the engine's per-barrier shipping — this reads
+        When the delta is still entirely in the write buffer, this reads
         no segment files.
         """
         out: List[TraceEntry] = []
         for job_id in self.store.jobs:
             out.extend(self.store.entries_for(job_id, start=mark.get(job_id, 0)))
         return out
-
-    def block_marker(self) -> int:
-        """An opaque position marker for :meth:`block_since`."""
-        return int(self.store.rows_total)
-
-    def block_since(self, marker: int) -> Optional[TelemetryBlock]:
-        """Rows appended after ``marker``, as one zero-copy block.
-
-        The columnar twin of :meth:`mark`/:meth:`entries_since` for the
-        parallel engine: a forked worker never seals segments (see
-        :meth:`TraceStore.flush`), so every row appended since the fork
-        is still pending and :meth:`TraceStore.pending_tail_columns`
-        hands back exactly the delta — in append order, without
-        materializing a single entry.  Returns None when nothing was
-        appended.  String tables are compacted to the jobs/machines the
-        delta actually references.
-        """
-        delta = self.store.rows_total - int(marker)
-        if delta <= 0:
-            return None
-        cols = self.store.pending_tail_columns(delta)
-        jobs = self.store.jobs
-        machines = self.store.machines
-        job_uniq, job_local = np.unique(cols["job"], return_inverse=True)
-        machine_uniq, machine_local = np.unique(
-            cols["machine"], return_inverse=True
-        )
-        return TelemetryBlock(
-            bins=self.store.bins,
-            job_table=[jobs[int(o)] for o in job_uniq],
-            machine_table=[machines[int(o)] for o in machine_uniq],
-            job=job_local.astype(np.int64),
-            machine=machine_local.astype(np.int64),
-            time=cols["time"],
-            working_set_pages=cols["working_set_pages"],
-            resident_pages=cols["resident_pages"],
-            cpu_cores=cols["cpu_cores"],
-            promotion_counts=cols["promotion_counts"],
-            promotion_young=cols["promotion_young"],
-            cold_counts=cols["cold_counts"],
-            cold_young=cols["cold_young"],
-        )
 
     # ------------------------------------------------------------------
     # Trace reads

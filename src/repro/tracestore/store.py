@@ -26,10 +26,9 @@ per column, so consumers that only need a few columns (e.g. the window
 CLI reading ``time``) never materialize the histogram matrices.
 
 The store is **single-writer**: the process that created (or opened) it
-owns the files.  A forked copy — e.g. the parallel engine's workers,
+owns the files.  A forked copy — e.g. in the parallel engine's workers,
 which inherit the parent fleet via ``fork`` — keeps buffering appends in
-memory but never touches disk, exactly like the in-memory database the
-workers otherwise stage into.
+memory but never touches disk.
 
 Self-describing metrics (rows/segments/bytes written, flush latency,
 buffer occupancy) register in the :mod:`repro.obs` catalog under the
@@ -836,9 +835,8 @@ class TraceStore:
     def flush(self) -> int:
         """Seal the buffer into a segment; returns rows sealed.
 
-        A forked copy of the store (the parallel engine's workers) never
-        writes: the buffer simply keeps accumulating in memory, exactly
-        like the in-memory staging database it replaces.
+        A forked copy of the store (in the parallel engine's workers)
+        never writes: the buffer simply keeps accumulating in memory.
         """
         n = self._pending_rows
         if n == 0 or not self._is_owner:
@@ -926,51 +924,6 @@ class TraceStore:
                 arrays[name] = np.zeros((0, bins), dtype=np.int64)
         return arrays
 
-    def pending_tail_columns(self, count: int) -> Dict[str, np.ndarray]:
-        """The last ``count`` unsealed rows as one column dict, in append
-        order.
-
-        Walks the pending chunks from the end, so the cost is
-        O(``count`` + chunks touched), not O(everything pending) — this
-        is how a forked worker (which never seals, see :meth:`flush`)
-        hands the barrier merge exactly the rows appended since the fork
-        without re-materializing entry objects.
-
-        Raises:
-            TraceStoreError: when fewer than ``count`` rows are pending —
-                the caller's bookkeeping disagrees with the store's.
-        """
-        count = int(count)
-        if count <= 0 or count > self._pending_rows:
-            raise TraceStoreError(
-                f"pending_tail_columns: {count} rows requested, "
-                f"{self._pending_rows} pending"
-            )
-        sources: List[Dict[str, np.ndarray]] = list(self._chunks)
-        if self._buffer["time"]:
-            sources.append(self._buffer_arrays())
-        taken: List[Dict[str, np.ndarray]] = []
-        need = count
-        for arrays in reversed(sources):
-            size = int(arrays["time"].size)
-            if size <= need:
-                taken.append(arrays)
-                need -= size
-            else:
-                taken.append(
-                    {name: arrays[name][size - need:] for name in COLUMNS}
-                )
-                need = 0
-            if need == 0:
-                break
-        taken.reverse()
-        if len(taken) == 1:
-            return dict(taken[0])
-        return {
-            name: np.concatenate([part[name] for part in taken])
-            for name in COLUMNS
-        }
-
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
@@ -1048,8 +1001,7 @@ class TraceStore:
     def entries_for(self, job_id: str, start: int = 0) -> List[TraceEntry]:
         """Materialize one job's entries from row ``start`` on.
 
-        When every requested row still sits in the write buffer — the
-        common case for the parallel engine's per-barrier delta — no
+        When every requested row still sits in the write buffer, no
         segment is opened at all.
 
         Raises:

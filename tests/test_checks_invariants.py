@@ -132,5 +132,5 @@ class TestEndToEnd:
         fleet = quickfleet(
             clusters=2, machines_per_cluster=1, jobs_per_machine=2, seed=7,
         )
-        engine = FleetEngine(fleet, workers=2, barrier_seconds=120)
+        engine = FleetEngine(fleet, workers=2)
         engine.run(600)  # raises InvariantViolation on any breakage

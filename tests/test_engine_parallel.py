@@ -123,7 +123,7 @@ class TestRegistryDeltaMerge:
         reg = MetricRegistry()
         c = reg.counter("repro_pages_total", "Pages.", ("machine",))
         c.labels(machine="m0").inc(5)
-        base = reg.baseline()
+        base = reg.mark()
         c.labels(machine="m0").inc(3)
         c.labels(machine="m1").inc(2)
         delta = reg.delta(base)
@@ -142,7 +142,7 @@ class TestRegistryDeltaMerge:
         shard = MetricRegistry()
         c = shard.counter("repro_pages_total", "Pages.", ("machine",))
         c.labels(machine="m0").inc(5)  # fork-time copy
-        base = shard.baseline()
+        base = shard.mark()
         c.labels(machine="m0").inc(7)
         parent.merge(shard.delta(base))
         assert parent.value("repro_pages_total") == 12
@@ -152,7 +152,7 @@ class TestRegistryDeltaMerge:
         shard = MetricRegistry()
         h = shard.histogram("repro_lat_seconds", "Latency.",
                             buckets=(0.1, 1.0))
-        base = shard.baseline()
+        base = shard.mark()
         h.observe(0.05)
         h.observe(0.5)
         h.observe(5.0)
@@ -165,7 +165,7 @@ class TestRegistryDeltaMerge:
         parent = MetricRegistry()
         parent.gauge("repro_g").set(1.0)
         shard = MetricRegistry()
-        base = shard.baseline()
+        base = shard.mark()
         shard.gauge("repro_g").set(42.0)
         parent.merge(shard.delta(base))
         assert parent.gauge("repro_g").value == 42.0
@@ -174,7 +174,7 @@ class TestRegistryDeltaMerge:
         reg = MetricRegistry()
         reg.counter("repro_c_total").inc(4)
         reg.gauge("repro_g").set(2.0)
-        base = reg.baseline()
+        base = reg.mark()
         assert reg.delta(base) == []
 
 
@@ -262,7 +262,7 @@ class TestParallelEquivalence:
         _, parallel, stats = pair
         assert stats.mode == "parallel"
         assert stats.workers == self.WORKERS
-        assert stats.barriers == stats.ticks  # 60 s barrier, 60 s tick
+        assert stats.advances == 2  # one per simulated hour
         assert stats.shard_fallbacks == 0
         assert parallel.registry.value(
             MetricName.ENGINE_SHARD_FALLBACKS_TOTAL) == 0
@@ -369,15 +369,15 @@ class TestWorkerFailureFallback:
     degradation is best-effort by design.
     """
 
-    def run_degraded(self, monkeypatch, patched_worker):
+    def run_degraded(self, monkeypatch, patched_worker, seconds=1 * HOUR):
         import repro.engine.parallel as par
 
         serial = _churn_fleet(seed=13)
         degraded = _churn_fleet(seed=13)
-        serial.run(1 * HOUR)
+        serial.run(seconds)
         monkeypatch.setattr(par, "_worker_main", patched_worker)
         engine = FleetEngine(degraded, workers=2, recv_timeout_seconds=2.0)
-        stats = engine.run(1 * HOUR)
+        stats = engine.run(seconds)
         return serial, degraded, stats
 
     def test_hung_worker_finishes_via_serial_fallback(self, monkeypatch):
@@ -406,28 +406,31 @@ class TestWorkerFailureFallback:
             assert a == b
 
     @pytest.mark.parametrize(
-        "command, serve",
-        [("advance", 5), ("finalize", 0)],
-        ids=["after-five-barriers", "on-finalize"],
+        "seconds, serve, advances",
+        [(2 * HOUR + 30 * 60, 1, 3), (1 * HOUR, 0, 1)],
+        ids=["after-first-advance", "on-final-reply"],
     )
-    def test_worker_death_counts_metrics_once(self, monkeypatch, command,
-                                              serve):
+    def test_worker_death_counts_metrics_once(self, monkeypatch, seconds,
+                                              serve, advances):
         """Exactly-once metrics under worker failure: the taken-over
         shard's counters, SLI samples and coverage match serial whether
-        the catch-up replay covers k > 0 merged barriers or the whole run
-        (every barrier merged, but the metric delta never arrived)."""
+        the worker dies mid-run, after one merged advance (the catch-up
+        replay counts into a scratch registry, and the parent ticks the
+        shard for the rest of the run), or on the run's final reply (its
+        SLI samples, telemetry and metric delta all lost with it)."""
         import repro.engine.parallel as par
 
         real = par._worker_main
 
         def die_on_command(conn, fleet, cluster_indices, *args):
-            real(_DieOn(conn, command, serve), fleet, cluster_indices,
+            real(_DieOn(conn, "advance", serve), fleet, cluster_indices,
                  *args)
 
         serial, degraded, stats = self.run_degraded(
-            monkeypatch, die_on_command
+            monkeypatch, die_on_command, seconds
         )
         assert stats.mode == "parallel"
+        assert stats.advances == advances
         assert stats.shard_fallbacks == 1
         assert degraded.registry.value(
             MetricName.ENGINE_SHARD_FALLBACKS_TOTAL) == 1
@@ -499,7 +502,8 @@ def test_wsc_run_delegates_to_engine():
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestMetricShipping:
-    """Metrics cross the fork boundary once per run, not per barrier."""
+    """Metrics cross the fork boundary once per advance (one per run of
+    up to a simulated hour), not per tick."""
 
     def test_merge_called_once_per_shard_per_run(self, monkeypatch):
         """One merge per *forked* shard: the parent's own shard counts
@@ -514,7 +518,7 @@ class TestMetricShipping:
         monkeypatch.setattr(MetricRegistry, "merge", spy)
         fleet = _churn_fleet(seed=5)
         stats = FleetEngine(fleet, workers=2).run(30 * 60)
-        assert stats.mode == "parallel" and stats.barriers == 30
+        assert stats.mode == "parallel" and stats.advances == 1
         assert len(merged) == stats.workers - 1
         assert all(isinstance(delta, list) and delta for delta in merged)
 
@@ -549,11 +553,12 @@ class TestMetricShipping:
         assert gc.isenabled()
         assert gc.get_freeze_count() == 0
 
-    def test_advance_reply_carries_no_metrics(self):
-        """Drive the worker loop in-process: ``advance`` replies hold the
-        SLI batches and the trace delta only; ``finalize`` ships the run's
-        one metric delta and no clusters; ``close`` ships the clusters,
-        which carry no metric series, and ends the loop."""
+    def test_advance_reply_ships_the_interval(self):
+        """Drive the worker loop in-process: an ``advance`` reply holds the
+        interval's tagged SLI batches, one trace delta per tick, the span
+        stats and one metric delta since the previous reply; ``close``
+        ships the clusters, which carry no metric series, and ends the
+        loop."""
         import threading
 
         from repro.engine.parallel import _worker_main
@@ -571,27 +576,36 @@ class TestMetricShipping:
         )
         worker.start()
         try:
-            parent.send(("advance", 2))
-            reply = parent.recv()
-            assert reply[0] == "ok" and len(reply) == 3
-            parent.send(("finalize",))
-            _, _, delta = parent.recv()
+            parent.send(("advance", 6))
+            status, batches, telemetry, stats, delta = parent.recv()
+            assert status == "ok"
+            assert batches and {ci for _, ci, _ in batches} == {0}
+            assert {seq for seq, _, _ in batches} <= set(range(6))
+            assert len(telemetry) == 6  # one trace delta per tick
+            assert any(telemetry)
+            machines = {m.machine_id for m in fleet._clusters[0].machines}
+            assert all(e.machine_id in machines
+                       for tick in telemetry for e in tick)
+            assert stats["cluster.tick"].calls == 6
             assert {r["name"] for r in delta} >= {
                 MetricName.PAGES_SCANNED_TOTAL
             }
             parent.send(("advance", 1))
-            parent.recv()
+            *_, stats, second_delta = parent.recv()
+            assert stats["cluster.tick"].calls == 1
             parent.send(("close",))
             _, clusters, _, last_delta = parent.recv()
             assert len(clusters) == 1
-            # The second delta holds only what followed the first (the
-            # thread shares this process's registry, so the two add up to
-            # its growth).
+            # Each delta holds only what followed the previous reply (the
+            # thread shares this process's registry, so they add up to its
+            # growth).
             scanned = lambda records: sum(
                 r["value"] for r in records
                 if r["name"] == MetricName.PAGES_SCANNED_TOTAL
             )
-            assert scanned(delta) + scanned(last_delta) == fleet.registry.value(
+            assert scanned(second_delta) > 0
+            assert (scanned(delta) + scanned(second_delta)
+                    + scanned(last_delta)) == fleet.registry.value(
                 MetricName.PAGES_SCANNED_TOTAL) - scanned_before
         finally:
             worker.join(timeout=30)
@@ -634,7 +648,7 @@ class TestMetricShipping:
             if name == MetricName.ENGINE_PHASE_SECONDS_TOTAL
         }
         assert sorted(dict(labels)["phase"] for labels in phases) == [
-            "call", "close", "finalize", "local", "merge", "start", "wait",
+            "call", "close", "local", "merge", "start", "wait",
         ]
         assert all(value >= 0.0 for value in phases.values())
 
@@ -643,7 +657,7 @@ class TestMetricShipping:
 class TestColumnarBlockPath:
     """Serial ≡ parallel on the configuration the benchmark runs: the
     columnar kernel with cluster-scoped pools, feeding a columnar trace
-    store, so barriers ship zero-copy telemetry blocks."""
+    store, so workers ship zero-copy telemetry blocks."""
 
     @pytest.fixture(scope="class")
     def pair(self, tmp_path_factory):
@@ -835,8 +849,8 @@ class TestSessionFailures:
 
     3 clusters on 2 workers: the forked worker owns two clusters, so the
     canary's routed calls reach it.  The session makes these commands:
-    10 ``advance`` (first run), calls, 10 + 10 (the two soaks), calls,
-    5 (last run), ``finalize`` after each run, and the ``close``.
+    one ``advance`` per run (the first run, the two soaks and the last
+    run), the canary's calls between them, and the ``close``.
     """
 
     @pytest.fixture(scope="class")
@@ -847,12 +861,12 @@ class TestSessionFailures:
     @pytest.mark.parametrize(
         "command, serve, hang",
         [
-            ("advance", 12, False),
+            ("advance", 1, False),
             ("call", 1, False),
             ("close", 0, False),
             ("call", 3, True),
         ],
-        ids=["second-run-third-advance", "second-call", "on-close",
+        ids=["second-run-advance", "second-call", "on-close",
              "hung-mid-session"],
     )
     def test_lost_worker_matches_serial(self, monkeypatch, serial, command,

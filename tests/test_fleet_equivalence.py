@@ -11,7 +11,7 @@
   same seeded columnar fleet runs four times against an on-disk
   :class:`~repro.tracestore.database.ColumnarTraceDatabase`: serially and
   under the parallel engine, each once over the block path (pool columns
-  → ``add_block``; blocks shipped across barriers) and once over the
+  → ``add_block``; blocks shipped by the workers) and once over the
   per-entry path (``prefer_blocks`` off, entry shipping pinned).  Within
   each mode the two stores must be byte-identical (segments and
   manifest), the compiled replay tensors must match across all four
