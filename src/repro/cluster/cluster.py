@@ -39,6 +39,7 @@ from repro.cluster.trace_db import TraceDatabase
 from repro.kernel.machine import (
     Machine,
     MachineConfig,
+    machine_sums,
     reclaim_machines,
     tick_machines,
     touch_machines,
@@ -471,13 +472,16 @@ class Cluster:
             used = machine.used_bytes
 
     def _sample_coverage(self, now: int) -> None:
-        for machine in self.machines:
+        """One coverage sample per machine, from one pass over the pool
+        for far pages and one for cold pages."""
+        far = machine_sums(self.machines, self.pool.tier_pages()[:, 1])
+        cold = machine_sums(self.machines,
+                            self.pool.cold_pages(MIN_COLD_AGE_THRESHOLD))
+        for far_pages, cold_pages in zip(far.tolist(), cold.tolist()):
             self.coverage_samples.append(
                 CoverageSample(
-                    far_memory_pages=machine.far_pages,
-                    cold_pages_at_min_threshold=machine.cold_pages(
-                        MIN_COLD_AGE_THRESHOLD
-                    ),
+                    far_memory_pages=far_pages,
+                    cold_pages_at_min_threshold=cold_pages,
                     time=now,
                 )
             )

@@ -460,20 +460,42 @@ class MachinePagePool:
             sums[rows] = np.add.reduceat(per_slot, bases, dtype=np.int64)
         return sums
 
-    def tier_pages(self) -> np.ndarray:
-        """Every row's resident ``[near, far]`` page counts, as an int64
-        ``(rows, 2)`` array indexed by pool row."""
-        res = self.resident[: self.used]
-        far = self._row_sums(res & (self.state[: self.used] == _FAR))
-        return np.stack([self._row_sums(res) - far, far], axis=1)
+    def _segments_of(self, rows: Sequence[int]) -> List[slice]:
+        """The slot range of each row in ``rows``, in that order."""
+        base, size = self.row_base, self.row_size
+        return [slice(base[row], base[row] + size[row]) for row in rows]
 
-    def cold_pages(self, threshold_seconds: float) -> int:
-        """Machine-wide resident pages idle at least ``threshold_seconds``."""
-        u = self.used
-        threshold_scans = int(np.ceil(threshold_seconds / self.scan_period))
-        return int(np.count_nonzero(
-            self.resident[:u] & (self.age_scans[:u] >= threshold_scans)
-        ))
+    def tier_pages(self, rows: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Resident ``[near, far]`` page counts per row, as an int64
+        ``(n, 2)`` array: indexed by pool row (one pool-wide pass), or in
+        ``rows`` order (one count per segment: cheaper for the few rows
+        of one machine)."""
+        res, state = self.resident, self.state
+        if rows is None:
+            far = self._row_sums(res[: self.used]
+                                 & (state[: self.used] == _FAR))
+            return np.stack([self._row_sums(res[: self.used]) - far, far],
+                            axis=1)
+        tiers = np.empty((len(rows), 2), dtype=np.int64)
+        for i, seg in enumerate(self._segments_of(rows)):
+            resident = res[seg]
+            far = np.count_nonzero(resident & (state[seg] == _FAR))
+            tiers[i] = (np.count_nonzero(resident) - far, far)
+        return tiers
+
+    def cold_pages(self, threshold_seconds: float,
+                   rows: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Resident pages idle at least ``threshold_seconds`` per row, as
+        an int64 array: indexed by pool row, or in ``rows`` order."""
+        scans = int(np.ceil(threshold_seconds / self.scan_period))
+        res, ages = self.resident, self.age_scans
+        if rows is None:
+            u = self.used
+            return self._row_sums(res[:u] & (ages[:u] >= scans))
+        return np.array([
+            np.count_nonzero(res[seg] & (ages[seg] >= scans))
+            for seg in self._segments_of(rows)
+        ], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Histogram gathers (the agent's round, the zero-copy export)

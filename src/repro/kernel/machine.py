@@ -235,10 +235,14 @@ class Machine:
     # Memory accounting
     # ------------------------------------------------------------------
 
+    def _rows(self) -> List[int]:
+        """This machine's pool rows, in job-arrival order."""
+        return [m._pool_row for m in pool_memcgs([self])]
+
     @property
     def near_bytes(self) -> int:
         """DRAM used by uncompressed pages."""
-        return sum(m.near_pages for m in self.memcgs.values()) * PAGE_SIZE
+        return int(self.pool.tier_pages(self._rows()).sum(axis=0)[0]) * PAGE_SIZE
 
     @property
     def used_bytes(self) -> int:
@@ -253,7 +257,7 @@ class Machine:
     @property
     def far_pages(self) -> int:
         """Pages currently stored compressed, machine-wide."""
-        return sum(m.far_pages for m in self.memcgs.values())
+        return int(self.pool.tier_pages(self._rows()).sum(axis=0)[1])
 
     def saved_bytes(self) -> int:
         """DRAM reclaimed by compression: far bytes minus arena footprint."""
@@ -261,9 +265,7 @@ class Machine:
 
     def cold_pages(self, threshold_seconds: float) -> int:
         """Machine-wide pages idle at least ``threshold_seconds``."""
-        return sum(
-            m.cold_pages(threshold_seconds) for m in self.memcgs.values()
-        )
+        return int(self.pool.cold_pages(threshold_seconds, self._rows()).sum())
 
     # ------------------------------------------------------------------
     # Job lifecycle
@@ -328,24 +330,29 @@ class Machine:
         watermark = int(
             self.config.dram_bytes * self.config.reclaim_watermark_fraction
         )
-        if self.free_bytes - needed < watermark:
+        # Compaction moves no page between tiers: near bytes hold until
+        # a direct reclaim, and the arena's footprint is a plain read.
+        near = self.near_bytes
+        free = self.config.dram_bytes - near - self.arena.footprint_bytes
+        if free - needed < watermark:
             self.arena.compact()
+            free = self.config.dram_bytes - near - self.arena.footprint_bytes
         if (
-            self.free_bytes - needed < watermark
+            free - needed < watermark
             and self.config.mode is FarMemoryMode.REACTIVE
         ):
-            shortfall = needed + watermark - self.free_bytes
             freed, stall = self.direct_reclaim.reclaim(
-                self.memcgs.values(), shortfall
+                self.memcgs.values(), needed + watermark - free
             )
             self.events.record(
                 self.now, EventKind.MACHINE_DIRECT_RECLAIM, job=job_id,
                 freed_bytes=freed, stall_seconds=stall,
             )
-        if self.free_bytes < needed:
+            free = self.free_bytes
+        if free < needed:
             raise OutOfMemoryError(
                 f"machine {self.machine_id}: {n_pages} pages requested, "
-                f"{self.free_bytes // PAGE_SIZE} free"
+                f"{free // PAGE_SIZE} free"
             )
         return memcg.allocate(n_pages)
 

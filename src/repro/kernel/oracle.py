@@ -115,16 +115,23 @@ class ScalarPagePool:
     def memcg_count(self) -> int:
         return len(self.row_memcg) - len(self._free_rows)
 
-    def tier_pages(self) -> np.ndarray:
-        tiers = np.zeros((len(self.row_memcg), 2), dtype=np.int64)
-        for row, memcg in enumerate(self.row_memcg):
-            if memcg is not None:
-                tiers[row] = (memcg.near_pages, memcg.far_pages)
-        return tiers
+    def _rows(self, rows: Optional[Sequence[int]]) -> List[Optional[MemCg]]:
+        return self.row_memcg if rows is None else [
+            self.row_memcg[row] for row in rows
+        ]
 
-    def cold_pages(self, threshold_seconds: float) -> int:
-        return sum(m.cold_pages(threshold_seconds)
-                   for m in self.row_memcg if m is not None)
+    def tier_pages(self, rows: Optional[Sequence[int]] = None) -> np.ndarray:
+        return np.array([
+            (m.near_pages, m.far_pages) if m is not None else (0, 0)
+            for m in self._rows(rows)
+        ], dtype=np.int64).reshape(-1, 2)
+
+    def cold_pages(self, threshold_seconds: float,
+                   rows: Optional[Sequence[int]] = None) -> np.ndarray:
+        return np.array([
+            m.cold_pages(threshold_seconds) if m is not None else 0
+            for m in self._rows(rows)
+        ], dtype=np.int64)
 
     def histogram_columns(
         self, rows: np.ndarray, min_cold_age_seconds: int

@@ -10,7 +10,8 @@ churn (segment compaction and row reuse), huge pages, promotions and a
 pressure eviction that both page pools must handle alike.  The same
 random-op harness holds the columnar pool to the reference
 :class:`~repro.kernel.oracle.ScalarPagePool` call by call over the whole
-pool interface.  They also cover the ``REPRO_CHECKS`` hook that guards
+pool interface, and each machine's near, free, far and cold counts
+(answered from its pool rows) to its memcgs' own sums.  They also cover the ``REPRO_CHECKS`` hook that guards
 the recount, the touch of a page listed twice in one batch, and who owns
 which pool.
 """
@@ -234,6 +235,26 @@ def _retune(rng, cluster):
         memcg.zswap_enabled = bool(rng.integers(4))
 
 
+def _machine_counts(cluster):
+    """Every machine's near, free, far and cold counts, which the machine
+    answers from its pool rows, checked against the sums of its memcgs'
+    own counts."""
+    counts = []
+    for machine in cluster.machines:
+        memcgs = list(machine.memcgs.values())
+        near = sum(m.near_pages for m in memcgs) * PAGE_SIZE
+        answer = (machine.near_bytes, machine.free_bytes, machine.far_pages,
+                  [machine.cold_pages(t) for t in (0, 60, 300, 3600)])
+        assert answer == (
+            near,
+            machine.config.dram_bytes - near - machine.arena.footprint_bytes,
+            sum(m.far_pages for m in memcgs),
+            [sum(m.cold_pages(t) for m in memcgs) for t in (0, 60, 300, 3600)],
+        )
+        counts.append(answer)
+    return counts
+
+
 def _interface_answers(cluster, scan):
     """Every answer of the page-pool interface, as comparable values."""
     pool = cluster.pool
@@ -244,7 +265,13 @@ def _interface_answers(cluster, scan):
         answers["scan_all"] = pool.scan_all(memcgs)
         answers["last_scan_row_pages"] = pool.last_scan_row_pages[rows].tolist()
     answers["tier_pages"] = pool.tier_pages()[rows].tolist()
-    answers["cold_pages"] = [pool.cold_pages(t) for t in (0, 60, 300, 3600)]
+    answers["cold_pages"] = [
+        pool.cold_pages(t)[rows].tolist() for t in (0, 60, 300, 3600)
+    ]
+    # Counting only the rows asked for gives the pool-wide pass's rows.
+    assert pool.tier_pages(rows).tolist() == answers["tier_pages"]
+    assert pool.cold_pages(300, rows).tolist() == answers["cold_pages"][2]
+    answers["machine_counts"] = _machine_counts(cluster)
     answers["reclaim_pairs"] = [
         (memcg.job_id, candidates.dtype.str, candidates.tolist())
         for memcg, candidates in pool.reclaim_pairs(memcgs)
