@@ -545,13 +545,37 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that can forward arguments verbatim.
+
+    A sub-command parser whose ``forward`` names a destination parses
+    only its own leading flags; everything from the first other argument
+    on lands in that destination untouched, options included
+    (``repro ci -p no:cacheprovider``).
+    """
+
+    forward: Optional[str] = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.forward is None:
+            return super().parse_known_args(args, namespace)
+        args = list(sys.argv[1:] if args is None else args)
+        own = 0
+        while own < len(args) and args[own] in self._option_string_actions:
+            own += 1
+        namespace, extras = super().parse_known_args(args[:own], namespace)
+        setattr(namespace, self.forward, args[own:])
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Software-Defined Far Memory reproduction (ASPLOS'19)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     p = sub.add_parser("quickstart", help="run a fleet, print the report")
     _add_fleet_arguments(p)
@@ -693,9 +717,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "ci",
         help="tier-1 tests with REPRO_CHECKS=1, then the lint gate",
+        usage="repro ci [-h] [--skip-tests] [--skip-flow] [pytest args ...]",
         description="The one-command CI gate: run the tier-1 pytest suite "
                     "with runtime invariants enabled (REPRO_CHECKS=1), "
-                    "then repro lint --ci. Exit 0 only when both pass.",
+                    "then repro lint --ci. Exit 0 only when both pass. "
+                    "Every argument after the ci flags is forwarded to "
+                    "pytest verbatim, options included.",
     )
     p.add_argument("--skip-tests", action="store_true",
                    help="run only the lint half of the gate")
@@ -703,9 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the whole-program flow passes "
                         "(FLOW001/FLOW002/CON001/CON002); local per-file "
                         "rules still run")
-    p.add_argument("pytest_args", nargs=argparse.REMAINDER,
-                   help="extra arguments forwarded to pytest verbatim "
-                        "(put them after any ci flags)")
+    p.forward = "pytest_args"
     p.set_defaults(func=cmd_ci)
 
     p = sub.add_parser(

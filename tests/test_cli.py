@@ -75,6 +75,17 @@ class TestParser:
         assert args.skip_tests
         assert args.pytest_args == ["tests/test_cli.py", "-k", "parser"]
 
+    def test_ci_forwards_leading_pytest_options(self):
+        args = build_parser().parse_args(["ci", "-p", "no:cacheprovider"])
+        assert not args.skip_tests and not args.skip_flow
+        assert args.pytest_args == ["-p", "no:cacheprovider"]
+        args = build_parser().parse_args(
+            ["ci", "--skip-flow", "--skip-tests", "-x", "--skip-tests"]
+        )
+        assert args.skip_flow and args.skip_tests
+        # Past the ci flags everything is pytest's, even a ci flag.
+        assert args.pytest_args == ["-x", "--skip-tests"]
+
 
 class TestExecution:
     def test_quickstart_runs(self, capsys):
