@@ -559,7 +559,7 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         if self.forward is None:
             return super().parse_known_args(args, namespace)
-        args = list(sys.argv[1:] if args is None else args)
+        args = list(args or ())
         own = 0
         while own < len(args) and args[own] in self._option_string_actions:
             own += 1

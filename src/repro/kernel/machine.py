@@ -242,7 +242,8 @@ class Machine:
     @property
     def near_bytes(self) -> int:
         """DRAM used by uncompressed pages."""
-        return int(self.pool.tier_pages(self._rows()).sum(axis=0)[0]) * PAGE_SIZE
+        near = self.pool.tier_pages(self._rows())[:, 0].sum()
+        return int(near) * PAGE_SIZE
 
     @property
     def used_bytes(self) -> int:
@@ -257,7 +258,7 @@ class Machine:
     @property
     def far_pages(self) -> int:
         """Pages currently stored compressed, machine-wide."""
-        return int(self.pool.tier_pages(self._rows()).sum(axis=0)[1])
+        return int(self.pool.tier_pages(self._rows())[:, 1].sum())
 
     def saved_bytes(self) -> int:
         """DRAM reclaimed by compression: far bytes minus arena footprint."""

@@ -115,7 +115,7 @@ class ScalarPagePool:
     def memcg_count(self) -> int:
         return len(self.row_memcg) - len(self._free_rows)
 
-    def _rows(self, rows: Optional[Sequence[int]]) -> List[Optional[MemCg]]:
+    def _memcgs_of(self, rows: Optional[Sequence[int]]) -> List[Optional[MemCg]]:
         return self.row_memcg if rows is None else [
             self.row_memcg[row] for row in rows
         ]
@@ -123,14 +123,14 @@ class ScalarPagePool:
     def tier_pages(self, rows: Optional[Sequence[int]] = None) -> np.ndarray:
         return np.array([
             (m.near_pages, m.far_pages) if m is not None else (0, 0)
-            for m in self._rows(rows)
+            for m in self._memcgs_of(rows)
         ], dtype=np.int64).reshape(-1, 2)
 
     def cold_pages(self, threshold_seconds: float,
                    rows: Optional[Sequence[int]] = None) -> np.ndarray:
         return np.array([
             m.cold_pages(threshold_seconds) if m is not None else 0
-            for m in self._rows(rows)
+            for m in self._memcgs_of(rows)
         ], dtype=np.int64)
 
     def histogram_columns(

@@ -751,8 +751,8 @@ class MetricRegistry:
             return
         if isinstance(source, MetricRegistry):
             source = source.delta({})
-        # Records of one family arrive together: register each family
-        # once per merge, not once per record.
+        # Register (and validate) each family once per merge, not once
+        # per record.
         families: Dict[Tuple[str, object, Tuple[str, ...]], _Metric] = {}
         for record in source:
             name = str(record["name"])

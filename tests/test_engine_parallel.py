@@ -663,6 +663,17 @@ class TestColumnarBlockPath:
     def pair(self, tmp_path_factory):
         from repro.tracestore import ColumnarTraceDatabase
 
+        class RecordingDatabase(ColumnarTraceDatabase):
+            """Remembers the export periods of every appended block."""
+
+            def __init__(self, root):
+                super().__init__(root)
+                self.appended_periods = []
+
+            def add_block(self, block):
+                self.appended_periods.append(sorted(set(block.time.tolist())))
+                super().add_block(block)
+
         def build(name):
             return quickfleet(
                 clusters=2,
@@ -674,7 +685,7 @@ class TestColumnarBlockPath:
                 churn_duration_range=(1800, 7200),
                 registry=MetricRegistry(),
                 tracer=Tracer(),
-                trace_db=ColumnarTraceDatabase(
+                trace_db=RecordingDatabase(
                     tmp_path_factory.mktemp(name) / "store"
                 ),
             )
@@ -694,6 +705,18 @@ class TestColumnarBlockPath:
         a = _series(serial, INTEGER_COUNTERS)
         b = _series(parallel, INTEGER_COUNTERS)
         assert a and a == b
+
+    def test_store_takes_one_chunk_per_tick(self, pair):
+        """The run is one advance, folded in tick by tick: each append
+        holds the rows of one export period, in time order, so the store
+        seals segments where one merge per tick would."""
+        serial, parallel = pair
+        periods = parallel.trace_db.appended_periods
+        assert len(periods) > 1
+        assert all(len(tick) == 1 for tick in periods)
+        assert periods == sorted(periods)
+        assert {t for tick in periods for t in tick} == {
+            t for tick in serial.trace_db.appended_periods for t in tick}
 
     def test_per_machine_gauges_identical(self, pair):
         serial, parallel = pair

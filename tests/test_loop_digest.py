@@ -3,10 +3,10 @@
 ``perfbench/run.py`` hashes everything one loop produces (coverage, SLI
 history, compiled replay tensors, model reports and the canary verdict).
 Running fleet 0 of each workload must reproduce the digests below bit
-for bit, serially and through the parallel engine.  A change that is meant to be a pure optimization of
-the simulator (batching, vectorizing, reordering independent work) must
-leave them untouched; a change that alters behaviour on purpose records
-new constants here and says why.
+for bit, serially and through the parallel engine.  A change that is
+meant to be a pure optimization of the simulator (batching, vectorizing,
+reordering independent work) must leave them untouched; a change that
+alters behaviour on purpose records new constants here and says why.
 
 The loop runs in a subprocess because job RNG streams are keyed by
 ``hash(job_id)``, which is only reproducible under a fixed
@@ -33,6 +33,8 @@ GOLDEN_DIGESTS = {
 
 _SCRIPT = """
 import importlib.util, json, sys, tempfile
+import multiprocessing as mp
+import multiprocessing.context as mpc
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
@@ -43,28 +45,34 @@ run._import_program()
 from repro.engine import FleetEngine
 from repro.obs import Tracer
 
-modes = []
-real_run = FleetEngine.run
+modes, forks = [], []
+real_run, real_start = FleetEngine.run, mpc.ForkProcess.start
 
-def spy(engine, seconds):
+def spy_run(engine, seconds):
     stats = real_run(engine, seconds)
     modes.append(stats.mode)
     return stats
 
-FleetEngine.run = spy
-digests = {}
+def spy_start(proc):
+    forks.append(proc)
+    real_start(proc)
+
+FleetEngine.run, mpc.ForkProcess.start = spy_run, spy_start
+reports = {}
 for name in sys.argv[2:]:
-    for parallel in (False, True):
-        del modes[:]
+    for engine in ("serial", "parallel"):
+        del modes[:], forks[:]
         with tempfile.TemporaryDirectory() as store:
             result = run.run_loop(run.WORKLOADS[name], 0,
                                   Tracer(enabled=False), Path(store),
-                                  parallel=parallel)
-        digests[name, parallel] = {"digest": result.digest,
-                                   "errors": result.errors,
-                                   "modes": list(modes)}
-print(json.dumps({f"{name}/{'parallel' if parallel else 'serial'}": report
-                  for (name, parallel), report in digests.items()}))
+                                  parallel=engine == "parallel")
+        reports[f"{name}/{engine}"] = {
+            "digest": result.digest, "errors": result.errors,
+            "modes": list(modes), "forks": len(forks),
+            "expected_forks": run.ENGINE_WORKERS - 1,
+            "alive": len(mp.active_children()),
+        }
+print(json.dumps(reports))
 """
 
 
@@ -100,49 +108,12 @@ def test_parallel_loop_digest_is_pinned(digests, workload):
     assert report["digest"] == GOLDEN_DIGESTS[workload]
 
 
-_PARALLEL_SCRIPT = """
-import importlib.util, json, sys, tempfile
-import multiprocessing as mp
-import multiprocessing.context as mpc
-from pathlib import Path
-
-spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
-run = importlib.util.module_from_spec(spec)
-sys.modules[spec.name] = run
-spec.loader.exec_module(run)
-run._import_program()
-from repro.obs import Tracer
-
-started = []
-real_start = mpc.ForkProcess.start
-
-def spy(proc):
-    started.append(proc)
-    real_start(proc)
-
-mpc.ForkProcess.start = spy
-with tempfile.TemporaryDirectory() as store:
-    result = run.run_loop(run.WORKLOADS[sys.argv[2]], 0, Tracer(enabled=False),
-                          Path(store), parallel=True)
-print(json.dumps({"errors": result.errors, "digest": result.digest,
-                  "forks": len(started), "expected": run.ENGINE_WORKERS - 1,
-                  "alive": len(mp.active_children())}))
-"""
-
-
-def test_parallel_loop_forks_once():
-    """A parallel loop (simulation, then the canary's two soaks) is one
+def test_parallel_loop_forks_once(digests):
+    """A parallel loop (simulation, then the canary's soaks) is one
     engine session: it forks its workers once, its digest read closes
     the session, and it reproduces the serial digest."""
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    proc = subprocess.run(
-        [sys.executable, "-c", _PARALLEL_SCRIPT,
-         str(ROOT / "perfbench" / "run.py"), "loop"],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    report = digests["loop/parallel"]
     assert report["errors"] == []
-    assert report["forks"] == report["expected"] == 1
+    assert report["forks"] == report["expected_forks"] == 1
     assert report["alive"] == 0
     assert report["digest"] == GOLDEN_DIGESTS["loop"]

@@ -11,7 +11,8 @@ pressure eviction that both page pools must handle alike.  The same
 random-op harness holds the columnar pool to the reference
 :class:`~repro.kernel.oracle.ScalarPagePool` call by call over the whole
 pool interface, and each machine's near, free, far and cold counts
-(answered from its pool rows) to its memcgs' own sums.  They also cover the ``REPRO_CHECKS`` hook that guards
+(answered from its pool rows) and the cluster's coverage samples to its
+memcgs' own sums.  They also cover the ``REPRO_CHECKS`` hook that guards
 the recount, the touch of a page listed twice in one batch, and who owns
 which pool.
 """
@@ -27,7 +28,7 @@ from repro.checks.invariants import (
 )
 from repro.cluster.cluster import Cluster
 from repro.common.rng import SeedSequenceFactory
-from repro.common.units import MIB, PAGE_SIZE
+from repro.common.units import MIB, MIN_COLD_AGE_THRESHOLD, PAGE_SIZE
 from repro.kernel.columnar import MachinePagePool
 from repro.kernel.compression import ContentProfile
 from repro.cluster.wsc import quickfleet
@@ -238,9 +239,11 @@ def _retune(rng, cluster):
 def _machine_counts(cluster):
     """Every machine's near, free, far and cold counts, which the machine
     answers from its pool rows, checked against the sums of its memcgs'
-    own counts."""
+    own counts; so is the cluster's coverage sample, one pooled pass."""
+    cluster._sample_coverage(0)
+    sampled = cluster.coverage_samples[-len(cluster.machines):]
     counts = []
-    for machine in cluster.machines:
+    for machine, sample in zip(cluster.machines, sampled):
         memcgs = list(machine.memcgs.values())
         near = sum(m.near_pages for m in memcgs) * PAGE_SIZE
         answer = (machine.near_bytes, machine.free_bytes, machine.far_pages,
@@ -251,6 +254,8 @@ def _machine_counts(cluster):
             sum(m.far_pages for m in memcgs),
             [sum(m.cold_pages(t) for m in memcgs) for t in (0, 60, 300, 3600)],
         )
+        assert (sample.far_memory_pages, sample.cold_pages_at_min_threshold) == (
+            answer[2], sum(m.cold_pages(MIN_COLD_AGE_THRESHOLD) for m in memcgs))
         counts.append(answer)
     return counts
 
