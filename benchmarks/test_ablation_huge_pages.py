@@ -18,6 +18,7 @@ from repro.analysis import render_table
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.memcg import MemCg
+from repro.kernel.oracle import scan_memcg
 
 PAGES = 8192
 HUGE = 512  # 2 MiB mappings
@@ -36,11 +37,11 @@ def detectable_cold(huge_fraction: float, seed: int = 5) -> int:
     n_groups = int(round(huge_fraction * PAGES / HUGE))
     for g in range(n_groups):
         memcg.map_huge(g * HUGE, pages_per_huge=HUGE)
-    memcg.scan_update()
+    scan_memcg(memcg)
     hot = np.arange(0, PAGES, HUGE // HOT_PAGES_PER_MAPPING)
     for _ in range(6):
         memcg.touch(hot)
-        memcg.scan_update()
+        scan_memcg(memcg)
     return memcg.cold_pages(120)
 
 

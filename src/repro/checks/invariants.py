@@ -9,10 +9,9 @@ correctness story depends on:
   the per-memcg view must agree (``arena.live_objects == Σ far_pages``,
   ``arena.payload_bytes == Σ payload_bytes[far]``) and compression can
   never *grow* memory (``footprint >= payload``).
-* **memcg histogram** — the cold-age histogram a scan leaves (the scalar
-  kernel's incremental fold, the columnar kernel's pooled recount) must
-  match a from-scratch recount (the ground truth the K-th percentile
-  threshold policy reads).
+* **memcg histogram** — the cold-age histogram the columnar kernel's
+  pooled scan leaves must match each memcg's own from-scratch recount
+  (the ground truth the K-th percentile threshold policy reads).
 * **delta merge** — metric deltas shipped across the fork boundary must
   conserve mass: counter increments are non-negative and a histogram
   record's ``count`` equals the sum of its bucket increments.

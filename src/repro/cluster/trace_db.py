@@ -77,22 +77,6 @@ class TraceDatabase:
         for entry in entries:
             self.add(entry)
 
-    def mark(self) -> Dict[str, int]:
-        """An opaque position marker for :meth:`entries_since`."""
-        return {job_id: len(trace.entries) for job_id, trace in self._by_job.items()}
-
-    def entries_since(self, mark: Dict[str, int]) -> List[TraceEntry]:
-        """Entries added after ``mark`` was taken.
-
-        Per-job order is preserved; jobs are visited in insertion order.
-        """
-        out: List[TraceEntry] = []
-        for job_id, trace in self._by_job.items():
-            start = mark.get(job_id, 0)
-            if len(trace.entries) > start:
-                out.extend(trace.entries[start:])
-        return out
-
     def trace_for(self, job_id: str) -> JobTrace:
         """The full trace of one job.
 

@@ -18,29 +18,13 @@ from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
 from repro.kernel.memcg import MemCg, PageState
 from repro.kernel.oracle import ScalarPagePool
 from repro.kernel.remote import RemoteAccessModel, RemoteMemoryPool
-from repro.kernel.tiers import (
-    NVM_DEVICE,
-    ZSSD_DEVICE,
-    ZSWAP_ACCEL_DEVICE,
-    ZSWAP_DEVICE,
-    FarMemoryDevice,
-    TierAssignment,
-    TieredFarMemory,
-)
 from repro.kernel.zsmalloc import ArenaStats, ZsmallocArena
 from repro.kernel.zswap import Zswap, ZswapJobStats
 
 __all__ = [
     "ArenaStats",
-    "FarMemoryDevice",
-    "NVM_DEVICE",
     "RemoteAccessModel",
     "RemoteMemoryPool",
-    "TierAssignment",
-    "TieredFarMemory",
-    "ZSSD_DEVICE",
-    "ZSWAP_ACCEL_DEVICE",
-    "ZSWAP_DEVICE",
     "ColumnarMemCg",
     "CompressionLatencyModel",
     "ContentProfile",

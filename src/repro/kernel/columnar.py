@@ -23,13 +23,14 @@ arrays are numpy *views* into the pool: every inherited method —
 ``allocate``/``release``/``touch``, zswap's tier flips, huge-page
 mapping — runs unchanged on the views and stays O(touched).  The pooled
 passes (:meth:`MachinePagePool.scan_all`,
-:meth:`MachinePagePool.reclaim_pairs`, the touch pass
+:meth:`MachinePagePool.reclaim_walk`, the touch pass
 :meth:`MachinePagePool.touch` and the batched
 :meth:`MachinePagePool.promote`, the accounting reductions) replay the
-exact per-slot arithmetic of the scalar memcg methods as whole-pool
-array ops.  :class:`~repro.kernel.oracle.ScalarPagePool` answers the
-same interface with those scalar methods and is the bit-equivalence
-oracle (``MachineConfig(kernel="scalar")``), exactly as
+exact per-slot arithmetic of the reference kernel's per-memcg walk
+(:mod:`repro.kernel.oracle`) as whole-pool array ops.
+:class:`~repro.kernel.oracle.ScalarPagePool` answers the same interface
+with that walk and is the bit-equivalence oracle
+(``MachineConfig(kernel="scalar")``), exactly as
 ``CompiledTrace``/``replay_compiled`` oracle the vectorized model.
 Everything above the pool (machine, cluster, node agent, telemetry,
 faults, the parallel engine) calls only that interface.
@@ -50,7 +51,6 @@ from repro.core.histograms import AgeBins, AgeHistogram
 from repro.kernel.compression import sample_payloads
 from repro.kernel.memcg import (
     _FAR,
-    _HIST_NO_PAGE,
     MemCg,
     PageState,
     Promotion,
@@ -91,6 +91,10 @@ _VIEW_BINDINGS: Tuple[Tuple[str, str], ...] = (
     ("lru_active", "lru_active"),
     ("huge_group", "huge_group"),
 )
+
+#: Histogram bin of a slot holding no page in the scan's recount, below
+#: the young bucket's -1.
+_HIST_NO_PAGE = -2
 
 #: Per-row reclaim-threshold sentinel no page age can meet (ages saturate
 #: at MAX_PAGE_AGE_SCANS); also clamps huge finite thresholds.
@@ -168,18 +172,10 @@ class ColumnarMemCg(MemCg):
     #: The owning pool; assigned by :meth:`MachinePagePool.add`.
     _pool: Optional["MachinePagePool"] = None
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # The pooled scan recounts cold-age histograms and the pooled
-        # reclaim pass builds its own mask, so the scalar fold's per-slot
-        # bin cache and the cached reclaim mask have no use here.
-        del self._hist_bin
-        del self._reclaim_mask
-
     # The reclaim threshold and zswap gate are written by the node agent
     # once per control round but *read* by the pooled reclaim mask for
     # every page on the machine.  Property setters mirror them into the
-    # pool's per-row encoded-threshold array so ``reclaim_pairs`` gathers
+    # pool's per-row encoded-threshold array so ``reclaim_walk`` gathers
     # thresholds with one indexed load instead of a per-memcg Python walk.
 
     @property
@@ -354,10 +350,12 @@ class MachinePagePool:
     def refresh_row_threshold(self, memcg: "ColumnarMemCg") -> None:
         """Re-encode one memcg's reclaim threshold into the row array.
 
-        Encodes exactly the gate the scalar ``MemCg.reclaim_candidates``
-        applies per call: disabled zswap or a non-finite threshold means
-        "never reclaim"; otherwise the threshold in whole scans (ceil),
-        clamped so the encoded value always fits the sentinel.
+        Encodes exactly the gate the reference walk applies per call:
+        disabled zswap (the walk skips the memcg) or a non-finite
+        threshold (:func:`~repro.kernel.oracle.reclaim_candidates` lists
+        nothing) means "never reclaim"; otherwise the threshold in whole
+        scans (ceil), clamped so the encoded value always fits the
+        sentinel.
         """
         threshold = memcg._cold_age_threshold
         if not memcg._zswap_enabled or not math.isfinite(threshold):
@@ -621,13 +619,13 @@ class MachinePagePool:
     def scan_all(self, memcgs: Iterable[MemCg]) -> int:
         """One kstaled pass over every segment in a single pool sweep.
 
-        Replays ``MemCg.scan_update`` slot-for-slot: huge-bit propagation,
-        promotion-histogram accounting from pre-reset ages, age reset /
-        saturating increment, two-list LRU maintenance, dirty-page payload
-        resampling (per memcg, with that memcg's own RNG, in iteration
-        order — the draw sequences match the scalar kernel exactly), and
-        a recount of every cold-age histogram (the result the scalar
-        kernel's incremental fold must reach).
+        Replays :func:`repro.kernel.oracle.scan_memcg` slot-for-slot:
+        huge-bit propagation, promotion-histogram accounting from
+        pre-reset ages, age reset / saturating increment, two-list LRU
+        maintenance, dirty-page payload resampling (per memcg, with that
+        memcg's own RNG, in iteration order — the draw sequences match
+        the reference scan exactly), and a recount of every cold-age
+        histogram.
 
         Args:
             memcgs: every memcg bound to the pool (all machines' memcgs
@@ -755,7 +753,8 @@ class MachinePagePool:
         property setters) and spread to their slots with one
         ``np.repeat`` over the segments in base order.  Memcgs with zswap
         disabled or a non-finite threshold carry the never-matches
-        sentinel and yield nothing, matching ``MemCg.reclaim_candidates``.
+        sentinel and yield nothing, matching the reference
+        :func:`~repro.kernel.oracle.reclaim_candidates`.
         """
         u = self.used
         if u == 0:
@@ -771,39 +770,6 @@ class MachinePagePool:
         )
         return np.flatnonzero(mask)
 
-    def reclaim_pairs(
-        self, memcgs: Iterable[MemCg]
-    ) -> List[Tuple[MemCg, np.ndarray]]:
-        """Reclaim candidates for every memcg, grouped back into
-        memcg-local indices along segment boundaries.
-
-        Returns:
-            ``(memcg, local_candidates)`` pairs in iteration order,
-            candidates ascending -- byte-identical to the scalar walk.
-        """
-        cand = self._reclaim_slots()
-        if cand.size == 0:
-            return []
-        # Segments are contiguous, so candidates sorted by slot are also
-        # grouped by owning row; one boundary scan replaces the two
-        # searchsorted calls per memcg.
-        rows = self.owner_row[cand]
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        bounds = np.append(starts[1:], rows.size)
-        spans = {
-            int(rows[s]): (int(s), int(e)) for s, e in zip(starts, bounds)
-        }
-        pairs: List[Tuple[MemCg, np.ndarray]] = []
-        for memcg in memcgs:
-            span = spans.get(memcg._pool_row)
-            if span is None:
-                continue
-            lo, hi = span
-            pairs.append(
-                (memcg, cand[lo:hi] - int(self.row_base[memcg._pool_row]))
-            )
-        return pairs
-
     def reclaim_walk(
         self, memcgs: Sequence[MemCg]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -811,10 +777,10 @@ class MachinePagePool:
         kreclaimd walks them.
 
         ``memcgs`` sets the walk order.  Within a memcg the walk is its
-        LRU order (:meth:`MemCg.reclaim_order`: inactive list first,
-        oldest first, ties by ascending slot), so one stable ``lexsort``
-        keyed by (memcg rank, list, age) over the ascending candidate
-        mask is every memcg's ``reclaim_order`` at once.
+        LRU order (:func:`~repro.kernel.oracle.reclaim_order`: inactive
+        list first, oldest first, ties by ascending slot), so one stable
+        ``lexsort`` keyed by (memcg rank, list, age) over the ascending
+        candidate mask is every memcg's ``reclaim_order`` at once.
 
         Returns:
             ``(slots, ranks)``: the candidate slots, and for each the

@@ -6,7 +6,8 @@ threshold, and hands them to zswap for compression.  The page pool lists
 the candidates in LRU walk order for every machine sharing it
 (``reclaim_walk``); :func:`walk_rounds` spends each machine's budget
 along that walk, and zswap stores the result in one pass.
-:meth:`Kreclaimd.run` is the same walk one memcg at a time.
+:func:`repro.kernel.oracle.run_kreclaimd` is the same walk one memcg at
+a time, the reference the round is held to.
 
 kreclaimd runs as a background task in slack cycles; a per-invocation
 page budget models the "unobtrusive background task" behaviour (it never
@@ -82,36 +83,6 @@ class Kreclaimd:
         self._tracer = tracer
         self._bind_metrics(registry)
 
-    def run(self, pairs: Sequence[Tuple[MemCg, np.ndarray]]) -> int:
-        """One reclaim pass, memcg by memcg; returns pages moved to far
-        memory.
-
-        ``pairs`` are the pass's ``(memcg, candidates)`` in walk order, as
-        the page pool's ``reclaim_pairs`` lists them (zswap-disabled
-        memcgs and empty candidate sets already left out).  Per memcg:
-        order the candidates the way the LRU walk visits them, oldest
-        first, and compress within the remaining budget.  This is the
-        walk a machine's reclaim round
-        (:func:`~repro.kernel.machine.reclaim_machines`) replays for a
-        whole page pool at once.
-        """
-        budget = self.pages_per_run
-        moved = 0
-        for memcg, candidates in pairs:
-            # LRU walk order: inactive list first, oldest first.
-            candidates = memcg.reclaim_order(candidates)
-            if budget is not None:
-                if budget <= 0:
-                    break
-                candidates = candidates[:budget]
-            moved += self.zswap.compress(memcg, candidates)
-            if budget is not None:
-                # Attempted pages consume budget whether or not they
-                # stored: cycles were spent either way.
-                budget -= int(candidates.size)
-        self.record(moved)
-        return moved
-
     def record(self, moved: int) -> None:
         """Book one completed pass that moved ``moved`` pages."""
         self.runs += 1
@@ -131,7 +102,8 @@ def walk_rounds(
     machine (non-decreasing in rank).  A budget counts attempted pages,
     stored or not, so each machine attempts the first ``pages_per_run``
     pages of its own walk, and a memcg that starts past them is not
-    visited at all: what :meth:`Kreclaimd.run` does memcg by memcg.
+    visited at all: what :func:`repro.kernel.oracle.run_kreclaimd` does
+    memcg by memcg.
 
     Returns:
         The attempted slots, and ``(daemon index, runs)`` per machine

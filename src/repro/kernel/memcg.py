@@ -28,7 +28,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.checks.invariants import check_memcg_histogram, invariants_enabled
 from repro.common.errors import SimulationError
 from repro.common.units import (
     KSTALED_SCAN_PERIOD,
@@ -42,11 +41,8 @@ from repro.kernel.compression import ContentProfile
 
 __all__ = ["PageState", "MemCg"]
 
-#: Sentinel in the per-slot histogram-bin cache: slot contributes nothing
-#: to the cold-age snapshot (not resident at the last scan).
-_HIST_NO_PAGE = -2
-#: Sentinel for the young bucket (age below the first candidate threshold);
-#: matches the -1 that :meth:`AgeBins.bin_of_age` returns.
+#: Bin of the young bucket (age below the first candidate threshold); the
+#: -1 that :meth:`AgeBins.bin_of_age` returns.
 _HIST_YOUNG = -1
 
 
@@ -144,23 +140,11 @@ class MemCg:
         #: from job start and is diffed by the node agent.
         self.cold_age_histogram = AgeHistogram(bins)
         self.promotion_histogram = AgeHistogram(bins)
-        #: Per-slot bin each page contributed to the cold-age snapshot at
-        #: the last scan (``_HIST_NO_PAGE`` = nothing, ``_HIST_YOUNG`` =
-        #: the young bucket).  Lets the scan update only the bins of pages
-        #: whose bucket changed instead of rebuilding the histogram.
-        self._hist_bin = np.full(n, _HIST_NO_PAGE, dtype=np.int16)
         #: Age (in scans) -> histogram bin lookup table; ages saturate at
         #: ``MAX_PAGE_AGE_SCANS`` so the table covers every reachable age.
         self._bin_lut = bins.bin_of_age(
             np.arange(MAX_PAGE_AGE_SCANS + 1, dtype=np.int64) * self.scan_period
         ).astype(np.int16)
-
-        #: Cached static reclaim-eligibility mask (resident & NEAR &
-        #: evictable & compressible); every mutator of those arrays calls
-        #: :meth:`invalidate_reclaim_cache`.  Code that writes the state
-        #: arrays directly (tests, experiments) must do the same.
-        self._reclaim_mask = np.zeros(n, dtype=bool)
-        self._reclaim_mask_valid = False
 
         #: Node-agent-controlled knobs.
         self.cold_age_threshold: float = DISABLED
@@ -261,13 +245,15 @@ class MemCg:
         self.payload_bytes[idx] = self.content_profile.sample_payload_bytes(
             n_pages, self._rng
         )
-        self.invalidate_reclaim_cache()
         return idx
 
     def release(self, indices: np.ndarray) -> np.ndarray:
         """Free pages; returns the subset that was in far memory.
 
-        The caller must release the returned far pages from the zswap arena
+        A huge mapping holding a freed page splits, as Linux splits a THP
+        on a partial unmap: its other pages stay mapped as base pages, and
+        a later allocation of the freed slots joins no mapping.  The
+        caller must release the returned far pages from the zswap arena
         (the memcg does not own the arena).
         """
         indices = np.asarray(indices)
@@ -275,10 +261,10 @@ class MemCg:
             return indices
         require(bool(self.resident[indices].all()), "releasing non-resident pages")
         far = indices[self.state[indices] == _FAR]
+        self.split_huge_at(indices)
         self.resident[indices] = False
         self.accessed[indices] = False
         self.state[indices] = PageState.NEAR
-        self.invalidate_reclaim_cache()
         return far
 
     def touch(self, indices: np.ndarray, write: bool = False) -> np.ndarray:
@@ -357,30 +343,13 @@ class MemCg:
         for group in np.unique(groups[groups >= 0]).tolist():
             self.split_huge(group)
 
-    def _propagate_huge_bits(self) -> None:
-        """Share accessed/dirty bits within each huge mapping.
-
-        The MMU sets one bit on the PMD; any touched page makes the whole
-        mapping look accessed (and dirtied, for writes) to the scan.
-        """
-        hp = np.flatnonzero(self.resident & (self.huge_group >= 0))
-        if hp.size == 0:
-            return
-        groups = self.huge_group[hp]
-        for bits in (self.accessed, self.dirtied):
-            aggregate = np.zeros(self.capacity_pages, dtype=bool)
-            np.logical_or.at(aggregate, groups, bits[hp])
-            bits[hp] = aggregate[groups]
-
     def mlock(self, indices: np.ndarray) -> None:
         """Pin pages: they leave the LRU and are never compressed."""
         self.unevictable[np.asarray(indices)] = True
-        self.invalidate_reclaim_cache()
 
     def munlock(self, indices: np.ndarray) -> None:
         """Unpin previously mlocked pages."""
         self.unevictable[np.asarray(indices)] = False
-        self.invalidate_reclaim_cache()
 
     # ------------------------------------------------------------------
     # Tier transitions (zswap hooks)
@@ -394,12 +363,10 @@ class MemCg:
         """
         self.state[indices] = PageState.FAR
         self.dirtied[indices] = False
-        self.invalidate_reclaim_cache()
 
     def mark_near(self, indices: np.ndarray) -> None:
         """Move pages back to the NEAR tier (zswap decompressed them)."""
         self.state[indices] = PageState.NEAR
-        self.invalidate_reclaim_cache()
 
     def payloads(self, indices: np.ndarray) -> np.ndarray:
         """The payload sizes of pages (a memcg is the page space of a
@@ -409,144 +376,14 @@ class MemCg:
     def mark_incompressible(self, indices: np.ndarray) -> None:
         """Flag pages whose compression attempt was rejected."""
         self.incompressible[indices] = True
-        self.invalidate_reclaim_cache()
-
-    # ------------------------------------------------------------------
-    # Reclaim candidacy
-    # ------------------------------------------------------------------
-
-    def invalidate_reclaim_cache(self) -> None:
-        """Mark the cached reclaim-eligibility mask stale.
-
-        Every method that touches ``resident``/``state``/``unevictable``/
-        ``incompressible`` calls this; code writing those arrays directly
-        must call it too, or :meth:`reclaim_candidates` may serve stale
-        results.
-        """
-        self._reclaim_mask_valid = False
-
-    def reclaim_candidates(self, threshold_seconds: float) -> np.ndarray:
-        """Slots eligible for compression under the given threshold.
-
-        Eligible = resident, NEAR, evictable, not marked incompressible,
-        and idle for at least the threshold.  Mirrors kreclaimd's LRU walk:
-        unevictable/mlocked pages are skipped, as are pages whose previous
-        compression attempt was rejected.
-
-        The threshold-independent part of the mask only changes when pages
-        allocate, free, change tier, or get (un)pinned, so it is cached
-        under a dirty flag and combined with the age test per call.
-        """
-        if not np.isfinite(threshold_seconds):
-            return np.zeros(0, dtype=np.int64)
-        threshold_scans = int(np.ceil(threshold_seconds / self.scan_period))
-        if not self._reclaim_mask_valid:
-            np.logical_and(self.resident, self.state == _NEAR,
-                           out=self._reclaim_mask)
-            self._reclaim_mask &= ~self.unevictable
-            self._reclaim_mask &= ~self.incompressible
-            self._reclaim_mask_valid = True
-        return np.flatnonzero(
-            self._reclaim_mask & (self.age_scans >= threshold_scans)
-        )
-
-    def reclaim_order(self, candidates: np.ndarray) -> np.ndarray:
-        """Order candidates the way kreclaimd walks the LRU.
-
-        Inactive-list pages come before (stale) active-list ones; within a
-        list, oldest first.  ``np.lexsort`` sorts by the last key first.
-        """
-        candidates = np.asarray(candidates)
-        if candidates.size == 0:
-            return candidates
-        order = np.lexsort(
-            (-self.age_scans[candidates], self.lru_active[candidates])
-        )
-        return candidates[order]
-
-    # ------------------------------------------------------------------
-    # kstaled hooks
-    # ------------------------------------------------------------------
-
-    def scan_update(self) -> None:
-        """One kstaled pass over this memcg (paper §5.1).
-
-        For each resident page: if the accessed bit is set, record the
-        page's previous age in the promotion histogram and reset the age;
-        otherwise increment the age (saturating at 255 scans).  Dirtied
-        pages shed their incompressible mark and get fresh payload content.
-        Finally rebuild the cold-age histogram snapshot.
-        """
-        self._propagate_huge_bits()
-        res = self.resident
-        acc = res & self.accessed
-        idle = res & ~self.accessed
-
-        prev_age_seconds = self.age_scans[acc] * self.scan_period
-        self.promotion_histogram.add_ages(prev_age_seconds)
-
-        self.age_scans[acc] = 0
-        self.age_scans[idle] = np.minimum(
-            self.age_scans[idle] + 1, MAX_PAGE_AGE_SCANS
-        )
-        # Two-list LRU maintenance: accessed pages (re-)activate; active
-        # pages that missed a whole scan drop to the inactive list.
-        self.lru_active[acc] = True
-        self.lru_active[idle] = False
-        self.accessed[res] = False
-
-        # Only NEAR pages can have live PTE dirty bits: swap-out removed the
-        # mapping of FAR pages (and compression consumed their dirty state).
-        dirty = res & self.dirtied & (self.state == _NEAR)
-        n_dirty = int(np.count_nonzero(dirty))
-        if n_dirty:
-            self.incompressible[dirty] = False
-            self.payload_bytes[dirty] = self.content_profile.sample_payload_bytes(
-                n_dirty, self._rng
-            )
-            self.invalidate_reclaim_cache()
-        self.dirtied[res] = False
-
-        self._update_cold_histogram()
-        if invariants_enabled():
-            check_memcg_histogram(self)
-
-    def _update_cold_histogram(self) -> None:
-        """Fold age changes into the cold-age snapshot incrementally.
-
-        Each slot's contribution at the previous scan is cached in
-        ``_hist_bin``; only slots whose bin changed are subtracted and
-        re-added.  A memcg where nothing moved (no touches, every page at
-        the saturated age, no churn) exits without touching the histogram
-        at all — the idle-job fast path.  The result is always identical
-        to :meth:`_rebuild_cold_histogram`.  This fold is the scalar
-        oracle; the columnar kernel recounts instead.
-        """
-        new_bins = np.full(self.capacity_pages, _HIST_NO_PAGE, dtype=np.int16)
-        res = self.resident
-        ages = np.minimum(self.age_scans[res], MAX_PAGE_AGE_SCANS)
-        new_bins[res] = self._bin_lut[ages]
-        changed = new_bins != self._hist_bin
-        if not changed.any():
-            return
-        old = self._hist_bin[changed]
-        new = new_bins[changed]
-        hist = self.cold_age_histogram
-        old_binned = old[old >= 0]
-        if old_binned.size:
-            hist.counts -= np.bincount(old_binned, minlength=len(self.bins))
-        hist.young_count -= int((old == _HIST_YOUNG).sum())
-        new_binned = new[new >= 0]
-        if new_binned.size:
-            hist.counts += np.bincount(new_binned, minlength=len(self.bins))
-        hist.young_count += int((new == _HIST_YOUNG).sum())
-        self._hist_bin = new_bins
 
     def _rebuild_cold_histogram(self) -> AgeHistogram:
         """The cold-age snapshot recounted from live page ages.
 
-        Side-effect free: the ground truth that the scan's incremental
-        fold (and the columnar kernel's pooled recount) must reproduce.
+        Side-effect free: the reference scan's snapshot
+        (:func:`repro.kernel.oracle.scan_memcg`) and the ground truth the
+        pooled scan's recount is checked against
+        (:func:`repro.checks.invariants.check_memcg_histogram`).
         """
         hist = AgeHistogram(self.bins)
         ages = np.minimum(self.age_scans[self.resident], MAX_PAGE_AGE_SCANS)

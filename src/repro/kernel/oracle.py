@@ -1,16 +1,24 @@
-"""The reference page pool: the scalar kernel behind the pool interface.
+"""The reference kernel: the scalar memcg walk behind the pool interface.
 
-:class:`ScalarPagePool` answers the calls of
-:class:`~repro.kernel.columnar.MachinePagePool` with the per-memcg
-methods of :class:`~repro.kernel.memcg.MemCg`: each memcg keeps its own
-arrays, scans with ``scan_update`` (the incremental cold-histogram fold),
-lists candidates with ``reclaim_candidates``, and is touched and promoted
-with ``touch``, ``mark_near`` and ``record_promotions``.  Pool slots are
-laid out as the columnar pool lays them out (segments in add order,
-compacted on removal), so a touch round addresses both pools alike.  It
-is the oracle the columnar pool is held to,
-bit for bit, selected with ``MachineConfig(kernel="scalar")`` by the
-equivalence suites and ``repro ci``.
+The runtime kernel is the columnar pool
+(:class:`~repro.kernel.columnar.MachinePagePool`), which runs kstaled and
+kreclaimd as whole-pool passes.  This module keeps the per-memcg walk it
+replaces, as functions over any memcg's page arrays (a
+:class:`~repro.kernel.memcg.MemCg`'s own, or a columnar memcg's pool
+views):
+
+* :func:`scan_memcg` is one kstaled pass: ages, the two-list LRU, dirty
+  payload redraws, and a recount of the cold-age snapshot;
+* :func:`reclaim_candidates` and :func:`reclaim_order` are kreclaimd's
+  candidacy and LRU walk order;
+* :func:`run_kreclaimd` is one kreclaimd pass, memcg by memcg.
+
+:class:`ScalarPagePool` answers the pool interface with them.  Pool
+slots are laid out as the columnar pool lays them out (segments in add
+order, compacted on removal), so a touch round addresses both pools
+alike.  It is the oracle the columnar pool is held to, bit for bit,
+selected with ``MachineConfig(kernel="scalar")`` by the equivalence
+suites.
 """
 
 from __future__ import annotations
@@ -19,11 +27,144 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.common.units import MAX_PAGE_AGE_SCANS
 from repro.core.histograms import AgeBins
 from repro.core.slo import working_set_pages
-from repro.kernel.memcg import MemCg, Promotion
+from repro.kernel.kreclaimd import Kreclaimd
+from repro.kernel.memcg import _NEAR, MemCg, Promotion
 
-__all__ = ["ScalarPagePool"]
+__all__ = [
+    "ScalarPagePool",
+    "reclaim_candidates",
+    "reclaim_order",
+    "run_kreclaimd",
+    "scan_memcg",
+]
+
+
+def _propagate_huge_bits(memcg: MemCg) -> None:
+    """Share accessed/dirty bits within each of a memcg's huge mappings.
+
+    The MMU sets one bit on the PMD; any touched page makes the whole
+    mapping look accessed (and dirtied, for writes) to the scan.
+    """
+    hp = np.flatnonzero(memcg.resident & (memcg.huge_group >= 0))
+    if hp.size == 0:
+        return
+    groups = memcg.huge_group[hp]
+    for bits in (memcg.accessed, memcg.dirtied):
+        aggregate = np.zeros(memcg.capacity_pages, dtype=bool)
+        np.logical_or.at(aggregate, groups, bits[hp])
+        bits[hp] = aggregate[groups]
+
+
+def scan_memcg(memcg: MemCg) -> None:
+    """One kstaled pass over one memcg (paper §5.1).
+
+    For each resident page: if the accessed bit is set, record the
+    page's previous age in the promotion histogram and reset the age;
+    otherwise increment the age (saturating at 255 scans).  Dirtied NEAR
+    pages shed their incompressible mark and get fresh payload content
+    from the memcg's own stream.  Finally the cold-age snapshot is
+    recounted from the live ages, in place (a columnar memcg's snapshot
+    is a row of its pool's matrix).
+    """
+    _propagate_huge_bits(memcg)
+    res = memcg.resident
+    acc = res & memcg.accessed
+    idle = res & ~memcg.accessed
+
+    memcg.promotion_histogram.add_ages(
+        memcg.age_scans[acc] * memcg.scan_period
+    )
+    memcg.age_scans[acc] = 0
+    memcg.age_scans[idle] = np.minimum(
+        memcg.age_scans[idle] + 1, MAX_PAGE_AGE_SCANS
+    )
+    # Two-list LRU maintenance: accessed pages (re-)activate; active
+    # pages that missed a whole scan drop to the inactive list.
+    memcg.lru_active[acc] = True
+    memcg.lru_active[idle] = False
+    memcg.accessed[res] = False
+
+    # Only NEAR pages can have live PTE dirty bits: swap-out removed the
+    # mapping of FAR pages (and compression consumed their dirty state).
+    dirty = res & memcg.dirtied & (memcg.state == _NEAR)
+    n_dirty = int(np.count_nonzero(dirty))
+    if n_dirty:
+        memcg.incompressible[dirty] = False
+        memcg.payload_bytes[dirty] = (
+            memcg.content_profile.sample_payload_bytes(n_dirty, memcg._rng)
+        )
+    memcg.dirtied[res] = False
+
+    truth = memcg._rebuild_cold_histogram()
+    memcg.cold_age_histogram.counts[:] = truth.counts
+    memcg.cold_age_histogram.young_count = truth.young_count
+
+
+def reclaim_candidates(memcg: MemCg, threshold_seconds: float) -> np.ndarray:
+    """A memcg's slots eligible for compression under a threshold.
+
+    Eligible = resident, NEAR, evictable, not marked incompressible, and
+    idle for at least the threshold: kreclaimd's LRU walk skips
+    unevictable/mlocked pages and pages whose previous compression
+    attempt was rejected.  A non-finite threshold lists nothing.
+    """
+    if not np.isfinite(threshold_seconds):
+        return np.zeros(0, dtype=np.int64)
+    threshold_scans = int(np.ceil(threshold_seconds / memcg.scan_period))
+    return np.flatnonzero(
+        memcg.resident
+        & (memcg.state == _NEAR)
+        & ~memcg.unevictable
+        & ~memcg.incompressible
+        & (memcg.age_scans >= threshold_scans)
+    )
+
+
+def reclaim_order(memcg: MemCg, candidates: np.ndarray) -> np.ndarray:
+    """Order a memcg's candidates the way kreclaimd walks its LRU.
+
+    Inactive-list pages come before (stale) active-list ones; within a
+    list, oldest first, ties by ascending slot.  ``np.lexsort`` sorts by
+    the last key first.
+    """
+    candidates = np.asarray(candidates)
+    if candidates.size == 0:
+        return candidates
+    order = np.lexsort(
+        (-memcg.age_scans[candidates], memcg.lru_active[candidates])
+    )
+    return candidates[order]
+
+
+def run_kreclaimd(daemon: Kreclaimd,
+                  pairs: Sequence[Tuple[MemCg, np.ndarray]]) -> int:
+    """One kreclaimd pass, memcg by memcg; returns pages moved to far
+    memory.
+
+    ``pairs`` are the pass's ``(memcg, candidates)`` in walk order
+    (:func:`reclaim_candidates` of each memcg with zswap enabled).  Per
+    memcg: order the candidates as the LRU walk visits them and compress
+    within the remaining budget.  Attempted pages consume budget whether
+    or not they stored: cycles were spent either way.  This is the walk
+    a machine's reclaim round
+    (:func:`~repro.kernel.machine.reclaim_machines`) replays for a whole
+    page pool at once.
+    """
+    budget = daemon.pages_per_run
+    moved = 0
+    for memcg, candidates in pairs:
+        candidates = reclaim_order(memcg, candidates)
+        if budget is not None:
+            if budget <= 0:
+                break
+            candidates = candidates[:budget]
+            budget -= int(candidates.size)
+        moved += daemon.zswap.compress(memcg, candidates)
+    daemon.record(moved)
+    return moved
 
 
 class ScalarPagePool:
@@ -165,21 +306,10 @@ class ScalarPagePool:
     def scan_all(self, memcgs: Iterable[MemCg]) -> int:
         pages = np.zeros(len(self.row_memcg), dtype=np.int64)
         for memcg in memcgs:
-            memcg.scan_update()
+            scan_memcg(memcg)
             pages[memcg._pool_row] = memcg.resident_pages
         self.last_scan_row_pages = pages
         return int(pages.sum())
-
-    def reclaim_pairs(
-        self, memcgs: Iterable[MemCg]
-    ) -> List[Tuple[MemCg, np.ndarray]]:
-        pairs = []
-        for memcg in memcgs:
-            if memcg.zswap_enabled:
-                candidates = memcg.reclaim_candidates(memcg.cold_age_threshold)
-                if candidates.size:
-                    pairs.append((memcg, candidates))
-        return pairs
 
     def reclaim_walk(
         self, memcgs: Sequence[MemCg]
@@ -189,8 +319,8 @@ class ScalarPagePool:
         for rank, memcg in enumerate(memcgs):
             if not memcg.zswap_enabled:
                 continue
-            candidates = memcg.reclaim_candidates(memcg.cold_age_threshold)
-            slots.append(memcg.reclaim_order(candidates)
+            candidates = reclaim_candidates(memcg, memcg.cold_age_threshold)
+            slots.append(reclaim_order(memcg, candidates)
                          + self.row_base[memcg._pool_row])
             ranks.append(np.full(candidates.size, rank, dtype=np.int64))
         return np.concatenate(slots), np.concatenate(ranks)

@@ -2,9 +2,8 @@
 
 The in-memory :class:`~repro.cluster.trace_db.TraceDatabase` is the
 simulator's telemetry warehouse; everything that talks to it does so
-through duck typing — the ``TraceSink`` protocol (``add``), delta reads
-(``mark``/``entries_since``), and the model's trace reads
-(``trace_for``/``traces``).  This class implements the same
+through duck typing — the ``TraceSink`` protocol (``add``) and the
+model's trace reads (``trace_for``/``traces``).  This class implements the same
 surface on top of the columnar on-disk store, so a fleet can be wired to
 it with no changes to the node agent, the fault injector's sink-outage
 wrapper, or the engine:
@@ -23,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.common.errors import TraceError
 from repro.model.trace import (
@@ -46,9 +45,8 @@ class ColumnarTraceDatabase:
     """Append-only trace database persisted as columnar segments.
 
     Interface-compatible with
-    :class:`~repro.cluster.trace_db.TraceDatabase` (add / mark /
-    entries_since / trace_for / traces / save_jsonl / load_jsonl /
-    job_ids / len), backed by a :class:`TraceStore` directory.
+    :class:`~repro.cluster.trace_db.TraceDatabase` (add / trace_for /
+    traces / save_jsonl / load_jsonl / job_ids / len), backed by a :class:`TraceStore` directory.
 
     Args:
         root: store directory (created if missing).
@@ -117,26 +115,6 @@ class ColumnarTraceDatabase:
     def close(self) -> None:
         """Flush and release the store."""
         self.store.close()
-
-    # ------------------------------------------------------------------
-    # Delta shipping (parallel engine)
-    # ------------------------------------------------------------------
-
-    def mark(self) -> Dict[str, int]:
-        """An opaque position marker for :meth:`entries_since`."""
-        return {job_id: self.store.job_rows(job_id) for job_id in self.store.jobs}
-
-    def entries_since(self, mark: Dict[str, int]) -> List[TraceEntry]:
-        """Entries added after ``mark`` was taken.
-
-        Per-job order is preserved; jobs are visited in insertion order.
-        When the delta is still entirely in the write buffer, this reads
-        no segment files.
-        """
-        out: List[TraceEntry] = []
-        for job_id in self.store.jobs:
-            out.extend(self.store.entries_for(job_id, start=mark.get(job_id, 0)))
-        return out
 
     # ------------------------------------------------------------------
     # Trace reads

@@ -13,7 +13,7 @@ class Pool:
             self.row_memcg[r].promo_hist_events += int(per_row[r])
         memcg_list = list(memcgs)
         for memcg in memcg_list:  # memcg axis, not page axis
-            memcg.invalidate_reclaim_cache()
+            memcg.refresh_row_threshold()
         for bits in (self.accessed[:u], self.dirtied[:u]):  # two arrays
             bits[acc_idx] = False
         self.age_scans[:u][res] += 1  # whole-array sweep

@@ -14,6 +14,8 @@ from repro.checks.invariants import (
     invariants_enabled,
     set_invariants_enabled,
 )
+from repro.kernel.columnar import ColumnarMemCg, MachinePagePool
+from repro.kernel.oracle import scan_memcg
 from repro.obs.metrics import MetricRegistry
 
 
@@ -75,7 +77,7 @@ class TestMemcgHistogram:
         idx = memcg.allocate(300)
         memcg.touch(idx[:50])
         for _ in range(scans):
-            memcg.scan_update()
+            scan_memcg(memcg)
 
     def test_clean_memcg_passes(self, memcg, enabled):
         self._scan(memcg)
@@ -87,11 +89,21 @@ class TestMemcgHistogram:
         with pytest.raises(InvariantViolation, match="cold_histogram"):
             check_memcg_histogram(memcg)
 
-    def test_scan_update_runs_check_when_enabled(self, memcg, enabled):
-        # With checks on, the hook inside scan_update repairs nothing and
-        # passes silently on a healthy memcg.
-        self._scan(memcg)
-        memcg.scan_update()
+    def test_pooled_scan_runs_check_when_enabled(
+        self, bins, rng, compressible_profile, enabled, monkeypatch
+    ):
+        # The hook inside the pooled scan passes silently on a healthy
+        # pool, and trips once the recount stops following the ages.
+        pool = MachinePagePool(bins, 120)
+        memcg = ColumnarMemCg("job", 1000, compressible_profile, bins, rng)
+        pool.add(memcg)
+        memcg.allocate(300)
+        pool.scan_all([memcg])
+        monkeypatch.setattr(pool, "_recount_cold_histograms",
+                            lambda *args: None)
+        memcg.allocate(100)
+        with pytest.raises(InvariantViolation, match="cold_histogram"):
+            pool.scan_all([memcg])
 
 
 class TestMergeDelta:

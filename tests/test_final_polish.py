@@ -1,6 +1,5 @@
 """Last-mile edge cases across the public API."""
 
-import numpy as np
 import pytest
 
 from repro import __version__
@@ -9,13 +8,9 @@ from repro.analysis import render_table
 from repro.common.rng import SeedSequenceFactory
 from repro.common.units import MIB
 from repro.kernel import (
-    ContentProfile,
     Machine,
     MachineConfig,
-    NVM_DEVICE,
     RemoteMemoryPool,
-    TieredFarMemory,
-    ZSWAP_DEVICE,
 )
 
 
@@ -55,19 +50,7 @@ class TestEdgeCases:
         out = render_table(["a", "b"], [(None, 1.5), (True, "x")])
         assert "None" in out and "True" in out
 
-    def test_tiered_far_memory_empty_histograms(self, bins):
-        from repro.core.histograms import AgeHistogram
-
-        tiers = TieredFarMemory([ZSWAP_DEVICE], [480])
-        result = tiers.assign(AgeHistogram(bins), AgeHistogram(bins))
-        assert result.pages_per_tier == (0, 0)
-        assert result.dram_cost_saving_fraction == 0.0
-
     def test_remote_pool_unknown_host_rejected(self, rng):
         pool = RemoteMemoryPool(["a", "b"], rng)
         with pytest.raises(Exception):
             pool.place_far_pages("j", "ghost", 10)
-
-    def test_nvm_capacity_is_fixed(self):
-        assert NVM_DEVICE.fixed_capacity_bytes is not None
-        assert ZSWAP_DEVICE.fixed_capacity_bytes is None

@@ -8,7 +8,12 @@ from repro.kernel.compression import ContentProfile
 from repro.kernel.kreclaimd import Kreclaimd
 from repro.kernel.kstaled import Kstaled
 from repro.kernel.memcg import MemCg
-from repro.kernel.oracle import ScalarPagePool
+from repro.kernel.oracle import (
+    ScalarPagePool,
+    reclaim_candidates,
+    run_kreclaimd,
+    scan_memcg,
+)
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.kernel.zswap import Zswap
 
@@ -28,7 +33,10 @@ def _pool(*memcgs):
 
 
 def _reclaim(reclaimd, memcg):
-    return reclaimd.run(_pool(memcg).reclaim_pairs([memcg]))
+    """One reference kreclaimd pass over the memcg (none while its zswap
+    is disabled)."""
+    pairs = [(memcg, reclaim_candidates(memcg, memcg.cold_age_threshold))]
+    return run_kreclaimd(reclaimd, pairs if memcg.zswap_enabled else [])
 
 
 class TestKstaled:
@@ -82,9 +90,9 @@ class TestKstaled:
 
 class TestKreclaimd:
     def _aged_memcg(self, memcg, scans=3):
-        memcg.scan_update()
+        scan_memcg(memcg)
         for _ in range(scans):
-            memcg.scan_update()
+            scan_memcg(memcg)
         return memcg
 
     def test_respects_threshold(self, compressible_memcg):
@@ -119,7 +127,7 @@ class TestKreclaimd:
         profile = ContentProfile(incompressible_fraction=0.0, min_ratio=1.5)
         memcg = MemCg("job", 100, profile, default_age_bins(), rng)
         idx = memcg.allocate(20)
-        memcg.scan_update()
+        scan_memcg(memcg)
         memcg.age_scans[idx[:10]] = 10  # much older
         memcg.age_scans[idx[10:]] = 2
         memcg.cold_age_threshold = 120.0

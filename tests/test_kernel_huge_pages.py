@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.common.rng import SeedSequenceFactory
+from repro.common.units import MIB
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
+from repro.kernel.machine import Machine, MachineConfig
 from repro.kernel.memcg import MemCg, PageState
+from repro.kernel.oracle import reclaim_candidates, scan_memcg
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.kernel.zswap import Zswap
 
@@ -20,7 +24,7 @@ def huge_memcg(rng):
     memcg.allocate(512)
     memcg.map_huge(0, pages_per_huge=HUGE)
     memcg.map_huge(HUGE, pages_per_huge=HUGE)
-    memcg.scan_update()  # consume allocation touches
+    scan_memcg(memcg)  # consume allocation touches
     return memcg
 
 
@@ -49,7 +53,7 @@ class TestSharedAccessedBit:
     def test_one_touch_keeps_whole_mapping_young(self, huge_memcg):
         # Touch a single page of group 0; none of group HUGE.
         huge_memcg.touch(np.array([3]))
-        huge_memcg.scan_update()
+        scan_memcg(huge_memcg)
         # All of group 0 reads as accessed -> age 0.
         assert (huge_memcg.age_scans[:HUGE] == 0).all()
         # Group HUGE aged normally.
@@ -60,7 +64,7 @@ class TestSharedAccessedBit:
         huge mapping makes 2 MiB undetectable as cold."""
         for _ in range(4):
             huge_memcg.touch(np.array([3]))  # only page 3 is really hot
-            huge_memcg.scan_update()
+            scan_memcg(huge_memcg)
         assert huge_memcg.cold_pages(120) == 512 - 2 * HUGE + HUGE
         # Base pages aged; group 0 pinned young by page 3; group HUGE cold.
         assert (huge_memcg.age_scans[:HUGE] == 0).all()
@@ -68,7 +72,7 @@ class TestSharedAccessedBit:
     def test_dirty_bit_shared_too(self, huge_memcg):
         huge_memcg.incompressible[:HUGE] = True
         huge_memcg.touch(np.array([5]), write=True)
-        huge_memcg.scan_update()
+        scan_memcg(huge_memcg)
         # The shared PMD dirty bit cleared incompressible for the group.
         assert not huge_memcg.incompressible[:HUGE].any()
 
@@ -77,8 +81,8 @@ class TestSplitting:
     def test_swap_out_splits_mapping(self, huge_memcg):
         zswap = Zswap(ZsmallocArena())
         for _ in range(3):
-            huge_memcg.scan_update()
-        candidates = huge_memcg.reclaim_candidates(120)
+            scan_memcg(huge_memcg)
+        candidates = reclaim_candidates(huge_memcg, 120)
         group0 = candidates[candidates < HUGE]
         assert group0.size
         zswap.compress(huge_memcg, group0[:8])
@@ -87,12 +91,35 @@ class TestSplitting:
         # The untouched mapping survived.
         assert (huge_memcg.huge_group[HUGE : 2 * HUGE] == HUGE).all()
 
+    @pytest.mark.parametrize("kernel", ["scalar", "columnar"])
+    def test_partial_release_splits_mapping(self, kernel):
+        """Freeing part of a mapping splits it, as Linux splits a THP on
+        a partial unmap: reallocated slots join no mapping, a touch keeps
+        only its own page young, and the range can be mapped again."""
+        machine = Machine(
+            "m", MachineConfig(dram_bytes=64 * MIB, kernel=kernel),
+            seeds=SeedSequenceFactory(1),
+        )
+        memcg = machine.add_job("job", 1024, ContentProfile())
+        machine.allocate("job", 1024)
+        memcg.map_huge(0, pages_per_huge=512)
+        machine.release("job", np.arange(256))
+        assert (memcg.huge_group == -1).all()
+        machine.allocate("job", 256)
+        machine.tick(0)  # consume the allocation touches
+        machine.tick(120)
+        machine.touch("job", np.array([0]))
+        machine.tick(240)
+        assert memcg.age_scans[0] == 0
+        assert (memcg.age_scans[1:] == 2).all()
+        memcg.map_huge(0, pages_per_huge=512)
+
     def test_explicit_split(self, huge_memcg):
         huge_memcg.split_huge(0)
         assert (huge_memcg.huge_group[:HUGE] == -1).all()
         # After the split, per-page coldness is visible again.
         huge_memcg.touch(np.array([3]))
-        huge_memcg.scan_update()
+        scan_memcg(huge_memcg)
         assert huge_memcg.age_scans[3] == 0
         assert (huge_memcg.age_scans[4:HUGE] >= 1).all()
 
@@ -108,11 +135,11 @@ class TestColdDetectionResolution:
         n_groups = int(huge_fraction * 512 / HUGE)
         for g in range(n_groups):
             memcg.map_huge(g * HUGE, pages_per_huge=HUGE)
-        memcg.scan_update()
+        scan_memcg(memcg)
         for _ in range(3):
             # One hot page per 64-page span, huge or not.
             memcg.touch(np.arange(0, 512, HUGE))
-            memcg.scan_update()
+            scan_memcg(memcg)
         detectable = memcg.cold_pages(120)
         expected = 512 - n_groups * HUGE - (512 // HUGE - n_groups)
         assert detectable == expected

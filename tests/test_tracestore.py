@@ -410,16 +410,6 @@ class TestColumnarTraceDatabase:
         assert len(windowed) == 1
         assert [e.time for e in windowed[0].entries] == [300]
 
-    def test_mark_entries_since_across_seal(self, tmp_path):
-        db = ColumnarTraceDatabase(tmp_path / "s", buffer_rows=2)
-        db.add(make_entry("a", 0))
-        mark = db.mark()
-        db.add(make_entry("a", 300))  # seals a segment
-        db.add(make_entry("b", 0))
-        delta = db.entries_since(mark)
-        assert [(e.job_id, e.time) for e in delta] == [("a", 300), ("b", 0)]
-        assert db.entries_since(db.mark()) == []
-
     def test_jsonl_interchange(self, tmp_path):
         db = ColumnarTraceDatabase(tmp_path / "s")
         for t in (0, 300):
