@@ -12,7 +12,6 @@ huge-mapped share of a job and measures how much cold memory remains
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis import render_table
 from repro.core.histograms import default_age_bins

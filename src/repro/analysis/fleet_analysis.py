@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.common.units import MINUTE
 from repro.cluster.wsc import WSC
 from repro.core.histograms import AgeHistogram

@@ -7,7 +7,8 @@ Three layers:
   unseeded randomness, DET003 order-sensitive accumulation from
   unordered iteration, DET004 per-page Python loops in the columnar
   kernel, FORK001 pickle-safety at the fork boundary, ACC001 float
-  equality in accounting code, OBS001 metric/event name drift.
+  equality in accounting code, OBS001 metric/event name drift, IMP001
+  unused imports.
 * **Flow passes** — :mod:`repro.checks.flow` (``repro lint --flow``),
   whole-program analyses over an AST call graph: FLOW001 interprocedural
   nondeterminism taint into the tick path, FLOW002 fork-boundary
@@ -45,6 +46,7 @@ from repro.checks import (  # noqa: F401  (imported for registration)
     rules_accounting,
     rules_determinism,
     rules_fork,
+    rules_imports,
     rules_obs,
 )
 
@@ -97,4 +99,5 @@ __all__ = [
     "run_lint",
     "save_baseline",
     "set_invariants_enabled",
+    "verify_column_contracts",
 ]

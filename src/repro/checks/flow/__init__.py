@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.checks.core import Finding, LintError, Rule, register
+from repro.checks.core import Finding, Rule, register
 from repro.checks.flow.cache import CacheStats, load_summaries
 from repro.checks.flow.callgraph import (
     CallGraph,

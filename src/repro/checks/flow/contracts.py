@@ -8,7 +8,7 @@ down) if an assignment drifts.  Owning modules declare the promise in a
 module-level ``COLUMN_CONTRACTS`` literal::
 
     COLUMN_CONTRACTS = {
-        "MachinePagePool.age_scans": {"dtype": "int32", "ndim": 1},
+        "MachinePagePool.age_scans": {"dtype": "uint8", "ndim": 1},
         ...
     }
 

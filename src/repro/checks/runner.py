@@ -5,8 +5,9 @@ the per-file engine (and, with ``flow=True``, the whole-program flow
 passes from :mod:`repro.checks.flow`), apply an optional baseline, and
 return findings plus the rendered report.  ``run_external_tools``
 drives the optional ruff/mypy pass for ``repro lint --ci`` — both tools
-are *gated on availability* (this environment does not ship them and
-nothing may be installed), so CI degrades gracefully to reprolint alone.
+are *gated on availability* (they may not be installed), so CI degrades
+gracefully to reprolint alone; the unused-import rule (IMP001) covers
+ruff's F401 either way, over :func:`checkout_import_paths` too.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from repro.checks import (  # noqa: F401  (imported for registration)
     rules_accounting,
     rules_determinism,
     rules_fork,
+    rules_imports,
     rules_obs,
 )
-from repro.checks.core import Finding, LintEngine, iter_python_files
+from repro.checks.core import Finding, LintEngine
 from repro.checks.flow import FLOW_RULE_IDS, run_flow
 from repro.checks.reporters import (
     filter_baseline,
@@ -41,6 +43,7 @@ from repro.obs.metrics import KNOWN_METRIC_NAMES
 __all__ = [
     "LintResult",
     "check_docs_drift",
+    "checkout_import_paths",
     "default_flow_cache_dir",
     "default_lint_paths",
     "run_external_tools",
@@ -75,6 +78,21 @@ def repo_root() -> Optional[Path]:
     package = Path(__file__).resolve().parent.parent
     candidate = package.parent.parent
     return candidate if (candidate / "pyproject.toml").exists() else None
+
+
+def checkout_import_paths() -> List[Path]:
+    """The checkout's code outside the package that ``repro lint --ci``
+    checks for unused imports (IMP001): the tests (not the lint fixtures,
+    which are broken on purpose), benchmarks, examples and perfbench.
+    Empty when running from an installed tree."""
+    checkout = repo_root()
+    if checkout is None:
+        return []
+    paths = sorted((checkout / "tests").glob("*.py"))
+    paths += [checkout / name
+              for name in ("benchmarks", "examples", "perfbench")
+              if (checkout / name).is_dir()]
+    return paths
 
 
 def check_docs_drift(docs_path: Path) -> List[Finding]:

@@ -533,8 +533,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"note: {note}", file=sys.stderr)
     exit_code = result.exit_code
     if args.ci:
-        from repro.checks.runner import default_lint_paths
+        from repro.checks.runner import checkout_import_paths, default_lint_paths
 
+        extra = checkout_import_paths() if not args.paths else []
+        if extra:
+            imports = run_lint(extra, rules=["IMP001"], docs=False)
+            if imports.findings:
+                print(imports.report)
+            print("imports (tests, benchmarks, examples, perfbench): "
+                  + ("ok" if imports.exit_code == 0 else "FAILED"),
+                  file=sys.stderr)
+            exit_code = max(exit_code, imports.exit_code)
         tool_lines = run_external_tools(
             [Path(p) for p in args.paths] or default_lint_paths()
         )
@@ -757,7 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-baseline", default=None, metavar="FILE",
                    help="snapshot current findings to FILE and exit clean")
     p.add_argument("--ci", action="store_true",
-                   help="also run ruff and mypy when installed "
+                   help="also check the checkout's tests, benchmarks, "
+                        "examples and perfbench for unused imports "
+                        "(IMP001), and run ruff and mypy when installed "
                         "(skipped gracefully when absent)")
     p.set_defaults(func=cmd_lint)
     return parser

@@ -2,7 +2,8 @@
 
 :class:`RunningJob` binds a :class:`~repro.workloads.job_generator.JobSpec`
 to a machine: it allocates the job's pages (its whole memcg, so its page
-map is the identity) and instantiates its access pattern.
+map is the identity, and it keeps none) and instantiates its access
+pattern.
 :class:`StepPlan` draws one tick of every job's accesses as slots of
 their page pool: every Poisson job in one
 :class:`~repro.workloads.access_patterns.PoissonDraw`, every other job
@@ -11,7 +12,7 @@ through its pattern's own ``step``, offset into the pool.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +54,13 @@ class RunningJob:
             capacity_pages=spec.pages,
             content_profile=spec.content_profile,
         )
-        self.page_map = machine.allocate(spec.job_id, spec.pages)
+        slots = machine.allocate(spec.job_id, spec.pages)
+        #: The memcg slot of each of the job's pages, or None when that is
+        #: the identity, as it is for every job placed on a fresh memcg
+        #: (the slots ascend, so the last one tells).
+        self.page_map: Optional[np.ndarray] = (
+            None if slots[-1] == spec.pages - 1 else slots
+        )
 
     @property
     def job_id(self) -> str:
@@ -75,7 +82,7 @@ class StepPlan:
 
     Splits the running jobs into *Poisson jobs* -- a
     :class:`~repro.workloads.access_patterns.HeterogeneousPoissonPattern`,
-    bare or under diurnal modulation, whose page map is the identity --
+    bare or under diurnal modulation, that keeps no page map --
     which draw together in one :class:`PoissonDraw` over the pool's
     slots, and the rest, which step alone.  It holds each job's drive RNG,
     pattern and segment base, so it is valid for one pool layout and one
@@ -98,9 +105,8 @@ class StepPlan:
             memcg = job.machine.memcgs[job.job_id]
             base = int(pool.row_base[memcg._pool_row])
             parts = poisson_parts(job.pattern)
-            if parts is not None and np.array_equal(
-                job.page_map, np.arange(parts[0].n_pages)
-            ):
+            if (parts is not None and job.page_map is None
+                    and parts[0].n_pages == job.spec.pages):
                 poisson.append((job._drive_rng, parts[0], base, parts[1]))
             else:
                 self.others.append((job, base))
@@ -124,6 +130,9 @@ class StepPlan:
             job_reads, job_writes = job.pattern.step(
                 now, self.interval_seconds, job._drive_rng
             )
-            read_parts.append(job.page_map[job_reads] + base)
-            write_parts.append(job.page_map[job_writes] + base)
+            if job.page_map is not None:
+                job_reads = job.page_map[job_reads]
+                job_writes = job.page_map[job_writes]
+            read_parts.append(job_reads + base)
+            write_parts.append(job_writes + base)
         return np.concatenate(read_parts), np.concatenate(write_parts)

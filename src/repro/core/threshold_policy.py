@@ -31,7 +31,7 @@ import numpy as np
 from repro.common.units import MINUTE
 from repro.common.validation import check_in_range, check_non_negative, require
 from repro.core.histograms import AgeBins, AgeHistogram
-from repro.core.slo import PromotionRateSlo, promotions_per_minute
+from repro.core.slo import PromotionRateSlo
 
 __all__ = [
     "ThresholdPolicyConfig",

@@ -68,7 +68,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.checks.invariants import check_merge_delta, invariants_enabled
 from repro.common.errors import ReproError, TraceError
 from repro.common.validation import check_positive, require
-from repro.engine.sharding import ShardPlan, plan_shards
+from repro.engine.sharding import plan_shards
 from repro.model.trace import TelemetryBlock
 from repro.obs import MetricName, MetricRegistry, Stopwatch, Tracer
 

@@ -18,7 +18,7 @@ from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
 from repro.kernel.memcg import MemCg, PageState
 from repro.kernel.oracle import ScalarPagePool
 from repro.kernel.remote import RemoteAccessModel, RemoteMemoryPool
-from repro.kernel.zsmalloc import ArenaStats, ZsmallocArena
+from repro.kernel.zsmalloc import ArenaStats
 from repro.kernel.zswap import Zswap, ZswapJobStats
 
 __all__ = [

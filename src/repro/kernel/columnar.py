@@ -61,18 +61,23 @@ __all__ = ["ColumnarMemCg", "MachinePagePool", "PooledAgeHistogram"]
 
 #: Pool columns: (pool attribute, dtype, fill value for free slots).  The
 #: fill values equal a freshly constructed MemCg's defaults, so a new
-#: segment needs no initialization beyond ``owner_row``.
+#: segment needs no initialization beyond ``owner_row``.  Each column is
+#: only as wide as its values: ages saturate at ``MAX_PAGE_AGE_SCANS``
+#: (the paper's 8-bit age), payloads never exceed ``PAGE_SIZE`` and
+#: huge-group ids are memcg-local slots -- 18 bytes per slot in all.
+#: Narrow unsigned columns wrap silently, so every reader widens before
+#: it multiplies or negates.
 _PAGE_FIELDS: Tuple[Tuple[str, type, object], ...] = (
     ("resident", np.bool_, False),
-    ("age_scans", np.int32, 0),
+    ("age_scans", np.uint8, 0),
     ("accessed", np.bool_, False),
     ("state", np.uint8, int(PageState.NEAR)),
     ("incompressible", np.bool_, False),
     ("dirtied", np.bool_, False),
     ("unevictable", np.bool_, False),
-    ("payload_bytes", np.int32, 0),
+    ("payload_bytes", np.uint16, 0),
     ("lru_active", np.bool_, False),
-    ("huge_group", np.int64, -1),
+    ("huge_group", np.int32, -1),
     ("owner_row", np.int32, -1),
 )
 
@@ -110,15 +115,15 @@ _NEVER_SCANS = 1 << 62
 COLUMN_CONTRACTS = {
     # Per-page columns (mirror _PAGE_FIELDS; dense [0, cap) arrays).
     "MachinePagePool.resident": {"dtype": "bool", "ndim": 1},
-    "MachinePagePool.age_scans": {"dtype": "int32", "ndim": 1},
+    "MachinePagePool.age_scans": {"dtype": "uint8", "ndim": 1},
     "MachinePagePool.accessed": {"dtype": "bool", "ndim": 1},
     "MachinePagePool.state": {"dtype": "uint8", "ndim": 1},
     "MachinePagePool.incompressible": {"dtype": "bool", "ndim": 1},
     "MachinePagePool.dirtied": {"dtype": "bool", "ndim": 1},
     "MachinePagePool.unevictable": {"dtype": "bool", "ndim": 1},
-    "MachinePagePool.payload_bytes": {"dtype": "int32", "ndim": 1},
+    "MachinePagePool.payload_bytes": {"dtype": "uint16", "ndim": 1},
     "MachinePagePool.lru_active": {"dtype": "bool", "ndim": 1},
-    "MachinePagePool.huge_group": {"dtype": "int64", "ndim": 1},
+    "MachinePagePool.huge_group": {"dtype": "int32", "ndim": 1},
     "MachinePagePool.owner_row": {"dtype": "int32", "ndim": 1},
     # Per-memcg rows (histogram matrices + bookkeeping vectors).
     "MachinePagePool.row_base": {"dtype": "int64", "ndim": 1},
@@ -163,14 +168,20 @@ class PooledAgeHistogram(AgeHistogram):
 class ColumnarMemCg(MemCg):
     """A memcg whose per-page arrays alias a :class:`MachinePagePool`.
 
-    Constructed exactly like :class:`MemCg`; the owning machine then
-    registers it with the pool, which replaces the private arrays with
-    segment views.  All inherited behaviour is preserved bit-for-bit —
-    the views cover the same slots the private arrays would.
+    Constructed like :class:`MemCg`, but with no page state of its own:
+    the owning machine registers it with the pool at once, and
+    :meth:`MachinePagePool.add` binds its arrays and histograms to a
+    segment and a histogram row.  All inherited behaviour is preserved
+    bit-for-bit — the views cover the same slots private arrays would.
     """
 
     #: The owning pool; assigned by :meth:`MachinePagePool.add`.
     _pool: Optional["MachinePagePool"] = None
+
+    def _init_page_state(self) -> None:
+        # The pool binds segment views and pooled histogram rows in
+        # :meth:`MachinePagePool.add`; nothing is allocated here.
+        pass
 
     # The reclaim threshold and zswap gate are written by the node agent
     # once per control round but *read* by the pooled reclaim mask for
@@ -599,13 +610,17 @@ class MachinePagePool:
         histograms.
 
         One ``bincount`` keyed by ``(row, bin + 1)``: column 0 collects
-        the young bucket (bin -1).  Ages never exceed the cap; ``clip``
-        only bounds the table lookup.
+        the young bucket (bin -1).  The keys are built in place in one
+        intp array, the type ``bincount`` reads without a copy, after the
+        table lookup (whose index copy is as large).  Ages never exceed
+        the cap; ``clip`` only bounds the table lookup.
         """
         width = self._nbins + 1
-        keys = rows.astype(np.int64) * width
-        keys += self._bin_lut.take(ages, mode="clip")
-        keys += 1
+        bins = self._bin_lut.take(ages, mode="clip")
+        bins += 1
+        keys = np.multiply(rows, width, dtype=np.intp)
+        keys += bins
+        del bins
         counts = np.bincount(
             keys, minlength=self._row_cap * width
         ).reshape(self._row_cap, width)
@@ -625,7 +640,9 @@ class MachinePagePool:
         maintenance, dirty-page payload resampling (per memcg, with that
         memcg's own RNG, in iteration order — the draw sequences match
         the reference scan exactly), and a recount of every cold-age
-        histogram.
+        histogram.  Scratch masks and index arrays are dropped as soon as
+        they are used, so the recount -- the scan's largest temporary --
+        runs with none of them alive.
 
         Args:
             memcgs: every memcg bound to the pool (all machines' memcgs
@@ -645,37 +662,47 @@ class MachinePagePool:
         res = self.resident[:u]
         accessed = self.accessed[:u]
         age = self.age_scans[:u]
-        state = self.state[:u]
         owner = self.owner_row[:u]
 
         self._propagate_huge_bits_pooled(u, res)
 
-        acc = res & accessed
-        idle = res ^ acc
-
         # Promotion histograms for all memcgs, from the accessed pages'
         # pre-reset ages.
+        acc = res & accessed
         acc_idx = np.flatnonzero(acc)
         if acc_idx.size:
-            self._add_promotion_ages(owner[acc_idx], age[acc_idx])
+            rows, ages = owner[acc_idx], age[acc_idx]
+            del acc_idx
+            self._add_promotion_ages(rows, ages)
+            del rows, ages
 
         # Branch-free whole-pool writes: boolean-mask assignments (and
         # ``where=`` ufuncs) are an order of magnitude slower.  Ages never
         # exceed the cap, so incrementing idle pages below it is the
-        # saturating increment.
+        # saturating increment (it never wraps the uint8 column).
+        idle = res ^ acc
+        idle &= age < MAX_PAGE_AGE_SCANS
+        np.add(age, idle, out=age)
+        del idle
         not_res = ~res
-        np.add(age, idle & (age < MAX_PAGE_AGE_SCANS), out=age)
-        np.multiply(age, ~acc, out=age)
         lru = self.lru_active[:u]
         lru &= not_res
         lru |= acc
+        np.invert(acc, out=acc)
+        np.multiply(age, acc, out=age)
+        del acc
         accessed &= not_res
 
         # Dirtied NEAR pages shed their incompressible mark and resample
         # payload content.  The draws stay per memcg, in iteration order:
         # each memcg owns an independent RNG stream and the scalar kernel
         # draws exactly n_dirty values from it.
-        dirty_idx = np.flatnonzero(res & self.dirtied[:u] & (state == PageState.NEAR))
+        dirtied = self.dirtied[:u]
+        near = self.state[:u] == PageState.NEAR
+        near &= dirtied
+        near &= res
+        dirty_idx = np.flatnonzero(near)
+        del near
         if dirty_idx.size:
             self.incompressible[dirty_idx] = False
             rows = [memcg._pool_row for memcg in memcg_list]
@@ -693,7 +720,9 @@ class MachinePagePool:
                 ] = sample_payloads([
                     (m.content_profile, hi - lo, m._rng) for m, lo, hi in dirty
                 ])
-        self.dirtied[:u] &= not_res
+        del dirty_idx
+        dirtied &= not_res
+        del not_res
 
         self._recount_cold_histograms(res, age, owner)
 
@@ -706,17 +735,20 @@ class MachinePagePool:
         """Share accessed/dirty bits within every huge mapping at once.
 
         Group ids are memcg-local; adding the owner segment's base yields
-        pool-global ids that cannot collide across memcgs, so one
-        aggregate pass covers every mapping in the pool.
+        pool-global ids that cannot collide across memcgs, so one bool
+        scatter per bit marks every mapping with a set page.
         """
         hg = self.huge_group[:u]
         hp = np.flatnonzero(res & (hg >= 0))
         if hp.size == 0:
             return
         groups = hg[hp] + self.row_base[self.owner_row[hp]]
+        aggregate = np.zeros(u, dtype=bool)
         for bits in (self.accessed[:u], self.dirtied[:u]):
-            aggregate = np.bincount(groups, weights=bits[hp], minlength=u) > 0
+            page_bits = bits[hp]
+            aggregate[groups[page_bits]] = True
             bits[hp] = aggregate[groups]
+            aggregate[groups] = False
 
     def _recount_cold_histograms(
         self, res: np.ndarray, age: np.ndarray, owner: np.ndarray
@@ -727,13 +759,18 @@ class MachinePagePool:
         the slots holding no page, column 1 the young bucket (bin -1).
         The no-page column also yields each row's resident count, which
         is what the scan books as pages examined.  Free rows count zero.
+        The keys are one intp array (``bincount``'s own index type, so it
+        reads them without a copy) plus the int16 bin of every slot.
         """
         width = self._nbins + 2
-        keys = self._bin_lut.take(age, mode="clip")
-        keys -= _HIST_NO_PAGE
-        keys *= res
+        bins = self._bin_lut.take(age, mode="clip")
+        bins -= _HIST_NO_PAGE
+        bins *= res
+        keys = np.multiply(owner, width, dtype=np.intp)
+        keys += bins
+        del bins
         counts = np.bincount(
-            owner * width + keys, minlength=self._row_cap * width
+            keys, minlength=self._row_cap * width
         ).reshape(self._row_cap, width)
         self.cold_young[:] = counts[:, 1]
         self.cold_counts[:] = counts[:, 2:]
@@ -751,23 +788,25 @@ class MachinePagePool:
         or beyond the *owning memcg's* threshold.  Per-row thresholds are
         pre-encoded in ``row_reclaim_thr`` (maintained by the memcg
         property setters) and spread to their slots with one
-        ``np.repeat`` over the segments in base order.  Memcgs with zswap
-        disabled or a non-finite threshold carry the never-matches
-        sentinel and yield nothing, matching the reference
+        ``np.repeat`` over the segments in base order, clamped to one
+        past the oldest age so they fit 16 bits (no age meets the clamp,
+        as none meets the sentinel).  Memcgs with zswap disabled or a
+        non-finite threshold carry the never-matches sentinel and yield
+        nothing, matching the reference
         :func:`~repro.kernel.oracle.reclaim_candidates`.
         """
         u = self.used
         if u == 0:
             return np.zeros(0, dtype=np.int64)
         seg_rows, _bases, sizes = self.segments()
-        thresholds = np.repeat(self.row_reclaim_thr[seg_rows], sizes)
-        mask = (
-            self.resident[:u]
-            & (self.state[:u] == PageState.NEAR)
-            & ~self.unevictable[:u]
-            & ~self.incompressible[:u]
-            & (self.age_scans[:u] >= thresholds)
-        )
+        thresholds = np.minimum(
+            self.row_reclaim_thr[seg_rows], MAX_PAGE_AGE_SCANS + 1
+        ).astype(np.uint16)
+        mask = self.age_scans[:u] >= np.repeat(thresholds, sizes)
+        mask &= self.resident[:u]
+        mask &= self.state[:u] == PageState.NEAR
+        mask &= ~self.unevictable[:u]
+        mask &= ~self.incompressible[:u]
         return np.flatnonzero(mask)
 
     def reclaim_walk(
@@ -796,9 +835,12 @@ class MachinePagePool:
         if ranks.min() < 0:
             keep = ranks >= 0
             cand, ranks = cand[keep], ranks[keep]
-        order = np.lexsort(
-            (-self.age_scans[cand], self.lru_active[cand], ranks)
-        )
+        # Oldest first: the cap minus the age orders as the negated age
+        # does, and cannot wrap the uint8 column.
+        order = np.lexsort((
+            np.subtract(MAX_PAGE_AGE_SCANS, self.age_scans[cand]),
+            self.lru_active[cand], ranks,
+        ))
         return cand[order], ranks[order]
 
     # ------------------------------------------------------------------

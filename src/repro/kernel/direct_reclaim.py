@@ -75,7 +75,11 @@ class DirectReclaim:
                 candidates = np.flatnonzero(mask)
                 if candidates.size == 0:
                     continue
-                order = np.argsort(memcg.age_scans[candidates])[::-1]
+                # Sorted as int32, the reference memcg's width: the
+                # default sort orders ties differently for other dtypes.
+                order = np.argsort(
+                    memcg.age_scans[candidates].astype(np.int32)
+                )[::-1]
                 candidates = candidates[order][:reclaimable]
                 # Take roughly what is still needed assuming ~3x compression,
                 # then measure the true footprint delta; the outer loop

@@ -24,7 +24,7 @@ default baseline (``REACTIVE``), or no far memory at all (``OFF``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -116,30 +116,7 @@ class MemCg:
         self.scan_period = int(scan_period)
         self._rng = rng
 
-        n = self.capacity_pages
-        self.resident = np.zeros(n, dtype=bool)
-        self.age_scans = np.zeros(n, dtype=np.int32)
-        self.accessed = np.zeros(n, dtype=bool)
-        self.state = np.zeros(n, dtype=np.uint8)
-        self.incompressible = np.zeros(n, dtype=bool)
-        self.dirtied = np.zeros(n, dtype=bool)
-        self.unevictable = np.zeros(n, dtype=bool)
-        self.payload_bytes = np.zeros(n, dtype=np.int32)
-        #: Linux-style two-list LRU state: True = active list.  The scan
-        #: demotes idle active pages and re-activates accessed inactive
-        #: ones; reclaim prefers the inactive list.
-        self.lru_active = np.zeros(n, dtype=bool)
-        #: Huge-page (THP) grouping: -1 = base page; otherwise the group
-        #: id (start slot of the 2 MiB mapping).  A huge mapping has ONE
-        #: accessed/dirty bit for all 512 pages — the resolution loss the
-        #: paper contrasts with Thermostat's huge-page-only design.
-        self.huge_group = np.full(n, -1, dtype=np.int64)
-
-        #: Kernel-exported histograms (§5.1): the cold-age histogram is a
-        #: snapshot updated each scan; the promotion histogram accumulates
-        #: from job start and is diffed by the node agent.
-        self.cold_age_histogram = AgeHistogram(bins)
-        self.promotion_histogram = AgeHistogram(bins)
+        self._init_page_state()
         #: Age (in scans) -> histogram bin lookup table; ages saturate at
         #: ``MAX_PAGE_AGE_SCANS`` so the table covers every reachable age.
         self._bin_lut = bins.bin_of_age(
@@ -169,6 +146,40 @@ class MemCg:
         #: injects it at :meth:`Machine.add_job` time so memcgs stay
         #: constructible without any observability context.
         self.promoted_counter = None
+
+    def _init_page_state(self) -> None:
+        """Allocate the per-page arrays and the two kernel histograms.
+
+        These reference arrays are wide (int32 ages and payloads, int64
+        huge groups), so the equivalence suites hold the runtime pool's
+        narrower columns (:data:`repro.kernel.columnar.COLUMN_CONTRACTS`)
+        to a second, wide implementation.  A runtime memcg allocates
+        none: its pool binds views in their place.
+        """
+        n = self.capacity_pages
+        self.resident = np.zeros(n, dtype=bool)
+        self.age_scans = np.zeros(n, dtype=np.int32)
+        self.accessed = np.zeros(n, dtype=bool)
+        self.state = np.zeros(n, dtype=np.uint8)
+        self.incompressible = np.zeros(n, dtype=bool)
+        self.dirtied = np.zeros(n, dtype=bool)
+        self.unevictable = np.zeros(n, dtype=bool)
+        self.payload_bytes = np.zeros(n, dtype=np.int32)
+        #: Linux-style two-list LRU state: True = active list.  The scan
+        #: demotes idle active pages and re-activates accessed inactive
+        #: ones; reclaim prefers the inactive list.
+        self.lru_active = np.zeros(n, dtype=bool)
+        #: Huge-page (THP) grouping: -1 = base page; otherwise the group
+        #: id (start slot of the 2 MiB mapping).  A huge mapping has ONE
+        #: accessed/dirty bit for all 512 pages — the resolution loss the
+        #: paper contrasts with Thermostat's huge-page-only design.
+        self.huge_group = np.full(n, -1, dtype=np.int64)
+
+        #: Kernel-exported histograms (§5.1): the cold-age histogram is a
+        #: snapshot updated each scan; the promotion histogram accumulates
+        #: from job start and is diffed by the node agent.
+        self.cold_age_histogram = AgeHistogram(self.bins)
+        self.promotion_histogram = AgeHistogram(self.bins)
 
     # ------------------------------------------------------------------
     # Derived views
@@ -295,7 +306,10 @@ class MemCg:
         indices = np.asarray(indices)
         if indices.size == 0:
             return
-        ages_seconds = self.age_scans[indices] * self.scan_period
+        # Widen first: a uint8 pool view would wrap (200 * 60 -> 224).
+        ages_seconds = np.multiply(
+            self.age_scans[indices], self.scan_period, dtype=np.int64
+        )
         self.promotion_histogram.add_ages(ages_seconds)
         self.age_scans[indices] = 0
         self.promoted_pages_total += int(indices.size)

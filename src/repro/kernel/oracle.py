@@ -74,13 +74,14 @@ def scan_memcg(memcg: MemCg) -> None:
     acc = res & memcg.accessed
     idle = res & ~memcg.accessed
 
-    memcg.promotion_histogram.add_ages(
-        memcg.age_scans[acc] * memcg.scan_period
-    )
+    # Widened, and incremented only below the cap: a columnar memcg's
+    # uint8 ages would wrap in ``age * period`` and at ``255 + 1``.
+    memcg.promotion_histogram.add_ages(np.multiply(
+        memcg.age_scans[acc], memcg.scan_period, dtype=np.int64
+    ))
     memcg.age_scans[acc] = 0
-    memcg.age_scans[idle] = np.minimum(
-        memcg.age_scans[idle] + 1, MAX_PAGE_AGE_SCANS
-    )
+    ages = memcg.age_scans[idle]
+    memcg.age_scans[idle] = ages + (ages < MAX_PAGE_AGE_SCANS)
     # Two-list LRU maintenance: accessed pages (re-)activate; active
     # pages that missed a whole scan drop to the inactive list.
     memcg.lru_active[acc] = True
@@ -128,14 +129,16 @@ def reclaim_order(memcg: MemCg, candidates: np.ndarray) -> np.ndarray:
 
     Inactive-list pages come before (stale) active-list ones; within a
     list, oldest first, ties by ascending slot.  ``np.lexsort`` sorts by
-    the last key first.
+    the last key first; the cap minus the age orders as the negated age
+    does, without wrapping a uint8 column.
     """
     candidates = np.asarray(candidates)
     if candidates.size == 0:
         return candidates
-    order = np.lexsort(
-        (-memcg.age_scans[candidates], memcg.lru_active[candidates])
-    )
+    order = np.lexsort((
+        MAX_PAGE_AGE_SCANS - memcg.age_scans[candidates],
+        memcg.lru_active[candidates],
+    ))
     return candidates[order]
 
 

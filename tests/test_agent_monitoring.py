@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agent.monitoring import Alert, AlertRule, SliWindow, SloMonitor
+from repro.agent.monitoring import AlertRule, SliWindow, SloMonitor
 from repro.agent.node_agent import SliSample
 
 

@@ -1,7 +1,6 @@
 """Node agent control loop: warm-up, thresholds, soft limits, SLI."""
 
 import numpy as np
-import pytest
 
 from repro.agent.node_agent import NodeAgent
 from repro.common.rng import SeedSequenceFactory

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core.histograms import AgeHistogram, default_age_bins
+from repro.core.histograms import AgeHistogram
 from repro.core.threshold_policy import (
     ColdAgeThresholdPolicy,
     ThresholdPolicyConfig,

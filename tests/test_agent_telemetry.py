@@ -1,8 +1,5 @@
 """Telemetry export of 5-minute trace entries."""
 
-import numpy as np
-import pytest
-
 from repro.agent.telemetry import TelemetryExporter
 from repro.cluster.trace_db import TraceDatabase
 from repro.common.events import EventLog

@@ -1,7 +1,6 @@
 """Fleet analysis pipelines against a warmed-up fleet."""
 
 import numpy as np
-import pytest
 
 from repro.analysis.fleet_analysis import (
     cold_memory_vs_threshold,

@@ -6,7 +6,6 @@ import pytest
 from repro.common.errors import AutotunerError
 from repro.core.histograms import AgeHistogram, default_age_bins
 from repro.core.slo import PromotionRateSlo
-from repro.core.threshold_policy import ThresholdPolicyConfig
 from repro.model.replay import FarMemoryModel, FleetReplayReport
 from repro.model.trace import JobTrace, TraceEntry
 from repro.autotuner.pipeline import AutotuningPipeline, TuningResult

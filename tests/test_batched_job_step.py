@@ -112,10 +112,9 @@ def _state(machine):
     for job_id, memcg in machine.memcgs.items():
         stats = machine.zswap.stats_for(job_id)
         jobs[job_id] = (
-            tuple(np.asarray(getattr(memcg, attr)).tobytes() for attr in (
-                "resident", "age_scans", "accessed", "state", "dirtied",
-                "payload_bytes", "lru_active",
-            )),
+            tuple(np.asarray(getattr(memcg, attr), np.int64).tobytes()
+                  for attr in ("resident", "age_scans", "accessed", "state",
+                               "dirtied", "payload_bytes", "lru_active")),
             memcg.promotion_histogram.counts.tobytes(),
             memcg.promotion_histogram.young_count,
             memcg.promoted_pages_total,
@@ -264,8 +263,9 @@ def test_backends_agree_over_a_churning_run(monkeypatch):
             ) for machine in machines],
             [machine.arena.stats() for machine in machines],
             [sorted(
-                (job, memcg.age_scans.tobytes(), memcg.state.tobytes(),
-                 memcg.payload_bytes.tobytes(),
+                (job, memcg.age_scans.astype(np.int64).tobytes(),
+                 memcg.state.tobytes(),
+                 memcg.payload_bytes.astype(np.int64).tobytes(),
                  memcg.promotion_histogram.counts.tobytes(),
                  memcg.promotion_histogram.young_count,
                  memcg.cold_age_histogram.counts.tobytes(),

@@ -7,7 +7,6 @@ does.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import (
     cold_memory_vs_threshold,
@@ -15,7 +14,6 @@ from repro.analysis import (
     decompression_latency_samples,
     per_job_cold_fractions,
 )
-from repro.common.units import ZSMALLOC_MAX_PAYLOAD
 
 
 class TestColdMemoryCalibration:

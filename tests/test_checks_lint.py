@@ -19,6 +19,7 @@ from repro.checks import (
     run_lint,
     save_baseline,
 )
+from repro.checks.runner import checkout_import_paths
 from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -43,7 +44,7 @@ class TestRegistry:
     def test_all_rules_registered(self):
         assert set(RULES) == {
             "ACC001", "CON001", "CON002", "DET001", "DET002", "DET003",
-            "DET004", "FLOW001", "FLOW002", "FORK001", "OBS001",
+            "DET004", "FLOW001", "FLOW002", "FORK001", "IMP001", "OBS001",
         }
 
     def test_unknown_rule_rejected(self):
@@ -171,6 +172,30 @@ class TestObs001:
         assert lint(FIXTURES / "obs001_ok.py", "OBS001") == []
 
 
+class TestImp001:
+    def test_positive(self):
+        findings = lint(FIXTURES / "imp001_bad.py", "IMP001")
+        assert [f.line for f in findings] == [3, 4, 5, 6]
+        messages = " ".join(f.message for f in findings)
+        for name in ("'json'", "'os.path'", "'collections.OrderedDict'",
+                     "'typing.Optional'"):
+            assert name in messages
+        assert "deque" not in messages
+
+    def test_negative(self):
+        # Reads, quoted annotations, __all__, explicit re-exports,
+        # TYPE_CHECKING blocks, f-strings and ruff's noqa all count.
+        assert lint(FIXTURES / "imp001_ok.py", "IMP001") == []
+
+    def test_repro_noqa_suppresses(self, tmp_path):
+        module = tmp_path / "mod.py"
+        module.write_text("import json  # repro: noqa[IMP001]\n"
+                          "import os  # noqa: E402\n")
+        findings = LintEngine(root=tmp_path, rules=["IMP001"]).run([module])
+        assert [(f.line, f.message.split()[0]) for f in findings] == [
+            (2, "'os'")]
+
+
 class TestSuppression:
     def test_noqa_comments(self):
         findings = lint(FIXTURES / "suppressed.py", "DET001", "DET002")
@@ -286,6 +311,15 @@ class TestFullTree:
         if not SRC_TREE.exists():
             pytest.skip("src/ tree not present (sdist install)")
         result = run_lint([SRC_TREE], flow=True, flow_cache=None)
+        assert result.exit_code == 0, "\n" + result.report
+
+    def test_checkout_imports_are_used(self):
+        """``repro lint --ci`` also holds the tests, benchmarks, examples
+        and perfbench to IMP001, with or without ruff installed."""
+        paths = checkout_import_paths()
+        if not paths:
+            pytest.skip("no checkout around the package")
+        result = run_lint(paths, rules=["IMP001"], docs=False)
         assert result.exit_code == 0, "\n" + result.report
 
     def test_fixture_tree_is_dirty(self):

@@ -1,10 +1,6 @@
 """Fleet churn: finite job lifetimes with population replenishment."""
 
-import numpy as np
-import pytest
-
 from repro.cluster import quickfleet
-from repro.common.rng import SeedSequenceFactory
 from repro.common.units import HOUR
 from repro.workloads.job_generator import FleetMixGenerator
 

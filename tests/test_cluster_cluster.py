@@ -1,12 +1,10 @@
 """Cluster composition: job lifecycle, the tick loop, pressure eviction."""
 
 import numpy as np
-import pytest
 
 from repro.common.rng import SeedSequenceFactory
-from repro.common.units import MIB, PAGE_SIZE
+from repro.common.units import MIB
 from repro.cluster.cluster import Cluster
-from repro.cluster.trace_db import TraceDatabase
 from repro.core.threshold_policy import ThresholdPolicyConfig
 from repro.kernel.compression import ContentProfile
 from repro.kernel.machine import FarMemoryMode, MachineConfig

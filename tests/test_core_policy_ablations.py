@@ -1,10 +1,8 @@
 """Ablation knobs on the threshold controller."""
 
 import numpy as np
-import pytest
 
-from repro.core.histograms import AgeHistogram, default_age_bins
-from repro.core.slo import PromotionRateSlo
+from repro.core.histograms import AgeHistogram
 from repro.core.threshold_policy import (
     DISABLED,
     ColdAgeThresholdPolicy,

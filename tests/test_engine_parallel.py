@@ -15,7 +15,6 @@ from repro.common.units import HOUR
 from repro.core.threshold_policy import PaperPolicy
 from repro.engine import (
     FleetEngine,
-    ShardPlan,
     fork_available,
     plan_shards,
 )

@@ -1,13 +1,11 @@
 """End-to-end integration: the full Fig. 4 loop, invariants under churn."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import quickfleet
 from repro.common.units import PAGE_SIZE
 from repro.core.threshold_policy import ThresholdPolicyConfig
 from repro.kernel.machine import FarMemoryMode
-from repro.kernel.memcg import PageState
 from repro.model.replay import FarMemoryModel
 from repro.autotuner.pipeline import AutotuningPipeline
 

@@ -1,8 +1,5 @@
 """Huge pages under the full control plane."""
 
-import numpy as np
-import pytest
-
 from repro.agent import NodeAgent
 from repro.common.rng import SeedSequenceFactory
 from repro.core import ThresholdPolicyConfig

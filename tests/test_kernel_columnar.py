@@ -80,9 +80,12 @@ def _make_machine(kernel, index, seed, shared_pool=None, dram=64 * MIB):
 
 def _memcg_state(memcg):
     """Every per-page column plus histograms and counters, as a
-    comparable value (bytes, so dtype differences would also fail)."""
+    comparable value.  Columns compare as int64 bytes: the pool keeps
+    them narrower than the reference memcg does, by design
+    (``tests/test_column_widths.py`` pins both sides' dtypes)."""
     arrays = tuple(
-        np.asarray(getattr(memcg, attr)).tobytes() for attr in _PAGE_ATTRS
+        np.asarray(getattr(memcg, attr), dtype=np.int64).tobytes()
+        for attr in _PAGE_ATTRS
     )
     return arrays + (
         tuple(int(c) for c in memcg.cold_age_histogram.counts),

@@ -1,6 +1,5 @@
 """kstaled and kreclaimd daemons."""
 
-import numpy as np
 import pytest
 
 from repro.core.histograms import default_age_bins

@@ -9,7 +9,7 @@ from repro.common.units import MIB
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.machine import Machine, MachineConfig
-from repro.kernel.memcg import MemCg, PageState
+from repro.kernel.memcg import MemCg
 from repro.kernel.oracle import reclaim_candidates, scan_memcg
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.kernel.zswap import Zswap

@@ -1,11 +1,10 @@
 """Machine composition: accounting, fast path, modes, OOM behaviour."""
 
-import numpy as np
 import pytest
 
 from repro.common.errors import OutOfMemoryError, SimulationError
 from repro.common.rng import SeedSequenceFactory
-from repro.common.units import GIB, MIB, PAGE_SIZE
+from repro.common.units import MIB, PAGE_SIZE
 from repro.kernel.compression import ContentProfile
 from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
 

@@ -6,7 +6,7 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.common.units import MAX_PAGE_AGE_SCANS
 from repro.core.threshold_policy import DISABLED
-from repro.kernel.memcg import MemCg, PageState
+from repro.kernel.memcg import PageState
 from repro.kernel.oracle import reclaim_candidates, scan_memcg
 
 

@@ -10,7 +10,6 @@ from repro.common.units import PAGE_SIZE
 from repro.kernel.zsmalloc import (
     OBJECT_METADATA_BYTES,
     SIZE_CLASS_STEP,
-    ZSPAGE_BYTES,
     ArenaStats,
     ZsmallocArena,
 )

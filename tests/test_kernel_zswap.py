@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.units import PAGE_SIZE, ZSMALLOC_MAX_PAYLOAD
+from repro.common.units import ZSMALLOC_MAX_PAYLOAD
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.memcg import MemCg, PageState

@@ -13,7 +13,6 @@ must hold after *every* operation:
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -24,9 +23,9 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.common.errors import OutOfMemoryError, SimulationError
+from repro.common.errors import OutOfMemoryError
 from repro.common.rng import SeedSequenceFactory
-from repro.common.units import MIB, PAGE_SIZE
+from repro.common.units import MIB
 from repro.kernel.compression import ContentProfile
 from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
 

@@ -1,8 +1,5 @@
 """Coverage for less-travelled paths across modules."""
 
-import numpy as np
-import pytest
-
 from repro.cluster import quickfleet
 from repro.common.rng import SeedSequenceFactory
 from repro.common.units import MIB

@@ -295,7 +295,8 @@ def _interface_answers(cluster, scan):
     ]
     answers["pages"] = [
         (memcg.job_id, memcg.promoted_pages_total, [
-            np.asarray(getattr(memcg, column)).tobytes() for column in (
+            np.asarray(getattr(memcg, column), np.int64).tobytes()
+            for column in (
                 "resident", "age_scans", "accessed", "state", "dirtied",
                 "incompressible", "payload_bytes", "lru_active",
                 "huge_group",
@@ -429,7 +430,8 @@ def _backend_state(cluster):
          for m in cluster.machines],
         [sorted(
             (job, memcg.cold_age_histogram.counts.tolist(),
-             memcg.cold_age_histogram.young_count, memcg.age_scans.tobytes())
+             memcg.cold_age_histogram.young_count,
+             memcg.age_scans.astype(np.int64).tobytes())
             for job, memcg in m.memcgs.items()
         ) for m in cluster.machines],
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.histograms import AgeBins, AgeHistogram, default_age_bins
+from repro.core.histograms import AgeHistogram, default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.memcg import MemCg, PageState
 from repro.kernel.oracle import scan_memcg

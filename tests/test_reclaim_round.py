@@ -134,7 +134,7 @@ def _state(machines, registry):
     pages = [
         (memcg.job_id, memcg.compressed_pages_total,
          memcg.rejected_pages_total,
-         [np.asarray(getattr(memcg, column)).tobytes()
+         [np.asarray(getattr(memcg, column), np.int64).tobytes()
           for column in _COLUMNS])
         for memcg in pool_memcgs(machines)
     ]

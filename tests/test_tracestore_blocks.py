@@ -10,7 +10,7 @@ from repro.cluster import quickfleet
 from repro.common.errors import TraceError
 from repro.common.rng import SeedSequenceFactory
 from repro.common.units import HOUR
-from repro.core.histograms import AgeBins, AgeHistogram, default_age_bins
+from repro.core.histograms import AgeHistogram, default_age_bins
 from repro.faults import (
     ALL_MACHINES,
     FaultEvent,
