@@ -19,11 +19,10 @@ import pytest
 
 from repro.analysis import render_table
 from repro.baselines import ThermostatConfig, ThermostatDetector
-from repro.common.units import HOUR
+from repro.common.units import HOUR, KSTALED_SCAN_PERIOD
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.kstaled import SCAN_SECONDS_PER_PAGE, Kstaled
-from repro.kernel.memcg import MemCg
 from repro.kernel.oracle import ScalarPagePool
 from repro.workloads import HeterogeneousPoissonPattern, make_rates_for_cold_fraction
 
@@ -66,13 +65,10 @@ def detection_run():
     rates = np.repeat(region_rates, region_pages)
     pattern = HeterogeneousPoissonPattern(rates)
 
-    memcg = MemCg(
-        "job", N_PAGES, ContentProfile(), default_age_bins(),
-        np.random.default_rng(1),
-    )
+    pool = ScalarPagePool(default_age_bins(), KSTALED_SCAN_PERIOD)
+    memcg = pool.add("job", N_PAGES, ContentProfile(),
+                     np.random.default_rng(1))
     memcg.allocate(N_PAGES)
-    pool = ScalarPagePool(memcg.bins, memcg.scan_period)
-    pool.add(memcg)
     kstaled = Kstaled()
     thermostat = ThermostatDetector(
         N_PAGES,

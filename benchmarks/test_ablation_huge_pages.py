@@ -16,8 +16,7 @@ import numpy as np
 from repro.analysis import render_table
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
-from repro.kernel.memcg import MemCg
-from repro.kernel.oracle import scan_memcg
+from repro.kernel.oracle import ReferenceMemCg, scan_memcg
 
 PAGES = 8192
 HUGE = 512  # 2 MiB mappings
@@ -27,7 +26,7 @@ HOT_PAGES_PER_MAPPING = 1
 def detectable_cold(huge_fraction: float, seed: int = 5) -> int:
     """Pages idle >= 120 s after 6 scans with one hot page per 2 MiB."""
     rng = np.random.default_rng(seed)
-    memcg = MemCg(
+    memcg = ReferenceMemCg(
         "j", PAGES,
         ContentProfile(incompressible_fraction=0.0, min_ratio=1.5),
         default_age_bins(), rng,

@@ -77,19 +77,19 @@ def main() -> None:
 
     dataset = machine.memcgs["dataset"]
     checkpoints = machine.memcgs["checkpoints"]
+    far_dataset, far_checkpoints = machine.pool.tier_pages(
+        [dataset.row, checkpoints.row])[:, 1].tolist()
     dataset_stats = machine.zswap.stats_for("dataset")
 
     print(render_table(
         ["job", "pages", "in far memory", "compressions", "promotions"],
         [
             ("dataset (swept hourly)", dataset_pages,
-             f"{dataset.far_pages} "
-             f"({dataset.far_pages / dataset_pages:.0%})",
+             f"{far_dataset} ({far_dataset / dataset_pages:.0%})",
              dataset_stats.pages_compressed,
              dataset_stats.pages_decompressed),
             ("checkpoints (frozen)", stale_pages,
-             f"{checkpoints.far_pages} "
-             f"({checkpoints.far_pages / stale_pages:.0%})",
+             f"{far_checkpoints} ({far_checkpoints / stale_pages:.0%})",
              machine.zswap.stats_for("checkpoints").pages_compressed,
              machine.zswap.stats_for("checkpoints").pages_decompressed),
         ],

@@ -377,7 +377,7 @@ def _array_pass(rounds: list, pool, slo: PromotionRateSlo, period: int,
     (``rounds`` holds each agent's ``(job_id, memcg, state)`` list)."""
     jobs = [job for _agent, agent_jobs in rounds for job in agent_jobs]
     columns = pool.histogram_columns(
-        [memcg._pool_row for _, memcg, _ in jobs], slo.min_cold_age_seconds
+        [memcg.row for _, memcg, _ in jobs], slo.min_cold_age_seconds
     )
     promo = columns["promotion_counts"]
     wss = columns["working_set_pages"]

@@ -307,7 +307,10 @@ class TelemetryExporter:
         batch: Optional[List[TraceEntry]] = (
             [] if hasattr(self.sink, "add_batch") else None
         )
-        for job_id, memcg in self.machine.memcgs.items():
+        jobs = self.machine.memcgs.items()
+        resident = self.machine.pool.tier_pages(
+            [memcg.row for _job, memcg in jobs]).sum(axis=1).tolist()
+        for (job_id, memcg), resident_pages in zip(jobs, resident):
             last = self._period_baseline(now, job_id, memcg)
             if last is None:
                 period_hist = memcg.promotion_histogram.copy()
@@ -324,7 +327,7 @@ class TelemetryExporter:
                 ),
                 promotion_histogram=period_hist,
                 cold_age_histogram=memcg.cold_age_histogram.copy(),
-                resident_pages=memcg.resident_pages,
+                resident_pages=resident_pages,
                 cpu_cores=self.cpu_lookup(job_id),
             )
             if batch is not None:
@@ -348,7 +351,7 @@ class _BlockRung:
         self.spans = {e: (end - n, end) for e, n, end in zip(exporters, sizes, ends)}
         parts = [
             pool.export_columns(np.array([
-                memcg._pool_row for e in group for _j, memcg in self.items[e]
+                memcg.row for e in group for _j, memcg in self.items[e]
             ], dtype=np.int64), window)
             for (pool, window), group in groupby(
                 exporters,

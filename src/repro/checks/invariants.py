@@ -6,11 +6,12 @@ state.  Each check asserts an accounting identity the simulator's
 correctness story depends on:
 
 * **machine accounting** — the zswap/zsmalloc view of far memory and
-  the per-memcg view must agree (``arena.live_objects == Σ far_pages``,
+  the page pool's view of the machine's rows must agree
+  (``arena.live_objects == Σ far_pages``,
   ``arena.payload_bytes == Σ payload_bytes[far]``) and compression can
   never *grow* memory (``footprint >= payload``).
-* **memcg histogram** — the cold-age histogram the columnar kernel's
-  pooled scan leaves must match each memcg's own from-scratch recount
+* **memcg histogram** — the cold-age histogram the pooled scan leaves
+  in each row must match a from-scratch recount of the row's page ages
   (the ground truth the K-th percentile threshold policy reads).
 * **delta merge** — metric deltas shipped across the fork boundary must
   conserve mass: counter increments are non-negative and a histogram
@@ -33,6 +34,7 @@ from typing import Any, Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.common.errors import ReproError
+from repro.core.histograms import AgeHistogram
 
 __all__ = [
     "InvariantViolation",
@@ -81,20 +83,24 @@ def _violation(name: str, detail: str) -> "InvariantViolation":
 def check_machine_accounting(machine: Any) -> None:
     """Zswap pool-size accounting: arena totals == Σ per-memcg far state.
 
+    Reads the machine's pool rows in one ``tier_pages`` pass and one
+    gather of their far pages' payloads.
+
     Args:
         machine: a :class:`repro.kernel.machine.Machine` (duck-typed:
-            needs ``arena`` and ``memcgs``).
+            needs ``arena``, ``pool`` and ``memcgs``).
     """
     arena = machine.arena
-    memcgs = list(machine.memcgs.values())
-    far_pages = sum(int(m.far_pages) for m in memcgs)
+    pool = machine.pool
+    rows = [memcg.row for memcg in machine.memcgs.values()]
+    far_pages = int(pool.tier_pages(rows)[:, 1].sum())
     if int(arena.live_objects) != far_pages:
         raise _violation(
             "machine.far_pages",
             f"arena holds {arena.live_objects} objects but memcgs report "
             f"{far_pages} far pages (machine={machine.machine_id!r})",
         )
-    payload = sum(int(m.payload_bytes[m.far_mask()].sum()) for m in memcgs)
+    payload = int(pool.payloads(pool.far_slots(rows)).sum(dtype=np.int64))
     if int(arena.payload_bytes) != payload:
         raise _violation(
             "machine.payload_bytes",
@@ -110,19 +116,25 @@ def check_machine_accounting(machine: Any) -> None:
         )
 
 
-def check_memcg_histogram(memcg: Any) -> None:
+def check_memcg_histogram(pool: Any, memcg: Any) -> None:
     """Cold-age snapshot == a from-scratch recount of live page ages.
 
-    The recount is side-effect free, so the check reads the snapshot
-    where it lives (a scalar memcg's own histogram, or a columnar memcg's
-    row of the pool matrix) and leaves the memcg untouched.
+    The recount bins the row's resident ages one page at a time
+    (``AgeHistogram.add_ages``), independently of the pooled scan's
+    keyed ``bincount``, and leaves the pool untouched.
 
     Args:
+        pool: the page pool holding ``memcg`` (duck-typed: needs
+            ``row_pages`` and ``scan_period``).
         memcg: a :class:`repro.kernel.memcg.MemCg` (duck-typed: needs
-            ``cold_age_histogram`` and ``_rebuild_cold_histogram``).
+            ``row``, ``bins`` and ``cold_age_histogram``).
     """
     snapshot = memcg.cold_age_histogram
-    truth = memcg._rebuild_cold_histogram()
+    pages = pool.row_pages(memcg.row)
+    truth = AgeHistogram(memcg.bins)
+    truth.add_ages(np.multiply(
+        pages.age_scans[pages.resident], pool.scan_period, dtype=np.int64
+    ))
     if (
         snapshot.young_count != truth.young_count
         or not np.array_equal(snapshot.counts, truth.counts)

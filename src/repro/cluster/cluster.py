@@ -532,20 +532,16 @@ class Cluster:
 
     def machine_cold_fractions(self, threshold_seconds: float) -> List[float]:
         """Per-machine cold memory share of used memory (Fig. 2)."""
-        fractions = []
-        for machine in self.machines:
-            resident = sum(m.resident_pages for m in machine.memcgs.values())
-            if resident == 0:
-                continue
-            fractions.append(machine.cold_pages(threshold_seconds) / resident)
-        return fractions
+        resident = machine_sums(self.machines,
+                                self.pool.tier_pages()).sum(axis=1)
+        cold = machine_sums(self.machines,
+                            self.pool.cold_pages(threshold_seconds))
+        return [c / r for c, r in zip(cold.tolist(), resident.tolist()) if r]
 
     def machine_coverages(self) -> List[float]:
         """Per-machine instantaneous coverage (Fig. 6)."""
-        coverages = []
-        for machine in self.machines:
-            cold = machine.cold_pages(MIN_COLD_AGE_THRESHOLD)
-            if cold == 0:
-                continue
-            coverages.append(min(1.0, machine.far_pages / cold))
-        return coverages
+        far = machine_sums(self.machines, self.pool.tier_pages()[:, 1])
+        cold = machine_sums(self.machines,
+                            self.pool.cold_pages(MIN_COLD_AGE_THRESHOLD))
+        return [min(1.0, f / c) for f, c in zip(far.tolist(), cold.tolist())
+                if c]

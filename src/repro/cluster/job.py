@@ -103,7 +103,7 @@ class StepPlan:
         self.others: List[Tuple[RunningJob, int]] = []
         for job in jobs:
             memcg = job.machine.memcgs[job.job_id]
-            base = int(pool.row_base[memcg._pool_row])
+            base = int(pool.row_base[memcg.row])
             parts = poisson_parts(job.pattern)
             if (parts is not None and job.page_map is None
                     and parts[0].n_pages == job.spec.pages):

@@ -182,7 +182,7 @@ class WSC:
         resident = 0
         for machine in self.machines:
             cold += machine.cold_pages(threshold_seconds)
-            resident += sum(m.resident_pages for m in machine.memcgs.values())
+            resident += machine.resident_pages
         return cold / resident if resident else 0.0
 
     def promotion_rate_percentile(self, percentile: float) -> float:

@@ -247,8 +247,8 @@ class FaultInjector:
         rng = self._seeds.stream("faults.pressure", seq=seq)
         for machine in targets:
             for job_id in sorted(machine.memcgs):
-                memcg = machine.memcgs[job_id]
-                resident = np.flatnonzero(memcg.resident)
+                row = machine.memcgs[job_id].row
+                resident = np.flatnonzero(machine.pool.row_pages(row).resident)
                 count = int(resident.size * magnitude)
                 if count == 0:
                     continue

@@ -1,11 +1,7 @@
 """Simulated Linux kernel substrate: memcg, kstaled, kreclaimd, zswap,
 zsmalloc, direct reclaim, and the machine that composes them (paper §5.1)."""
 
-from repro.kernel.columnar import (
-    ColumnarMemCg,
-    MachinePagePool,
-    PooledAgeHistogram,
-)
+from repro.kernel.columnar import MachinePagePool
 from repro.kernel.compression import (
     DEFAULT_LATENCY_MODEL,
     CompressionLatencyModel,
@@ -25,13 +21,11 @@ __all__ = [
     "ArenaStats",
     "RemoteAccessModel",
     "RemoteMemoryPool",
-    "ColumnarMemCg",
     "CompressionLatencyModel",
     "ContentProfile",
     "DEFAULT_LATENCY_MODEL",
     "DirectReclaim",
     "MachinePagePool",
-    "PooledAgeHistogram",
     "FarMemoryMode",
     "Kreclaimd",
     "Kstaled",

@@ -18,22 +18,18 @@ every machine:
   per-row page counts and reclaim thresholds are segment-wise passes
   over one cached segment table (:meth:`MachinePagePool.segments`).
 
-:class:`ColumnarMemCg` is a :class:`~repro.kernel.memcg.MemCg` whose
-arrays are numpy *views* into the pool: every inherited method —
-``allocate``/``release``/``touch``, zswap's tier flips, huge-page
-mapping — runs unchanged on the views and stays O(touched).  The pooled
-passes (:meth:`MachinePagePool.scan_all`,
-:meth:`MachinePagePool.reclaim_walk`, the touch pass
-:meth:`MachinePagePool.touch` and the batched
-:meth:`MachinePagePool.promote`, the accounting reductions) replay the
-exact per-slot arithmetic of the reference kernel's per-memcg walk
-(:mod:`repro.kernel.oracle`) as whole-pool array ops.
+:class:`MachinePagePool` owns and mutates every page.  A memcg
+(:class:`~repro.kernel.memcg.MemCg`) is a handle on one of its rows that
+:meth:`MachinePagePool.add` builds; page operations take a row or pool
+slots, and the handle's histograms read the pool's rows when accessed,
+so nothing outside the pool aliases its storage.  The pooled passes
+replay the exact per-slot arithmetic of the reference kernel
+(:mod:`repro.kernel.oracle`) as whole-pool array ops;
 :class:`~repro.kernel.oracle.ScalarPagePool` answers the same interface
-with that walk and is the bit-equivalence oracle
-(``MachineConfig(kernel="scalar")``), exactly as
-``CompiledTrace``/``replay_compiled`` oracle the vectorized model.
-Everything above the pool (machine, cluster, node agent, telemetry,
-faults, the parallel engine) calls only that interface.
+over self-contained memcgs and is the bit-equivalence oracle
+(``MachineConfig(kernel="scalar")``).  Everything above the pool
+(machine, cluster, node agent, telemetry, faults, the parallel engine)
+calls only that interface.
 """
 
 from __future__ import annotations
@@ -46,21 +42,25 @@ import numpy as np
 
 from repro.checks.contracts import verify_column_contracts
 from repro.checks.invariants import check_memcg_histogram, invariants_enabled
+from repro.common.errors import SimulationError
 from repro.common.units import MAX_PAGE_AGE_SCANS
+from repro.common.validation import check_positive, require
 from repro.core.histograms import AgeBins, AgeHistogram
-from repro.kernel.compression import sample_payloads
+from repro.kernel.compression import ContentProfile, sample_payloads
 from repro.kernel.memcg import (
     _FAR,
+    _NEAR,
     MemCg,
+    PageColumns,
     PageState,
     Promotion,
     touch_pages,
 )
 
-__all__ = ["ColumnarMemCg", "MachinePagePool", "PooledAgeHistogram"]
+__all__ = ["MachinePagePool"]
 
 #: Pool columns: (pool attribute, dtype, fill value for free slots).  The
-#: fill values equal a freshly constructed MemCg's defaults, so a new
+#: fill values equal a fresh reference memcg's arrays, so a new
 #: segment needs no initialization beyond ``owner_row``.  Each column is
 #: only as wide as its values: ages saturate at ``MAX_PAGE_AGE_SCANS``
 #: (the paper's 8-bit age), payloads never exceed ``PAGE_SIZE`` and
@@ -79,22 +79,6 @@ _PAGE_FIELDS: Tuple[Tuple[str, type, object], ...] = (
     ("lru_active", np.bool_, False),
     ("huge_group", np.int32, -1),
     ("owner_row", np.int32, -1),
-)
-
-#: memcg attribute -> pool column for the per-page views.  ``owner_row``
-#: is pool-internal; ``huge_group`` stays memcg-local (group ids are
-#: relative to the segment base) so segments move without translation.
-_VIEW_BINDINGS: Tuple[Tuple[str, str], ...] = (
-    ("resident", "resident"),
-    ("age_scans", "age_scans"),
-    ("accessed", "accessed"),
-    ("state", "state"),
-    ("incompressible", "incompressible"),
-    ("dirtied", "dirtied"),
-    ("unevictable", "unevictable"),
-    ("payload_bytes", "payload_bytes"),
-    ("lru_active", "lru_active"),
-    ("huge_group", "huge_group"),
 )
 
 #: Histogram bin of a slot holding no page in the scan's recount, below
@@ -137,90 +121,6 @@ COLUMN_CONTRACTS = {
 }
 
 
-class PooledAgeHistogram(AgeHistogram):
-    """An :class:`AgeHistogram` whose storage is one row of a pool matrix.
-
-    ``counts`` is a row view of the pool's ``(memcgs, bins)`` matrix, so
-    in-place updates (``+=``, ``[:] = 0``) — which is all the base class
-    ever does — write straight through to the pool.  ``young_count``
-    proxies one element of the pool's young-count vector.  ``copy()`` and
-    ``diff()`` inherit from the base class and return plain detached
-    :class:`AgeHistogram` objects, which is what every consumer (node
-    agent, telemetry, invariants) expects.
-    """
-
-    def __init__(self, bins: AgeBins, counts: np.ndarray,
-                 young: np.ndarray, row: int):
-        self.bins = bins
-        self.counts = counts
-        self._young = young
-        self._row = int(row)
-
-    @property
-    def young_count(self) -> int:
-        return int(self._young[self._row])
-
-    @young_count.setter
-    def young_count(self, value: int) -> None:
-        self._young[self._row] = value
-
-
-class ColumnarMemCg(MemCg):
-    """A memcg whose per-page arrays alias a :class:`MachinePagePool`.
-
-    Constructed like :class:`MemCg`, but with no page state of its own:
-    the owning machine registers it with the pool at once, and
-    :meth:`MachinePagePool.add` binds its arrays and histograms to a
-    segment and a histogram row.  All inherited behaviour is preserved
-    bit-for-bit — the views cover the same slots private arrays would.
-    """
-
-    #: The owning pool; assigned by :meth:`MachinePagePool.add`.
-    _pool: Optional["MachinePagePool"] = None
-
-    def _init_page_state(self) -> None:
-        # The pool binds segment views and pooled histogram rows in
-        # :meth:`MachinePagePool.add`; nothing is allocated here.
-        pass
-
-    # The reclaim threshold and zswap gate are written by the node agent
-    # once per control round but *read* by the pooled reclaim mask for
-    # every page on the machine.  Property setters mirror them into the
-    # pool's per-row encoded-threshold array so ``reclaim_walk`` gathers
-    # thresholds with one indexed load instead of a per-memcg Python walk.
-
-    @property
-    def cold_age_threshold(self) -> float:
-        return self._cold_age_threshold
-
-    @cold_age_threshold.setter
-    def cold_age_threshold(self, value: float) -> None:
-        self._cold_age_threshold = value
-        if self._pool is not None:
-            self._pool.refresh_row_threshold(self)
-
-    @property
-    def zswap_enabled(self) -> bool:
-        return self._zswap_enabled
-
-    @zswap_enabled.setter
-    def zswap_enabled(self, value: bool) -> None:
-        self._zswap_enabled = value
-        if self._pool is not None:
-            self._pool.refresh_row_threshold(self)
-
-    def __getstate__(self):
-        # The views alias pool storage: pickling them would ship detached
-        # copies (and double the payload).  Drop them — the pool carries
-        # the data, and ``Machine.__setstate__`` rebinds on arrival.
-        state = self.__dict__.copy()
-        for attr, _field in _VIEW_BINDINGS:
-            state.pop(attr, None)
-        state.pop("cold_age_histogram", None)
-        state.pop("promotion_histogram", None)
-        return state
-
-
 class MachinePagePool:
     """Columnar storage for the page state of every memcg of one
     standalone machine, or of every machine of one cluster.
@@ -235,8 +135,6 @@ class MachinePagePool:
         bins: the fleet-wide candidate-threshold grid.
         scan_period: the machine's kstaled period (uniform across memcgs).
     """
-
-    memcg_class = ColumnarMemCg
 
     def __init__(self, bins: AgeBins, scan_period: int):
         self.bins = bins
@@ -258,9 +156,9 @@ class MachinePagePool:
         self.promo_young = np.zeros(0, dtype=np.int64)
         #: Per-row reclaim threshold in scans, pre-encoded: ``_NEVER_SCANS``
         #: while zswap is disabled or the threshold is non-finite.  Kept in
-        #: sync by the :class:`ColumnarMemCg` property setters.
+        #: sync by the :class:`~repro.kernel.memcg.MemCg` knob setters.
         self.row_reclaim_thr = np.full(0, _NEVER_SCANS, dtype=np.int64)
-        self.row_memcg: List[Optional[ColumnarMemCg]] = []
+        self.row_memcg: List[Optional[MemCg]] = []
         self._free_rows: List[int] = []
         #: Per-row resident-page counts from the most recent
         #: :meth:`scan_all` — the scan round sums these per machine to book
@@ -282,8 +180,12 @@ class MachinePagePool:
     # Segment lifecycle
     # ------------------------------------------------------------------
 
-    def add(self, memcg: ColumnarMemCg) -> None:
-        """Claim a segment + histogram row for a new memcg and bind views."""
+    def add(self, job_id: str, capacity_pages: int,
+            content_profile: ContentProfile,
+            rng: np.random.Generator) -> MemCg:
+        """Claim a segment and a histogram row for a new memcg; returns
+        the memcg, a handle on the row."""
+        memcg = MemCg(job_id, capacity_pages, content_profile, self.bins, rng)
         n = memcg.capacity_pages
         if self.used + n > self._cap:
             self._grow_pages(max(self._cap * 2, self.used + n, 4096))
@@ -295,7 +197,7 @@ class MachinePagePool:
         self.row_base[row] = base
         self.row_size[row] = n
         self.row_memcg[row] = memcg
-        memcg._pool_row = row
+        memcg.row = row
         memcg._pool = self
         # Free slots already carry construction defaults; only ownership
         # and the histogram row need (re)setting.
@@ -304,24 +206,20 @@ class MachinePagePool:
         self.cold_young[row] = 0
         self.promo_counts[row, :] = 0
         self.promo_young[row] = 0
-        self.bind(memcg)
+        self.refresh_row_threshold(memcg)
+        return memcg
 
-    def remove(self, memcg: ColumnarMemCg) -> None:
+    def remove(self, memcg: MemCg) -> None:
         """Release a memcg's segment, compacting the pool behind it.
 
-        The departing memcg keeps private *copies* of its final state, so
-        late readers (job stats, tests) see a frozen snapshot rather than
-        recycled pool slots.
+        The departing memcg keeps copies of its final histograms, so late
+        readers (job stats, tests) see a frozen snapshot rather than a
+        recycled row.
         """
-        row = memcg._pool_row
+        row = memcg.row
         base = int(self.row_base[row])
         size = int(self.row_size[row])
-        for attr, _field in _VIEW_BINDINGS:
-            setattr(memcg, attr, getattr(memcg, attr).copy())
-        memcg.cold_age_histogram = memcg.cold_age_histogram.copy()
-        memcg.promotion_histogram = memcg.promotion_histogram.copy()
-        memcg._pool_row = -1
-        memcg._pool = None
+        memcg._detach()
 
         tail = self.used - (base + size)
         if tail:
@@ -341,24 +239,8 @@ class MachinePagePool:
         self.row_reclaim_thr[row] = _NEVER_SCANS
         self.row_memcg[row] = None
         self._free_rows.append(row)
-        self._rebind_from(base)
 
-    def bind(self, memcg: ColumnarMemCg) -> None:
-        """(Re)point one memcg's arrays and histograms at its segment."""
-        row = memcg._pool_row
-        base = int(self.row_base[row])
-        end = base + int(self.row_size[row])
-        for attr, field in _VIEW_BINDINGS:
-            setattr(memcg, attr, getattr(self, field)[base:end])
-        memcg.cold_age_histogram = PooledAgeHistogram(
-            self.bins, self.cold_counts[row], self.cold_young, row
-        )
-        memcg.promotion_histogram = PooledAgeHistogram(
-            self.bins, self.promo_counts[row], self.promo_young, row
-        )
-        self.refresh_row_threshold(memcg)
-
-    def refresh_row_threshold(self, memcg: "ColumnarMemCg") -> None:
+    def refresh_row_threshold(self, memcg: MemCg) -> None:
         """Re-encode one memcg's reclaim threshold into the row array.
 
         Encodes exactly the gate the reference walk applies per call:
@@ -368,36 +250,25 @@ class MachinePagePool:
         scans (ceil), clamped so the encoded value always fits the
         sentinel.
         """
-        threshold = memcg._cold_age_threshold
-        if not memcg._zswap_enabled or not math.isfinite(threshold):
+        threshold = memcg.cold_age_threshold
+        if not memcg.zswap_enabled or not math.isfinite(threshold):
             encoded = _NEVER_SCANS
         else:
             encoded = min(
                 math.ceil(threshold / self.scan_period), _NEVER_SCANS
             )
-        self.row_reclaim_thr[memcg._pool_row] = encoded
+        self.row_reclaim_thr[memcg.row] = encoded
 
-    #: True while the memcg views may alias dead storage (set on pickle,
-    #: cleared by :meth:`rebind_all`).  Lets the many machines sharing a
-    #: cluster's pool rebind it exactly once after unpickling.
-    _views_stale = False
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_views_stale"] = True
-        return state
-
-    def rebind_all(self) -> None:
-        """Rebind every live memcg (after unpickling or storage growth)."""
-        for memcg in self.row_memcg:
-            if memcg is not None:
-                self.bind(memcg)
-        self._views_stale = False
-
-    def _rebind_from(self, floor_base: int) -> None:
-        for memcg in self.row_memcg:
-            if memcg is not None and self.row_base[memcg._pool_row] >= floor_base:
-                self.bind(memcg)
+    def row_histogram(self, row: int, promotion: bool) -> AgeHistogram:
+        """A copy of one row's promotion (or cold-age) histogram."""
+        counts, young = (
+            (self.promo_counts, self.promo_young) if promotion
+            else (self.cold_counts, self.cold_young)
+        )
+        hist = AgeHistogram(self.bins)
+        hist.counts = counts[row].copy()
+        hist.young_count = int(young[row])
+        return hist
 
     @property
     def memcg_count(self) -> int:
@@ -437,7 +308,6 @@ class MachinePagePool:
             fresh[: self.used] = old[: self.used]
             setattr(self, name, fresh)
         self._cap = new_cap
-        self.rebind_all()
 
     def _grow_rows(self, new_row_cap: int) -> None:
         n = self._n_rows
@@ -454,7 +324,106 @@ class MachinePagePool:
             fresh[:n] = getattr(self, name)[:n]
             setattr(self, name, fresh)
         self._row_cap = new_row_cap
-        self.rebind_all()
+
+    # ------------------------------------------------------------------
+    # Row-addressed page operations (memcg-local page indices)
+    # ------------------------------------------------------------------
+
+    def _base(self, row: int) -> int:
+        return int(self.row_base[row])
+
+    def allocate(self, row: int, n_pages: int) -> np.ndarray:
+        """Allocate ``n_pages`` new pages in a row's lowest free slots;
+        returns their memcg-local indices.  New pages are NEAR, age 0,
+        accessed and dirtied by the allocating store, active, with
+        payloads drawn from the memcg's stream.  Raises
+        :class:`SimulationError` when the memcg lacks free slots (the
+        machine enforces memory limits before allocating)."""
+        if n_pages == 0:
+            return np.zeros(0, dtype=np.int64)
+        memcg = self.row_memcg[row]
+        base = self._base(row)
+        free = np.flatnonzero(~self.resident[base : base + memcg.capacity_pages])
+        if free.size < n_pages:
+            raise SimulationError(
+                f"memcg {memcg.job_id}: requested {n_pages} pages but only "
+                f"{free.size} slots free of {memcg.capacity_pages}"
+            )
+        idx = free[:n_pages]
+        slots = idx + base
+        for name in ("resident", "accessed", "lru_active", "dirtied"):
+            getattr(self, name)[slots] = True
+        for name in ("incompressible", "unevictable"):
+            getattr(self, name)[slots] = False
+        self.age_scans[slots] = 0
+        self.state[slots] = _NEAR
+        self.payload_bytes[slots] = memcg.content_profile.sample_payload_bytes(
+            n_pages, memcg._rng
+        )
+        return idx
+
+    def release(self, row: int, indices: np.ndarray) -> np.ndarray:
+        """Free a row's pages; returns the pool slots of those that were
+        far, whose payloads the caller drops from the zswap arena.  A
+        huge mapping holding a freed page splits, as Linux splits a THP
+        on a partial unmap."""
+        slots = np.asarray(indices, dtype=np.int64) + self._base(row)
+        if slots.size == 0:
+            return slots
+        require(bool(self.resident[slots].all()), "releasing non-resident pages")
+        far = slots[self.state[slots] == _FAR]
+        self.split_huge_at(slots)
+        self.resident[slots] = False
+        self.accessed[slots] = False
+        self.state[slots] = _NEAR
+        return far
+
+    def map_huge(self, row: int, start: int,
+                 pages_per_huge: int = 512) -> None:
+        """Back a row's ``[start, start + pages_per_huge)``, all resident
+        NEAR pages in no other mapping, with one huge mapping: one PTE
+        accessed/dirty bit for all of them at scan time."""
+        check_positive(pages_per_huge, "pages_per_huge")
+        stop = start + pages_per_huge
+        require(
+            0 <= start and stop <= self.row_size[row],
+            f"huge range [{start}, {stop}) outside the memcg",
+        )
+        base = self._base(row)
+        window = slice(base + start, base + stop)
+        if not (self.resident[window].all()
+                and (self.state[window] == _NEAR).all()):
+            raise SimulationError(
+                f"huge range [{start}, {stop}) must be fully resident NEAR"
+            )
+        if (self.huge_group[window] >= 0).any():
+            raise SimulationError(
+                f"huge range [{start}, {stop}) overlaps an existing mapping"
+            )
+        self.huge_group[window] = start
+
+    def mlock(self, row: int, indices: np.ndarray) -> None:
+        """Pin a row's pages: they leave the LRU and are never compressed."""
+        self.unevictable[np.asarray(indices) + self._base(row)] = True
+
+    def munlock(self, row: int, indices: np.ndarray) -> None:
+        """Unpin a row's previously mlocked pages."""
+        self.unevictable[np.asarray(indices) + self._base(row)] = False
+
+    def far_slots(self, rows: Sequence[int]) -> np.ndarray:
+        """The pool slots of ``rows``' far pages, row by row, ascending."""
+        res, state = self.resident, self.state
+        return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            seg.start + np.flatnonzero(res[seg] & (state[seg] == _FAR))
+            for seg in self._segments_of(rows)
+        ])
+
+    def row_pages(self, row: int) -> PageColumns:
+        """Copies of one row's per-page columns, by memcg-local index."""
+        seg = self._segments_of([row])[0]
+        return PageColumns(*[
+            getattr(self, name)[seg].copy() for name in PageColumns._fields
+        ])
 
     # ------------------------------------------------------------------
     # Pooled accounting reductions (replace per-memcg Python sums)
@@ -573,8 +542,8 @@ class MachinePagePool:
         Skips slots holding no page, sets the accessed bits (and the
         dirtied bits for a write), and flips the far pages NEAR, so a
         later pass finds them near.  Returns those far slots, each once,
-        in first-occurrence order.  Segments are disjoint, so this is
-        :meth:`MemCg.touch` and ``mark_near`` on each memcg's share.
+        in first-occurrence order.  Segments are disjoint, so this is the
+        reference memcg's ``touch`` and ``mark_near`` on each memcg's share.
         """
         far = touch_pages(self, slots, write)
         self.state[far] = PageState.NEAR
@@ -589,9 +558,9 @@ class MachinePagePool:
         """Account faulted pool slots as promotions in one pool pass.
 
         ``slots`` are grouped by ``promotions``, one ``(memcg, pages)``
-        entry per run.  The pooled twin of ``mark_near`` plus
-        :meth:`MemCg.record_promotions`: one state write, one age reset,
-        and one ``bincount`` into the promotion-histogram rows (from the
+        entry per run.  The pooled twin of the reference memcg's
+        ``mark_near`` plus ``record_promotions``: one state write, one age
+        reset, and one ``bincount`` into the promotion-histogram rows (from the
         pre-reset ages, like :meth:`scan_all`); the per-memcg counters
         advance in order.
         """
@@ -705,7 +674,7 @@ class MachinePagePool:
         del near
         if dirty_idx.size:
             self.incompressible[dirty_idx] = False
-            rows = [memcg._pool_row for memcg in memcg_list]
+            rows = [memcg.row for memcg in memcg_list]
             bases = self.row_base[rows]
             los = np.searchsorted(dirty_idx, bases).tolist()
             his = np.searchsorted(dirty_idx, bases + self.row_size[rows]).tolist()
@@ -728,7 +697,7 @@ class MachinePagePool:
 
         if invariants_enabled():
             for memcg in memcg_list:
-                check_memcg_histogram(memcg)
+                check_memcg_histogram(self, memcg)
         return int(self.last_scan_row_pages.sum())
 
     def _propagate_huge_bits_pooled(self, u: int, res: np.ndarray) -> None:
@@ -829,7 +798,7 @@ class MachinePagePool:
         if cand.size == 0:
             return cand, cand
         rank = np.full(len(self.row_memcg), -1, dtype=np.int64)
-        rank[[memcg._pool_row for memcg in memcgs]] = np.arange(len(memcgs))
+        rank[[memcg.row for memcg in memcgs]] = np.arange(len(memcgs))
         ranks = rank[self.owner_row[cand]]
         # Rows outside ``memcgs`` (another pool user's) take no part.
         if ranks.min() < 0:
@@ -843,6 +812,37 @@ class MachinePagePool:
         ))
         return cand[order], ranks[order]
 
+    def direct_reclaim_walk(
+        self, rows: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every reclaimable page of ``rows`` as pool slots, in the order
+        direct reclaim takes them: row by row in ``rows`` order, oldest
+        first, ties by ascending slot.
+
+        Direct reclaim has no cold-age threshold and no list preference:
+        one mask over the rows' segments (resident, NEAR, evictable,
+        compressible) and one stable ``lexsort`` keyed by (rank, age)
+        give every memcg's order at once.
+
+        Returns:
+            ``(slots, ranks)``: the candidate slots, and for each the
+            index in ``rows`` of its owner (non-decreasing).
+        """
+        segs = self._segments_of(rows)
+        slots = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            np.arange(seg.start, seg.stop) for seg in segs
+        ])
+        ranks = np.repeat(np.arange(len(segs)),
+                          [seg.stop - seg.start for seg in segs])
+        keep = self.resident[slots] & (self.state[slots] == _NEAR)
+        keep &= ~self.unevictable[slots]
+        keep &= ~self.incompressible[slots]
+        slots, ranks = slots[keep], ranks[keep]
+        order = np.lexsort((
+            np.subtract(MAX_PAGE_AGE_SCANS, self.age_scans[slots]), ranks,
+        ))
+        return slots[order], ranks[order]
+
     # ------------------------------------------------------------------
     # Pooled zswap store (tier flips over pool slots)
     # ------------------------------------------------------------------
@@ -852,14 +852,15 @@ class MachinePagePool:
         self.incompressible[slots] = True
 
     def mark_far(self, slots: np.ndarray) -> None:
-        """Move pool slots to the FAR tier: :meth:`MemCg.mark_far` on
-        every owner's share."""
+        """Move pool slots to the FAR tier (the reference memcg's
+        ``mark_far`` on every owner's share)."""
         self.state[slots] = PageState.FAR
         self.dirtied[slots] = False
 
     def split_huge_at(self, slots: np.ndarray) -> None:
         """Split every huge mapping holding one of ``slots`` back to base
-        pages (:meth:`MemCg.split_huge_at` on every owner's share).
+        pages (the reference memcg's ``split_huge_at`` on every owner's
+        share).
 
         Group ids plus the owner's segment base are pool-global, so one
         membership test over the pool's huge pages finds every page of

@@ -14,13 +14,13 @@ reclaims a job below its soft limit.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.common.units import PAGE_SIZE
-from repro.kernel.memcg import MemCg, PageState
-from repro.kernel.zswap import Zswap
+from repro.kernel.memcg import MemCg
+from repro.kernel.zswap import Zswap, compress_rounds
 
 __all__ = ["DirectReclaim"]
 
@@ -41,62 +41,55 @@ class DirectReclaim:
         self.stall_seconds_total = 0.0
 
     def reclaim(
-        self, memcgs: Iterable[MemCg], needed_bytes: int
+        self, pool, memcgs: Sequence[MemCg], needed_bytes: int
     ) -> Tuple[int, float]:
         """Compress pages until ~``needed_bytes`` of DRAM can be released.
 
         Walks memcgs' LRU tails oldest-first, skipping pages protected by
         soft limits.  Unlike kreclaimd there is no cold-age threshold: under
         memory pressure the kernel takes whatever is least recently used.
+        Each pass over ``memcgs`` (the machine's, in visiting order) reads
+        their ``pool`` once: near pages, and every candidate in order
+        (``pool.direct_reclaim_walk``).  A memcg's store changes only its
+        own pages, so the pass's order holds for each.
 
         Returns:
             ``(bytes_freed_estimate, stall_seconds)`` — freed bytes are
             estimated as (page size - payload) per stored page.
         """
         self.invocations += 1
+        rows = [memcg.row for memcg in memcgs]
         freed = 0
         stall = 0.0
         progress = True
         while freed < needed_bytes and progress:
             progress = False
-            for memcg in memcgs:
+            near = pool.tier_pages(rows)[:, 0].tolist()
+            slots, ranks = pool.direct_reclaim_walk(rows)
+            bounds = np.searchsorted(ranks, np.arange(len(rows) + 1)).tolist()
+            for rank, memcg in enumerate(memcgs):
                 if freed >= needed_bytes:
                     break
                 protected = max(0, memcg.soft_limit_pages)
-                reclaimable = memcg.near_pages - protected
-                if reclaimable <= 0:
+                reclaimable = near[rank] - protected
+                candidates = slots[bounds[rank] : bounds[rank + 1]]
+                if reclaimable <= 0 or candidates.size == 0:
                     continue
-                mask = (
-                    memcg.resident
-                    & (memcg.state == PageState.NEAR)
-                    & ~memcg.unevictable
-                    & ~memcg.incompressible
-                )
-                candidates = np.flatnonzero(mask)
-                if candidates.size == 0:
-                    continue
-                # Sorted as int32, the reference memcg's width: the
-                # default sort orders ties differently for other dtypes.
-                order = np.argsort(
-                    memcg.age_scans[candidates].astype(np.int32)
-                )[::-1]
-                candidates = candidates[order][:reclaimable]
                 # Take roughly what is still needed assuming ~3x compression,
                 # then measure the true footprint delta; the outer loop
                 # retries if compression under-delivered.
                 still_needed_pages = int(
                     np.ceil((needed_bytes - freed) / (PAGE_SIZE * 2 / 3))
                 )
-                candidates = candidates[: max(1, still_needed_pages)]
+                candidates = candidates[: min(reclaimable,
+                                              max(1, still_needed_pages))]
                 footprint_before = self.zswap.arena.footprint_bytes
-                before_seconds = self.zswap.stats_for(
-                    memcg.job_id
-                ).compress_seconds
-                stored = self.zswap.compress(memcg, candidates)
-                stall += (
-                    self.zswap.stats_for(memcg.job_id).compress_seconds
-                    - before_seconds
-                )
+                stats = self.zswap.stats_for(memcg.job_id)
+                before_seconds = stats.compress_seconds
+                stored = compress_rounds(pool, candidates, [
+                    (self.zswap, [(memcg, 0, int(candidates.size))])
+                ])[0]
+                stall += stats.compress_seconds - before_seconds
                 footprint_added = (
                     self.zswap.arena.footprint_bytes - footprint_before
                 )

@@ -237,7 +237,7 @@ class Machine:
 
     def _rows(self) -> List[int]:
         """This machine's pool rows, in job-arrival order."""
-        return [m._pool_row for m in pool_memcgs([self])]
+        return [m.row for m in pool_memcgs([self])]
 
     @property
     def near_bytes(self) -> int:
@@ -260,6 +260,11 @@ class Machine:
         """Pages currently stored compressed, machine-wide."""
         return int(self.pool.tier_pages(self._rows())[:, 1].sum())
 
+    @property
+    def resident_pages(self) -> int:
+        """Pages resident near or far, machine-wide."""
+        return int(self.pool.tier_pages(self._rows()).sum())
+
     def saved_bytes(self) -> int:
         """DRAM reclaimed by compression: far bytes minus arena footprint."""
         return self.far_pages * PAGE_SIZE - self.arena.footprint_bytes
@@ -281,18 +286,12 @@ class Machine:
         """Create a memcg for a newly scheduled job."""
         require(job_id not in self.memcgs, f"job {job_id} already on machine")
         profile = content_profile if content_profile is not None else ContentProfile()
-        memcg = self.pool.memcg_class(
-            job_id=job_id,
-            capacity_pages=capacity_pages,
-            content_profile=profile,
-            bins=self.bins,
-            rng=self._seeds.stream("payload",
-                                   machine=seed_index(self.machine_id, 16),
-                                   job=seed_index(job_id, 24)),
-            scan_period=self.config.scan_period,
+        memcg = self.pool.add(
+            job_id, capacity_pages, profile,
+            self._seeds.stream("payload",
+                               machine=seed_index(self.machine_id, 16),
+                               job=seed_index(job_id, 24)),
         )
-        self.pool.add(memcg)
-        memcg.start_time = self.now
         memcg.promoted_counter = self._m_promoted
         # Proactive mode: zswap is enabled per job after warm-up by the node
         # agent; reactive/off modes never run kreclaimd so the flag is moot.
@@ -307,8 +306,9 @@ class Machine:
         memcg = self.memcgs.pop(job_id, None)
         if memcg is None:
             raise SimulationError(f"job {job_id} not on machine {self.machine_id}")
-        far = np.flatnonzero(memcg.far_mask())
-        self.zswap.evict_job(memcg, far)
+        self.zswap.evict_job(
+            self.pool.payloads(self.pool.far_slots([memcg.row]))
+        )
         self.pool.remove(memcg)
         self.events.record(self.now, EventKind.MACHINE_JOB_REMOVED, job=job_id,
                            machine=self.machine_id)
@@ -343,7 +343,8 @@ class Machine:
             and self.config.mode is FarMemoryMode.REACTIVE
         ):
             freed, stall = self.direct_reclaim.reclaim(
-                self.memcgs.values(), needed + watermark - free
+                self.pool, list(self.memcgs.values()),
+                needed + watermark - free,
             )
             self.events.record(
                 self.now, EventKind.MACHINE_DIRECT_RECLAIM, job=job_id,
@@ -355,13 +356,12 @@ class Machine:
                 f"machine {self.machine_id}: {n_pages} pages requested, "
                 f"{free // PAGE_SIZE} free"
             )
-        return memcg.allocate(n_pages)
+        return self.pool.allocate(memcg.row, n_pages)
 
     def release(self, job_id: str, indices: np.ndarray) -> None:
         """Free pages, dropping any compressed copies from the arena."""
-        memcg = self._memcg(job_id)
-        far = memcg.release(indices)
-        self.zswap.evict_job(memcg, far)
+        far = self.pool.release(self._memcg(job_id).row, indices)
+        self.zswap.evict_job(self.pool.payloads(far))
 
     def touch(self, job_id: str, indices: np.ndarray, write: bool = False) -> int:
         """Access one job's pages; a one-item :meth:`touch_jobs`.
@@ -389,7 +389,7 @@ class Machine:
         reads: List[np.ndarray] = []
         writes: List[np.ndarray] = []
         for job_id, indices, write in touches:
-            base = int(self.pool.row_base[self._memcg(job_id)._pool_row])
+            base = int(self.pool.row_base[self._memcg(job_id).row])
             (writes if write else reads).append(
                 np.asarray(indices, dtype=np.int64) + base
             )
@@ -410,16 +410,6 @@ class Machine:
         if self.config.mode is not FarMemoryMode.PROACTIVE:
             return 0
         return reclaim_machines([self])[0]
-
-    def __setstate__(self, state: dict) -> None:
-        # The parallel engine ships machines by pickle.  Columnar memcgs
-        # arrive without their views (``ColumnarMemCg.__getstate__``), so
-        # rebind them to the pool here; the staleness flag makes a pool
-        # shared by many machines rebind once.  The reference pool has
-        # no views.
-        self.__dict__.update(state)
-        if getattr(self.pool, "_views_stale", False):
-            self.pool.rebind_all()
 
     def _memcg(self, job_id: str) -> MemCg:
         memcg = self.memcgs.get(job_id)
@@ -447,7 +437,7 @@ def machine_sums(machines: Sequence[Machine],
                  per_row: np.ndarray) -> np.ndarray:
     """Sum a per-pool-row array (1-D or 2-D) over each machine's memcgs:
     one gather in machine-major order, one prefix sum."""
-    rows = [m._pool_row for m in pool_memcgs(machines)]
+    rows = [m.row for m in pool_memcgs(machines)]
     sizes = [len(machine.memcgs) for machine in machines]
     ends = np.cumsum(sizes)
     prefix = np.zeros((len(rows) + 1,) + per_row.shape[1:], dtype=np.int64)
@@ -563,7 +553,7 @@ def touch_machines(machines: Sequence[Machine], reads: np.ndarray,
                            [len(machine.memcgs) for machine in machines])
     # Pair key: twice the memcg's rank, plus one for writes.
     rank = np.zeros(len(pool.row_memcg), dtype=np.int64)
-    rank[[memcg._pool_row for memcg in memcgs]] = np.arange(
+    rank[[memcg.row for memcg in memcgs]] = np.arange(
         0, 2 * len(memcgs), 2
     )
     key = rank[pool.owner_row[far]]

@@ -9,14 +9,15 @@ All CPU time spent compressing, decompressing, and *failing* to compress
 (the wasted cycles on incompressible data the paper calls out in §3.2) is
 accounted per job, which is what Fig. 8 plots.
 
-Stores and promotions arrive as rounds over every machine of a page
-pool.  A store round (:func:`compress_rounds`, after kreclaimd's walk)
-makes one payload gather and one tier flip for the pool, and one arena
-store and one span per machine; :meth:`Zswap.compress` is a round of
-one.  A promotion round (:func:`decompress_rounds`, after the pool's own
-promotion pass) makes one latency-model call and one size-class
-grouping, then one arena release and one span per machine;
-:meth:`Zswap.decompress` is a round of one.
+Stores and promotions arrive as rounds over machines of one page pool.
+A store round (:func:`compress_rounds`, after kreclaimd's walk or a
+direct reclaim's) makes one payload gather and one tier flip for the
+pool, and one arena store and one span per machine.  A promotion round
+(:func:`decompress_rounds`, after the pool's own promotion pass) makes
+one latency-model call and one size-class grouping, then one arena
+release and one span per machine.  A reference memcg can stand in
+for the pool as a store round's page space
+(:func:`repro.kernel.oracle.run_kreclaimd`).
 """
 
 from __future__ import annotations
@@ -186,22 +187,6 @@ class Zswap:
     # Store path (kreclaimd -> zswap)
     # ------------------------------------------------------------------
 
-    def compress(self, memcg: MemCg, indices: np.ndarray) -> int:
-        """Try to move the given NEAR pages to far memory.
-
-        Pages whose payload exceeds the cutoff are marked incompressible
-        and stay NEAR (their compression cycles are still charged — that is
-        the opportunity cost §3.2 describes).  Returns the number of pages
-        actually stored.  A :func:`compress_rounds` round of one, with
-        the memcg as its page space.
-        """
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            return 0
-        return compress_rounds(
-            memcg, indices, [(self, [(memcg, 0, int(indices.size))])]
-        )[0]
-
     def _store_capped(self, runs: Sequence[StoreRun], payloads: np.ndarray,
                       stored: np.ndarray, rejected: np.ndarray) -> int:
         """This machine's share of a capped :func:`compress_rounds`;
@@ -274,26 +259,6 @@ class Zswap:
     # Load path (page fault -> zswap)
     # ------------------------------------------------------------------
 
-    def decompress(self, memcg: MemCg, indices: np.ndarray) -> float:
-        """Fault one memcg's far pages back to near memory (promotion).
-
-        Pages are removed from the arena, flipped to NEAR, and kept
-        decompressed (the paper avoids repeated decompression by leaving
-        promoted pages uncompressed until they turn cold again).  A
-        :func:`decompress_rounds` round of one, after the memcg's own
-        ``mark_near`` and ``record_promotions``; returns the total
-        decompression latency incurred.
-        """
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            return 0.0
-        payloads = memcg.payload_bytes[indices]
-        memcg.mark_near(indices)
-        memcg.record_promotions(indices)
-        return decompress_rounds(
-            [(self, [(memcg, int(indices.size))])], payloads
-        )
-
     def _sample_latencies(
         self, stats: ZswapJobStats, latencies: np.ndarray
     ) -> None:
@@ -328,12 +293,11 @@ class Zswap:
     # Teardown path (job exit)
     # ------------------------------------------------------------------
 
-    def evict_job(self, memcg: MemCg, far_indices: np.ndarray) -> None:
-        """Drop a dying job's far pages from the arena without promoting."""
-        far_indices = np.asarray(far_indices)
-        if far_indices.size == 0:
-            return
-        self.arena.release(memcg.payload_bytes[far_indices])
+    def evict_job(self, payloads: np.ndarray) -> None:
+        """Drop freed far pages, given their payload sizes, from the arena
+        without promoting them."""
+        if payloads.size:
+            self.arena.release(payloads)
 
 
 def compress_rounds(
@@ -342,10 +306,12 @@ def compress_rounds(
 ) -> List[int]:
     """zswap's half of one reclaim pass over many machines.
 
-    kreclaimd has listed the attempted pages (walk order, budgets
-    spent); this stores them.  One payload gather and one cutoff mask
-    cover every machine, each page compared against its own machine's
-    ``max_payload_bytes``.  Uncapped, the pool's footprint decides
+    kreclaimd (or direct reclaim) has listed the attempted pages (walk
+    order, budgets spent); this stores them.  One payload gather and one
+    cutoff mask cover every machine, each page compared against its own
+    machine's ``max_payload_bytes``; a page over it stays NEAR, marked
+    incompressible, and its compression cycles are still charged (the
+    opportunity cost §3.2 describes).  Uncapped, the pool's footprint decides
     nothing: one reduction per run gives every memcg's counts, one
     size-class grouping covers every machine, and each machine makes one
     ``arena.store`` (storing A then B leaves the arena as storing A ∪ B
@@ -354,12 +320,11 @@ def compress_rounds(
     its jobs' stats in walk order inside one ``zswap.compress`` span.
     Last, one ``mark_incompressible`` flags every rejected page, one
     ``mark_far`` moves every stored one, and one ``split_huge_at`` splits
-    the huge mappings they hit: the same state as one
-    :meth:`Zswap.compress` call per memcg.
+    the huge mappings they hit: the same state as one store per memcg.
 
     Args:
         pages: the page space ``slots`` index -- a page pool, or one
-            memcg for :meth:`Zswap.compress`.
+            reference memcg (:func:`repro.kernel.oracle.compress`).
         slots: the attempted pages, memcg by memcg in walk order.
         rounds: ``(zswap, runs)`` per machine, in walk order; each run
             ``(memcg, lo, hi)`` is one memcg's non-empty share
@@ -429,7 +394,7 @@ def decompress_rounds(
     pair in order, advances the
     job's stats, its decompress-CPU counter and its latency reservoir,
     all inside one ``zswap.decompress`` span: the same slices, sums and
-    draws as one :meth:`Zswap.decompress` call per pair.
+    draws as one decompression per pair.
 
     Args:
         rounds: ``(zswap, pairs)`` per machine, in fault order.

@@ -171,9 +171,9 @@ class BigtableApp:
         noise = self._rng.normal(0.0, self.config.ipc_noise_sigma)
         user_ipc = self.config.base_ipc * (1.0 - stall_fraction) * (1.0 + noise)
 
-        memcg = self.machine.memcgs[self.job_id]
-        cold = memcg.cold_pages(self.machine.bins.min_threshold)
-        coverage = (memcg.far_pages / cold) if cold else 0.0
+        rows, pool = [self.machine.memcgs[self.job_id].row], self.machine.pool
+        cold = int(pool.cold_pages(self.machine.bins.min_threshold, rows)[0])
+        coverage = (int(pool.tier_pages(rows)[0, 1]) / cold) if cold else 0.0
 
         sample = BigtableMetricSample(
             time=now,

@@ -23,7 +23,7 @@ def pytest_configure(config: pytest.Config) -> None:
 from repro.core.histograms import AgeBins, default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.machine import Machine, MachineConfig
-from repro.kernel.memcg import MemCg
+from repro.kernel.oracle import ReferenceMemCg
 
 
 @pytest.fixture
@@ -51,9 +51,9 @@ def compressible_profile() -> ContentProfile:
 
 
 @pytest.fixture
-def memcg(bins, rng, compressible_profile) -> MemCg:
-    """A small memcg with 1000 fully-compressible page slots."""
-    return MemCg(
+def memcg(bins, rng, compressible_profile) -> ReferenceMemCg:
+    """A small reference memcg with 1000 fully-compressible page slots."""
+    return ReferenceMemCg(
         job_id="test-job",
         capacity_pages=1000,
         content_profile=compressible_profile,

@@ -114,8 +114,9 @@ def test_histogram_reset_event_on_bin_change():
     new_bins = AgeBins(thresholds=(120, 600, 3600))
     assert new_bins.thresholds != memcg.bins.thresholds
     memcg.bins = new_bins
-    memcg.promotion_histogram = AgeHistogram(new_bins)
-    memcg.cold_age_histogram = AgeHistogram(new_bins)
+    # The memcg leaves the pool's histogram rows for ones on the new grid.
+    memcg._own_histograms = (AgeHistogram(new_bins), AgeHistogram(new_bins))
+    memcg._pool = None
     exporter.export(600)
 
     resets = events.of_kind("telemetry.histogram_reset")

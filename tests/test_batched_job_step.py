@@ -27,6 +27,7 @@ from repro.kernel.zswap import ZswapJobStats
 from repro.obs import MetricRegistry, Tracer
 from repro.workloads.access_patterns import AccessPattern
 from repro.workloads.job_generator import FleetMixGenerator
+from tests.pool_pages import store_pages, write_pages
 
 _PROFILE = ContentProfile(incompressible_fraction=0.1, min_ratio=1.3)
 _JOB_PAGES = 96
@@ -64,9 +65,11 @@ def _populate(machine, n_jobs, rng):
         job = f"job-{j}"
         machine.add_job(job, _JOB_PAGES, _PROFILE)
         slots = machine.allocate(job, _JOB_PAGES)
-        machine.memcgs[job].age_scans[slots] = rng.integers(0, 40, slots.size)
+        memcg = machine.memcgs[job]
+        write_pages(machine.pool, memcg, "age_scans",
+                    rng.integers(0, 40, slots.size), slots)
         far = np.sort(rng.choice(slots, size=_JOB_PAGES // 2, replace=False))
-        machine.zswap.compress(machine.memcgs[job], far)
+        store_pages(machine, memcg, far)
 
 
 def _touches(rng, n_jobs):
@@ -82,6 +85,12 @@ def _touches(rng, n_jobs):
         ]))
         touches += [(f"job-{j}", reads, False), (f"job-{j}", writes, True)]
     return touches
+
+
+def _far(machine, memcg):
+    """A memcg's far-page mask, read from its pool row."""
+    pages = machine.pool.row_pages(memcg.row)
+    return pages.resident & (pages.state == PageState.FAR)
 
 
 def _per_job_sequence(machine, touches):
@@ -111,8 +120,9 @@ def _state(machine):
     jobs = {}
     for job_id, memcg in machine.memcgs.items():
         stats = machine.zswap.stats_for(job_id)
+        pages = machine.pool.row_pages(memcg.row)
         jobs[job_id] = (
-            tuple(np.asarray(getattr(memcg, attr), np.int64).tobytes()
+            tuple(np.asarray(getattr(pages, attr), np.int64).tobytes()
                   for attr in ("resident", "age_scans", "accessed", "state",
                                "dirtied", "payload_bytes", "lru_active")),
             memcg.promotion_histogram.counts.tobytes(),
@@ -171,8 +181,8 @@ class TestBatchEqualsPerJobSequence:
         for _ in range(5):
             touches = _touches(rng, self.N_JOBS)
             far_before = {
-                job: batched.memcgs[job].far_mask().copy()
-                for job in batched.memcgs
+                job: _far(batched, memcg)
+                for job, memcg in batched.memcgs.items()
             }
             promoted = batched.touch_jobs(touches)
             _per_job_sequence(sequential, touches)
@@ -180,33 +190,34 @@ class TestBatchEqualsPerJobSequence:
 
             # Every far page touched is promoted exactly once.
             left_far = sum(
-                int((far_before[job] & ~memcg.far_mask()).sum())
+                int((far_before[job] & ~_far(batched, memcg)).sum())
                 for job, memcg in batched.memcgs.items()
             )
             assert promoted == left_far > 0
             for job_id, slots, _write in touches:
-                assert not batched.memcgs[job_id].far_mask()[slots].any()
+                assert not _far(batched, batched.memcgs[job_id])[slots].any()
             # Re-compress some pages so the next round faults again.
             for job, memcg in batched.memcgs.items():
+                pages = batched.pool.row_pages(memcg.row)
                 near = np.flatnonzero(
-                    memcg.resident & (memcg.state == PageState.NEAR)
-                    & ~memcg.incompressible
+                    pages.resident & (pages.state == PageState.NEAR)
+                    & ~pages.incompressible
                 )[::3]
-                batched.zswap.compress(memcg, near)
-                sequential.zswap.compress(sequential.memcgs[job], near)
+                store_pages(batched, memcg, near)
+                store_pages(sequential, sequential.memcgs[job], near)
 
     def test_read_and_write_of_one_far_page_promote_it_once(self):
         machine = _machine("columnar", 3)
         _populate(machine, 1, np.random.default_rng(3))
         memcg = machine.memcgs["job-0"]
-        far = np.flatnonzero(memcg.far_mask())[:4]
+        far = np.flatnonzero(_far(machine, memcg))[:4]
         promoted = machine.touch_jobs(
             [("job-0", far, False), ("job-0", far[::-1], True)]
         )
         assert promoted == far.size
         assert memcg.promoted_pages_total == far.size
         assert machine.zswap.stats_for("job-0").pages_decompressed == far.size
-        assert memcg.dirtied[far].all()
+        assert machine.pool.row_pages(memcg.row).dirtied[far].all()
 
 
 def _fleet(kernel):
@@ -263,9 +274,11 @@ def test_backends_agree_over_a_churning_run(monkeypatch):
             ) for machine in machines],
             [machine.arena.stats() for machine in machines],
             [sorted(
-                (job, memcg.age_scans.astype(np.int64).tobytes(),
-                 memcg.state.tobytes(),
-                 memcg.payload_bytes.astype(np.int64).tobytes(),
+                (job, *[
+                    getattr(machine.pool.row_pages(memcg.row), column)
+                    .astype(np.int64).tobytes()
+                    for column in ("age_scans", "state", "payload_bytes")
+                ],
                  memcg.promotion_histogram.counts.tobytes(),
                  memcg.promotion_histogram.young_count,
                  memcg.cold_age_histogram.counts.tobytes(),

@@ -14,8 +14,8 @@ from repro.checks.invariants import (
     invariants_enabled,
     set_invariants_enabled,
 )
-from repro.kernel.columnar import ColumnarMemCg, MachinePagePool
-from repro.kernel.oracle import scan_memcg
+from repro.kernel.columnar import MachinePagePool
+from repro.kernel.oracle import ScalarPagePool
 from repro.obs.metrics import MetricRegistry
 
 
@@ -64,30 +64,37 @@ class TestMachineAccounting:
     def test_trips_on_pool_size_leak(self, machine, rng, enabled):
         self._warm(machine, rng)
         # Inject the bug REPRO_CHECKS exists to catch: a page marked far
-        # in the memcg without a matching object in the arena.
-        memcg = machine.memcgs["job"]
-        near = np.flatnonzero(memcg.resident & ~memcg.far_mask())
-        memcg.mark_far(near[:1])
+        # in the pool without a matching object in the arena.
+        pool = machine.pool
+        row = machine.memcgs["job"].row
+        pages = pool.row_pages(row)
+        near = np.flatnonzero(pages.resident & (pages.state == 0))
+        pool.mark_far(near[:1] + pool.row_base[row])
         with pytest.raises(InvariantViolation, match="machine.far_pages"):
             check_machine_accounting(machine)
 
 
 class TestMemcgHistogram:
-    def _scan(self, memcg, scans=5):
-        idx = memcg.allocate(300)
-        memcg.touch(idx[:50])
+    def _scan(self, bins, rng, profile, scans=5):
+        pool = ScalarPagePool(bins, 120)
+        memcg = pool.add("job", 1000, profile, rng)
+        idx = pool.allocate(memcg.row, 300)
+        pool.touch(idx[:50] + pool.row_base[memcg.row], False)
         for _ in range(scans):
-            scan_memcg(memcg)
+            pool.scan_all([memcg])
+        return pool, memcg
 
-    def test_clean_memcg_passes(self, memcg, enabled):
-        self._scan(memcg)
-        check_memcg_histogram(memcg)  # does not raise
+    def test_clean_memcg_passes(self, bins, rng, compressible_profile,
+                                enabled):
+        pool, memcg = self._scan(bins, rng, compressible_profile)
+        check_memcg_histogram(pool, memcg)  # does not raise
 
-    def test_trips_on_desynced_histogram(self, memcg, enabled):
-        self._scan(memcg)
+    def test_trips_on_desynced_histogram(self, bins, rng,
+                                         compressible_profile, enabled):
+        pool, memcg = self._scan(bins, rng, compressible_profile)
         memcg.cold_age_histogram.young_count += 7  # corrupt the snapshot
         with pytest.raises(InvariantViolation, match="cold_histogram"):
-            check_memcg_histogram(memcg)
+            check_memcg_histogram(pool, memcg)
 
     def test_pooled_scan_runs_check_when_enabled(
         self, bins, rng, compressible_profile, enabled, monkeypatch
@@ -95,13 +102,12 @@ class TestMemcgHistogram:
         # The hook inside the pooled scan passes silently on a healthy
         # pool, and trips once the recount stops following the ages.
         pool = MachinePagePool(bins, 120)
-        memcg = ColumnarMemCg("job", 1000, compressible_profile, bins, rng)
-        pool.add(memcg)
-        memcg.allocate(300)
+        memcg = pool.add("job", 1000, compressible_profile, rng)
+        pool.allocate(memcg.row, 300)
         pool.scan_all([memcg])
         monkeypatch.setattr(pool, "_recount_cold_histograms",
                             lambda *args: None)
-        memcg.allocate(100)
+        pool.allocate(memcg.row, 100)
         with pytest.raises(InvariantViolation, match="cold_histogram"):
             pool.scan_all([memcg])
 

@@ -82,4 +82,4 @@ class TestClusterChurn:
             age = fleet.now - job.start_time
             memcg = job.machine.memcgs[job_id]
             if age < 1200:
-                assert memcg.far_pages == 0
+                assert job.machine.pool.tier_pages([memcg.row])[0, 1] == 0

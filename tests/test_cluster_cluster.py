@@ -52,7 +52,7 @@ class TestLifecycle:
         job = cluster.submit(make_spec("j"))
         machine = cluster.machines[0]
         assert "j" in machine.memcgs
-        assert machine.memcgs["j"].resident_pages == 500
+        assert machine.resident_pages == 500
 
     def test_finish_releases_everything(self):
         cluster = make_cluster()

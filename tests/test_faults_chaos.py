@@ -181,8 +181,13 @@ class TestMemoryPressureSpike:
             memcg for machine in cluster.machines
             for memcg in machine.memcgs.values()
         ]
-        far_before = [memcg.far_mask().copy() for memcg in memcgs]
-        stale_before = [m.far_mask() & m.accessed for m in memcgs]
+
+        def far_and_accessed(memcg):
+            pages = cluster.pool.row_pages(memcg.row)
+            far = pages.resident & (pages.state == 1)
+            return far, far & pages.accessed
+
+        far_before, stale_before = zip(*map(far_and_accessed, memcgs))
         promoted_before = sum(m.promoted_pages_total for m in memcgs)
         decompressed_before = fleet.registry.value(
             "repro_pages_promoted_total"
@@ -200,7 +205,7 @@ class TestMemoryPressureSpike:
         injector.on_tick(cluster, now)
 
         left_far = sum(
-            int((before & ~memcg.far_mask()).sum())
+            int((before & ~far_and_accessed(memcg)[0]).sum())
             for before, memcg in zip(far_before, memcgs)
         )
         assert left_far > 0
@@ -215,6 +220,6 @@ class TestMemoryPressureSpike:
         for stale, memcg in zip(stale_before, memcgs):
             # Only pages compressed while already accessed (before the
             # spike) may carry the bit in far memory.
-            assert not (memcg.far_mask() & memcg.accessed & ~stale).any()
+            assert not (far_and_accessed(memcg)[1] & ~stale).any()
         for machine in cluster.machines:
             assert machine.arena.live_objects == machine.far_pages

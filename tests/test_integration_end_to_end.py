@@ -44,18 +44,20 @@ class TestFullLoop:
         marked incompressible."""
         for machine in warm_fleet.machines:
             for memcg in machine.memcgs.values():
-                far = memcg.far_mask()
-                assert memcg.resident[far].all()
-                assert not memcg.unevictable[far].any()
-                assert not memcg.incompressible[far].any()
+                pages = machine.pool.row_pages(memcg.row)
+                far = pages.state == 1
+                assert pages.resident[far].all()
+                assert not pages.unevictable[far].any()
+                assert not pages.incompressible[far].any()
                 assert (
-                    memcg.payload_bytes[far] <= machine.zswap.max_payload_bytes
+                    pages.payload_bytes[far] <= machine.zswap.max_payload_bytes
                 ).all()
 
     def test_histogram_totals_track_residency(self, warm_fleet):
         for machine in warm_fleet.machines:
             for memcg in machine.memcgs.values():
-                assert memcg.cold_age_histogram.total == memcg.resident_pages
+                assert memcg.cold_age_histogram.total == (
+                    machine.pool.tier_pages([memcg.row]).sum())
 
 
 class TestChurn:

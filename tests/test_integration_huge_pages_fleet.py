@@ -29,13 +29,13 @@ class TestHugePagesEndToEnd:
         agent = NodeAgent(
             machine, ThresholdPolicyConfig(percentile_k=95, warmup_seconds=60)
         )
-        memcg = machine.add_job("j", 2048, COMPRESSIBLE)
+        row = machine.add_job("j", 2048, COMPRESSIBLE).row
         machine.allocate("j", 2048)
-        memcg.map_huge(0, pages_per_huge=512)
+        machine.pool.map_huge(row, 0, pages_per_huge=512)
         drive(machine, agent, 1800)
-        assert memcg.far_pages > 0
+        assert machine.far_pages > 0
         # The idle mapping was split on swap-out.
-        assert (memcg.huge_group[:512] == -1).all()
+        assert (machine.pool.row_pages(row).huge_group[:512] == -1).all()
 
     def test_hot_huge_mapping_stays_near(self):
         machine = Machine(
@@ -45,16 +45,17 @@ class TestHugePagesEndToEnd:
         agent = NodeAgent(
             machine, ThresholdPolicyConfig(percentile_k=95, warmup_seconds=60)
         )
-        memcg = machine.add_job("j", 2048, COMPRESSIBLE)
+        row = machine.add_job("j", 2048, COMPRESSIBLE).row
         idx = machine.allocate("j", 2048)
-        memcg.map_huge(0, pages_per_huge=512)
+        machine.pool.map_huge(row, 0, pages_per_huge=512)
 
         def touch(t):
             machine.touch("j", idx[:1])  # one hot page pins the mapping
 
         drive(machine, agent, 1800, touch)
         # The whole 512-page mapping stayed uncompressed and mapped.
-        assert (memcg.huge_group[:512] == 0).all()
-        assert (memcg.state[:512] == 0).all()
+        pages = machine.pool.row_pages(row)
+        assert (pages.huge_group[:512] == 0).all()
+        assert (pages.state[:512] == 0).all()
         # Base pages elsewhere were compressed normally.
-        assert memcg.far_pages > 0
+        assert machine.far_pages > 0

@@ -34,6 +34,7 @@ from repro.workloads.access_patterns import (
     make_rates_for_cold_fraction,
 )
 from repro.workloads.job_generator import JobSpec
+from tests.pool_pages import store_pages
 from tests.test_batched_job_step import OverlappingWritesPattern
 
 _PROFILE = ContentProfile(incompressible_fraction=0.1, min_ratio=2.0)
@@ -159,7 +160,7 @@ class _Oracle:
                 assert [a.tolist() for a in hand] == [
                     a.tolist() for a in alone]
             memcg = job.machine.memcgs[job_id]
-            base = int(cluster.pool.row_base[memcg._pool_row])
+            base = int(cluster.pool.row_base[memcg.row])
             for got, want in zip(slots, alone):
                 mine = got[(got >= base) & (got < base + memcg.capacity_pages)]
                 if job.page_map is not None:
@@ -236,7 +237,7 @@ def test_plan_follows_every_layout_change(monkeypatch):
     for machine_id in others:
         cluster.scheduler.mark_offline(machine_id)
     cluster.submit(_spec("poisson#big", 700, priority=0))
-    machine.zswap.compress(machine.memcgs["poisson#big"], np.arange(650))
+    store_pages(machine, machine.memcgs["poisson#big"], np.arange(650))
     cluster.submit(_spec("zipf#filler", 500, priority=5))
     for machine_id in others:
         cluster.scheduler.mark_online(machine_id)
@@ -274,9 +275,11 @@ def test_step_plan_is_dropped_on_pickle(kernel):
     assert shipped.machines[0].kstaled.pages_scanned == (
         cluster.machines[0].kstaled.pages_scanned)
     assert [
-        (m.far_pages, [c.accessed.tobytes() for c in m.memcgs.values()])
+        (m.far_pages, [m.pool.row_pages(c.row).accessed.tobytes()
+                       for c in m.memcgs.values()])
         for m in shipped.machines
     ] == [
-        (m.far_pages, [c.accessed.tobytes() for c in m.memcgs.values()])
+        (m.far_pages, [m.pool.row_pages(c.row).accessed.tobytes()
+                       for c in m.memcgs.values()])
         for m in cluster.machines
     ]

@@ -17,6 +17,7 @@ are bit-identical to ``np.percentile`` and the
 zsmalloc arena's running totals always match a fresh per-class recount.
 """
 
+import io
 import math
 import pickle
 
@@ -31,7 +32,7 @@ from repro.core.threshold_policy import (
     _sorted_percentile_rows,
 )
 from repro.faults import attach_scenario
-from repro.kernel.columnar import _NEVER_SCANS, MachinePagePool
+from repro.kernel.columnar import _NEVER_SCANS, _PAGE_FIELDS, MachinePagePool
 from repro.kernel.compression import ContentProfile
 from repro.kernel.machine import (
     FarMemoryMode,
@@ -78,22 +79,24 @@ def _make_machine(kernel, index, seed, shared_pool=None, dram=64 * MIB):
     )
 
 
-def _memcg_state(memcg):
+def _memcg_state(machine, memcg):
     """Every per-page column plus histograms and counters, as a
     comparable value.  Columns compare as int64 bytes: the pool keeps
     them narrower than the reference memcg does, by design
     (``tests/test_column_widths.py`` pins both sides' dtypes)."""
+    pages = machine.pool.row_pages(memcg.row)
     arrays = tuple(
-        np.asarray(getattr(memcg, attr), dtype=np.int64).tobytes()
+        np.asarray(getattr(pages, attr), dtype=np.int64).tobytes()
         for attr in _PAGE_ATTRS
     )
+    near, far = machine.pool.tier_pages([memcg.row])[0].tolist()
     return arrays + (
         tuple(int(c) for c in memcg.cold_age_histogram.counts),
         int(memcg.cold_age_histogram.young_count),
         tuple(int(c) for c in memcg.promotion_histogram.counts),
         int(memcg.promotion_histogram.young_count),
-        int(memcg.resident_pages),
-        int(memcg.far_pages),
+        near + far,
+        far,
         float(memcg.cold_age_threshold),
         bool(memcg.zswap_enabled),
     )
@@ -102,7 +105,7 @@ def _memcg_state(memcg):
 def _machine_state(machine):
     return {
         "jobs": {
-            job_id: _memcg_state(memcg)
+            job_id: _memcg_state(machine, memcg)
             for job_id, memcg in machine.memcgs.items()
         },
         "far_pages": machine.far_pages,
@@ -178,14 +181,16 @@ def _apply_random_ops(rng, oracle, candidate, steps):
         elif op == 2:
             job = jobs[int(rng.integers(len(jobs)))]
             memcg = target.memcgs[job]
-            free = memcg.capacity_pages - memcg.resident_pages
+            free = memcg.capacity_pages - int(
+                target.pool.tier_pages([memcg.row]).sum())
             if free:
                 pages = int(rng.integers(1, free + 1))
                 for fleet in fleets:
                     fleet.machines[mi].allocate(job, pages)
         elif op in (3, 4):
             job = jobs[int(rng.integers(len(jobs)))]
-            resident = np.flatnonzero(target.memcgs[job].resident)
+            resident = np.flatnonzero(
+                target.pool.row_pages(target.memcgs[job].row).resident)
             if resident.size:
                 take = np.sort(rng.choice(
                     resident,
@@ -212,29 +217,32 @@ def _apply_random_ops(rng, oracle, candidate, steps):
         elif op == 7:
             job = jobs[int(rng.integers(len(jobs)))]
             memcg = target.memcgs[job]
+            pages = target.pool.row_pages(memcg.row)
             starts = [
                 s
                 for s in range(
                     0, memcg.capacity_pages - PAGES_PER_HUGE + 1,
                     PAGES_PER_HUGE,
                 )
-                if memcg.resident[s:s + PAGES_PER_HUGE].all()
-                and (memcg.state[s:s + PAGES_PER_HUGE]
+                if pages.resident[s:s + PAGES_PER_HUGE].all()
+                and (pages.state[s:s + PAGES_PER_HUGE]
                      == PageState.NEAR).all()
-                and (memcg.huge_group[s:s + PAGES_PER_HUGE] == -1).all()
+                and (pages.huge_group[s:s + PAGES_PER_HUGE] == -1).all()
             ]
             if starts:
                 start = starts[int(rng.integers(len(starts)))]
                 for fleet in fleets:
-                    fleet.machines[mi].memcgs[job].map_huge(
-                        start, PAGES_PER_HUGE
-                    )
+                    machine = fleet.machines[mi]
+                    machine.pool.map_huge(machine.memcgs[job].row, start,
+                                          PAGES_PER_HUGE)
             else:
-                groups = np.unique(memcg.huge_group[memcg.huge_group >= 0])
+                groups = np.unique(pages.huge_group[pages.huge_group >= 0])
                 if groups.size:
                     group = int(groups[int(rng.integers(groups.size))])
                     for fleet in fleets:
-                        fleet.machines[mi].memcgs[job].split_huge(group)
+                        machine = fleet.machines[mi]
+                        base = machine.pool.row_base[machine.memcgs[job].row]
+                        machine.pool.split_huge_at(np.array([base + group]))
         elif op == 8:
             for _ in range(int(rng.integers(1, 4))):
                 now += 60
@@ -276,7 +284,7 @@ class TestRandomizedEquivalence:
 
 
 class TestThresholdMirroring:
-    """The ColumnarMemCg property setters keep ``row_reclaim_thr`` in
+    """The memcg's knob setters keep the pool's ``row_reclaim_thr`` in
     sync — the pooled reclaim mask never walks memcgs to gather gates."""
 
     def _machine(self):
@@ -286,7 +294,7 @@ class TestThresholdMirroring:
         machine = self._machine()
         memcg = machine.add_job("j", 64, _PROFILE)
         memcg.cold_age_threshold = 600.0
-        row = memcg._pool_row
+        row = memcg.row
         assert machine.pool.row_reclaim_thr[row] == math.ceil(
             600.0 / SCAN_PERIOD
         )
@@ -295,7 +303,7 @@ class TestThresholdMirroring:
         machine = self._machine()
         memcg = machine.add_job("j", 64, _PROFILE)
         memcg.cold_age_threshold = 600.0
-        row = memcg._pool_row
+        row = memcg.row
         memcg.zswap_enabled = False
         assert machine.pool.row_reclaim_thr[row] == _NEVER_SCANS
         memcg.zswap_enabled = True
@@ -308,34 +316,37 @@ class TestThresholdMirroring:
         memcg = machine.add_job("j", 64, _PROFILE)
         memcg.cold_age_threshold = float("inf")
         assert (
-            machine.pool.row_reclaim_thr[memcg._pool_row] == _NEVER_SCANS
+            machine.pool.row_reclaim_thr[memcg.row] == _NEVER_SCANS
         )
 
 
 class TestPoolCompaction:
     """Removing a memcg compacts the pool and freezes the departing
-    memcg's state as private copies."""
+    memcg's histograms as private copies."""
 
     def test_remove_middle_job_compacts_and_detaches(self):
         machine = _make_machine("columnar", 0, 10)
         for job, cap in (("a", 32), ("b", 48), ("c", 16)):
             machine.add_job(job, cap, _PROFILE)
             machine.allocate(job, cap)
+        machine.tick(0)
         pool = machine.pool
         departing = machine.memcgs["b"]
         machine.remove_job("b")
-        assert departing._pool is None
-        assert departing.resident.base is None  # owns private copies now
-        frozen = departing.resident.copy()
+        assert departing._pool is None and departing.row == -1
+        frozen = departing.cold_age_histogram.copy()
+        assert frozen.young_count == 48
         assert pool.used == 32 + 16
-        for job in ("a", "c"):
-            memcg = machine.memcgs[job]
-            assert memcg.resident.base is pool.resident  # still a view
-            assert memcg.resident.all()
+        for job, cap in (("a", 32), ("c", 16)):
+            row = machine.memcgs[job].row
+            assert pool.row_pages(row).resident.all()
+            assert pool.row_size[row] == cap
         # Later pool activity cannot disturb the frozen snapshot.
         machine.add_job("d", 64, _PROFILE)
         machine.allocate("d", 64)
-        assert (departing.resident == frozen).all()
+        machine.tick(60)
+        assert departing.cold_age_histogram.young_count == 48
+        assert (departing.cold_age_histogram.counts == frozen.counts).all()
 
 
 class TestChaosReplay:
@@ -372,10 +383,31 @@ class TestChaosReplay:
         assert snapshots[1] == snapshots[0]
 
 
+class _ArrayCensus(pickle.Pickler):
+    """A pickler that records every ndarray it ships."""
+
+    def __init__(self, file):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.arrays = {}
+
+    def reducer_override(self, obj):
+        if isinstance(obj, np.ndarray):
+            self.arrays[id(obj)] = obj
+        return NotImplemented
+
+
+def _census(obj):
+    """``(blob, arrays)``: ``obj`` pickled, and the ndarrays it carried."""
+    buffer = io.BytesIO()
+    pickler = _ArrayCensus(buffer)
+    pickler.dump(obj)
+    return buffer.getvalue(), list(pickler.arrays.values())
+
+
 class TestSharedPoolPickle:
-    """The parallel engine ships clusters by pickle; a cluster's page
-    pool must rebind its memcg views exactly once on arrival and the
-    clone must continue bit-identically."""
+    """The parallel engine ships clusters by pickle; page state crosses
+    only inside the cluster's page pool, and the clone must continue
+    bit-identically."""
 
     def _fleet(self):
         return quickfleet(
@@ -389,28 +421,38 @@ class TestSharedPoolPickle:
             tracer=Tracer(),
         )
 
-    def test_unpickle_rebinds_shared_pool_once(self):
+    def test_pickle_ships_page_columns_only_in_the_pool(self):
         fleet = self._fleet()
         fleet.run(1800)
-        blob = pickle.dumps(fleet.clusters[0])
-        calls = []
-        original = MachinePagePool.rebind_all
-
-        def counting(self):
-            calls.append(self)
-            return original(self)
-
-        MachinePagePool.rebind_all = counting
-        try:
-            clone = pickle.loads(blob)
-        finally:
-            MachinePagePool.rebind_all = original
-        assert len(calls) == 1  # one pool, many machines: one rebind
-        pool = clone.machines[0].pool
-        assert all(machine.pool is pool for machine in clone.machines)
-        for machine in clone.machines:
-            for memcg in machine.memcgs.values():
-                assert memcg.resident.base is pool.resident
+        cluster = fleet.clusters[0]
+        pool = cluster.pool
+        blob, arrays = _census(cluster)
+        columns = [getattr(pool, name) for name, _dtype, _fill in _PAGE_FIELDS]
+        shipped = {id(array) for array in arrays}
+        assert all(id(column) in shipped for column in columns)
+        # No other page-axis array of a column's width crosses.
+        widths = {column.dtype for column in columns}
+        assert not [
+            array for array in arrays
+            if array.shape == (pool._cap,) and array.dtype in widths
+            and not any(array is column for column in columns)
+        ]
+        # A memcg handle, shipped without its pool, its threshold grid
+        # and its payload stream, carries no array.
+        memcgs = [m for machine in cluster.machines
+                  for m in machine.memcgs.values()]
+        assert memcgs
+        for memcg in memcgs:
+            state = {k: v for k, v in vars(memcg).items()
+                     if k not in ("_pool", "bins", "_rng")}
+            assert not _census(state)[1]
+        # The clone shares one pool and runs on as the original does.
+        clone = pickle.loads(blob)
+        assert all(machine.pool is clone.pool for machine in clone.machines)
+        cluster.run(1800)
+        clone.run(1800)
+        for machine, twin in zip(cluster.machines, clone.machines):
+            assert _machine_state(twin) == _machine_state(machine)
 
     def test_clone_continues_identically(self):
         fleet = self._fleet()

@@ -6,9 +6,8 @@ from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.kreclaimd import Kreclaimd
 from repro.kernel.kstaled import Kstaled
-from repro.kernel.memcg import MemCg
 from repro.kernel.oracle import (
-    ScalarPagePool,
+    ReferenceMemCg,
     reclaim_candidates,
     run_kreclaimd,
     scan_memcg,
@@ -20,15 +19,13 @@ from repro.kernel.zswap import Zswap
 @pytest.fixture
 def compressible_memcg(rng):
     profile = ContentProfile(incompressible_fraction=0.0, min_ratio=1.5)
-    return MemCg("job", 1000, profile, default_age_bins(), rng)
+    return ReferenceMemCg("job", 1000, profile, default_age_bins(), rng)
 
 
-def _pool(*memcgs):
-    """The memcgs under test, held by a reference page pool."""
-    pool = ScalarPagePool(default_age_bins(), 120)
-    for memcg in memcgs:
-        pool.add(memcg)
-    return pool
+def _scan(memcg):
+    """One reference kstaled pass; returns the pages it examined."""
+    scan_memcg(memcg)
+    return memcg.resident_pages
 
 
 def _reclaim(reclaimd, memcg):
@@ -42,20 +39,18 @@ class TestKstaled:
     def test_scans_on_period_boundaries(self, compressible_memcg):
         kstaled = Kstaled(scan_period=120)
         compressible_memcg.allocate(100)
-        pool = _pool(compressible_memcg)
         ran = [t for t in range(0, 601, 60) if kstaled.due(t)]
         for _t in ran:
-            kstaled.record_scan(pool.scan_all([compressible_memcg]))
+            kstaled.record_scan(_scan(compressible_memcg))
         assert ran == [0, 120, 240, 360, 480, 600]
         assert kstaled.scans_completed == 6
 
     def test_ages_accumulate_across_scans(self, compressible_memcg):
         kstaled = Kstaled()
         idx = compressible_memcg.allocate(10)
-        pool = _pool(compressible_memcg)
         for t in range(0, 601, 120):
             if kstaled.due(t):
-                kstaled.record_scan(pool.scan_all([compressible_memcg]))
+                kstaled.record_scan(_scan(compressible_memcg))
         # First scan consumed the allocation touch; 5 further scans aged.
         assert (compressible_memcg.age_scans[idx] == 5).all()
 
@@ -63,7 +58,7 @@ class TestKstaled:
         kstaled = Kstaled()
         compressible_memcg.allocate(1000)
         kstaled.record_scan(
-            _pool(compressible_memcg).scan_all([compressible_memcg]))
+            _scan(compressible_memcg))
         assert kstaled.pages_scanned == 1000
         assert kstaled.cpu_seconds > 0
 
@@ -82,7 +77,7 @@ class TestKstaled:
         kstaled = Kstaled()
         compressible_memcg.allocate(500)
         kstaled.record_scan(
-            _pool(compressible_memcg).scan_all([compressible_memcg]))
+            _scan(compressible_memcg))
         assert kstaled.utilization_of_core(120) > 0
         assert kstaled.utilization_of_core(0) == 0.0
 
@@ -124,7 +119,7 @@ class TestKreclaimd:
 
     def test_oldest_first(self, rng):
         profile = ContentProfile(incompressible_fraction=0.0, min_ratio=1.5)
-        memcg = MemCg("job", 100, profile, default_age_bins(), rng)
+        memcg = ReferenceMemCg("job", 100, profile, default_age_bins(), rng)
         idx = memcg.allocate(20)
         scan_memcg(memcg)
         memcg.age_scans[idx[:10]] = 10  # much older

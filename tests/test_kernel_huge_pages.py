@@ -9,10 +9,10 @@ from repro.common.units import MIB
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.machine import Machine, MachineConfig
-from repro.kernel.memcg import MemCg
-from repro.kernel.oracle import reclaim_candidates, scan_memcg
+from repro.kernel.oracle import ReferenceMemCg, reclaim_candidates, scan_memcg
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.kernel.zswap import Zswap
+from tests.pool_pages import compress
 
 HUGE = 64  # use small "huge" mappings to keep tests fast
 
@@ -20,7 +20,7 @@ HUGE = 64  # use small "huge" mappings to keep tests fast
 @pytest.fixture
 def huge_memcg(rng):
     profile = ContentProfile(incompressible_fraction=0.0, min_ratio=1.5)
-    memcg = MemCg("job", 512, profile, default_age_bins(), rng)
+    memcg = ReferenceMemCg("job", 512, profile, default_age_bins(), rng)
     memcg.allocate(512)
     memcg.map_huge(0, pages_per_huge=HUGE)
     memcg.map_huge(HUGE, pages_per_huge=HUGE)
@@ -39,7 +39,7 @@ class TestMapping:
             huge_memcg.map_huge(HUGE // 2, pages_per_huge=HUGE)
 
     def test_nonresident_rejected(self, rng):
-        memcg = MemCg("j", 256, ContentProfile(), default_age_bins(), rng)
+        memcg = ReferenceMemCg("j", 256, ContentProfile(), default_age_bins(), rng)
         memcg.allocate(32)  # not the full range
         with pytest.raises(SimulationError):
             memcg.map_huge(0, pages_per_huge=64)
@@ -85,7 +85,7 @@ class TestSplitting:
         candidates = reclaim_candidates(huge_memcg, 120)
         group0 = candidates[candidates < HUGE]
         assert group0.size
-        zswap.compress(huge_memcg, group0[:8])
+        compress(zswap, huge_memcg, group0[:8])
         # The partially-swapped mapping fell back to base pages.
         assert (huge_memcg.huge_group[:HUGE] == -1).all()
         # The untouched mapping survived.
@@ -100,22 +100,24 @@ class TestSplitting:
             "m", MachineConfig(dram_bytes=64 * MIB, kernel=kernel),
             seeds=SeedSequenceFactory(1),
         )
-        memcg = machine.add_job("job", 1024, ContentProfile())
+        row = machine.add_job("job", 1024, ContentProfile()).row
+        pool = machine.pool
         machine.allocate("job", 1024)
-        memcg.map_huge(0, pages_per_huge=512)
+        pool.map_huge(row, 0, pages_per_huge=512)
         machine.release("job", np.arange(256))
-        assert (memcg.huge_group == -1).all()
+        assert (pool.row_pages(row).huge_group == -1).all()
         machine.allocate("job", 256)
         machine.tick(0)  # consume the allocation touches
         machine.tick(120)
         machine.touch("job", np.array([0]))
         machine.tick(240)
-        assert memcg.age_scans[0] == 0
-        assert (memcg.age_scans[1:] == 2).all()
-        memcg.map_huge(0, pages_per_huge=512)
+        ages = pool.row_pages(row).age_scans
+        assert ages[0] == 0
+        assert (ages[1:] == 2).all()
+        pool.map_huge(row, 0, pages_per_huge=512)
 
     def test_explicit_split(self, huge_memcg):
-        huge_memcg.split_huge(0)
+        huge_memcg.split_huge_at(np.array([0]))
         assert (huge_memcg.huge_group[:HUGE] == -1).all()
         # After the split, per-page coldness is visible again.
         huge_memcg.touch(np.array([3]))
@@ -130,7 +132,7 @@ class TestColdDetectionResolution:
         """Sweep: with one hot page per mapping, detectable cold memory
         shrinks as more of the job is huge-mapped."""
         profile = ContentProfile(incompressible_fraction=0.0, min_ratio=1.5)
-        memcg = MemCg("j", 512, profile, default_age_bins(), rng)
+        memcg = ReferenceMemCg("j", 512, profile, default_age_bins(), rng)
         memcg.allocate(512)
         n_groups = int(huge_fraction * 512 / HUGE)
         for g in range(n_groups):

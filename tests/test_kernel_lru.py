@@ -5,14 +5,13 @@ import pytest
 
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
-from repro.kernel.memcg import MemCg
-from repro.kernel.oracle import reclaim_order, scan_memcg
+from repro.kernel.oracle import ReferenceMemCg, reclaim_order, scan_memcg
 
 
 @pytest.fixture
 def lru_memcg(rng):
     profile = ContentProfile(incompressible_fraction=0.0, min_ratio=1.5)
-    return MemCg("job", 100, profile, default_age_bins(), rng)
+    return ReferenceMemCg("job", 100, profile, default_age_bins(), rng)
 
 
 class TestLruLists:

@@ -90,7 +90,7 @@ class TestJobLifecycle:
         machine.run_reclaim()
         promoted = machine.touch("j", idx[:10])
         assert promoted == 10
-        assert memcg.far_pages == 90
+        assert machine.pool.tier_pages([memcg.row])[0, 1] == 90
 
 
 class TestOutOfMemory:

@@ -6,9 +6,11 @@ import pytest
 from repro.common.units import ZSMALLOC_MAX_PAYLOAD
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
-from repro.kernel.memcg import MemCg, PageState
+from repro.kernel.memcg import PageState
+from repro.kernel.oracle import ReferenceMemCg
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.kernel.zswap import Zswap
+from tests.pool_pages import compress, decompress
 
 
 @pytest.fixture
@@ -17,13 +19,13 @@ def zswap():
 
 
 def make_memcg(profile, rng, n=100):
-    return MemCg("job", n, profile, default_age_bins(), rng)
+    return ReferenceMemCg("job", n, profile, default_age_bins(), rng)
 
 
 class TestCompressPath:
     def test_compressible_pages_go_far(self, zswap, memcg):
         idx = memcg.allocate(50)
-        stored = zswap.compress(memcg, idx)
+        stored = compress(zswap, memcg, idx)
         assert stored == 50
         assert memcg.far_pages == 50
         assert zswap.arena.live_objects == 50
@@ -35,7 +37,7 @@ class TestCompressPath:
         profile = ContentProfile(incompressible_fraction=1.0)
         memcg = make_memcg(profile, rng)
         idx = memcg.allocate(20)
-        stored = zswap.compress(memcg, idx)
+        stored = compress(zswap, memcg, idx)
         assert stored == 0
         assert memcg.incompressible[idx].all()
         assert memcg.state[idx].max() == PageState.NEAR
@@ -47,22 +49,22 @@ class TestCompressPath:
     def test_mixed_batch_splits(self, zswap, memcg):
         idx = memcg.allocate(10)
         memcg.payload_bytes[idx[:4]] = ZSMALLOC_MAX_PAYLOAD + 10
-        stored = zswap.compress(memcg, idx)
+        stored = compress(zswap, memcg, idx)
         assert stored == 6
         assert memcg.incompressible[idx[:4]].all()
 
     def test_cutoff_boundary_inclusive(self, zswap, memcg):
         idx = memcg.allocate(1)
         memcg.payload_bytes[idx] = ZSMALLOC_MAX_PAYLOAD
-        assert zswap.compress(memcg, idx) == 1
+        assert compress(zswap, memcg, idx) == 1
 
     def test_empty_batch(self, zswap, memcg):
-        assert zswap.compress(memcg, np.zeros(0, dtype=np.int64)) == 0
+        assert compress(zswap, memcg, np.zeros(0, dtype=np.int64)) == 0
 
     def test_compress_consumes_dirty_bit(self, zswap, memcg):
         idx = memcg.allocate(5)
         memcg.dirtied[idx] = True
-        zswap.compress(memcg, idx)
+        compress(zswap, memcg, idx)
         assert not memcg.dirtied[idx].any()
 
 
@@ -70,8 +72,8 @@ class TestDecompressPath:
     def test_promotion_flips_state_and_accounts(self, zswap, memcg):
         idx = memcg.allocate(30)
         memcg.age_scans[idx] = 5
-        zswap.compress(memcg, idx)
-        total_latency = zswap.decompress(memcg, idx[:10])
+        compress(zswap, memcg, idx)
+        total_latency = decompress(zswap, memcg, idx[:10])
         assert total_latency > 0
         assert memcg.far_pages == 20
         assert memcg.promoted_pages_total == 10
@@ -83,15 +85,15 @@ class TestDecompressPath:
     def test_promotion_resets_age(self, zswap, memcg):
         idx = memcg.allocate(5)
         memcg.age_scans[idx] = 7
-        zswap.compress(memcg, idx)
-        zswap.decompress(memcg, idx)
+        compress(zswap, memcg, idx)
+        decompress(zswap, memcg, idx)
         assert (memcg.age_scans[idx] == 0).all()
 
     def test_promotion_histogram_sees_age_at_access(self, zswap, memcg):
         idx = memcg.allocate(5)
         memcg.age_scans[idx] = 8  # 960s
-        zswap.compress(memcg, idx)
-        zswap.decompress(memcg, idx)
+        compress(zswap, memcg, idx)
+        decompress(zswap, memcg, idx)
         assert memcg.promotion_histogram.colder_than(960) == 5
 
     def test_latency_samples_capped(self, zswap, memcg):
@@ -101,8 +103,8 @@ class TestDecompressPath:
         stats.decompress_latencies = [0.0] * ZswapJobStats.LATENCY_SAMPLE_CAP
         stats.latency_samples_seen = ZswapJobStats.LATENCY_SAMPLE_CAP
         idx = memcg.allocate(5)
-        zswap.compress(memcg, idx)
-        zswap.decompress(memcg, idx)
+        compress(zswap, memcg, idx)
+        decompress(zswap, memcg, idx)
         assert (
             len(stats.decompress_latencies) == ZswapJobStats.LATENCY_SAMPLE_CAP
         )
@@ -136,9 +138,9 @@ class TestLatencyReservoir:
 
     def test_seen_counter_tracks_every_sample(self, zswap, memcg):
         idx = memcg.allocate(60)
-        zswap.compress(memcg, idx)
-        zswap.decompress(memcg, idx[:25])
-        zswap.decompress(memcg, idx[25:60])
+        compress(zswap, memcg, idx)
+        decompress(zswap, memcg, idx[:25])
+        decompress(zswap, memcg, idx[25:60])
         stats = zswap.stats_for("test-job")
         assert stats.latency_samples_seen == 60
         assert len(stats.decompress_latencies) == 60
@@ -167,7 +169,7 @@ class TestCompressionRatio:
         )
         memcg = make_memcg(profile, rng, n=5000)
         idx = memcg.allocate(5000)
-        zswap.compress(memcg, idx)
+        compress(zswap, memcg, idx)
         ratio = zswap.stats_for("job").mean_compression_ratio
         assert 2.5 <= ratio <= 3.5
 
@@ -178,9 +180,9 @@ class TestCompressionRatio:
 class TestEviction:
     def test_evict_job_releases_arena(self, zswap, memcg):
         idx = memcg.allocate(20)
-        zswap.compress(memcg, idx)
+        compress(zswap, memcg, idx)
         far = np.flatnonzero(memcg.far_mask())
-        zswap.evict_job(memcg, far)
+        zswap.evict_job(memcg.payload_bytes[far])
         assert zswap.arena.live_objects == 0
         # Eviction is not promotion: no promotion stats.
         assert zswap.stats_for("test-job").pages_decompressed == 0

@@ -9,16 +9,17 @@ from repro.common.units import MIB, PAGE_SIZE
 from repro.core.histograms import default_age_bins
 from repro.kernel.compression import ContentProfile
 from repro.kernel.machine import Machine, MachineConfig
-from repro.kernel.memcg import MemCg
+from repro.kernel.oracle import ReferenceMemCg
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.kernel.zswap import Zswap
+from tests.pool_pages import compress, decompress
 
 
 COMPRESSIBLE = ContentProfile(incompressible_fraction=0.0, min_ratio=1.5)
 
 
 def make_memcg(rng, n=2000):
-    return MemCg("job", n, COMPRESSIBLE, default_age_bins(), rng)
+    return ReferenceMemCg("job", n, COMPRESSIBLE, default_age_bins(), rng)
 
 
 class TestPoolCap:
@@ -27,7 +28,7 @@ class TestPoolCap:
         assert not zswap.pool_full()
         memcg = make_memcg(rng)
         idx = memcg.allocate(2000)
-        assert zswap.compress(memcg, idx) == 2000
+        assert compress(zswap, memcg, idx) == 2000
 
     def test_cap_stops_stores(self, rng):
         zswap = Zswap(ZsmallocArena(), max_pool_bytes=64 * PAGE_SIZE)
@@ -36,7 +37,7 @@ class TestPoolCap:
         stored_total = 0
         # Feed batches until the cap bites.
         for start in range(0, 2000, 200):
-            stored_total += zswap.compress(memcg, idx[start : start + 200])
+            stored_total += compress(zswap, memcg, idx[start : start + 200])
         assert zswap.pool_full()
         assert stored_total < 2000
         assert zswap.pool_limit_rejections > 0
@@ -46,9 +47,9 @@ class TestPoolCap:
         zswap = Zswap(ZsmallocArena(), max_pool_bytes=1)
         memcg = make_memcg(rng, 100)
         idx = memcg.allocate(100)
-        zswap.compress(memcg, idx[:50])  # fills past the 1-byte cap
+        compress(zswap, memcg, idx[:50])  # fills past the 1-byte cap
         before = zswap.stats_for("job").compress_seconds
-        assert zswap.compress(memcg, idx[50:]) == 0
+        assert compress(zswap, memcg, idx[50:]) == 0
         assert zswap.stats_for("job").compress_seconds == before
 
     def test_promotions_reopen_the_pool(self, rng):
@@ -61,10 +62,10 @@ class TestPoolCap:
             )
             if remaining.size == 0:
                 break
-            zswap.compress(memcg, remaining[:100])
+            compress(zswap, memcg, remaining[:100])
         assert zswap.pool_full()
         far = np.flatnonzero(memcg.far_mask())
-        zswap.decompress(memcg, far)
+        decompress(zswap, memcg, far)
         # Freeing objects leaves holes; the footprint only shrinks once
         # the (agent-triggered) compaction runs.
         zswap.arena.compact()

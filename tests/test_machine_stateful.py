@@ -152,11 +152,12 @@ class MachineStateMachine(RuleBasedStateMachine):
         if self.machine is None:
             return
         for memcg in self.machine.memcgs.values():
-            far = memcg.far_mask()
-            assert memcg.resident[far].all()
-            assert not memcg.incompressible[far].any()
+            pages = self.machine.pool.row_pages(memcg.row)
+            far = pages.state == 1
+            assert pages.resident[far].all()
+            assert not pages.incompressible[far].any()
             assert (
-                memcg.payload_bytes[far] <= self.machine.zswap.max_payload_bytes
+                pages.payload_bytes[far] <= self.machine.zswap.max_payload_bytes
             ).all()
 
 

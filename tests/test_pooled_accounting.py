@@ -1,18 +1,19 @@
-"""Segment-wise pooled accounting against the per-memcg ground truth.
+"""Segment-wise pooled accounting against a per-row ground truth.
 
 A cluster's :class:`~repro.kernel.columnar.MachinePagePool` recounts
 every cold-age histogram with one ``bincount`` per scan and counts every
 row's near and far pages with one segment-wise pass per tick; the cluster
 sums those rows per machine for the far-pages gauge and the over-capacity
-test.  These tests pin both against what each memcg computes for itself
-(``_rebuild_cold_histogram``, ``near_pages``/``far_pages``) through
-churn (segment compaction and row reuse), huge pages, promotions and a
-pressure eviction that both page pools must handle alike.  The same
-random-op harness holds the columnar pool to the reference
-:class:`~repro.kernel.oracle.ScalarPagePool` call by call over the whole
-pool interface, and each machine's near, free, far and cold counts
-(answered from its pool rows) and the cluster's coverage samples to its
-memcgs' own sums.  They also cover the ``REPRO_CHECKS`` hook that guards
+test.  These tests pin both against counts taken one row at a time from
+copies of the row's pages (``pool.row_pages``) through churn (segment
+compaction and row reuse), huge pages, mlock, promotions, direct reclaim
+and a pressure eviction that both page pools must handle alike.  The
+same random-op harness drives every page operation through the pool
+interface and holds the columnar pool to the reference
+:class:`~repro.kernel.oracle.ScalarPagePool` call by call over that
+whole interface, and each machine's near, free, far and cold counts
+(answered from its pool rows) and the cluster's coverage samples to the
+per-row counts.  They also cover the ``REPRO_CHECKS`` hook that guards
 the recount, the touch of a page listed twice in one batch, and who owns
 which pool.
 """
@@ -40,10 +41,11 @@ from repro.kernel.machine import (
     touch_machines,
 )
 from repro.kernel.memcg import MemCg, PageState
-from repro.kernel.oracle import ScalarPagePool
+from repro.kernel.oracle import ReferenceMemCg, ScalarPagePool
 from repro.obs import MetricRegistry, Tracer
 from repro.workloads.access_patterns import ZipfianPattern
 from repro.workloads.job_generator import JobSpec
+from tests.pool_pages import store_pages
 
 _PROFILE = ContentProfile(incompressible_fraction=0.1, min_ratio=1.5)
 _HUGE = 8
@@ -62,6 +64,21 @@ def _cluster(kernel="columnar", machines=3, dram=64 * MIB,
     )
 
 
+def _pages(cluster, memcg):
+    return cluster.pool.row_pages(memcg.row)
+
+
+def _tiers(pages):
+    """``[near, far]`` counted from a row's page copies."""
+    far = int(np.count_nonzero(pages.resident & (pages.state == PageState.FAR)))
+    return [int(np.count_nonzero(pages.resident)) - far, far]
+
+
+def _cold(pool, pages, threshold_seconds):
+    scans = int(np.ceil(threshold_seconds / pool.scan_period))
+    return int(np.count_nonzero(pages.resident & (pages.age_scans >= scans)))
+
+
 def _pooled_tiers(cluster):
     """Each machine's ``[near, far]`` pages, summed from the pool's rows
     the way the tick round counts them."""
@@ -76,20 +93,19 @@ def _exact_tiers(cluster):
 
 
 def _assert_pool_counts(cluster, scanned):
-    """Per-row and per-machine counts equal each memcg's own."""
+    """Per-row and per-machine counts equal those counted row by row."""
     pool = cluster.pool
     tiers = pool.tier_pages()
     live = set()
     for machine in cluster.machines:
         for memcg in machine.memcgs.values():
-            row = memcg._pool_row
+            row = memcg.row
             live.add(row)
-            assert tiers[row].tolist() == [memcg.near_pages, memcg.far_pages]
+            pages = pool.row_pages(row)
+            assert tiers[row].tolist() == _tiers(pages)
             if scanned:
-                truth = memcg._rebuild_cold_histogram()
-                assert pool.cold_counts[row].tolist() == truth.counts.tolist()
-                assert int(pool.cold_young[row]) == truth.young_count
-                assert pool.last_scan_row_pages[row] == memcg.resident_pages
+                check_memcg_histogram(pool, memcg)  # a page-by-page recount
+                assert pool.last_scan_row_pages[row] == sum(_tiers(pages))
     free = [row for row in range(len(tiers)) if row not in live]
     assert not tiers[free].any()
     if scanned:
@@ -122,11 +138,12 @@ def _pool_touch(rng, cluster, record):
         memcg = memcgs[i]
         if rng.random() < 0.3:
             continue
-        base = int(pool.row_base[memcg._pool_row])
+        base = int(pool.row_base[memcg.row])
         cap = memcg.capacity_pages
         read = rng.integers(0, cap, int(rng.integers(0, cap)))
         write = rng.integers(0, cap, int(rng.integers(0, cap)))
-        far = np.flatnonzero(memcg.far_mask())
+        pages = _pages(cluster, memcg)
+        far = np.flatnonzero(pages.resident & (pages.state == PageState.FAR))
         in_read, in_write = np.isin(far, read), np.isin(far, write)
         reach += [(in_read & ~in_write).sum(), (in_write & ~in_read).sum(),
                   (in_read & in_write).sum()]
@@ -151,11 +168,14 @@ def _pool_touch(rng, cluster, record):
 
 
 def _random_op(rng, cluster, next_job, record=None):
+    """One random page operation, through the pool interface only."""
+    record = record if record is not None else {}
     machine = cluster.machines[int(rng.integers(len(cluster.machines)))]
+    pool = cluster.pool
     jobs = sorted(machine.memcgs)
-    op = int(rng.integers(9))
-    if op == 8:
-        _pool_touch(rng, cluster, record if record is not None else {})
+    op = int(rng.integers(11))
+    if op == 10:
+        _pool_touch(rng, cluster, record)
         return next_job
     if op == 0 or not jobs:
         job = f"j{next_job}"
@@ -164,42 +184,60 @@ def _random_op(rng, cluster, next_job, record=None):
         return next_job + 1
     job = jobs[int(rng.integers(len(jobs)))]
     memcg = machine.memcgs[job]
+    pages = _pages(cluster, memcg)
+    live = np.flatnonzero(pages.resident)
     if op == 1 and len(jobs) > 1:
         machine.remove_job(job)  # compacts the segments behind it
     elif op == 2:
-        free = memcg.capacity_pages - memcg.resident_pages
+        free = memcg.capacity_pages - live.size
         if free:
             machine.allocate(job, int(rng.integers(1, free + 1)))
     elif op == 3:
-        live = np.flatnonzero(memcg.resident)
         if live.size > 2:
             machine.release(job, rng.choice(live, size=live.size // 3,
                                              replace=False))
     elif op == 4:
         near = np.flatnonzero(
-            memcg.resident & (memcg.state == PageState.NEAR)
-            & (memcg.huge_group < 0)
+            pages.resident & (pages.state == PageState.NEAR)
+            & (pages.huge_group < 0)
         )
         if near.size:
             pick = rng.choice(near, size=max(1, near.size // 2), replace=False)
-            machine.zswap.compress(memcg, np.sort(pick))
+            store_pages(machine, memcg, np.sort(pick))
     elif op == 5:
-        live = np.flatnonzero(memcg.resident)
         if live.size:
             # Repeated slots on purpose: each far page promotes once.
             machine.touch(job, rng.choice(live, size=live.size),
                           write=bool(rng.integers(2)))
     elif op == 6:
-        near = memcg.resident & (memcg.state == PageState.NEAR)
+        near = pages.resident & (pages.state == PageState.NEAR)
         for start in range(0, memcg.capacity_pages - _HUGE + 1, _HUGE):
             window = slice(start, start + _HUGE)
-            if near[window].all() and (memcg.huge_group[window] < 0).all():
-                memcg.map_huge(start, _HUGE)
+            if near[window].all() and (pages.huge_group[window] < 0).all():
+                pool.map_huge(memcg.row, start, _HUGE)
                 break
+    elif op == 7:
+        # Idle scans spread the ages apart.
+        memcgs = _live_memcgs(cluster)
+        for _ in range(int(rng.integers(1, 30))):
+            pool.scan_all(memcgs)
+    elif op == 8:
+        if live.size:
+            pick = rng.choice(live, size=int(rng.integers(1, live.size + 1)),
+                              replace=False)
+            if rng.random() < 0.6:
+                pool.mlock(memcg.row, pick)
+            else:
+                pool.munlock(memcg.row, pick)
     else:
-        memcg.age_scans[memcg.resident] = rng.integers(
-            0, 300, memcg.resident_pages
-        ).clip(max=255)
+        # Stock zswap's direct reclaim, as a reactive machine's
+        # allocation under pressure runs it, soft limits in force.
+        memcgs = list(machine.memcgs.values())
+        for other in memcgs:
+            other.soft_limit_pages = int(
+                rng.integers(0, other.capacity_pages // 4 + 1))
+        record["direct_reclaim"] = machine.direct_reclaim.reclaim(
+            pool, memcgs, int(rng.integers(1, 64)) * PAGE_SIZE)
     return next_job
 
 
@@ -238,24 +276,28 @@ def _retune(rng, cluster):
 
 def _machine_counts(cluster):
     """Every machine's near, free, far and cold counts, which the machine
-    answers from its pool rows, checked against the sums of its memcgs'
-    own counts; so is the cluster's coverage sample, one pooled pass."""
+    answers from its pool rows, checked against the sums of its rows'
+    counts taken one row at a time; so is the cluster's coverage sample,
+    one pooled pass."""
+    pool = cluster.pool
     cluster._sample_coverage(0)
     sampled = cluster.coverage_samples[-len(cluster.machines):]
     counts = []
     for machine, sample in zip(cluster.machines, sampled):
-        memcgs = list(machine.memcgs.values())
-        near = sum(m.near_pages for m in memcgs) * PAGE_SIZE
+        rows = [pool.row_pages(m.row) for m in machine.memcgs.values()]
+        near = sum(_tiers(pages)[0] for pages in rows) * PAGE_SIZE
         answer = (machine.near_bytes, machine.free_bytes, machine.far_pages,
                   [machine.cold_pages(t) for t in (0, 60, 300, 3600)])
         assert answer == (
             near,
             machine.config.dram_bytes - near - machine.arena.footprint_bytes,
-            sum(m.far_pages for m in memcgs),
-            [sum(m.cold_pages(t) for m in memcgs) for t in (0, 60, 300, 3600)],
+            sum(_tiers(pages)[1] for pages in rows),
+            [sum(_cold(pool, pages, t) for pages in rows)
+             for t in (0, 60, 300, 3600)],
         )
         assert (sample.far_memory_pages, sample.cold_pages_at_min_threshold) == (
-            answer[2], sum(m.cold_pages(MIN_COLD_AGE_THRESHOLD) for m in memcgs))
+            answer[2],
+            sum(_cold(pool, pages, MIN_COLD_AGE_THRESHOLD) for pages in rows))
         counts.append(answer)
     return counts
 
@@ -264,7 +306,7 @@ def _interface_answers(cluster, scan):
     """Every answer of the page-pool interface, as comparable values."""
     pool = cluster.pool
     memcgs = _live_memcgs(cluster)
-    rows = np.array([m._pool_row for m in memcgs], dtype=np.int64)
+    rows = np.array([m.row for m in memcgs], dtype=np.int64)
     answers = {"rows": rows.tolist()}
     if scan:
         answers["scan_all"] = pool.scan_all(memcgs)
@@ -281,6 +323,12 @@ def _interface_answers(cluster, scan):
     answers["reclaim_walk"] = (
         slots.dtype.str, slots.tolist(), ranks.dtype.str, ranks.tolist()
     )
+    answers["direct_reclaim_walk"] = [
+        [array.tolist() for array in pool.direct_reclaim_walk(
+            [m.row for m in machine.memcgs.values()])]
+        for machine in cluster.machines
+    ]
+    answers["far_slots"] = pool.far_slots(rows).tolist()
     answers["export_columns"] = {
         name: (column.dtype.str, column.tolist())
         for name, column in sorted(pool.export_columns(rows, 300).items())
@@ -294,14 +342,11 @@ def _interface_answers(cluster, scan):
         for memcg in memcgs
     ]
     answers["pages"] = [
-        (memcg.job_id, memcg.promoted_pages_total, [
-            np.asarray(getattr(memcg, column), np.int64).tobytes()
-            for column in (
-                "resident", "age_scans", "accessed", "state", "dirtied",
-                "incompressible", "payload_bytes", "lru_active",
-                "huge_group",
-            )
-        ])
+        (memcg.job_id, memcg.promoted_pages_total,
+         memcg.compressed_pages_total, memcg.rejected_pages_total, [
+             np.asarray(column, np.int64).tobytes()
+             for column in pool.row_pages(memcg.row)
+         ])
         for memcg in memcgs
     ]
     answers["zswap"] = [
@@ -325,7 +370,7 @@ def test_reference_and_columnar_pools_conform(seed):
     assert isinstance(clusters[1].pool, MachinePagePool)
     rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
     next_jobs = [0, 0]
-    scans = walks = 0
+    scans = walks = reclaims = 0
     touches = []
     for step in range(240):
         scan = step % 6 == 5
@@ -336,12 +381,15 @@ def test_reference_and_columnar_pools_conform(seed):
             _retune(rngs[i], cluster)
             answers.append(_interface_answers(cluster, scan))
             answers[-1]["touch"] = record.get("touch")
+            answers[-1]["direct_reclaim"] = record.get("direct_reclaim")
         assert answers[1] == answers[0], f"diverged at step {step}"
         scans += scan and answers[0]["scan_all"] > 0
         walks += len(set(answers[0]["reclaim_walk"][3])) > 1
+        reclaims += bool(answers[0]["direct_reclaim"]
+                         and answers[0]["direct_reclaim"][0] > 0)
         if answers[0]["touch"] is not None:
             touches.append(answers[0]["touch"])
-    assert scans > 10 and walks > 10
+    assert scans > 10 and walks > 10 and reclaims > 0
     assert next_jobs[0] > len(clusters[1].pool.row_memcg) // 2
     # Touch rounds reached far pages through the reads only, the writes
     # only and both, also after segments were compacted; every far page
@@ -382,7 +430,7 @@ class TestPagePoolOwnership:
         assert all(isinstance(m.pool, MachinePagePool) for m in machines)
         assert machines[0].pool is not machines[1].pool
         memcg = machines[0].add_job("j", 16, _PROFILE)
-        assert machines[0].pool.row_memcg[memcg._pool_row] is memcg
+        assert machines[0].pool.row_memcg[memcg.row] is memcg
         machines[0].remove_job("j")
         assert machines[0].pool is not None
 
@@ -391,8 +439,11 @@ class TestPagePoolOwnership:
         machine = Machine("m", config, registry=MetricRegistry(),
                           tracer=Tracer())
         assert isinstance(machine.pool, ScalarPagePool)
-        assert type(machine.add_job("j", 16, _PROFILE)) is MemCg
+        assert isinstance(machine.add_job("j", 16, _PROFILE), ReferenceMemCg)
         assert MachineConfig().kernel == "columnar"
+        columnar = Machine("m", MachineConfig(dram_bytes=64 * MIB),
+                           registry=MetricRegistry(), tracer=Tracer())
+        assert type(columnar.add_job("j", 16, _PROFILE)) is MemCg
 
 
 def _spec(job_id, pages, priority):
@@ -411,8 +462,7 @@ def _overloaded(kernel):
     first, second = cluster.machines
     cluster.submit(_spec("a0", 700, 0))  # first machine (tie)
     cluster.submit(_spec("b0", 900, 1))  # the emptier machine
-    a0 = first.memcgs["a0"]
-    first.zswap.compress(a0, np.arange(650))
+    store_pages(first, first.memcgs["a0"], np.arange(650))
     cluster.submit(_spec("a1", 500, 2))  # the emptier machine again
     assert set(first.memcgs) == {"a0", "a1"}
     first.touch("a0", np.arange(700))  # every far page promotes
@@ -431,7 +481,7 @@ def _backend_state(cluster):
         [sorted(
             (job, memcg.cold_age_histogram.counts.tolist(),
              memcg.cold_age_histogram.young_count,
-             memcg.age_scans.astype(np.int64).tobytes())
+             m.pool.row_pages(memcg.row).age_scans.astype(np.int64).tobytes())
             for job, memcg in m.memcgs.items()
         ) for m in cluster.machines],
     )
@@ -479,16 +529,16 @@ class TestRecountInvariant:
         pool, memcgs = self._scanned()
         before = pool.cold_counts.copy(), pool.cold_young.copy()
         for memcg in memcgs:
-            check_memcg_histogram(memcg)
+            check_memcg_histogram(pool, memcg)
         assert np.array_equal(pool.cold_counts, before[0])
         assert np.array_equal(pool.cold_young, before[1])
 
     def test_corrupt_pool_row_raises(self):
         pool, memcgs = self._scanned()
-        pool.cold_counts[memcgs[1]._pool_row, 1] += 1
-        check_memcg_histogram(memcgs[0])
+        pool.cold_counts[memcgs[1].row, 1] += 1
+        check_memcg_histogram(pool, memcgs[0])
         with pytest.raises(InvariantViolation, match="cold_histogram"):
-            check_memcg_histogram(memcgs[1])
+            check_memcg_histogram(pool, memcgs[1])
 
     def test_scan_with_a_faulty_recount_raises(self, monkeypatch):
         pool, memcgs = self._scanned()
@@ -496,7 +546,7 @@ class TestRecountInvariant:
 
         def faulty(self, *args):
             recount(self, *args)
-            self.cold_young[memcgs[0]._pool_row] -= 1
+            self.cold_young[memcgs[0].row] -= 1
 
         monkeypatch.setattr(MachinePagePool, "_recount_cold_histograms",
                             faulty)
@@ -512,10 +562,14 @@ def test_repeated_slot_in_one_touch_promotes_once(kernel):
     memcg = machine.add_job("j", 8, ContentProfile(incompressible_fraction=0.0,
                                                    min_ratio=2.0))
     machine.allocate("j", 8)
-    assert machine.zswap.compress(memcg, np.arange(8)) == 8
+    assert store_pages(machine, memcg, np.arange(8)) == 8
 
-    assert memcg.touch(np.array([5, 3, 5, 3, 6])).tolist() == [5, 3, 6]
-    assert machine.touch("j", np.array([3, 3, 4])) == 2
+    base = machine.pool.row_base[memcg.row]
+    assert machine.pool.touch(np.array([5, 3, 5, 3, 6]) + base,
+                              False).tolist() == [5 + base, 3 + base, 6 + base]
+    # Those three are near now; a repeated far page still faults once.
+    machine.pool.mark_far(np.array([5, 3, 6]) + base)
+    assert machine.touch("j", np.array([3, 3, 4, 4])) == 2
     assert machine.far_pages == machine.arena.live_objects == 6
     assert memcg.promoted_pages_total == 2
     check_machine_accounting(machine)

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from repro.core.histograms import AgeHistogram, default_age_bins
 from repro.kernel.compression import ContentProfile
-from repro.kernel.memcg import MemCg, PageState
-from repro.kernel.oracle import scan_memcg
+from repro.kernel.memcg import PageState
+from repro.kernel.oracle import ReferenceMemCg, scan_memcg
 from repro.kernel.zsmalloc import ZsmallocArena
 from repro.kernel.zswap import Zswap
 from repro.model.trace import JobTrace, TraceEntry
+from tests.pool_pages import compress, decompress
 
 
 @settings(max_examples=30, deadline=None)
@@ -24,7 +25,7 @@ def test_zswap_compress_decompress_roundtrip(seed, n_pages, compress_count):
     """Property: compress-then-decompress restores exact page state and
     leaves the arena empty, for any page count and subset size."""
     rng = np.random.default_rng(seed)
-    memcg = MemCg(
+    memcg = ReferenceMemCg(
         "j", n_pages,
         ContentProfile(incompressible_fraction=0.0, min_ratio=1.5),
         default_age_bins(), rng,
@@ -33,11 +34,11 @@ def test_zswap_compress_decompress_roundtrip(seed, n_pages, compress_count):
     zswap = Zswap(ZsmallocArena())
 
     subset = idx[: min(compress_count, n_pages)]
-    stored = zswap.compress(memcg, subset)
+    stored = compress(zswap, memcg, subset)
     far = np.flatnonzero(memcg.far_mask())
     assert far.size == stored
 
-    zswap.decompress(memcg, far)
+    decompress(zswap, memcg, far)
     assert memcg.far_pages == 0
     assert zswap.arena.live_objects == 0
     assert (memcg.state[idx] == PageState.NEAR).all()
@@ -55,7 +56,7 @@ def test_scan_conserves_histogram_totals(seed, scans, touch_fraction):
     """Property: after any scan/touch interleaving, the cold-age snapshot
     counts exactly the resident pages and ages stay within the 8-bit cap."""
     rng = np.random.default_rng(seed)
-    memcg = MemCg("j", 200, ContentProfile(), default_age_bins(), rng)
+    memcg = ReferenceMemCg("j", 200, ContentProfile(), default_age_bins(), rng)
     idx = memcg.allocate(150)
     for _ in range(scans):
         touched = idx[rng.random(idx.size) < touch_fraction]
@@ -123,14 +124,14 @@ def test_compression_never_expands_accounting(seed, incompressible):
     """Property: for any compressibility mix, stored payload bytes never
     exceed the uncompressed size of the stored pages."""
     rng = np.random.default_rng(seed)
-    memcg = MemCg(
+    memcg = ReferenceMemCg(
         "j", 200,
         ContentProfile(incompressible_fraction=incompressible),
         default_age_bins(), rng,
     )
     idx = memcg.allocate(200)
     zswap = Zswap(ZsmallocArena())
-    stored = zswap.compress(memcg, idx)
+    stored = compress(zswap, memcg, idx)
     assert zswap.arena.payload_bytes <= stored * 4096
     stats = zswap.stats_for("j")
     assert stats.pages_compressed + stats.pages_rejected == 200

@@ -5,9 +5,10 @@ candidates of one page pool in LRU walk order, spends each machine's
 kreclaimd budget along that walk and stores the attempted pages in one
 zswap pass.  The reference is the walk it replaced,
 :func:`~repro.kernel.oracle.run_kreclaimd`: machine by machine, memcg by
-memcg, the oracle's own candidacy and LRU order and one
-``Zswap.compress`` each, the budget charged per machine.  Two twin sets
-of machines, each set sharing one page pool, take the same seeded
+memcg over reference memcgs, the oracle's own candidacy and LRU order
+and one store each, the budget charged per machine.  Two twin sets of
+machines, each set sharing one page pool (the reference side's is
+always the reference pool), take the same seeded
 touches, scans, threshold changes and compactions; after every round
 the pooled side and the reference side must agree on page columns,
 arena stats, zswap job stats and the reclaim and compress metrics.  The
@@ -79,8 +80,8 @@ def _machines(kernel, pool_fraction=0.01):
             memcg = machine.add_job(job_id, _PAGES, _PROFILE)
             machine.allocate(job_id, _PAGES - 8 * job)
             if job == 0:
-                memcg.map_huge(0, _HUGE)
-                memcg.map_huge(2 * _HUGE, _HUGE)
+                pool.map_huge(memcg.row, 0, _HUGE)
+                pool.map_huge(memcg.row, 2 * _HUGE, _HUGE)
     return machines, registry
 
 
@@ -94,9 +95,10 @@ def candidate_pairs(machine):
 
 
 def reference_round(machines):
-    """The per-memcg walk, machine by machine: ``run_kreclaimd`` orders
-    each memcg's candidates as its LRU walk does and stores them with
-    one ``Zswap.compress`` each, charging the machine's budget."""
+    """The per-memcg walk over reference memcgs, machine by machine:
+    ``run_kreclaimd`` orders each memcg's candidates as its LRU walk
+    does and stores them one memcg at a time, charging the machine's
+    budget."""
     for machine in machines:
         run_kreclaimd(machine.kreclaimd, candidate_pairs(machine))
 
@@ -111,10 +113,8 @@ def _step(machines, rng, now, drain):
     reads = np.flatnonzero(rng.random(pool.used) < 0.03)
     writes = np.flatnonzero(rng.random(pool.used) < 0.01)
     if drain:
-        reads = np.union1d(reads, np.concatenate([
-            pool.row_base[memcg._pool_row] + np.flatnonzero(memcg.far_mask())
-            for memcg in pool_memcgs(machines)
-        ]))
+        reads = np.union1d(reads, pool.far_slots(
+            [memcg.row for memcg in pool_memcgs(machines)]))
     touch_machines(machines, reads, writes)
     tick_machines(machines, now)
     for machine in machines:
@@ -130,11 +130,19 @@ def _step(machines, rng, now, drain):
             machine.arena.compact()
 
 
+def _huge_pages(machines):
+    pool = machines[0].pool
+    return sum(int((pool.row_pages(memcg.row).huge_group >= 0).sum())
+               for memcg in pool_memcgs(machines))
+
+
 def _state(machines, registry):
+    pool = machines[0].pool
     pages = [
         (memcg.job_id, memcg.compressed_pages_total,
          memcg.rejected_pages_total,
-         [np.asarray(getattr(memcg, column), np.int64).tobytes()
+         [np.asarray(getattr(pool.row_pages(memcg.row), column),
+                     np.int64).tobytes()
           for column in _COLUMNS])
         for memcg in pool_memcgs(machines)
     ]
@@ -156,13 +164,11 @@ def _state(machines, registry):
 @pytest.mark.parametrize("kernel", ["scalar", "columnar"])
 def test_pooled_round_matches_the_per_memcg_walk(kernel):
     pooled, pooled_registry = _machines(kernel)
-    walked, walked_registry = _machines(kernel)
+    walked, walked_registry = _machines("scalar")
     rngs = [np.random.default_rng(5), np.random.default_rng(5)]
     for memcg in pool_memcgs(pooled) + pool_memcgs(walked):
         memcg.cold_age_threshold = 60.0
-    huge_before = sum(
-        int((memcg.huge_group >= 0).sum()) for memcg in pool_memcgs(pooled)
-    )
+    huge_before = _huge_pages(pooled)
     budget_bound = cap_bound = multi_memcg = 0
     for round_index in range(_ROUNDS):
         now = 60 * (round_index + 1)
@@ -172,7 +178,7 @@ def test_pooled_round_matches_the_per_memcg_walk(kernel):
 
         per_machine = [
             [c.size for _m, c in candidate_pairs(machine) if c.size]
-            for machine in pooled
+            for machine in walked
         ]
         budget_bound += any(sum(sizes) > _BUDGET for sizes in per_machine)
         multi_memcg += any(len(sizes) > 1 for sizes in per_machine)
@@ -191,9 +197,7 @@ def test_pooled_round_matches_the_per_memcg_walk(kernel):
     assert budget_bound and cap_bound and multi_memcg
     assert sum(m.zswap.stats_for(j).pages_rejected
                for m in pooled for j in m.memcgs) > 0
-    assert sum(
-        int((memcg.huge_group >= 0).sum()) for memcg in pool_memcgs(pooled)
-    ) < huge_before
+    assert _huge_pages(pooled) < huge_before
 
 
 @pytest.mark.parametrize("kernel", ["scalar", "columnar"])
@@ -206,7 +210,7 @@ def test_each_machine_keeps_its_own_payload_cutoff(
     fault of magnitude 0 sets it, and another's is halved: each machine
     rejects by its own cutoff, first in the walk or not, capped or not."""
     pooled, pooled_registry = _machines(kernel, pool_fraction)
-    walked, walked_registry = _machines(kernel, pool_fraction)
+    walked, walked_registry = _machines("scalar", pool_fraction)
     halved = 2
     for machines in (pooled, walked):
         machines[failed].zswap.max_payload_bytes = 0

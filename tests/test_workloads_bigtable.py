@@ -7,6 +7,7 @@ from repro.common.rng import SeedSequenceFactory
 from repro.common.units import DAY, MIB
 from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
 from repro.workloads.bigtable import BigtableApp, BigtableConfig
+from tests.pool_pages import write_pages
 
 
 def make_app(mode=FarMemoryMode.OFF, seed=1, peak_qps=500.0, **config_kwargs):
@@ -28,7 +29,7 @@ def make_app(mode=FarMemoryMode.OFF, seed=1, peak_qps=500.0, **config_kwargs):
 class TestSetup:
     def test_allocates_cache_and_index(self):
         app, machine = make_app()
-        assert machine.memcgs["bt"].resident_pages == 4200
+        assert machine.resident_pages == 4200
 
     def test_diurnal_qps(self):
         app, _ = make_app(diurnal_amplitude=0.6)
@@ -46,15 +47,17 @@ class TestServing:
 
     def test_skewed_cache_touches(self):
         app, machine = make_app(peak_qps=50.0, zipf_alpha=1.5)
-        machine.memcgs["bt"].accessed[:] = False  # drop allocation touches
+        memcg = machine.memcgs["bt"]
+        # Drop allocation touches.
+        write_pages(machine.pool, memcg, "accessed", False)
         for t in range(0, 600, 60):
             app.step(t, 60)
-        memcg = machine.memcgs["bt"]
+        accessed = machine.pool.row_pages(memcg.row).accessed
         # The Zipf head was touched, the deep tail wasn't.
         head = app._cache_pages[:10]
         tail = app._cache_pages[-1000:]
-        assert memcg.accessed[head].all()
-        assert not memcg.accessed[tail].all()
+        assert accessed[head].all()
+        assert not accessed[tail].all()
 
     def test_ipc_near_baseline_without_zswap(self):
         app, _ = make_app(ipc_noise_sigma=0.01)
