@@ -4,8 +4,8 @@ Replaying the what-if batch from on-disk columns must be bit-identical
 to the object path (materialize every ``TraceEntry``, build ``JobTrace``
 objects, compile), compile at least as fast, and — the reason the store
 exists — peak *lower* in memory, because no entry objects are ever
-built.  Ingest through ``add`` plus segment sealing must keep a
-conservative rows/s floor.
+built.  Ingest through ``add_block`` (one block per job trace) plus
+segment sealing must keep a conservative rows/s floor.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.slo import PromotionRateSlo
 from repro.model.replay import FarMemoryModel
+from repro.model.trace import TelemetryBlock
 from repro.tracestore.database import ColumnarTraceDatabase
 
 pytestmark = pytest.mark.slow
@@ -35,14 +36,13 @@ def _peak_bytes_during(fn):
 
 @pytest.fixture(scope="module")
 def store(synthetic_fleet, tmp_path_factory):
-    """The synthetic fleet ingested entry by entry; returns the database
-    and the ingest wall seconds."""
+    """The synthetic fleet ingested one block per job trace; returns the
+    database and the ingest wall seconds."""
     db = ColumnarTraceDatabase(tmp_path_factory.mktemp("trace-store"),
                                buffer_rows=2048)
     start = time.perf_counter()
     for trace in synthetic_fleet:
-        for entry in trace.entries:
-            db.add(entry)
+        db.add_block(TelemetryBlock.from_entries(trace.entries))
     db.flush()
     return db, time.perf_counter() - start
 

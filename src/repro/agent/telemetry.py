@@ -1,10 +1,12 @@
 """Telemetry export: node agent -> external trace database (paper §5.2-5.3).
 
-Every 5 minutes the agent exports, per job, the trace entry the autotuner's
-fast far memory model consumes: working set size, the promotion histogram
-accumulated over the period, and the current cold-age snapshot.  The sink
-is anything with an ``add(entry)`` method — in this repo,
-:class:`repro.cluster.trace_db.TraceDatabase`.
+Every 5 minutes the agent exports, per job, the row the autotuner's fast
+far memory model consumes: working set size, the promotion histogram
+accumulated over the period, and the current cold-age snapshot.  An export
+round gathers every machine's rows from its page pool in one pass and
+ships them as blocks (:class:`~repro.model.trace.TelemetryBlock`); the
+sink is anything with an ``add_block(block)`` method — in this repo,
+:class:`repro.tracestore.ColumnarTraceDatabase`.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import numpy as np
 from repro.common.events import EventKind, EventLog
 from repro.common.simtime import PeriodicSchedule
 from repro.core.histograms import AgeHistogram
-from repro.core.slo import PromotionRateSlo, working_set_pages
+from repro.core.slo import PromotionRateSlo
 from repro.kernel.machine import Machine
-from repro.model.trace import TRACE_PERIOD_SECONDS, TelemetryBlock, TraceEntry
+from repro.model.trace import TRACE_PERIOD_SECONDS, TelemetryBlock
 from repro.obs import (
     MetricName,
     MetricRegistry,
@@ -30,9 +32,9 @@ from repro.obs import (
 
 __all__ = ["TraceSink", "TelemetryExporter", "export_telemetry"]
 
-#: Most spilled entries retained while the sink is down; beyond this the
-#: oldest spilled entries are dropped (and counted) so a never-healing
-#: sink cannot grow memory without bound.
+#: Most spilled rows retained while the sink is down; beyond this the
+#: oldest spilled rows are dropped (and counted) so a never-healing sink
+#: cannot grow memory without bound.
 RETRY_BUFFER_CAP = 4096
 
 #: First retry happens one export period after the failure; each failed
@@ -48,10 +50,10 @@ def _default_cpu_lookup(_job_id: str) -> float:
 
 
 class TraceSink(Protocol):
-    """Anything that accepts exported trace entries."""
+    """Anything that accepts exported telemetry blocks."""
 
-    def add(self, entry: TraceEntry) -> None:
-        """Store one trace entry."""
+    def add_block(self, block: TelemetryBlock) -> None:
+        """Store every row of ``block``, or none of them (and raise)."""
         ...
 
 
@@ -72,14 +74,6 @@ class TelemetryExporter:
         registry: metrics registry (defaults to the process-global one).
         tracer: span tracer (defaults to the process-global one).
     """
-
-    #: When True (the default) and the sink implements ``add_block``,
-    #: each export window ships as one
-    #: :class:`~repro.model.trace.TelemetryBlock` gathered straight from
-    #: the machine's page-pool columns, with no per-job ``TraceEntry``
-    #: objects.  Tests flip this off to force the entry path as the
-    #: bit-equivalence oracle.
-    prefer_blocks: bool = True
 
     def __init__(
         self,
@@ -103,9 +97,11 @@ class TelemetryExporter:
         self.schedule = PeriodicSchedule(self.period)
         self._last_promotion: Dict[str, AgeHistogram] = {}
         self.entries_exported = 0
-        # Graceful degradation under a failing sink: entries that could
-        # not be delivered wait here (FIFO, bounded) until a retry lands.
-        self._spill: List[TraceEntry] = []
+        # Graceful degradation under a failing sink: blocks that could
+        # not be delivered wait here (FIFO, bounded by rows) until a retry
+        # lands.
+        self._spill: List[TelemetryBlock] = []
+        self._spill_rows = 0
         self._backoff = INITIAL_BACKOFF_SECONDS
         self._retry_at: Optional[int] = None
         self.entries_dropped = 0
@@ -131,7 +127,7 @@ class TelemetryExporter:
         ).labels(machine=machine_id)
         self._m_outages = registry.counter(
             MetricName.TELEMETRY_SINK_OUTAGES_TOTAL,
-            "Sink-outage episodes (first failed add after a healthy spell).",
+            "Sink-outage episodes (first failed add_block after a healthy spell).",
             ("machine",)
         ).labels(machine=machine_id)
         self._m_spilled = registry.counter(
@@ -170,26 +166,34 @@ class TelemetryExporter:
 
     @property
     def sink_degraded(self) -> bool:
-        """True while undelivered entries sit in the retry buffer."""
+        """True while undelivered rows sit in the retry buffer."""
         return bool(self._spill)
 
-    def _spill_entry(self, now: int, entry: TraceEntry) -> None:
-        """Queue an entry for later replay, evicting the oldest when full."""
-        self._spill.append(entry)
-        self._m_spilled.inc()
-        overflow = len(self._spill) - RETRY_BUFFER_CAP
-        if overflow > 0:
-            del self._spill[:overflow]
-            self.entries_dropped += overflow
-            self._m_dropped.inc(overflow)
-            if self.events is not None:
-                self.events.record(
-                    now, EventKind.TELEMETRY_ENTRIES_DROPPED,
-                    machine=self.machine.machine_id, count=overflow,
-                )
+    def _spill_block(self, now: int, block: TelemetryBlock) -> None:
+        """Queue a block for later replay; past :data:`RETRY_BUFFER_CAP`
+        rows the oldest rows go, even where that splits a block."""
+        self._spill.append(block)
+        self._spill_rows += block.n_rows
+        self._m_spilled.inc(block.n_rows)
+        overflow = self._spill_rows - RETRY_BUFFER_CAP
+        if overflow <= 0:
+            return
+        self._spill_rows -= overflow
+        self.entries_dropped += overflow
+        self._m_dropped.inc(overflow)
+        if self.events is not None:
+            self.events.record(
+                now, EventKind.TELEMETRY_ENTRIES_DROPPED,
+                machine=self.machine.machine_id, count=overflow,
+            )
+        while overflow >= self._spill[0].n_rows:
+            overflow -= self._spill.pop(0).n_rows
+        if overflow:
+            head = self._spill[0]
+            self._spill[0] = head.select(np.arange(overflow, head.n_rows))
 
     def _begin_outage(self, now: int) -> None:
-        """First failed ``sink.add`` after a healthy spell."""
+        """First failed ``add_block`` after a healthy spell."""
         self._backoff = INITIAL_BACKOFF_SECONDS
         self._retry_at = now + self._backoff
         self._m_outages.inc()
@@ -203,26 +207,27 @@ class TelemetryExporter:
     def _retry_spill(self, now: int) -> None:
         """Replay the retry buffer if the backoff window has elapsed.
 
-        Entries are replayed oldest-first so per-job trace order (and the
-        trace database's monotonic-append contract) is preserved.  A
-        failure mid-replay keeps the remainder queued and doubles the
-        backoff; draining the buffer ends the outage episode.
+        Blocks are replayed oldest first, one ``add_block`` each, so
+        per-job trace order (and the trace database's monotonic-append
+        contract) is preserved.  A failure mid-replay keeps the remainder
+        queued and doubles the backoff; draining the buffer ends the
+        outage episode.
         """
         if not self._spill or (self._retry_at is not None and now < self._retry_at):
             return
         replayed = 0
         while self._spill:
             try:
-                self.sink.add(self._spill[0])
+                self.sink.add_block(self._spill[0])
             except Exception:
                 self._backoff = min(self._backoff * 2, MAX_BACKOFF_SECONDS)
                 self._retry_at = now + self._backoff
                 break
-            self._spill.pop(0)
-            replayed += 1
-            self.entries_exported += 1
-            self._m_entries.inc()
+            rows = self._spill.pop(0).n_rows
+            self._spill_rows -= rows
+            replayed += rows
         if replayed:
+            self._count_exported(replayed)
             self._m_replayed.inc(replayed)
         if not self._spill:
             self._backoff = INITIAL_BACKOFF_SECONDS
@@ -234,50 +239,9 @@ class TelemetryExporter:
                     machine=self.machine.machine_id, replayed=replayed,
                 )
 
-    def _deliver(self, now: int, entry: TraceEntry) -> None:
-        """Ship one entry, spilling it (in order) when the sink is down."""
-        if self._spill:
-            # Never overtake queued entries: per-job order must hold.
-            self._spill_entry(now, entry)
-            return
-        try:
-            self.sink.add(entry)
-        except Exception:
-            self._begin_outage(now)
-            self._spill_entry(now, entry)
-            return
-        self.entries_exported += 1
-        self._m_entries.inc()
-
-    def _deliver_batch(self, now: int, entries: List[TraceEntry]) -> None:
-        """Ship one export window in a single ``sink.add_batch`` call.
-
-        Failure handling matches the per-entry path except that the
-        batch is all-or-nothing: ``add_batch`` appends no row on error,
-        so the whole window spills and is replayed in order later.
-        """
-        if not entries:
-            return
-        if self._spill:
-            # Never overtake queued entries: per-job order must hold.
-            for entry in entries:
-                self._spill_entry(now, entry)
-            return
-        try:
-            self.sink.add_batch(entries)
-        except Exception:
-            self._begin_outage(now)
-            for entry in entries:
-                self._spill_entry(now, entry)
-            return
-        self.entries_exported += len(entries)
-        self._m_entries.inc(len(entries))
-
-    def _takes_blocks(self) -> bool:
-        """True when this export ships on the block rung: the fastest
-        of the delivery ladder (blocks gathered from pool columns, one
-        ``add_batch`` of entries, per-entry ``add``) both ends support."""
-        return self.prefer_blocks and hasattr(self.sink, "add_block")
+    def _count_exported(self, rows: int) -> None:
+        self.entries_exported += rows
+        self._m_entries.inc(rows)
 
     def _period_baseline(
         self, now: int, job_id: str, memcg
@@ -298,52 +262,17 @@ class TelemetryExporter:
         return last
 
     def export(self, now: int) -> None:
-        """Emit one trace entry per job on the machine: an export round
-        over a list of one (see :func:`export_telemetry`)."""
+        """Export one row per job on the machine: an export round over a
+        list of one (see :func:`export_telemetry`)."""
         export_telemetry([self], now)
 
-    def _export_entries(self, now: int, entry_time: int) -> None:
-        """Object-path export window (the block rung's oracle)."""
-        batch: Optional[List[TraceEntry]] = (
-            [] if hasattr(self.sink, "add_batch") else None
-        )
-        jobs = self.machine.memcgs.items()
-        resident = self.machine.pool.tier_pages(
-            [memcg.row for _job, memcg in jobs]).sum(axis=1).tolist()
-        for (job_id, memcg), resident_pages in zip(jobs, resident):
-            last = self._period_baseline(now, job_id, memcg)
-            if last is None:
-                period_hist = memcg.promotion_histogram.copy()
-            else:
-                period_hist = memcg.promotion_histogram.diff(last)
-            self._last_promotion[job_id] = memcg.promotion_histogram.copy()
 
-            entry = TraceEntry(
-                job_id=job_id,
-                machine_id=self.machine.machine_id,
-                time=entry_time,
-                working_set_pages=working_set_pages(
-                    memcg.cold_age_histogram, self.slo.min_cold_age_seconds
-                ),
-                promotion_histogram=period_hist,
-                cold_age_histogram=memcg.cold_age_histogram.copy(),
-                resident_pages=resident_pages,
-                cpu_cores=self.cpu_lookup(job_id),
-            )
-            if batch is not None:
-                batch.append(entry)
-            else:
-                self._deliver(now, entry)
-        if batch is not None:
-            self._deliver_batch(now, batch)
-
-
-class _BlockRung:
-    """An export round's block-rung exporters: one gather per pool, then
-    one :class:`TelemetryBlock` per run of them.  Rows ``spans[e]`` of
+class _ExportWindow:
+    """One export round's rows: one gather per pool, then one
+    :class:`TelemetryBlock` per run of exporters.  Rows ``spans[e]`` of
     the gather are exporter ``e``'s jobs, so a run is one row range."""
 
-    def __init__(self, exporters: List[TelemetryExporter], now: int):
+    def __init__(self, exporters: Sequence[TelemetryExporter], now: int):
         self.now = now
         self.items = {e: list(e.machine.memcgs.items()) for e in exporters}
         sizes = [len(self.items[e]) for e in exporters]
@@ -352,8 +281,8 @@ class _BlockRung:
         parts = [
             pool.export_columns(np.array([
                 memcg.row for e in group for _j, memcg in self.items[e]
-            ], dtype=np.int64), window)
-            for (pool, window), group in groupby(
+            ], dtype=np.int64), min_age)
+            for (pool, min_age), group in groupby(
                 exporters,
                 key=lambda e: (e.machine.pool, e.slo.min_cold_age_seconds),
             )
@@ -414,73 +343,61 @@ class _BlockRung:
             cold_young=cols["cold_young"][lo:hi],
         )
 
-    def spill(self, exporter: TelemetryExporter) -> None:
-        """Queue one exporter's rows as entries, in row order."""
-        block = self.block([exporter])
-        for entry in block.entries() if block is not None else ():
-            exporter._spill_entry(self.now, entry)
-
     def ship(self, run: List[TelemetryExporter]) -> None:
         """One ``add_block`` for a run of exporters sharing a sink.  It is
         all-or-nothing, so on failure each exporter with rows begins its
-        own outage and spills its own rows in order (never counted
-        twice)."""
-        block = self.block(run)
+        own outage and spills its own rows (never counted twice)."""
+        block = self.block(run) if run else None
         if block is None:
             return
         try:
             run[0].sink.add_block(block)
         except Exception:
+            base = self.spans[run[0]][0]
             for exporter in run:
-                if self.items[exporter]:
+                lo, hi = self.spans[exporter]
+                if hi > lo:
                     exporter._begin_outage(self.now)
-                    self.spill(exporter)
+                    exporter._spill_block(self.now, block.select(
+                        np.arange(lo - base, hi - base)))
             return
         for exporter in run:
-            exporter.entries_exported += len(self.items[exporter])
-            exporter._m_entries.inc(len(self.items[exporter]))
+            exporter._count_exported(len(self.items[exporter]))
 
 
 def export_telemetry(exporters: Sequence[TelemetryExporter], now: int) -> None:
     """One export round for every exporter in ``exporters``.
 
-    Block-rung exporters share one gather per pool, and each run of
-    consecutive ones that share a sink and have nothing queued ships as
-    one block with a machine table.  An exporter on another rung, or with
-    a queued spill, goes its own way and splits the run around itself,
-    so rows reach each sink in exactly the per-machine order.  Each
-    exporter first retries its spill (once its backoff has elapsed), so
-    spilled entries replay oldest first, ahead of the new window.
-    Entries describe the period that *ended* at ``now``, clamped at 0.
+    The exporters share one gather per pool, and each run of consecutive
+    ones that share a sink and have nothing queued ships as one block
+    with a machine table.  An exporter with a queued spill goes its own
+    way and splits the run around itself, so rows reach each sink in
+    exactly the per-machine order: it first retries its spill (once its
+    backoff has elapsed), oldest block first, and its new window queues
+    behind whatever is still spilled.  Rows describe the period that
+    *ended* at ``now``, clamped at 0.
     """
     if not exporters:
         return
     with exporters[0]._tracer.span("telemetry.export", sim_time=now):
-        on_blocks = [e for e in exporters if e._takes_blocks()]
-        rung = _BlockRung(on_blocks, now) if on_blocks else None
+        window = _ExportWindow(exporters, now)
         run: List[TelemetryExporter] = []
         for exporter in exporters:
-            on_rung = rung is not None and exporter in rung.spans
-            if exporter._spill or not on_rung or (
-                run and run[0].sink is not exporter.sink
-            ):
-                if run:
-                    rung.ship(run)
+            if exporter._spill or (run and run[0].sink is not exporter.sink):
+                window.ship(run)
                 run = []
                 exporter._retry_spill(now)
-            if not on_rung:
-                exporter._export_entries(now, max(0, now - exporter.period))
+            window.baselines(exporter)
+            if exporter._spill:
+                # Never overtake queued rows: per-job order must hold.
+                block = window.block([exporter])
+                if block is not None:
+                    exporter._spill_block(now, block)
             else:
-                rung.baselines(exporter)
-                if exporter._spill:
-                    # Never overtake queued entries: per-job order must hold.
-                    rung.spill(exporter)
-                else:
-                    run.append(exporter)
+                run.append(exporter)
             gone = exporter._last_promotion.keys() - exporter.machine.memcgs.keys()
             for job_id in gone:
                 del exporter._last_promotion[job_id]
-        if run:
-            rung.ship(run)
+        window.ship(run)
     for exporter in exporters:
         exporter._m_exports.inc()

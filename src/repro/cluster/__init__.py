@@ -1,9 +1,8 @@
-"""Cluster substrate: scheduler, clusters, the WSC fleet, trace database."""
+"""Cluster substrate: scheduler, clusters and the WSC fleet."""
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import RunningJob
 from repro.cluster.scheduler import BorgScheduler, EvictionSloTracker, Placement
-from repro.cluster.trace_db import TraceDatabase
 from repro.cluster.wsc import WSC, quickfleet
 
 __all__ = [
@@ -12,7 +11,6 @@ __all__ = [
     "EvictionSloTracker",
     "Placement",
     "RunningJob",
-    "TraceDatabase",
     "WSC",
     "quickfleet",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.agent.node_agent import NodeAgent, SliSample, control_agents
-from repro.agent.telemetry import TelemetryExporter, export_telemetry
+from repro.agent.telemetry import TelemetryExporter, TraceSink, export_telemetry
 from repro.common.errors import OutOfMemoryError, SchedulingError
 from repro.common.events import EventKind, EventLog
 from repro.common.rng import SeedSequenceFactory, seed_index
@@ -35,7 +35,6 @@ from repro.core.threshold_policy import (
 )
 from repro.cluster.job import RunningJob, StepPlan
 from repro.cluster.scheduler import BorgScheduler
-from repro.cluster.trace_db import TraceDatabase
 from repro.kernel.machine import (
     Machine,
     MachineConfig,
@@ -51,6 +50,7 @@ from repro.obs import (
     get_registry,
     get_tracer,
 )
+from repro.tracestore import ColumnarTraceDatabase
 from repro.workloads.job_generator import JobSpec
 
 __all__ = ["Cluster"]
@@ -67,7 +67,10 @@ class Cluster:
         n_machines: machines to create.
         machine_config: per-machine static parameters.
         seeds: RNG factory for all cluster randomness.
-        trace_db: shared trace database (fleet telemetry sink).
+        trace_db: shared trace database (fleet telemetry sink); defaults
+            to a fresh in-memory
+            :class:`~repro.tracestore.ColumnarTraceDatabase` on the
+            cluster's registry.
         policy_config: what the node agents run — a deployable
             :class:`~repro.core.threshold_policy.ColdMemoryPolicy` or a
             bare :class:`ThresholdPolicyConfig` (coerced to the paper
@@ -94,7 +97,7 @@ class Cluster:
         n_machines: int,
         machine_config: MachineConfig,
         seeds: SeedSequenceFactory,
-        trace_db: Optional[TraceDatabase] = None,
+        trace_db: Optional[TraceSink] = None,
         policy_config: Optional[object] = None,
         slo: Optional[PromotionRateSlo] = None,
         bins: Optional[AgeBins] = None,
@@ -112,10 +115,11 @@ class Cluster:
         self.policy: ColdMemoryPolicy = as_policy(
             policy_config if policy_config is not None else ThresholdPolicyConfig()
         )
-        self.trace_db = trace_db if trace_db is not None else TraceDatabase()
         self.events = EventLog(max_events=200_000)
         self.clock = Clock(tick_seconds=DEFAULT_TICK_SECONDS)
         self.registry = registry if registry is not None else get_registry()
+        self.trace_db = (trace_db if trace_db is not None
+                         else ColumnarTraceDatabase(registry=self.registry))
         self.tracer = tracer if tracer is not None else get_tracer()
 
         self._wire_event_bridge()
@@ -195,7 +199,7 @@ class Cluster:
         )
 
     def rebind_runtime(self, registry: MetricRegistry, tracer: Tracer,
-                       trace_db: TraceDatabase) -> None:
+                       trace_db: TraceSink) -> None:
         """Re-attach a cluster that crossed a process boundary.
 
         An unpickled cluster carries its own forked registry/tracer copies,

@@ -19,7 +19,6 @@ from repro.common.units import GIB, HOUR, MIB, MIN_COLD_AGE_THRESHOLD, PAGE_SIZE
 from repro.common.validation import check_positive
 from repro.core.coverage import CoverageSample, fleet_coverage
 from repro.cluster.cluster import Cluster
-from repro.cluster.trace_db import TraceDatabase
 from repro.kernel.machine import FarMemoryMode, MachineConfig
 from repro.obs import (
     MetricName,
@@ -28,6 +27,7 @@ from repro.obs import (
     get_registry,
     get_tracer,
 )
+from repro.tracestore import ColumnarTraceDatabase
 from repro.workloads.job_generator import FleetMixGenerator
 
 __all__ = ["WSC", "quickfleet"]
@@ -47,7 +47,7 @@ class WSC:
     def __init__(
         self,
         clusters: Sequence[Cluster],
-        trace_db: TraceDatabase,
+        trace_db: ColumnarTraceDatabase,
         registry: Optional[MetricRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -340,11 +340,10 @@ def quickfleet(
         tracer: span tracer, likewise threaded (defaults to the global
             one).
         trace_db: the telemetry sink shared by every cluster — any
-            object with the :class:`~repro.cluster.trace_db.TraceDatabase`
-            surface, e.g. a
-            :class:`~repro.tracestore.ColumnarTraceDatabase` to persist
-            traces to disk as they stream (defaults to a fresh in-memory
-            database).
+            object with the
+            :class:`~repro.tracestore.ColumnarTraceDatabase` surface, e.g.
+            one over a directory to persist traces as they stream
+            (defaults to a fresh in-memory database on ``registry``).
 
     Returns:
         A :class:`WSC` with all jobs placed (and optionally warmed up).
@@ -357,7 +356,7 @@ def quickfleet(
         )
     seeds = SeedSequenceFactory(seed)
     if trace_db is None:
-        trace_db = TraceDatabase()
+        trace_db = ColumnarTraceDatabase(registry=registry)
     if job_pages_range is None:
         job_pages_range = ((4 * MIB) // PAGE_SIZE, (32 * MIB) // PAGE_SIZE)
 

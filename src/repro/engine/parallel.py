@@ -47,7 +47,7 @@ Design (and why it is deterministic):
   plane uses no wall clock and no RNG, so the replay gives the same bits
   (see :meth:`_Session._take_over`).
 
-Trace entries of *different* jobs merge in ``(time, job_id)`` order, not
+Trace rows of *different* jobs merge in ``(time, job_id)`` order, not
 serial append order; per-job traces — the unit every consumer reads —
 are byte-identical to serial.  The engine falls back to the serial loop
 (same results, one process) for a single cluster, one worker, no
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checks.invariants import check_merge_delta, invariants_enabled
-from repro.common.errors import ReproError, TraceError
+from repro.common.errors import ReproError
 from repro.common.validation import check_positive, require
 from repro.engine.sharding import plan_shards
 from repro.model.trace import TelemetryBlock
@@ -137,53 +137,25 @@ class EngineStats:
 SHIP_SECONDS = 3600
 
 
-class _EntryStaging:
+class _Staging:
     """Telemetry sink of the clusters a process ticks for the engine.
 
-    Holds what they export in one tick, so the parent merges every
-    shard's rows of that tick through the canonical sorted path.  No
-    ``add_block``: it mirrors a fleet database without the block
-    protocol, so its exporters take the entry delivery rung.
+    Holds the blocks they export in one tick, so the parent merges every
+    shard's rows of that tick into the fleet database as one block.
     """
 
     def __init__(self) -> None:
-        self._staged: list = []
+        self._blocks: List[TelemetryBlock] = []
 
-    def add(self, entry) -> None:
-        self._staged.append(entry)
-
-    def add_batch(self, entries) -> None:
-        self._staged.extend(entries)
-
-    def drain(self):
-        """Everything staged since the last drain (a list of entries)."""
-        staged, self._staged = self._staged, []
-        return staged
-
-
-class _BlockStaging(_EntryStaging):
-    """Block-protocol staging: a tick drains one concatenated block.
-
-    Entries (per-entry exporters, spill replays) stage as blocks of their
-    own, in arrival order, so every job's rows keep their order.
-    """
-
-    def add(self, entry) -> None:
-        self.add_batch([entry])
-
-    def add_batch(self, entries) -> None:
-        if entries:
-            self._staged.append(TelemetryBlock.from_entries(entries))
-
-    def add_block(self, block) -> None:
+    def add_block(self, block: TelemetryBlock) -> None:
         if block.n_rows:
-            self._staged.append(block)
+            self._blocks.append(block)
 
-    def drain(self):
-        """One :class:`TelemetryBlock` of everything staged since the last
-        drain, or an empty list when nothing was."""
-        blocks = super().drain()
-        return TelemetryBlock.concat(blocks) if blocks else []
+    def drain(self) -> Optional[TelemetryBlock]:
+        """One block of everything staged since the last drain, or None
+        when nothing was."""
+        blocks, self._blocks = self._blocks, []
+        return TelemetryBlock.concat(blocks) if blocks else None
 
 
 def _point_sinks(clusters, sink) -> None:
@@ -195,7 +167,7 @@ def _point_sinks(clusters, sink) -> None:
 
 
 def _tick_chunk(clusters, cluster_indices: Sequence[int], ticks: int,
-                staging: _EntryStaging) -> Tuple[list, list]:
+                staging: _Staging) -> Tuple[list, list]:
     """Tick the indexed clusters ``ticks`` times, in cluster order.
 
     Returns the SLI batches drained on the way, each tagged ``(tick_seq,
@@ -215,14 +187,12 @@ def _tick_chunk(clusters, cluster_indices: Sequence[int], ticks: int,
     return sli_batches, telemetry
 
 
-def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
-                 ship_blocks: bool = False) -> None:
+def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...]) -> None:
     """Worker loop: own a shard's clusters for a whole engine session.
 
     * ``advance``: tick an interval; reply with its SLI batches, its
-      per-tick trace deltas (with ``ship_blocks``, each one
-      :class:`TelemetryBlock`), the span stats and one metric delta since
-      the previous reply.
+      per-tick trace deltas (each one :class:`TelemetryBlock` or None),
+      the span stats and one metric delta since the previous reply.
     * ``call``: reply with ``fn(cluster, *args)`` per indexed cluster.
     * ``close``: reply with the owned clusters, the span stats and the
       last metric delta, then exit.
@@ -232,7 +202,7 @@ def _worker_main(conn, fleet, cluster_indices: Tuple[int, ...],
     # permanent generation).  The parent's own collector is never touched.
     gc.freeze()
     clusters, registry, tracer = fleet._clusters, fleet.registry, fleet.tracer
-    staging = _BlockStaging() if ship_blocks else _EntryStaging()
+    staging = _Staging()
     _point_sinks([clusters[ci] for ci in cluster_indices], staging)
     # The fork copied the parent's span history and metric values; the
     # stats and deltas this worker reports are purely its own.
@@ -319,8 +289,7 @@ class _Session:
         reaper: stops the workers if the fleet is collected first.
     """
 
-    def __init__(self, fleet, workers: int, ship_blocks: bool,
-                 recv_timeout: Optional[float]):
+    def __init__(self, fleet, workers: int, recv_timeout: Optional[float]):
         self.shards = plan_shards(
             [len(c.machines) for c in fleet._clusters], workers
         )
@@ -328,7 +297,7 @@ class _Session:
         own = min(range(len(self.shards)),
                   key=lambda si: self.shards[si].weight)
         self.local = list(self.shards[own].cluster_indices)
-        self.staging = _BlockStaging() if ship_blocks else _EntryStaging()
+        self.staging = _Staging()
         self.conns, self.procs, self.logs, self.merged = {}, {}, {}, {}
         ctx = mp.get_context("fork")
         try:
@@ -338,8 +307,7 @@ class _Session:
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, fleet, shard.cluster_indices,
-                          ship_blocks),
+                    args=(child_conn, fleet, shard.cluster_indices),
                     daemon=True,
                 )
                 proc.start()
@@ -538,7 +506,7 @@ class _Session:
         indices = self.shards[si].cluster_indices
         clusters = [fleet._clusters[ci] for ci in indices]
         scratch_tracer = Tracer(enabled=False)
-        scratch_sink = _EntryStaging()
+        scratch_sink = _Staging()
         result = None
         for position, entry in enumerate(log):
             if position in (0, merged):
@@ -597,49 +565,15 @@ def _merge_interval(fleet, results: List[Tuple[list, list]],
         _merge_tick(fleet, [deltas[tick_seq] for _, deltas in results])
 
 
-def _merge_tick(fleet, trace_deltas: list) -> None:
-    """Fold one tick's trace deltas, one per shard, into the fleet
-    database as one chunk.
-
-    A trace delta is a list of entries or one :class:`TelemetryBlock`.
-    """
-    trace_entries = []
-    trace_blocks: List[TelemetryBlock] = []
-    for trace_delta in trace_deltas:
-        if isinstance(trace_delta, TelemetryBlock):
-            trace_blocks.append(trace_delta)
-        elif trace_delta:
-            trace_entries.extend(trace_delta)
-    # Canonical cross-job order; per-job order is already serial-exact
-    # because every job lives on exactly one shard.  When every shard
-    # shipped a block and the fleet database speaks blocks, the tick
-    # folds in as one concatenated, lexsorted block.  Blocks on mixed
-    # threshold grids take the entry path for that tick; both commit
-    # one chunk per tick, so sealed segments come out identical.
-    if trace_blocks and not trace_entries and hasattr(
-        fleet.trace_db, "add_block"
-    ):
-        try:
-            merged = TelemetryBlock.concat(trace_blocks).sorted_by_time_job()
-        except TraceError:
-            # Mixed threshold grids across shards: legal for the
-            # per-entry store path, so fall through to it.
-            for block in trace_blocks:
-                trace_entries.extend(block.entries())
-        else:
-            fleet.trace_db.add_block(merged)
-            return
-    else:
-        for block in trace_blocks:
-            trace_entries.extend(block.entries())
-    trace_entries.sort(key=lambda e: (e.time, e.job_id))
-    if not trace_entries:
-        return
-    if hasattr(fleet.trace_db, "add_batch"):
-        fleet.trace_db.add_batch(trace_entries)
-    else:
-        for entry in trace_entries:
-            fleet.trace_db.add(entry)
+def _merge_tick(fleet, trace_deltas: List[Optional[TelemetryBlock]]) -> None:
+    """Fold one tick's trace deltas, one block (or None) per shard, into
+    the fleet database as one block in canonical cross-job order; per-job
+    order is already serial-exact because every job lives on exactly one
+    shard."""
+    blocks = [block for block in trace_deltas if block is not None]
+    if blocks:
+        fleet.trace_db.add_block(
+            TelemetryBlock.concat(blocks).sorted_by_time_job())
 
 
 class FleetEngine:
@@ -662,16 +596,10 @@ class FleetEngine:
         recv_timeout_seconds: how long (wall-clock) to wait for a worker's
             reply before declaring it hung and replaying its shard in the
             parent; ``None`` waits forever.
-        ship_blocks: ship each tick's trace delta as one zero-copy
-            :class:`TelemetryBlock` instead of a list of entries; by
-            default, when the fleet's trace database speaks the block
-            protocol (``add_block``).  Results are bit-identical either
-            way.
     """
 
     def __init__(self, fleet, workers: Optional[int] = None,
-                 recv_timeout_seconds: Optional[float] = 300.0,
-                 ship_blocks: Optional[bool] = None):
+                 recv_timeout_seconds: Optional[float] = 300.0):
         self.fleet = fleet
         if workers is None:
             workers = default_worker_count()
@@ -680,9 +608,6 @@ class FleetEngine:
             check_positive(recv_timeout_seconds, "recv_timeout_seconds")
         self.workers = min(int(workers), len(fleet._clusters))
         self.recv_timeout_seconds = recv_timeout_seconds
-        if ship_blocks is None:
-            ship_blocks = hasattr(fleet.trace_db, "add_block")
-        self.ship_blocks = bool(ship_blocks)
         self.last_stats: Optional[EngineStats] = None
         self._session: Optional[_Session] = None
 
@@ -749,7 +674,6 @@ class FleetEngine:
         with Stopwatch() as start:
             if fleet._session is None:
                 self._session = _Session(fleet, self.workers,
-                                         self.ship_blocks,
                                          self.recv_timeout_seconds)
         _count_phases(fleet, start=start.seconds)
         advances, taken_over = self._session.run(

@@ -43,7 +43,7 @@ class SinkUnavailableError(ReproError):
 
 
 class BrokenSink:
-    """A trace sink stand-in that refuses every ``add``.
+    """A trace sink stand-in that refuses every ``add_block``.
 
     Module-level (not a closure) so a cluster mid-outage still pickles
     across the parallel engine's fork boundary.  The wrapped sink is kept
@@ -53,7 +53,7 @@ class BrokenSink:
     def __init__(self, inner: Any):
         self.inner = inner
 
-    def add(self, entry: Any) -> None:
+    def add_block(self, block: Any) -> None:
         raise SinkUnavailableError("telemetry sink offline (injected fault)")
 
 

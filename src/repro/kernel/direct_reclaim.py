@@ -14,7 +14,7 @@ reclaims a job below its soft limit.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -34,11 +34,40 @@ class DirectReclaim:
 
     def __init__(self, zswap: Zswap):
         self.zswap = zswap
+        #: Allocation stalls that ran direct reclaim (see :meth:`stall`).
         self.invocations = 0
         self.pages_reclaimed = 0
         #: Wall-clock seconds allocation paths spent stalled compressing —
         #: the tail-latency poison the paper measured.  Keyed per invocation.
         self.stall_seconds_total = 0.0
+
+    def stall(
+        self, pool, memcgs: Sequence[MemCg], shortfall: Callable[[], int]
+    ) -> Tuple[int, float]:
+        """One allocation stall: reclaim passes until ``shortfall()`` (the
+        bytes the allocation still lacks, read from the machine) is met
+        or a pass stores nothing.
+
+        Like the kernel's allocation slow path, the stall retries while
+        reclaim makes progress: a pass's freed-bytes estimate leaves out
+        the arena's zspage overhead, so one pass can fall short.
+
+        Returns:
+            ``(bytes_freed_estimate, stall_seconds)`` over every pass.
+        """
+        self.invocations += 1
+        freed = 0
+        stall = 0.0
+        needed = shortfall()
+        while needed > 0:
+            stored_before = self.pages_reclaimed
+            pass_freed, pass_stall = self.reclaim(pool, memcgs, needed)
+            freed += pass_freed
+            stall += pass_stall
+            if self.pages_reclaimed == stored_before:
+                break
+            needed = shortfall()
+        return freed, stall
 
     def reclaim(
         self, pool, memcgs: Sequence[MemCg], needed_bytes: int
@@ -57,7 +86,6 @@ class DirectReclaim:
             ``(bytes_freed_estimate, stall_seconds)`` — freed bytes are
             estimated as (page size - payload) per stored page.
         """
-        self.invocations += 1
         rows = [memcg.row for memcg in memcgs]
         freed = 0
         stall = 0.0
@@ -76,24 +104,27 @@ class DirectReclaim:
                 if reclaimable <= 0 or candidates.size == 0:
                     continue
                 # Take roughly what is still needed assuming ~3x compression,
-                # then measure the true footprint delta; the outer loop
-                # retries if compression under-delivered.
+                # then count what the stored pages actually free; the outer
+                # loop retries if compression under-delivered.
                 still_needed_pages = int(
                     np.ceil((needed_bytes - freed) / (PAGE_SIZE * 2 / 3))
                 )
                 candidates = candidates[: min(reclaimable,
                                               max(1, still_needed_pages))]
-                footprint_before = self.zswap.arena.footprint_bytes
                 stats = self.zswap.stats_for(memcg.job_id)
                 before_seconds = stats.compress_seconds
+                before_payload = stats.payload_bytes_stored
                 stored = compress_rounds(pool, candidates, [
                     (self.zswap, [(memcg, 0, int(candidates.size))])
                 ])[0]
                 stall += stats.compress_seconds - before_seconds
-                footprint_added = (
-                    self.zswap.arena.footprint_bytes - footprint_before
+                # Each stored page frees its page less its payload.  The
+                # arena's footprint also grows by whole zspages, which
+                # would count a fresh arena's first stores as negative
+                # progress.
+                freed += stored * PAGE_SIZE - (
+                    stats.payload_bytes_stored - before_payload
                 )
-                freed += stored * PAGE_SIZE - footprint_added
                 self.pages_reclaimed += stored
                 if stored > 0:
                     progress = True

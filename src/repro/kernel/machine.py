@@ -342,9 +342,9 @@ class Machine:
             free - needed < watermark
             and self.config.mode is FarMemoryMode.REACTIVE
         ):
-            freed, stall = self.direct_reclaim.reclaim(
+            freed, stall = self.direct_reclaim.stall(
                 self.pool, list(self.memcgs.values()),
-                needed + watermark - free,
+                lambda: needed + watermark - self.free_bytes,
             )
             self.events.record(
                 self.now, EventKind.MACHINE_DIRECT_RECLAIM, job=job_id,

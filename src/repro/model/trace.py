@@ -12,9 +12,11 @@ These entries are all the fast far memory model needs to replay the §4.3
 control algorithm offline under any parameter configuration: the histograms
 carry information about *all* candidate thresholds simultaneously.
 
-Entries are plain data with dict/JSON round-tripping so traces can be
-persisted to the external database (:mod:`repro.cluster.trace_db`) and
-shipped to the autotuner.
+Telemetry travels from a machine to the trace database as a
+:class:`TelemetryBlock`: one export window in dense columns.  Entries are
+plain data with dict/JSON round-tripping: the JSON-lines interchange
+format of :mod:`repro.tracestore`, the per-job reads of ``entries_for``
+and ``traces()``, and the replay oracle (:meth:`CompiledTrace.from_trace`).
 """
 
 from __future__ import annotations
@@ -306,9 +308,8 @@ class TelemetryBlock:
     def from_entries(cls, entries: Sequence[TraceEntry]) -> "TelemetryBlock":
         """Pack trace entries into a block (the object-path bridge).
 
-        Used by the equivalence oracle and by mixed merges (e.g. a
-        degraded engine shard that staged entries).  Row order is the
-        entry order.
+        JSON-lines import and the equivalence oracle feed the store this
+        way.  Row order is the entry order.
 
         Raises:
             TraceError: on an empty sequence or mixed threshold grids.
@@ -371,34 +372,6 @@ class TelemetryBlock:
                 dtype=np.int64, count=n),
         )
 
-    def entries(self) -> List[TraceEntry]:
-        """Materialize the rows as :class:`TraceEntry` objects, in order.
-
-        The degraded path: the telemetry exporter spills a block this way
-        when the sink rejects it, so the per-entry retry buffer replays
-        exactly the rows the block carried.  Histogram rows are copied —
-        the entries outlive the block.
-        """
-        out: List[TraceEntry] = []
-        for i in range(self.n_rows):
-            promo = AgeHistogram(self.bins)
-            promo.counts = np.array(self.promotion_counts[i], dtype=np.int64)
-            promo.young_count = int(self.promotion_young[i])
-            cold = AgeHistogram(self.bins)
-            cold.counts = np.array(self.cold_counts[i], dtype=np.int64)
-            cold.young_count = int(self.cold_young[i])
-            out.append(TraceEntry(
-                job_id=self.job_table[int(self.job[i])],
-                machine_id=self.machine_table[int(self.machine[i])],
-                time=int(self.time[i]),
-                working_set_pages=int(self.working_set_pages[i]),
-                promotion_histogram=promo,
-                cold_age_histogram=cold,
-                resident_pages=int(self.resident_pages[i]),
-                cpu_cores=float(self.cpu_cores[i]),
-            ))
-        return out
-
     @classmethod
     def concat(cls, blocks: Sequence["TelemetryBlock"]) -> "TelemetryBlock":
         """Concatenate blocks row-wise, merging the string tables.
@@ -460,22 +433,28 @@ class TelemetryBlock:
         )
 
     def sorted_by_time_job(self) -> "TelemetryBlock":
-        """Rows stably re-ordered by ``(time, job_id)``, tables canonical.
+        """Rows stably re-ordered by ``(time, job_id)``.
 
-        The same canonical cross-job order the parallel engine's entry
-        merge uses (ties keep their current relative order, so per-shard
-        per-job sequences survive intact).  The string tables are rebuilt
-        in first-appearance order of the sorted rows — so a consumer that
-        interns ids row by row (the trace store) assigns exactly the
-        ordinals it would have assigned to the equivalent entry stream,
-        regardless of how this block was assembled.
+        The canonical cross-job order of the parallel engine's merge (ties
+        keep their current relative order, so per-shard per-job sequences
+        survive intact).
         """
         if self.n_rows == 0:
             return self
         names = np.asarray(self.job_table, dtype=np.str_)[self.job]
-        order = np.lexsort((names, self.time))
-        job_col = self.job[order]
-        machine_col = self.machine[order]
+        return self.select(np.lexsort((names, self.time)))
+
+    def select(self, rows: np.ndarray) -> "TelemetryBlock":
+        """The block of rows ``rows`` (indices, in the order given).
+
+        The string tables are rebuilt in first-appearance order of the
+        selected rows and hold only the ids those rows use — so a consumer
+        that interns ids row by row (the trace store) assigns exactly the
+        ordinals it would have assigned to the equivalent entry stream,
+        however this block was assembled.
+        """
+        job_col = self.job[rows]
+        machine_col = self.machine[rows]
         tables = {}
         for key, col, table in (
             ("job", job_col, self.job_table),
@@ -495,14 +474,14 @@ class TelemetryBlock:
             machine_table=tables["machine"][0],
             job=tables["job"][1],
             machine=tables["machine"][1],
-            time=self.time[order],
-            working_set_pages=self.working_set_pages[order],
-            resident_pages=self.resident_pages[order],
-            cpu_cores=self.cpu_cores[order],
-            promotion_counts=self.promotion_counts[order],
-            promotion_young=self.promotion_young[order],
-            cold_counts=self.cold_counts[order],
-            cold_young=self.cold_young[order],
+            time=self.time[rows],
+            working_set_pages=self.working_set_pages[rows],
+            resident_pages=self.resident_pages[rows],
+            cpu_cores=self.cpu_cores[rows],
+            promotion_counts=self.promotion_counts[rows],
+            promotion_young=self.promotion_young[rows],
+            cold_counts=self.cold_counts[rows],
+            cold_young=self.cold_young[rows],
         )
 
 

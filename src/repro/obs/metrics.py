@@ -119,7 +119,6 @@ class MetricName:
         "repro_tracestore_rows_downsampled_total"
     )
     TRACESTORE_BLOCKS_TOTAL = "repro_tracestore_blocks_total"
-    TRACESTORE_BLOCK_ROWS_TOTAL = "repro_tracestore_block_rows_total"
 
     # Fast far memory model (paper §5.3)
     MODEL_CONFIGS_EVALUATED_TOTAL = "repro_model_configs_evaluated_total"

@@ -1,12 +1,11 @@
-"""Columnar on-disk trace store (the telemetry warehouse's disk half).
+"""Columnar trace store: the fleet's telemetry warehouse (paper §5.2-5.3).
 
-The paper's control loop assumes fleet-wide trace retention
-(§5.2-5.3); this package stores trace telemetry as append-only
-fixed-schema ``.npz`` segments with a JSON manifest, incremental
-per-window aggregation, and downsampling for old segments — and exposes
-it behind the same duck-typed surface as the in-memory
-:class:`~repro.cluster.trace_db.TraceDatabase` so agents, the fault
-injector, and the parallel engine need no changes.
+Telemetry reaches the store one :class:`~repro.model.trace.TelemetryBlock`
+at a time through ``TraceStore.append_columns``.  The store keeps it as
+append-only fixed-schema segments with incremental per-window
+aggregation and downsampling for old segments — on disk (``.npz``
+segments with a JSON manifest) or in memory (``root=None``).
+:class:`ColumnarTraceDatabase` is the fleet's trace database over it.
 """
 
 from repro.tracestore.database import ColumnarTraceDatabase

@@ -1,20 +1,19 @@
-"""A drop-in, disk-backed ``TraceDatabase`` over :class:`TraceStore`.
+"""The trace database: the fleet's telemetry sink over a :class:`TraceStore`.
 
-The in-memory :class:`~repro.cluster.trace_db.TraceDatabase` is the
-simulator's telemetry warehouse; everything that talks to it does so
-through duck typing — the ``TraceSink`` protocol (``add``) and the
-model's trace reads (``trace_for``/``traces``).  This class implements the same
-surface on top of the columnar on-disk store, so a fleet can be wired to
-it with no changes to the node agent, the fault injector's sink-outage
-wrapper, or the engine:
+Node agents export per-job 5-minute telemetry here (paper §5.2-5.3) and
+the autotuner's fast far memory model reads it back.  Everything that
+talks to the database does so through duck typing — the ``TraceSink``
+protocol (``add_block``) and the model's trace reads (``trace_for`` /
+``traces`` / ``compiled_traces``):
 
-    db = ColumnarTraceDatabase("run/traces")
+    db = ColumnarTraceDatabase()                # in memory (the default)
+    db = ColumnarTraceDatabase("run/traces")    # persisted as segments
     fleet = quickfleet(machines=..., trace_db=db)
 
-plus one capability the in-memory database cannot offer:
-:meth:`compiled_traces` builds the vectorized-replay tensors straight
-from the on-disk columns without materializing a single
-:class:`~repro.model.trace.TraceEntry`.
+:meth:`~ColumnarTraceDatabase.compiled_traces` builds the replay tensors
+straight from the columns without materializing a single
+:class:`~repro.model.trace.TraceEntry`; entries exist only for the
+per-job reads and the JSON-lines interchange.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 from repro.common.errors import TraceError
 from repro.model.trace import (
@@ -42,22 +41,19 @@ __all__ = ["ColumnarTraceDatabase"]
 
 
 class ColumnarTraceDatabase:
-    """Append-only trace database persisted as columnar segments.
-
-    Interface-compatible with
-    :class:`~repro.cluster.trace_db.TraceDatabase` (add / trace_for /
-    traces / save_jsonl / load_jsonl / job_ids / len), backed by a :class:`TraceStore` directory.
+    """Append-only trace database over a columnar :class:`TraceStore`.
 
     Args:
-        root: store directory (created if missing).
-        buffer_rows: rows buffered in memory before sealing a segment.
+        root: store directory (created if missing), or None (the
+            default) for an in-memory store.
+        buffer_rows: rows pending in memory before sealing a segment.
         window_seconds: incremental-aggregation window width.
         registry: metrics registry for the store's self-metrics.
     """
 
     def __init__(
         self,
-        root: Union[str, Path],
+        root: Optional[Union[str, Path]] = None,
         buffer_rows: int = DEFAULT_BUFFER_ROWS,
         window_seconds: int = DEFAULT_WINDOW_SECONDS,
         registry: Optional[MetricRegistry] = None,
@@ -73,43 +69,19 @@ class ColumnarTraceDatabase:
         return self.store.rows_total
 
     @property
-    def entries_total(self) -> int:
-        """Entries stored (sealed segments plus the live buffer)."""
-        return self.store.rows_total
-
-    @property
     def job_ids(self) -> List[str]:
         """All jobs with at least one entry."""
         return sorted(self.store.jobs)
 
-    def add(self, entry: TraceEntry) -> None:
-        """Store one entry (the :class:`~repro.agent.telemetry.TraceSink`
-        protocol)."""
-        self.store.append(entry)
-
-    def add_batch(self, entries: Sequence[TraceEntry]) -> None:
-        """Store a whole export window as one columnar chunk.
-
-        The batched half of the sink protocol: the columnar kernel's
-        telemetry exporter ships each machine's window in a single call
-        and the entries go straight to column arrays — no per-entry
-        buffer appends.  Equivalent to calling :meth:`add` per entry.
-        """
-        self.store.append_batch(entries)
-
     def add_block(self, block: TelemetryBlock) -> None:
-        """Store a whole export window as one zero-copy column block.
-
-        The fastest rung of the sink protocol: the columnar kernel's
-        telemetry exporter gathers the window straight from pool columns
-        and the arrays land in the segment buffer with only the ordinal
-        columns rewritten — no :class:`TraceEntry` is ever constructed.
-        Equivalent to calling :meth:`add` per row of ``block.entries()``.
+        """Store a whole export window (the
+        :class:`~repro.agent.telemetry.TraceSink` protocol): every row of
+        the block, or none of them.  See :meth:`TraceStore.append_columns`.
         """
         self.store.append_columns(block)
 
     def flush(self) -> int:
-        """Seal buffered rows into a segment; returns rows sealed."""
+        """Seal pending rows into a segment; returns rows sealed."""
         return self.store.flush()
 
     def close(self) -> None:
@@ -126,29 +98,18 @@ class ColumnarTraceDatabase:
         Raises:
             TraceError: if the job has no entries.
         """
-        entries = self.store.entries_for(job_id)
-        trace = JobTrace(job_id)
-        for entry in entries:
-            trace.append(entry)
-        return trace
+        return JobTrace(job_id, self.store.entries_for(job_id))
 
     def traces(
         self, start: Optional[int] = None, end: Optional[int] = None
     ) -> List[JobTrace]:
         """All job traces, sorted by job id, optionally windowed to
         ``[start, end)``."""
-        result = []
-        for job_id in self.job_ids:
-            trace = JobTrace(job_id)
-            for entry in self.store.entries_for(job_id):
-                if start is not None and entry.time < start:
-                    continue
-                if end is not None and entry.time >= end:
-                    continue
-                trace.append(entry)
-            if trace.entries:
-                result.append(trace)
-        return result
+        return [
+            JobTrace(job_id, self.store.entries_of(cols))
+            for job_id, cols in sorted(self.store.rows_by_job(start, end),
+                                       key=lambda pair: pair[0])
+        ]
 
     def compiled_traces(
         self, start: Optional[int] = None, end: Optional[int] = None
@@ -165,15 +126,21 @@ class ColumnarTraceDatabase:
     # ------------------------------------------------------------------
 
     def save_jsonl(self, path: Union[str, Path]) -> int:
-        """Export every entry as one JSON line (atomic, like the
-        in-memory database); returns lines written."""
+        """Write every entry as one JSON line, jobs in first-seen order;
+        returns lines written.
+
+        The file appears atomically: entries stream to a temp file in the
+        same directory which is renamed into place only once every line
+        is out, so a crash mid-export (e.g. under fault injection) can
+        never leave a truncated trace file at ``path``.
+        """
         path = Path(path)
         tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
         count = 0
         try:
             with tmp.open("w", encoding="utf-8") as fh:
-                for job_id in self.store.jobs:
-                    for entry in self.store.entries_for(job_id):
+                for _job_id, cols in self.store.rows_by_job():
+                    for entry in self.store.entries_of(cols):
                         fh.write(json.dumps(entry.to_dict()))
                         fh.write("\n")
                         count += 1
@@ -187,31 +154,48 @@ class ColumnarTraceDatabase:
     def load_jsonl(
         cls,
         path: Union[str, Path],
-        root: Union[str, Path],
+        root: Optional[Union[str, Path]] = None,
         buffer_rows: int = DEFAULT_BUFFER_ROWS,
         registry: Optional[MetricRegistry] = None,
     ) -> "ColumnarTraceDatabase":
-        """Import a JSON-lines trace file into a new columnar store.
+        """Import a JSON-lines trace file into a new database.
+
+        Entries are fed in file order as blocks of up to ``buffer_rows``
+        rows (:meth:`TelemetryBlock.from_entries`).
 
         Args:
             path: a :meth:`save_jsonl`-format file.
-            root: directory for the new store.
+            root: directory for the new store (None = in memory).
 
         Raises:
             TraceError: on a malformed line, with its location.
         """
         db = cls(root, buffer_rows=buffer_rows, registry=registry)
         path = Path(path)
+        pending: List[TraceEntry] = []
         with path.open("r", encoding="utf-8") as fh:
             for line_number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    db.add(TraceEntry.from_dict(json.loads(line)))
+                    pending.append(TraceEntry.from_dict(json.loads(line)))
                 except (json.JSONDecodeError, TraceError) as exc:
                     raise TraceError(
                         f"{path}:{line_number}: bad trace entry: {exc}"
                     ) from exc
+                if len(pending) == buffer_rows:
+                    _import_block(db, path, pending)
+                    pending = []
+        if pending:
+            _import_block(db, path, pending)
         db.flush()
         return db
+
+
+def _import_block(db: ColumnarTraceDatabase, path: Path,
+                  entries: List[TraceEntry]) -> None:
+    try:
+        db.add_block(TelemetryBlock.from_entries(entries))
+    except TraceError as exc:
+        raise TraceError(f"{path}: bad trace entries: {exc}") from exc

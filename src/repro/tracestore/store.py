@@ -1,14 +1,18 @@
-"""Append-only columnar trace store (the on-disk telemetry warehouse).
+"""Append-only columnar trace store (the telemetry warehouse).
 
 The paper's control loop (§5.2-5.3) assumes a telemetry warehouse that
-retains per-job cold-age histograms fleet-wide; the in-memory
-:class:`~repro.cluster.trace_db.TraceDatabase` caps both fleet size and
-trace horizon.  This module is the on-disk half of the columnar arc:
-trace entries append into a bounded in-memory write buffer that seals
-into fixed-schema ``.npz`` segments (one numpy array per column), a
-small JSON manifest indexes the segments, per-window aggregates are
-maintained incrementally at append time, and old segments can be
-downsampled in place without losing those aggregates.
+retains per-job cold-age histograms fleet-wide.  Telemetry arrives in
+blocks (:class:`~repro.model.trace.TelemetryBlock`) through
+:meth:`TraceStore.append_columns`, the one ingest method.  Blocks wait
+as pending column chunks until they seal into fixed-schema segments (one
+numpy array per column), per-window aggregates are maintained
+incrementally at append time, and old segments can be downsampled in
+place without losing those aggregates.
+
+A store with a directory persists each segment as an ``.npz`` file and
+indexes them in a small JSON manifest.  A store without one
+(``root=None``) is in-memory: it has no files and no manifest, and a
+flush seals the pending chunks into one segment held in memory.
 
 Layout of a store directory::
 
@@ -26,12 +30,12 @@ per column, so consumers that only need a few columns (e.g. the window
 CLI reading ``time``) never materialize the histogram matrices.
 
 The store is **single-writer**: the process that created (or opened) it
-owns the files.  A forked copy — e.g. in the parallel engine's workers,
-which inherit the parent fleet via ``fork`` — keeps buffering appends in
-memory but never touches disk.
+owns the segments.  A forked copy — e.g. in the parallel engine's
+workers, which inherit the parent fleet via ``fork`` — keeps its appends
+pending but never seals them.
 
 Self-describing metrics (rows/segments/bytes written, flush latency,
-buffer occupancy) register in the :mod:`repro.obs` catalog under the
+pending rows) register in the :mod:`repro.obs` catalog under the
 ``repro_tracestore_*`` names.
 """
 
@@ -39,9 +43,10 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -72,7 +77,7 @@ MANIFEST_NAME = "manifest.json"
 #: On-disk format version; bumped on incompatible schema changes.
 FORMAT_VERSION = 1
 
-#: Rows buffered in memory before sealing a segment.
+#: Rows pending in memory before sealing a segment.
 DEFAULT_BUFFER_ROWS = 4096
 
 #: Width of one incremental-aggregation window (one hour of sim time).
@@ -98,7 +103,7 @@ _MATRIX_COLUMNS = ("promotion_counts", "cold_counts")
 #: Every column a segment must carry.
 COLUMNS = _INT_COLUMNS + _FLOAT_COLUMNS + _MATRIX_COLUMNS
 
-#: Grow-on-demand ``arange`` shared by the block ingest fast path, so
+#: Grow-on-demand ``arange`` shared by the ingest fast path, so
 #: detecting the canonical ``job == arange(n)`` layout allocates nothing.
 _IDENTITY = np.arange(1024, dtype=np.int64)
 
@@ -227,8 +232,9 @@ class TraceStore:
     """An append-only columnar store of trace telemetry.
 
     Args:
-        root: store directory (created unless ``create=False``).
-        buffer_rows: rows buffered before sealing a segment.
+        root: store directory (created unless ``create=False``), or None
+            for an in-memory store.
+        buffer_rows: rows pending before sealing a segment.
         window_seconds: width of the incremental aggregation windows.
         registry: metrics registry (defaults to the process-global one).
         create: when False, the directory must already hold a manifest —
@@ -242,7 +248,7 @@ class TraceStore:
 
     def __init__(
         self,
-        root: Union[str, Path],
+        root: Optional[Union[str, Path]] = None,
         buffer_rows: int = DEFAULT_BUFFER_ROWS,
         window_seconds: int = DEFAULT_WINDOW_SECONDS,
         registry: Optional[MetricRegistry] = None,
@@ -250,7 +256,7 @@ class TraceStore:
     ):
         check_positive(buffer_rows, "buffer_rows")
         check_positive(window_seconds, "window_seconds")
-        self.root = Path(root)
+        self.root = Path(root) if root is not None else None
         self.buffer_rows = int(buffer_rows)
         self.window_seconds = int(window_seconds)
         self.interval_seconds = TRACE_PERIOD_SECONDS
@@ -261,25 +267,25 @@ class TraceStore:
         self._job_index: Dict[str, int] = {}
         self._machines: List[str] = []
         self._machine_index: Dict[str, int] = {}
-        #: Rows per job already sealed into segments (buffer excluded).
+        #: Rows per job already sealed into segments (pending excluded).
         self._job_sealed_rows: List[int] = []
         #: Last appended entry time per job (order enforcement).
         self._job_last_time: List[int] = []
         self.segments: List[SegmentInfo] = []
         self._next_segment_id = 0
         self._windows: Dict[int, WindowSummary] = {}
-        self._buffer: Dict[str, list] = {name: [] for name in COLUMNS}
-        #: Whole-window column chunks appended via :meth:`append_batch`,
-        #: awaiting the next segment seal alongside the row buffer.
+        #: Column chunks appended since the last seal, in append order.
         self._chunks: List[Dict[str, np.ndarray]] = []
         self._chunk_rows = 0
+        #: Sealed segments' columns by name, for an in-memory store.
+        self._memory: Dict[str, Dict[str, np.ndarray]] = {}
         #: Interning results keyed by (kind, table tuple).  Exporters
-        #: rebuild the same small string tables every window, so on the
-        #: block fast path a cache hit replaces the per-id interning
-        #: loop with one dict lookup.  Ordinals never change once
-        #: assigned, which makes cached LUTs valid forever.
+        #: rebuild the same small string tables every window, so a cache
+        #: hit replaces the per-id interning loop with one dict lookup.
+        #: Ordinals never change once assigned, which makes cached LUTs
+        #: valid forever.
         self._lut_cache: Dict[Tuple[str, Tuple[str, ...]], np.ndarray] = {}
-        #: Entries currently stored (sealed + buffered).
+        #: Rows currently stored (sealed + pending).
         self.rows_total = 0
 
         # Plain attributes mirrored into metrics, so the bench harness
@@ -290,15 +296,16 @@ class TraceStore:
         self.last_flush_seconds = 0.0
         self.rows_downsampled = 0
 
-        manifest = self.root / MANIFEST_NAME
-        if manifest.exists():
-            self._load_manifest(manifest)
-        elif not create:
-            raise TraceStoreError(
-                f"{self.root} is not a trace store (no {MANIFEST_NAME})"
-            )
-        else:
-            self.root.mkdir(parents=True, exist_ok=True)
+        if self.root is not None:
+            manifest = self.root / MANIFEST_NAME
+            if manifest.exists():
+                self._load_manifest(manifest)
+            elif not create:
+                raise TraceStoreError(
+                    f"{self.root} is not a trace store (no {MANIFEST_NAME})"
+                )
+            else:
+                self.root.mkdir(parents=True, exist_ok=True)
 
         self._bind_metrics(
             registry if registry is not None else get_registry()
@@ -309,14 +316,14 @@ class TraceStore:
     # ------------------------------------------------------------------
 
     def _bind_metrics(self, registry: MetricRegistry) -> None:
-        store = self.root.name or "store"
+        store = "memory" if self.root is None else self.root.name or "store"
         self._m_rows = registry.counter(
             MetricName.TRACESTORE_ROWS_TOTAL,
             "Trace rows appended to the columnar store.", ("store",)
         ).labels(store=store)
         self._m_segments = registry.counter(
             MetricName.TRACESTORE_SEGMENTS_TOTAL,
-            "Columnar segments sealed to disk.", ("store",)
+            "Columnar segments sealed.", ("store",)
         ).labels(store=store)
         self._m_bytes = registry.counter(
             MetricName.TRACESTORE_BYTES_WRITTEN_TOTAL,
@@ -328,7 +335,7 @@ class TraceStore:
         ).labels(store=store)
         self._g_buffer = registry.gauge(
             MetricName.TRACESTORE_BUFFER_ROWS,
-            "Rows currently waiting in the write buffer.", ("store",)
+            "Rows currently pending the next seal.", ("store",)
         ).labels(store=store)
         self._m_downsampled = registry.counter(
             MetricName.TRACESTORE_ROWS_DOWNSAMPLED_TOTAL,
@@ -336,17 +343,12 @@ class TraceStore:
         ).labels(store=store)
         self._m_blocks = registry.counter(
             MetricName.TRACESTORE_BLOCKS_TOTAL,
-            "Telemetry blocks ingested via the zero-copy column path.",
-            ("store",)
-        ).labels(store=store)
-        self._m_block_rows = registry.counter(
-            MetricName.TRACESTORE_BLOCK_ROWS_TOTAL,
-            "Rows ingested via the zero-copy column path.", ("store",)
+            "Telemetry blocks ingested.", ("store",)
         ).labels(store=store)
 
     @property
     def _is_owner(self) -> bool:
-        """True in the process that owns the files (see module doc)."""
+        """True in the process that owns the segments (see module doc)."""
         return os.getpid() == self._owner_pid
 
     # ------------------------------------------------------------------
@@ -404,6 +406,8 @@ class TraceStore:
         self.rows_total = sum(seg.rows for seg in self.segments)
 
     def _write_manifest(self) -> None:
+        if self.root is None:
+            return
         data = {
             "version": FORMAT_VERSION,
             "thresholds": (
@@ -441,15 +445,14 @@ class TraceStore:
         return list(self._machines)
 
     def job_rows(self, job_id: str) -> int:
-        """Rows currently stored for one job (sealed + buffered)."""
+        """Rows currently stored for one job (sealed + pending)."""
         ordinal = self._job_index.get(job_id)
         if ordinal is None:
             return 0
-        sealed = self._job_sealed_rows[ordinal]
-        buffered = sum(1 for j in self._buffer["job"] if j == ordinal)
-        for chunk in self._chunks:
-            buffered += int(np.count_nonzero(chunk["job"] == ordinal))
-        return sealed + buffered
+        return self._job_sealed_rows[ordinal] + sum(
+            int(np.count_nonzero(chunk["job"] == ordinal))
+            for chunk in self._chunks
+        )
 
     def _intern_job(self, job_id: str) -> int:
         ordinal = self._job_index.get(job_id)
@@ -479,158 +482,30 @@ class TraceStore:
             self._lut_cache.clear()
         self._lut_cache[key] = lut
 
-    def append(self, entry: TraceEntry) -> None:
-        """Buffer one entry; seals a segment at the row threshold.
-
-        Raises:
-            TraceError: on a threshold-grid mismatch or an out-of-order
-                entry for its job — the same contracts
-                :class:`~repro.model.trace.JobTrace` enforces.
-        """
-        if self.bins is None:
-            self.bins = entry.bins
-        elif entry.bins.thresholds != self.bins.thresholds:
-            raise TraceError(
-                f"entry for job {entry.job_id} uses threshold grid "
-                f"{list(entry.bins.thresholds)}, store is fixed to "
-                f"{list(self.bins.thresholds)}"
-            )
-        job = self._intern_job(entry.job_id)
-        if entry.time < self._job_last_time[job]:
-            raise TraceError(
-                f"out-of-order trace entry for job {entry.job_id} at "
-                f"t={entry.time} after t={self._job_last_time[job]}"
-            )
-        self._job_last_time[job] = entry.time
-
-        buf = self._buffer
-        buf["time"].append(int(entry.time))
-        buf["job"].append(job)
-        buf["machine"].append(self._intern_machine(entry.machine_id))
-        buf["working_set_pages"].append(int(entry.working_set_pages))
-        buf["resident_pages"].append(int(entry.resident_pages))
-        buf["cpu_cores"].append(float(entry.cpu_cores))
-        buf["promotion_counts"].append(
-            entry.promotion_histogram.counts.copy()
-        )
-        buf["promotion_young"].append(
-            int(entry.promotion_histogram.young_count)
-        )
-        buf["cold_counts"].append(entry.cold_age_histogram.counts.copy())
-        buf["cold_young"].append(int(entry.cold_age_histogram.young_count))
-
-        self._observe_window(entry, job)
-        self.rows_total += 1
-        if self._is_owner:
-            self._m_rows.inc()
-            self._g_buffer.set(self._pending_rows)
-        if self._pending_rows >= self.buffer_rows:
-            self.flush()
-
-    def append_batch(self, entries: Sequence[TraceEntry]) -> None:
-        """Buffer a whole export window of entries as one column chunk.
-
-        The batch half of the sink protocol: instead of per-entry list
-        appends, the window's entries become numpy column arrays
-        immediately and travel to the sealed segment as a single chunk.
-        The columnar kernel's telemetry path uses this to ship each
-        machine's 5-minute window in one call.  Store contents are
-        identical to calling :meth:`append` once per entry, in order.
-
-        Raises:
-            TraceError: same contracts as :meth:`append` (threshold-grid
-                match, per-job monotonic time).  The batch is rejected
-                whole — on error nothing is appended.
-        """
-        if not entries:
-            return
-        if self.bins is None:
-            self.bins = entries[0].bins
-        # Validate the full batch before touching any store state, so a
-        # bad batch cannot leave rows half-appended.
-        watermark: Dict[str, int] = {}
-        for entry in entries:
-            if entry.bins.thresholds != self.bins.thresholds:
-                raise TraceError(
-                    f"entry for job {entry.job_id} uses threshold grid "
-                    f"{list(entry.bins.thresholds)}, store is fixed to "
-                    f"{list(self.bins.thresholds)}"
-                )
-            prev = watermark.get(entry.job_id)
-            if prev is None:
-                ordinal = self._job_index.get(entry.job_id)
-                if ordinal is not None:
-                    prev = self._job_last_time[ordinal]
-            if prev is not None and entry.time < prev:
-                raise TraceError(
-                    f"out-of-order trace entry for job {entry.job_id} at "
-                    f"t={entry.time} after t={prev}"
-                )
-            watermark[entry.job_id] = entry.time
-
-        n = len(entries)
-        jobs = np.empty(n, dtype=np.int64)
-        machines = np.empty(n, dtype=np.int64)
-        for i, entry in enumerate(entries):
-            job = self._intern_job(entry.job_id)
-            jobs[i] = job
-            machines[i] = self._intern_machine(entry.machine_id)
-            self._job_last_time[job] = entry.time
-        chunk = {
-            "time": np.fromiter(
-                (e.time for e in entries), dtype=np.int64, count=n),
-            "job": jobs,
-            "machine": machines,
-            "working_set_pages": np.fromiter(
-                (e.working_set_pages for e in entries),
-                dtype=np.int64, count=n),
-            "resident_pages": np.fromiter(
-                (e.resident_pages for e in entries),
-                dtype=np.int64, count=n),
-            "promotion_young": np.fromiter(
-                (e.promotion_histogram.young_count for e in entries),
-                dtype=np.int64, count=n),
-            "cold_young": np.fromiter(
-                (e.cold_age_histogram.young_count for e in entries),
-                dtype=np.int64, count=n),
-            "cpu_cores": np.fromiter(
-                (e.cpu_cores for e in entries), dtype=np.float64, count=n),
-            # np.stack copies, so the chunk never aliases live kernel
-            # histograms.
-            "promotion_counts": np.stack(
-                [e.promotion_histogram.counts for e in entries]
-            ).astype(np.int64),
-            "cold_counts": np.stack(
-                [e.cold_age_histogram.counts for e in entries]
-            ).astype(np.int64),
-        }
-        self._commit_chunk(chunk)
-
     def append_columns(self, block: TelemetryBlock) -> None:
-        """Zero-copy ingest of one :class:`TelemetryBlock`.
+        """Zero-copy ingest of one :class:`TelemetryBlock`: the only way
+        rows enter the store.
 
-        The fast half of the sink protocol: the block's arrays become the
-        pending chunk directly — only the job/machine ordinal columns are
-        rewritten through the store's interning tables; the scalar and
-        histogram columns travel to the sealed segment untouched, and no
-        :class:`~repro.model.trace.TraceEntry` is ever constructed.
-        Store contents are identical to calling :meth:`append` once per
-        row of ``block.entries()``, in row order.
+        The block's arrays become a pending chunk directly — only the
+        job/machine ordinal columns are rewritten through the store's
+        interning tables; the scalar and histogram columns travel to the
+        sealed segment untouched.  Ids are interned in the order of the
+        block's tables, so a block of entries interns them first-seen.
 
         Raises:
-            TraceError: same contracts as :meth:`append` — schema/dtype
-                validity (always enforced, not only under
-                ``REPRO_CHECKS``), threshold-grid match, and per-job
-                monotonic time.  The block is rejected whole: on error
-                nothing is appended and no metric moves.
+            TraceError: on schema/dtype invalidity (always checked, not
+                only under ``REPRO_CHECKS``), a threshold-grid mismatch
+                with the store (fixed by its first block), or a row older
+                than its job's last row — the contracts
+                :class:`~repro.model.trace.JobTrace` enforces.  The block
+                is rejected whole: on error nothing is appended and no
+                metric moves.
         """
         n = block.n_rows
         if n == 0:
             return
         # Hard schema gate: a malformed column must never reach a
-        # segment, so validation is unconditional on this path (the
-        # per-entry path gets the same guarantee from TraceEntry's
-        # constructor normalizing field by field).
+        # segment, so validation is unconditional.
         block.validate()
         if self.bins is None:
             self.bins = block.bins
@@ -757,25 +632,16 @@ class TraceStore:
         }, time_range)
         if self._is_owner:
             self._m_blocks.inc()
-            self._m_block_rows.inc(n)
 
     def _commit_chunk(
         self,
         chunk: Dict[str, np.ndarray],
         time_range: Optional[Tuple[int, int]] = None,
     ) -> None:
-        """Stage one validated column chunk: fold the row buffer ahead of
-        it (append order must hold across mixed per-entry/batch/block
-        use), update window aggregates, count rows, maybe seal.  Callers
-        that already know the chunk's (min, max) time pass it as
-        ``time_range`` to skip two reductions."""
-        if self._buffer["time"]:
-            sealed = self._buffer_arrays()
-            self._chunks.append(sealed)
-            self._chunk_rows += int(sealed["time"].size)
-            for column in self._buffer.values():
-                column.clear()
-
+        """Stage one validated column chunk: update window aggregates,
+        count rows, maybe seal.  Callers that already know the chunk's
+        (min, max) time pass it as ``time_range`` to skip two
+        reductions."""
         n = int(chunk["time"].size)
         jobs = chunk["job"]
         if time_range is None:
@@ -820,52 +686,24 @@ class TraceStore:
         if self._pending_rows >= self.buffer_rows:
             self.flush()
 
-    def _observe_window(self, entry: TraceEntry, job: int) -> None:
-        start = (entry.time // self.window_seconds) * self.window_seconds
-        window = self._windows.get(start)
-        if window is None:
-            window = WindowSummary(start=start)
-            self._windows[start] = window
-        window.rows += 1
-        window.job_ordinals.add(job)
-        window.working_set_pages += int(entry.working_set_pages)
-        window.cold_pages += int(entry.cold_age_histogram.counts.sum())
-        window.promoted_pages += int(entry.promotion_histogram.counts.sum())
-
     def flush(self) -> int:
-        """Seal the buffer into a segment; returns rows sealed.
+        """Seal the pending chunks into one segment; returns rows sealed.
 
         A forked copy of the store (in the parallel engine's workers)
-        never writes: the buffer simply keeps accumulating in memory.
+        never seals: its appends simply stay pending.
         """
         n = self._pending_rows
         if n == 0 or not self._is_owner:
             return 0
         with Stopwatch() as watch:
             arrays = self._pending_arrays()
-            name = f"seg-{self._next_segment_id:06d}.npz"
-            path = self.root / name
-            tmp = self.root / f".{name}.tmp"
-            with tmp.open("wb") as fh:
-                np.savez(fh, **arrays)
-            os.replace(tmp, path)
-            info = SegmentInfo(
-                name=name,
-                rows=n,
-                time_min=int(arrays["time"].min()),
-                time_max=int(arrays["time"].max()),
-                bytes=path.stat().st_size,
-                downsample=1,
-            )
+            info = self._write_segment(arrays, downsample=1)
             self.segments.append(info)
-            self._next_segment_id += 1
             counts = np.bincount(
                 arrays["job"], minlength=len(self._jobs)
             )
             for ordinal, count in enumerate(counts):
                 self._job_sealed_rows[ordinal] += int(count)
-            for column in self._buffer.values():
-                column.clear()
             self._chunks.clear()
             self._chunk_rows = 0
             self._write_manifest()
@@ -880,7 +718,7 @@ class TraceStore:
         return n
 
     def close(self) -> None:
-        """Flush any buffered rows (owner process only)."""
+        """Flush any pending rows (owner process only)."""
         self.flush()
 
     def __enter__(self) -> "TraceStore":
@@ -891,44 +729,59 @@ class TraceStore:
 
     @property
     def _pending_rows(self) -> int:
-        """Rows awaiting the next seal (chunks plus the row buffer)."""
-        return self._chunk_rows + len(self._buffer["time"])
+        """Rows awaiting the next seal."""
+        return self._chunk_rows
 
     def _pending_arrays(self) -> Optional[Dict[str, np.ndarray]]:
-        """Everything unsealed as one column dict, in append order
-        (chunks always precede the live row buffer); None when empty."""
-        parts: List[Dict[str, np.ndarray]] = list(self._chunks)
-        if self._buffer["time"]:
-            parts.append(self._buffer_arrays())
-        if not parts:
+        """Everything unsealed as one column dict, in append order; None
+        when empty."""
+        if not self._chunks:
             return None
-        if len(parts) == 1:
-            return dict(parts[0])
+        if len(self._chunks) == 1:
+            return dict(self._chunks[0])
         return {
-            name: np.concatenate([p[name] for p in parts])
+            name: np.concatenate([c[name] for c in self._chunks])
             for name in COLUMNS
         }
 
-    def _buffer_arrays(self) -> Dict[str, np.ndarray]:
-        buf = self._buffer
-        bins = len(self.bins) if self.bins is not None else 0
-        arrays: Dict[str, np.ndarray] = {}
-        for name in _INT_COLUMNS:
-            arrays[name] = np.asarray(buf[name], dtype=np.int64)
-        for name in _FLOAT_COLUMNS:
-            arrays[name] = np.asarray(buf[name], dtype=np.float64)
-        for name in _MATRIX_COLUMNS:
-            if buf[name]:
-                arrays[name] = np.stack(buf[name]).astype(np.int64)
-            else:
-                arrays[name] = np.zeros((0, bins), dtype=np.int64)
-        return arrays
+    def _write_segment(self, arrays: Dict[str, np.ndarray],
+                       downsample: int) -> SegmentInfo:
+        """Seal ``arrays`` as the next segment: an ``.npz`` file written
+        atomically, or a dict held in memory."""
+        name = f"seg-{self._next_segment_id:06d}.npz"
+        self._next_segment_id += 1
+        if self.root is None:
+            self._memory[name] = arrays
+            size = sum(array.nbytes for array in arrays.values())
+        else:
+            path = self.root / name
+            tmp = self.root / f".{name}.tmp"
+            with tmp.open("wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(tmp, path)
+            size = path.stat().st_size
+        return SegmentInfo(
+            name=name,
+            rows=int(arrays["time"].size),
+            time_min=int(arrays["time"].min()),
+            time_max=int(arrays["time"].max()),
+            bytes=size,
+            downsample=downsample,
+        )
+
+    def _drop_segment(self, info: SegmentInfo) -> None:
+        if self.root is None:
+            del self._memory[info.name]
+        else:
+            (self.root / info.name).unlink()
 
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
 
     def _open_segment(self, info: SegmentInfo):
+        if self.root is None:
+            return nullcontext(self._memory[info.name])
         path = self.root / info.name
         try:
             return np.load(path)
@@ -939,17 +792,14 @@ class TraceStore:
             ) from exc
 
     def _iter_column_sources(self):
-        """Sealed segment arrays in order, then unsealed chunks and the
-        live row buffer."""
+        """Sealed segment arrays in order, then the pending chunks."""
         for info in self.segments:
             with self._open_segment(info) as seg:
                 yield {name: seg[name] for name in COLUMNS}
         yield from self._chunks
-        if self._buffer["time"]:
-            yield self._buffer_arrays()
 
     def job_columns(self, job_id: str) -> Dict[str, np.ndarray]:
-        """One job's rows, concatenated across segments and the buffer.
+        """One job's rows, concatenated across segments and pending chunks.
 
         Raises:
             TraceError: if the job is unknown.
@@ -998,31 +848,19 @@ class TraceStore:
             cpu_cores=float(cols["cpu_cores"][i]),
         )
 
-    def entries_for(self, job_id: str, start: int = 0) -> List[TraceEntry]:
-        """Materialize one job's entries from row ``start`` on.
+    def entries_of(self, cols: Dict[str, np.ndarray]) -> List[TraceEntry]:
+        """Materialize the rows of one column dict (e.g. from
+        :meth:`rows_by_job`) as entries, in row order."""
+        return [self._entry_from_columns(cols, i)
+                for i in range(cols["time"].size)]
 
-        When every requested row still sits in the write buffer, no
-        segment is opened at all.
+    def entries_for(self, job_id: str) -> List[TraceEntry]:
+        """Materialize one job's entries.
 
         Raises:
             TraceError: if the job is unknown.
         """
-        ordinal = self._job_index.get(job_id)
-        if ordinal is None:
-            raise TraceError(f"no trace recorded for job {job_id}")
-        if start >= self._job_sealed_rows[ordinal]:
-            # Fast path: only unsealed rows are needed.
-            skip = start - self._job_sealed_rows[ordinal]
-            cols = self._pending_arrays()
-            if cols is None:
-                return []
-            idx = np.flatnonzero(cols["job"] == ordinal)[skip:]
-            return [self._entry_from_columns(cols, int(i)) for i in idx]
-        cols = self.job_columns(job_id)
-        return [
-            self._entry_from_columns(cols, i)
-            for i in range(start, cols["time"].size)
-        ]
+        return self.entries_of(self.job_columns(job_id))
 
     def downsample_factor(self) -> int:
         """The store-wide downsampling factor.
@@ -1044,6 +882,41 @@ class TraceStore:
             )
         return factors.pop()
 
+    def rows_by_job(
+        self,
+        start: Optional[int] = None,
+        end: Optional[int] = None,
+    ) -> List[Tuple[str, Dict[str, np.ndarray]]]:
+        """Every job's rows with ``start <= time < end`` (None = no bound)
+        as ``(job_id, columns)``, jobs in first-seen order; one pass over
+        the segments, and a job with no row in the window is left out."""
+        per_job: List[List[Dict[str, np.ndarray]]] = [
+            [] for _ in self._jobs
+        ]
+        for cols in self._iter_column_sources():
+            times = cols["time"]
+            mask = np.ones(times.shape, dtype=bool)
+            if start is not None:
+                mask &= times >= start
+            if end is not None:
+                mask &= times < end
+            if not mask.any():
+                continue
+            jobs_col = cols["job"]
+            for ordinal in np.unique(jobs_col[mask]):
+                idx = np.flatnonzero(mask & (jobs_col == ordinal))
+                per_job[int(ordinal)].append(
+                    {name: cols[name][idx] for name in COLUMNS}
+                )
+        return [
+            (job_id, {
+                name: np.concatenate([c[name] for c in chunks])
+                for name in COLUMNS
+            })
+            for job_id, chunks in zip(self._jobs, per_job)
+            if chunks
+        ]
+
     def compiled_traces(
         self,
         start: Optional[int] = None,
@@ -1064,49 +937,22 @@ class TraceStore:
             start: include rows with ``time >= start`` (None = all).
             end: include rows with ``time < end`` (None = all).
         """
-        factor = self.downsample_factor()
-        interval = self.interval_seconds * factor
-        per_job: List[List[Dict[str, np.ndarray]]] = [
-            [] for _ in self._jobs
-        ]
-        for cols in self._iter_column_sources():
-            times = cols["time"]
-            mask = np.ones(times.shape, dtype=bool)
-            if start is not None:
-                mask &= times >= start
-            if end is not None:
-                mask &= times < end
-            if not mask.any():
-                continue
-            jobs_col = cols["job"]
-            for ordinal in np.unique(jobs_col[mask]):
-                idx = np.flatnonzero(mask & (jobs_col == ordinal))
-                per_job[int(ordinal)].append(
-                    {name: cols[name][idx] for name in COLUMNS}
-                )
-        compiled = []
-        for job_id, chunks in sorted(zip(self._jobs, per_job),
-                                     key=lambda pair: pair[0]):
-            if not chunks:
-                continue
-            merged = {
-                name: np.concatenate([c[name] for c in chunks])
-                for name in COLUMNS
-            }
-            compiled.append(
-                CompiledTrace.from_columns(
-                    job_id=job_id,
-                    bins=self.bins,
-                    cold_counts=merged["cold_counts"],
-                    promotion_counts=merged["promotion_counts"],
-                    working_set_pages=merged["working_set_pages"],
-                    times=merged["time"],
-                    resident_pages=merged["resident_pages"],
-                    cpu_cores=merged["cpu_cores"],
-                    interval_seconds=interval,
-                )
+        interval = self.interval_seconds * self.downsample_factor()
+        return [
+            CompiledTrace.from_columns(
+                job_id=job_id,
+                bins=self.bins,
+                cold_counts=cols["cold_counts"],
+                promotion_counts=cols["promotion_counts"],
+                working_set_pages=cols["working_set_pages"],
+                times=cols["time"],
+                resident_pages=cols["resident_pages"],
+                cpu_cores=cols["cpu_cores"],
+                interval_seconds=interval,
             )
-        return compiled
+            for job_id, cols in sorted(self.rows_by_job(start, end),
+                                       key=lambda pair: pair[0])
+        ]
 
     def window_summaries(self) -> List[WindowSummary]:
         """The incremental per-window aggregates, oldest first."""
@@ -1117,9 +963,6 @@ class TraceStore:
         """(earliest, latest) entry time stored, or None when empty."""
         lows = [seg.time_min for seg in self.segments if seg.rows]
         highs = [seg.time_max for seg in self.segments if seg.rows]
-        if self._buffer["time"]:
-            lows.append(min(self._buffer["time"]))
-            highs.append(max(self._buffer["time"]))
         for chunk in self._chunks:
             lows.append(int(chunk["time"].min()))
             highs.append(int(chunk["time"].max()))
@@ -1154,7 +997,7 @@ class TraceStore:
         if not self._is_owner:
             raise TraceStoreError(
                 "compact() from a forked copy would corrupt the owner's "
-                "files"
+                "segments"
             )
         self.flush()
         if factor == 1:
@@ -1167,23 +1010,9 @@ class TraceStore:
                 continue
             with self._open_segment(info) as seg:
                 cols = {name: seg[name] for name in COLUMNS}
-            new_cols = _downsample_columns(cols, factor)
-            name = f"seg-{self._next_segment_id:06d}.npz"
-            self._next_segment_id += 1
-            path = self.root / name
-            tmp = self.root / f".{name}.tmp"
-            with tmp.open("wb") as fh:
-                np.savez(fh, **new_cols)
-            os.replace(tmp, path)
-            (self.root / info.name).unlink()
-            self.segments[index] = SegmentInfo(
-                name=name,
-                rows=int(new_cols["time"].size),
-                time_min=int(new_cols["time"].min()),
-                time_max=int(new_cols["time"].max()),
-                bytes=path.stat().st_size,
-                downsample=factor,
-            )
+            self.segments[index] = self._write_segment(
+                _downsample_columns(cols, factor), downsample=factor)
+            self._drop_segment(info)
             removed += info.rows - self.segments[index].rows
         if removed:
             # Sealed per-job row counts changed; rebuild from disk.

@@ -1,7 +1,6 @@
-"""Telemetry export of 5-minute trace entries."""
+"""Telemetry export of 5-minute trace rows."""
 
 from repro.agent.telemetry import TelemetryExporter
-from repro.cluster.trace_db import TraceDatabase
 from repro.common.events import EventLog
 from repro.common.rng import SeedSequenceFactory
 from repro.core.histograms import AgeBins, AgeHistogram
@@ -9,6 +8,7 @@ from repro.kernel.compression import ContentProfile
 from repro.kernel.machine import Machine, MachineConfig
 from repro.model.trace import TRACE_PERIOD_SECONDS
 from repro.obs import MetricRegistry
+from repro.tracestore import ColumnarTraceDatabase
 
 
 COMPRESSIBLE = ContentProfile(incompressible_fraction=0.0, min_ratio=1.5)
@@ -22,7 +22,7 @@ def make_machine():
 
 def test_exports_every_five_minutes():
     machine = make_machine()
-    db = TraceDatabase()
+    db = ColumnarTraceDatabase()
     exporter = TelemetryExporter(machine, db)
     machine.add_job("j", 200, COMPRESSIBLE)
     machine.allocate("j", 200)
@@ -36,7 +36,7 @@ def test_exports_every_five_minutes():
 
 def test_promotion_histogram_is_per_period_diff():
     machine = make_machine()
-    db = TraceDatabase()
+    db = ColumnarTraceDatabase()
     exporter = TelemetryExporter(machine, db)
     memcg = machine.add_job("j", 200, COMPRESSIBLE)
     idx = machine.allocate("j", 200)
@@ -56,7 +56,7 @@ def test_promotion_histogram_is_per_period_diff():
 
 def test_entry_fields_populated():
     machine = make_machine()
-    db = TraceDatabase()
+    db = ColumnarTraceDatabase()
     exporter = TelemetryExporter(machine, db, cpu_lookup=lambda j: 4.0)
     machine.add_job("j", 300, COMPRESSIBLE)
     machine.allocate("j", 300)
@@ -72,7 +72,7 @@ def test_entry_fields_populated():
 
 def test_departed_jobs_cleaned_up():
     machine = make_machine()
-    db = TraceDatabase()
+    db = ColumnarTraceDatabase()
     exporter = TelemetryExporter(machine, db)
     machine.add_job("j", 100, COMPRESSIBLE)
     machine.allocate("j", 100)
@@ -88,7 +88,7 @@ def test_departed_jobs_cleaned_up():
 
 def test_counts_exported_entries():
     machine = make_machine()
-    db = TraceDatabase()
+    db = ColumnarTraceDatabase()
     exporter = TelemetryExporter(machine, db)
     machine.add_job("a", 50, COMPRESSIBLE)
     machine.add_job("b", 50, COMPRESSIBLE)
@@ -100,7 +100,7 @@ def test_counts_exported_entries():
 
 def test_histogram_reset_event_on_bin_change():
     machine = make_machine()
-    db = TraceDatabase()
+    db = ColumnarTraceDatabase()
     events = EventLog()
     registry = MetricRegistry()
     exporter = TelemetryExporter(machine, db, events=events,
@@ -134,7 +134,7 @@ def test_first_export_timestamp_clamped_at_zero():
     """Regression: the t=0 boundary used to stamp ``now - period`` = -300
     into the trace database; entry times must never be negative."""
     machine = make_machine()
-    db = TraceDatabase()
+    db = ColumnarTraceDatabase()
     exporter = TelemetryExporter(machine, db)
     machine.add_job("j", 100, COMPRESSIBLE)
     machine.allocate("j", 100)
@@ -153,16 +153,16 @@ class FlakySink:
         self.inner = inner
         self.down = False
 
-    def add(self, entry):
+    def add_block(self, block):
         if self.down:
             raise RuntimeError("sink offline")
-        self.inner.add(entry)
+        self.inner.add_block(block)
 
 
 class TestSinkOutage:
     def make(self):
         machine = make_machine()
-        db = TraceDatabase()
+        db = ColumnarTraceDatabase()
         sink = FlakySink(db)
         events = EventLog()
         registry = MetricRegistry()
@@ -237,14 +237,59 @@ class TestSinkOutage:
         drops = events.of_kind("telemetry.entries_dropped")
         assert len(drops) == 2
         # The two newest entries survived (drop-oldest).
-        assert [e.time for e in exporter._spill] == [600, 900]
+        assert [int(t) for block in exporter._spill for t in block.time] == [
+            600, 900]
+
+
+    def test_cap_is_row_exact_and_splits_blocks(self, monkeypatch):
+        import repro.agent.telemetry as telemetry_mod
+
+        monkeypatch.setattr(telemetry_mod, "RETRY_BUFFER_CAP", 4)
+        machine = make_machine()
+        db = ColumnarTraceDatabase()
+        sink = FlakySink(db)
+        events = EventLog()
+        registry = MetricRegistry()
+        exporter = TelemetryExporter(machine, sink, events=events,
+                                     registry=registry)
+        for job in ("a", "b", "c"):
+            machine.add_job(job, 50, COMPRESSIBLE)
+            machine.allocate(job, 50)
+
+        def spilled():
+            return [(block.job_table[int(j)], int(t))
+                    for block in exporter._spill
+                    for j, t in zip(block.job, block.time)]
+
+        sink.down = True
+        machine.tick(0)
+        exporter.export(300)
+        exporter.export(600)  # six rows spilled, cap four: two go
+        # The oldest rows went even though that split the first block.
+        assert spilled() == [("c", 0), ("a", 300), ("b", 300), ("c", 300)]
+        assert len(exporter._spill) == 2
+        exporter.export(900)  # seven rows: three more go
+        assert spilled() == [("c", 300), ("a", 600), ("b", 600), ("c", 600)]
+        assert exporter.entries_dropped == 5
+        assert registry.value("repro_telemetry_dropped_entries_total") == 5
+        drops = events.of_kind("telemetry.entries_dropped")
+        assert [event.payload["count"] for event in drops] == [2, 3]
+
+        sink.down = False
+        exporter.export(1200)  # the backoff has elapsed: the spill replays
+        assert not exporter.sink_degraded
+        assert registry.value("repro_telemetry_spilled_entries_total") == 9
+        assert registry.value("repro_telemetry_replayed_entries_total") == 4
+        assert [e.time for e in db.trace_for("c").entries] == [300, 600, 900]
+        assert [e.time for e in db.trace_for("a").entries] == [600, 900]
+        assert len(db) == 7
 
 
 def test_first_export_is_not_a_reset():
     machine = make_machine()
     events = EventLog()
     registry = MetricRegistry()
-    exporter = TelemetryExporter(machine, TraceDatabase(), events=events,
+    exporter = TelemetryExporter(machine, ColumnarTraceDatabase(), events=events,
                                  registry=registry)
     machine.add_job("j", 50, COMPRESSIBLE)
     machine.allocate("j", 50)

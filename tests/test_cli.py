@@ -106,9 +106,9 @@ class TestExecution:
         )
         assert code == 0
         assert out.exists()
-        from repro.cluster.trace_db import TraceDatabase
+        from repro.tracestore import ColumnarTraceDatabase
 
-        assert len(TraceDatabase.load_jsonl(out)) > 0
+        assert len(ColumnarTraceDatabase.load_jsonl(out)) > 0
 
     def test_figures_writes_directory(self, tmp_path, capsys):
         code = main(
@@ -250,13 +250,13 @@ class TestTraceParser:
 
 class TestTraceCommand:
     def _seed_jsonl(self, tmp_path):
-        from tests.test_tracestore import make_entry
-        from repro.cluster.trace_db import TraceDatabase
+        from tests.test_tracestore import make_entry, row
+        from repro.tracestore import ColumnarTraceDatabase
 
-        db = TraceDatabase()
+        db = ColumnarTraceDatabase()
         for t in (0, 300, 600, 900):
-            db.add(make_entry("a", t, seed=t))
-        db.add(make_entry("b", 0, seed=99))
+            db.add_block(row(make_entry("a", t, seed=t)))
+        db.add_block(row(make_entry("b", 0, seed=99)))
         path = tmp_path / "in.jsonl"
         db.save_jsonl(path)
         return path

@@ -1,12 +1,13 @@
-"""Trace database: indexing, windowing, JSON-lines persistence."""
+"""The fleet's default trace database (in memory): indexing, windowing,
+JSON-lines persistence."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.trace_db import TraceDatabase
 from repro.common.errors import TraceError
 from repro.core.histograms import AgeHistogram, default_age_bins
-from repro.model.trace import JobTrace, TraceEntry
+from repro.model.trace import JobTrace, TelemetryBlock, TraceEntry
+from repro.tracestore import ColumnarTraceDatabase
 
 
 def make_entry(job_id="j", time=0, wss=100, machine="m0"):
@@ -27,51 +28,55 @@ def make_entry(job_id="j", time=0, wss=100, machine="m0"):
     )
 
 
+def add(db, entry):
+    db.add_block(TelemetryBlock.from_entries([entry]))
+
+
 class TestIndexing:
     def test_add_and_lookup(self):
-        db = TraceDatabase()
-        db.add(make_entry("a", 0))
-        db.add(make_entry("a", 300))
-        db.add(make_entry("b", 0))
+        db = ColumnarTraceDatabase()
+        add(db, make_entry("a", 0))
+        add(db, make_entry("a", 300))
+        add(db, make_entry("b", 0))
         assert len(db) == 3
         assert db.job_ids == ["a", "b"]
         assert len(db.trace_for("a")) == 2
 
     def test_unknown_job_raises(self):
         with pytest.raises(TraceError):
-            TraceDatabase().trace_for("ghost")
+            ColumnarTraceDatabase().trace_for("ghost")
 
     def test_out_of_order_rejected(self):
-        db = TraceDatabase()
-        db.add(make_entry("a", 600))
+        db = ColumnarTraceDatabase()
+        add(db, make_entry("a", 600))
         with pytest.raises(TraceError):
-            db.add(make_entry("a", 300))
+            add(db, make_entry("a", 300))
 
     def test_windowed_traces(self):
-        db = TraceDatabase()
+        db = ColumnarTraceDatabase()
         for t in (0, 300, 600, 900):
-            db.add(make_entry("a", t))
+            add(db, make_entry("a", t))
         windowed = db.traces(start=300, end=900)
         assert len(windowed) == 1
         assert [e.time for e in windowed[0].entries] == [300, 600]
 
     def test_window_excluding_everything(self):
-        db = TraceDatabase()
-        db.add(make_entry("a", 0))
+        db = ColumnarTraceDatabase()
+        add(db, make_entry("a", 0))
         assert db.traces(start=1000) == []
 
 
 class TestPersistence:
     def test_jsonl_roundtrip(self, tmp_path):
-        db = TraceDatabase()
-        db.add(make_entry("a", 0))
-        db.add(make_entry("a", 300))
-        db.add(make_entry("b", 0, machine="m1"))
+        db = ColumnarTraceDatabase()
+        add(db, make_entry("a", 0))
+        add(db, make_entry("a", 300))
+        add(db, make_entry("b", 0, machine="m1"))
         path = tmp_path / "traces.jsonl"
         written = db.save_jsonl(path)
         assert written == 3
 
-        loaded = TraceDatabase.load_jsonl(path)
+        loaded = ColumnarTraceDatabase.load_jsonl(path)
         assert loaded.job_ids == ["a", "b"]
         original = db.trace_for("a").entries[0]
         restored = loaded.trace_for("a").entries[0]
@@ -86,15 +91,15 @@ class TestPersistence:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"not": "a trace entry"}\n')
         with pytest.raises(TraceError, match="bad.jsonl:1"):
-            TraceDatabase.load_jsonl(path)
+            ColumnarTraceDatabase.load_jsonl(path)
 
     def test_blank_lines_skipped(self, tmp_path):
-        db = TraceDatabase()
-        db.add(make_entry("a", 0))
+        db = ColumnarTraceDatabase()
+        add(db, make_entry("a", 0))
         path = tmp_path / "traces.jsonl"
         db.save_jsonl(path)
         path.write_text(path.read_text() + "\n\n")
-        assert len(TraceDatabase.load_jsonl(path)) == 1
+        assert len(ColumnarTraceDatabase.load_jsonl(path)) == 1
 
 
 class TestJobTrace:

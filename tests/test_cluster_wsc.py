@@ -84,7 +84,7 @@ class TestDeployment:
         assert fleet.coverage() == 0.0
 
     def test_empty_fleet_rejected(self):
-        from repro.cluster.trace_db import TraceDatabase
+        from repro.tracestore import ColumnarTraceDatabase
 
         with pytest.raises(ValueError):
-            WSC([], TraceDatabase())
+            WSC([], ColumnarTraceDatabase())

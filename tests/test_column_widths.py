@@ -241,14 +241,37 @@ def test_direct_reclaim_reads_the_pool_once_per_pass(monkeypatch):
         lambda pool, slots, rounds: stores.append(rounds[0][1][0][0].job_id)
         or store(pool, slots, rounds))
     machine.direct_reclaim.reclaim(machine.pool, memcgs, 4 * PAGE_SIZE)
-    # Each pass walks every row once; the memcgs' stores share it.  (A
-    # fresh arena's zspages outweigh small stores, so reclaim runs until
-    # nothing is left to take.)
+    # Each pass walks every row once; the memcgs' stores share it.  One
+    # pass covers this shortfall: "a" gives its five pages and "b" the
+    # rest.
     rows = [memcg.row for memcg in memcgs]
     assert walks and all(listed == rows for listed in walks)
-    assert stores[:3] == ["a", "b", "c"] and len(walks) < len(stores)
-    far = machine.pool.tier_pages(rows)[:, 1]
-    assert far.tolist() == [5, 64, 64]
+    assert stores == ["a", "b"] and len(walks) < len(stores)
+    far = machine.pool.tier_pages(rows)[:, 1].tolist()
+    assert far[0] == 5 and 0 < far[1] < 64 and far[2] == 0
+
+
+def test_direct_reclaim_counts_what_stored_pages_free():
+    # A fresh arena grows by whole zspages on its first stores; that
+    # growth is not negative progress.  Each stored page frees its page
+    # less its payload, so a 4-page shortfall compresses a few pages.
+    config = MachineConfig(dram_bytes=64 * MIB, mode=FarMemoryMode.REACTIVE,
+                           scan_period=KSTALED_SCAN_PERIOD)
+    machine = Machine("m", config, registry=MetricRegistry(), tracer=Tracer())
+    memcgs = []
+    for job in ("a", "b", "c"):
+        memcgs.append(machine.add_job(job, 64, _PROFILE))
+        machine.allocate(job, 64)
+    memcgs[0].soft_limit_pages = 64 - 5
+    needed = 4 * PAGE_SIZE
+    freed, _stall = machine.direct_reclaim.reclaim(machine.pool, memcgs,
+                                                   needed)
+    stored = machine.direct_reclaim.pages_reclaimed
+    payload = sum(stats.payload_bytes_stored
+                  for stats in machine.zswap.job_stats.values())
+    assert freed == stored * PAGE_SIZE - payload
+    assert freed >= needed
+    assert 4 <= stored <= 8
 
 
 #: Bytes one pooled scan may allocate per pool slot, beyond what it

@@ -1,11 +1,12 @@
-"""Cluster export rounds with mixed delivery rungs.
+"""Cluster export rounds under sink outages.
 
-One export round gathers every block-rung exporter's rows at once and
-ships each run of consecutive healthy exporters as one shared block.  An
-exporter in a sink outage goes its own way and splits the run around
-itself.  The per-entry object path (``prefer_blocks`` off) is the
-oracle: the store must come out byte-identical, and every machine's
-export, entry, spill and replay counters must match it.
+One export round gathers every exporter's rows at once and ships each run
+of consecutive healthy exporters as one shared block.  An exporter in a
+sink outage goes its own way and splits the run around itself.  The
+oracle is :mod:`tests.telemetry_oracle`: a round whose blocks are built
+from per-job entries instead of the gather.  The store must come out
+byte-identical to one the oracle fed, and every machine's export, entry,
+spill and replay counters must match it.
 """
 
 from repro.cluster import quickfleet
@@ -14,6 +15,7 @@ from repro.common.units import PAGE_SIZE
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.obs import MetricName, MetricRegistry, Tracer
 from repro.tracestore import ColumnarTraceDatabase
+from tests.telemetry_oracle import route_exports_through_oracle
 
 EXPORTER_METRICS = {
     MetricName.TELEMETRY_EXPORTS_TOTAL,
@@ -23,6 +25,7 @@ EXPORTER_METRICS = {
     MetricName.TELEMETRY_REPLAYED_ENTRIES_TOTAL,
     MetricName.TELEMETRY_DROPPED_ENTRIES_TOTAL,
 }
+
 
 
 class RecordingDatabase(ColumnarTraceDatabase):
@@ -36,25 +39,14 @@ class RecordingDatabase(ColumnarTraceDatabase):
         super().__init__(root, registry=registry)
         self.blocks = []
 
-    def _check(self):
+    def add_block(self, block):
         if self.down[0] <= self.clock.now < self.down[1]:
             raise RuntimeError("sink offline")
-
-    def add(self, entry):
-        self._check()
-        super().add(entry)
-
-    def add_batch(self, entries):
-        self._check()
-        super().add_batch(entries)
-
-    def add_block(self, block):
-        self._check()
         super().add_block(block)
         self.blocks.append((self.clock.now, tuple(block.machine_table)))
 
 
-def run_fleet(root, prefer_blocks, outage_machine=None, down=(-1, -1)):
+def run_fleet(root, outage_machine=None, down=(-1, -1)):
     registry = MetricRegistry()
     db = RecordingDatabase(root, registry)
     fleet = quickfleet(
@@ -73,8 +65,6 @@ def run_fleet(root, prefer_blocks, outage_machine=None, down=(-1, -1)):
     cluster = fleet.clusters[0]
     db.clock = cluster.clock
     db.down = down
-    for exporter in cluster.exporters.values():
-        exporter.prefer_blocks = prefer_blocks
     if outage_machine is not None:
         plan = FaultPlan(events=(
             FaultEvent(time=900, kind=FaultKind.SINK_OUTAGE, duration=900,
@@ -94,17 +84,24 @@ def run_fleet(root, prefer_blocks, outage_machine=None, down=(-1, -1)):
     return cluster, db, counters, files
 
 
+def oracle_run(root, monkeypatch, **kwargs):
+    """``run_fleet`` with every block built from the oracle's entries."""
+    with monkeypatch.context() as patch:
+        route_exports_through_oracle(patch)
+        return run_fleet(root, **kwargs)
+
+
 def per_machine(counters, name):
     return {machine: value for metric, machine, value in counters
             if metric == name}
 
 
-def test_outage_on_middle_machine_splits_the_run(tmp_path):
+def test_outage_on_middle_machine_splits_the_run(tmp_path, monkeypatch):
     cluster, db, counters, files = run_fleet(
-        tmp_path / "blocks", prefer_blocks=True, outage_machine=1
+        tmp_path / "blocks", outage_machine=1
     )
-    _, _, oracle_counters, oracle_files = run_fleet(
-        tmp_path / "oracle", prefer_blocks=False, outage_machine=1
+    _, _, oracle_counters, oracle_files = oracle_run(
+        tmp_path / "oracle", monkeypatch, outage_machine=1
     )
     m0, m1, m2 = (machine.machine_id for machine in cluster.machines)
 
@@ -127,12 +124,12 @@ def test_outage_on_middle_machine_splits_the_run(tmp_path):
     assert counters == oracle_counters
 
 
-def test_failed_shared_block_spills_every_exporter(tmp_path):
+def test_failed_shared_block_spills_every_exporter(tmp_path, monkeypatch):
     cluster, db, counters, files = run_fleet(
-        tmp_path / "blocks", prefer_blocks=True, down=(1200, 1500)
+        tmp_path / "blocks", down=(1200, 1500)
     )
-    _, _, oracle_counters, oracle_files = run_fleet(
-        tmp_path / "oracle", prefer_blocks=False, down=(1200, 1500)
+    _, _, oracle_counters, oracle_files = oracle_run(
+        tmp_path / "oracle", monkeypatch, down=(1200, 1500)
     )
     machines = [machine.machine_id for machine in cluster.machines]
     assert (0, tuple(machines)) in db.blocks  # the failing block is shared
@@ -148,4 +145,3 @@ def test_failed_shared_block_spills_every_exporter(tmp_path):
 
     assert files == oracle_files
     assert counters == oracle_counters
-

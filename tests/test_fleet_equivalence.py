@@ -10,9 +10,9 @@
 * **Block telemetry ≡ per-entry telemetry, serial and parallel.**  The
   same seeded columnar fleet runs four times against an on-disk
   :class:`~repro.tracestore.database.ColumnarTraceDatabase`: serially and
-  under the parallel engine, each once over the block path (pool columns
-  → ``add_block``; blocks shipped by the workers) and once over the
-  per-entry path (``prefer_blocks`` off, entry shipping pinned).  Within
+  under the parallel engine, each once with the blocks the exporters
+  gather from pool columns and once with blocks built from per-job
+  entries (:mod:`tests.telemetry_oracle`, in the workers too).  Within
   each mode the two stores must be byte-identical (segments and
   manifest), the compiled replay tensors must match across all four
   runs, and every cluster's middle machine loses its sink for the middle
@@ -22,7 +22,7 @@ The scalar ≡ vectorized replay gate is
 ``tests/test_model_replay.py::TestFleetBatchEquivalence``; object ≡
 columnar store replay is
 ``tests/test_tracestore.py::TestColumnarTraceDatabase::test_model_replays_from_columns``
-and entry ≡ batch ≡ block ingest
+and row-by-row ≡ windowed ≡ shuffled block ingest
 ``tests/test_tracestore_blocks.py::TestBlockEntryEquivalence``.
 """
 
@@ -38,6 +38,7 @@ from repro.engine import FleetEngine, fork_available
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.obs import MetricName, MetricRegistry, Tracer
 from repro.tracestore.database import ColumnarTraceDatabase
+from tests.telemetry_oracle import route_exports_through_oracle
 
 #: The churning fleet both gates run: 1-4 MiB jobs on 1 GiB machines,
 #: per-minute scans, jobs that leave and are replaced within the run.
@@ -112,8 +113,8 @@ class TestReferenceAndColumnarPools:
         assert columnar[output] == reference[output]
 
 
-def _store_run(root: Path, parallel: bool, blocks: bool):
-    """One zero-copy run; returns what the gate compares."""
+def _store_run(root: Path, parallel: bool):
+    """One run of the gate's fleet; returns what the gate compares."""
     seconds = 1800
     outage = FaultPlan(events=(
         FaultEvent(time=seconds // 3, kind=FaultKind.SINK_OUTAGE,
@@ -128,11 +129,9 @@ def _store_run(root: Path, parallel: bool, blocks: bool):
         cluster.attach_fault_injector(
             FaultInjector(outage, SeedSequenceFactory(index))
         )
-        for exporter in cluster.exporters.values():
-            exporter.prefer_blocks = blocks
     mode = "serial"
     if parallel:
-        with FleetEngine(fleet, workers=2, ship_blocks=blocks) as engine:
+        with FleetEngine(fleet, workers=2) as engine:
             mode = engine.run(seconds).mode
     else:
         fleet.run(seconds)
@@ -158,12 +157,14 @@ class TestBlockAndEntryTelemetry:
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("zero-copy")
-        return {
-            (mode, path): _store_run(root / f"{mode}-{path}",
-                                     parallel=mode == "parallel",
-                                     blocks=path == "block")
-            for mode, path in RUNS
-        }
+        runs = {}
+        for mode, path in RUNS:
+            with pytest.MonkeyPatch.context() as patch:
+                if path == "entry":
+                    route_exports_through_oracle(patch)
+                runs[mode, path] = _store_run(root / f"{mode}-{path}",
+                                              parallel=mode == "parallel")
+        return runs
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_parallel_runs_take_the_parallel_path(self, runs):

@@ -18,6 +18,7 @@ from repro.model.trace import (
     TRACE_PERIOD_SECONDS,
     CompiledTrace,
     JobTrace,
+    TelemetryBlock,
     TraceEntry,
 )
 from repro.obs import MetricRegistry
@@ -51,6 +52,11 @@ def make_entry(job_id="j", time=0, wss=100, machine="m0", bins=None, seed=None):
         resident_pages=wss + 20,
         cpu_cores=2.0,
     )
+
+
+def row(entry):
+    """One entry as a one-row block: per-entry ingest."""
+    return TelemetryBlock.from_entries([entry])
 
 
 def random_fleet(jobs=5, max_intervals=12, seed=7):
@@ -194,7 +200,7 @@ class TestTraceStore:
             key=lambda e: (e.time, e.job_id),
         )
         for entry in entries:
-            store.append(entry)
+            store.append_columns(row(entry))
         store.close()
         assert len(store.segments) >= 2  # buffer_rows=3 forces sealing
 
@@ -218,7 +224,7 @@ class TestTraceStore:
         fleet = random_fleet(jobs=4, seed=10)
         for trace in fleet:
             for entry in trace.entries:
-                store.append(entry)
+                store.append_columns(row(entry))
         # Deliberately leave rows in the buffer: compile must see them.
         compiled = {c.job_id: c for c in store.compiled_traces()}
         assert set(compiled) == {t.job_id for t in fleet}
@@ -233,7 +239,7 @@ class TestTraceStore:
         for t in range(6):
             entry = make_entry("a", t * TRACE_PERIOD_SECONDS, seed=t)
             trace.append(entry)
-            store.append(entry)
+            store.append_columns(row(entry))
         (compiled,) = store.compiled_traces(
             start=TRACE_PERIOD_SECONDS, end=4 * TRACE_PERIOD_SECONDS
         )
@@ -244,22 +250,22 @@ class TestTraceStore:
 
     def test_grid_mismatch_rejected(self, tmp_path):
         store = TraceStore(tmp_path / "s")
-        store.append(make_entry("a", 0))
+        store.append_columns(row(make_entry("a", 0)))
         other = AgeBins((120, 600))
         with pytest.raises(TraceError, match="threshold grid"):
-            store.append(make_entry("a", 300, bins=other))
+            store.append_columns(row(make_entry("a", 300, bins=other)))
 
     def test_out_of_order_rejected_across_flush(self, tmp_path):
         store = TraceStore(tmp_path / "s", buffer_rows=1)
-        store.append(make_entry("a", 600))
+        store.append_columns(row(make_entry("a", 600)))
         with pytest.raises(TraceError, match="out-of-order"):
-            store.append(make_entry("a", 300))
+            store.append_columns(row(make_entry("a", 300)))
 
     def test_window_summaries(self, tmp_path):
         store = TraceStore(tmp_path / "s", window_seconds=600)
-        store.append(make_entry("a", 0, wss=10))
-        store.append(make_entry("b", 300, wss=20))
-        store.append(make_entry("a", 600, wss=30))
+        store.append_columns(row(make_entry("a", 0, wss=10)))
+        store.append_columns(row(make_entry("b", 300, wss=20)))
+        store.append_columns(row(make_entry("a", 600, wss=30)))
         summaries = store.window_summaries()
         assert [w.start for w in summaries] == [0, 600]
         assert summaries[0].rows == 2
@@ -271,7 +277,7 @@ class TestTraceStore:
     def test_window_summaries_survive_reopen_and_compact(self, tmp_path):
         store = TraceStore(tmp_path / "s", window_seconds=600)
         for t in range(4):
-            store.append(make_entry("a", t * 300, wss=t + 1, seed=t))
+            store.append_columns(row(make_entry("a", t * 300, wss=t + 1, seed=t)))
         store.close()
         before = [w.to_dict() for w in store.window_summaries()]
         reopened = TraceStore(tmp_path / "s", window_seconds=600)
@@ -282,8 +288,8 @@ class TestTraceStore:
     def test_metrics_registered(self, tmp_path):
         registry = MetricRegistry()
         store = TraceStore(tmp_path / "s", buffer_rows=2, registry=registry)
-        store.append(make_entry("a", 0))
-        store.append(make_entry("a", 300))  # triggers a flush
+        store.append_columns(row(make_entry("a", 0)))
+        store.append_columns(row(make_entry("a", 300)))  # triggers a flush
         exposition = registry.expose_text()
         assert "repro_tracestore_rows_total" in exposition
         assert "repro_tracestore_segments_total" in exposition
@@ -313,7 +319,7 @@ class TestTraceStore:
 
     def test_missing_field_rejected(self, tmp_path):
         store = TraceStore(tmp_path / "s", buffer_rows=1)
-        store.append(make_entry("a", 0))
+        store.append_columns(row(make_entry("a", 0)))
         manifest = tmp_path / "s" / MANIFEST_NAME
         data = json.loads(manifest.read_text())
         del data["segments"]
@@ -323,7 +329,7 @@ class TestTraceStore:
 
     def test_missing_segment_file_rejected(self, tmp_path):
         store = TraceStore(tmp_path / "s", buffer_rows=1)
-        store.append(make_entry("a", 0))
+        store.append_columns(row(make_entry("a", 0)))
         (tmp_path / "s" / store.segments[0].name).unlink()
         reopened = TraceStore(tmp_path / "s")
         with pytest.raises(TraceStoreError, match="unreadable segment"):
@@ -331,10 +337,10 @@ class TestTraceStore:
 
     def test_forked_copy_never_writes(self, tmp_path):
         store = TraceStore(tmp_path / "s", buffer_rows=2)
-        store.append(make_entry("a", 0))
+        store.append_columns(row(make_entry("a", 0)))
         store._owner_pid = os.getpid() + 1  # simulate a forked child
-        store.append(make_entry("a", 300))  # would seal in the owner
-        store.append(make_entry("a", 600))
+        store.append_columns(row(make_entry("a", 300)))  # would seal in the owner
+        store.append_columns(row(make_entry("a", 600)))
         assert store.segments == []
         assert store.flush() == 0
         assert list(tmp_path.glob("s/seg-*.npz")) == []
@@ -353,7 +359,7 @@ class TestDownsampling:
                 "a", t * TRACE_PERIOD_SECONDS, wss=100 * (t + 1), seed=t
             )
             trace.append(entry)
-            store.append(entry)
+            store.append_columns(row(entry))
         store.close()
         return store, trace
 
@@ -397,11 +403,10 @@ class TestDownsampling:
 class TestColumnarTraceDatabase:
     def test_database_surface(self, tmp_path):
         db = ColumnarTraceDatabase(tmp_path / "s", buffer_rows=3)
-        db.add(make_entry("a", 0))
-        db.add(make_entry("a", 300))
-        db.add(make_entry("b", 0))
+        db.add_block(row(make_entry("a", 0)))
+        db.add_block(row(make_entry("a", 300)))
+        db.add_block(row(make_entry("b", 0)))
         assert len(db) == 3
-        assert db.entries_total == 3
         assert db.job_ids == ["a", "b"]
         assert len(db.trace_for("a")) == 2
         with pytest.raises(TraceError):
@@ -413,7 +418,7 @@ class TestColumnarTraceDatabase:
     def test_jsonl_interchange(self, tmp_path):
         db = ColumnarTraceDatabase(tmp_path / "s")
         for t in (0, 300):
-            db.add(make_entry("a", t, seed=t))
+            db.add_block(row(make_entry("a", t, seed=t)))
         path = tmp_path / "out.jsonl"
         assert db.save_jsonl(path) == 2
         loaded = ColumnarTraceDatabase.load_jsonl(path, tmp_path / "s2")
@@ -435,7 +440,7 @@ class TestColumnarTraceDatabase:
         db = ColumnarTraceDatabase(tmp_path / "s", buffer_rows=8)
         for trace in random_fleet(jobs=3, seed=12):
             for entry in trace.entries:
-                db.add(entry)
+                db.add_block(row(entry))
         db.flush()
         batch = [
             ThresholdPolicyConfig(percentile_k=k, warmup_seconds=600,
@@ -450,7 +455,7 @@ class TestColumnarTraceDatabase:
 
     def test_mixed_trace_kinds_rejected(self, tmp_path):
         db = ColumnarTraceDatabase(tmp_path / "s")
-        db.add(make_entry("a", 0))
+        db.add_block(row(make_entry("a", 0)))
         mixed = [db.trace_for("a"), *db.compiled_traces()]
         with pytest.raises(ConfigurationError, match="mix"):
             FarMemoryModel(mixed)
@@ -503,10 +508,8 @@ class TestEngineIntegration:
 
 class TestAtomicSaveJsonl:
     def test_no_temp_residue_and_atomic_content(self, tmp_path):
-        from repro.cluster.trace_db import TraceDatabase
-
-        db = TraceDatabase()
-        db.add(make_entry("a", 0))
+        db = ColumnarTraceDatabase()
+        db.add_block(row(make_entry("a", 0)))
         path = tmp_path / "out.jsonl"
         path.write_text("stale\n", encoding="utf-8")
         assert db.save_jsonl(path) == 1
@@ -514,10 +517,8 @@ class TestAtomicSaveJsonl:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_crash_mid_export_leaves_original(self, tmp_path, monkeypatch):
-        from repro.cluster.trace_db import TraceDatabase
-
-        db = TraceDatabase()
-        db.add(make_entry("a", 0))
+        db = ColumnarTraceDatabase()
+        db.add_block(row(make_entry("a", 0)))
         path = tmp_path / "out.jsonl"
         path.write_text("original\n", encoding="utf-8")
 
@@ -533,12 +534,10 @@ class TestAtomicSaveJsonl:
 
 class TestBisectWindowing:
     def test_windowed_traces_still_correct(self):
-        from repro.cluster.trace_db import TraceDatabase
-
-        db = TraceDatabase()
+        db = ColumnarTraceDatabase()
         for t in (0, 300, 600, 900):
-            db.add(make_entry("a", t))
-        db.add(make_entry("b", 600))
+            db.add_block(row(make_entry("a", t)))
+        db.add_block(row(make_entry("b", 600)))
         windowed = {t.job_id: t for t in db.traces(start=300, end=900)}
         assert [e.time for e in windowed["a"].entries] == [300, 600]
         assert [e.time for e in windowed["b"].entries] == [600]
@@ -548,7 +547,8 @@ class TestBisectWindowing:
 
 
 class TestBatchAppend:
-    """append_batch / add_batch: the columnar telemetry write path."""
+    """Window blocks (one block per export window, the telemetry write
+    path) against one-row blocks (per-entry ingest)."""
 
     @staticmethod
     def _window_batches(jobs=4, windows=6):
@@ -574,10 +574,10 @@ class TestBatchAppend:
         one = TraceStore(tmp_path / "per-entry", registry=MetricRegistry())
         for batch in batches:
             for entry in batch:
-                one.append(entry)
+                one.append_columns(row(entry))
         many = TraceStore(tmp_path / "batched", registry=MetricRegistry())
         for batch in batches:
-            many.append_batch(batch)
+            many.append_columns(TelemetryBlock.from_entries(batch))
 
         assert many.rows_total == one.rows_total
         assert many.jobs == one.jobs
@@ -588,7 +588,7 @@ class TestBatchAppend:
             [w.to_dict() for w in many.window_summaries()]
             == [w.to_dict() for w in one.window_summaries()]
         )
-        # Sealed segments must match too, not just the live buffer.
+        # Sealed segments must match too, not just the pending rows.
         assert many.flush() == one.flush()
         assert self._dump(many) == self._dump(one)
 
@@ -598,46 +598,47 @@ class TestBatchAppend:
         oracle = TraceStore(tmp_path / "oracle", registry=MetricRegistry())
         for w, batch in enumerate(batches):
             if w % 2 == 0:
-                store.append_batch(batch)
+                store.append_columns(TelemetryBlock.from_entries(batch))
             else:
                 for entry in batch:
-                    store.append(entry)
+                    store.append_columns(row(entry))
             for entry in batch:
-                oracle.append(entry)
+                oracle.append_columns(row(entry))
         assert self._dump(store) == self._dump(oracle)
         for job_id in oracle.jobs:
             assert store.job_rows(job_id) == oracle.job_rows(job_id)
 
     def test_bad_batch_rejected_whole(self, tmp_path):
         store = TraceStore(tmp_path / "s", registry=MetricRegistry())
-        store.append(make_entry("a", time=600))
+        store.append_columns(row(make_entry("a", time=600)))
         bad = [
             make_entry("b", time=900),
             make_entry("a", time=300),  # older than a's watermark
         ]
         with pytest.raises(TraceError, match="out-of-order"):
-            store.append_batch(bad)
+            store.append_columns(TelemetryBlock.from_entries(bad))
         assert store.rows_total == 1
         assert store.jobs == ["a"]
         # A valid batch still lands afterwards.
-        store.append_batch([make_entry("a", time=900),
-                            make_entry("b", time=900)])
+        store.append_columns(TelemetryBlock.from_entries(
+            [make_entry("a", time=900), make_entry("b", time=900)]))
         assert store.rows_total == 3
 
     def test_batch_grid_mismatch_rejected(self, tmp_path):
         store = TraceStore(tmp_path / "s", registry=MetricRegistry())
-        store.append(make_entry("a", time=0))
+        store.append_columns(row(make_entry("a", time=0)))
         other = AgeBins((240.0, 3600.0))
         with pytest.raises(TraceError, match="threshold grid"):
-            store.append_batch([make_entry("b", time=0, bins=other)])
+            store.append_columns(TelemetryBlock.from_entries(
+                [make_entry("b", time=0, bins=other)]))
         assert store.rows_total == 1
 
     def test_batch_seals_and_reopens(self, tmp_path):
         root = tmp_path / "sealed"
         store = TraceStore(root, buffer_rows=4, registry=MetricRegistry())
         for batch in self._window_batches(jobs=3, windows=4):
-            store.append_batch(batch)
-        assert store.segments  # threshold crossed inside append_batch
+            store.append_columns(TelemetryBlock.from_entries(batch))
+        assert store.segments  # threshold crossed inside append_columns
         store.close()
         reopened = TraceStore(root, registry=MetricRegistry())
         assert reopened.rows_total == 12
@@ -646,8 +647,8 @@ class TestBatchAppend:
         ]
 
     def test_columnar_fleet_batch_export_matches_scalar(self, tmp_path):
-        """End to end: the columnar pool's block telemetry stores the
-        same entries the reference pool's entry path does."""
+        """End to end: the columnar pool's telemetry blocks store the same
+        entries the reference pool's do."""
         from repro.cluster.wsc import quickfleet
         from repro.obs import Tracer
 
@@ -662,8 +663,6 @@ class TestBatchAppend:
                 registry=MetricRegistry(), tracer=Tracer(),
                 trace_db=db,
             )
-            for exporter in fleet.clusters[0].exporters.values():
-                exporter.prefer_blocks = kernel == "columnar"
             fleet.run(3600)
             db.flush()
             dumps[kernel] = {

@@ -1,6 +1,9 @@
 """Zero-copy TelemetryBlock ingest: all-or-nothing semantics, located
 dtype rejection, identity/generic path parity, and exporter block-failure
-degradation (spill-in-order, no double-counted rows) under sink outages."""
+degradation (spill-in-order, no double-counted rows) under sink outages.
+
+A one-row block per entry (:func:`row`) is the per-entry ingest the
+window blocks are checked against."""
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from repro.faults import (
     FaultPlan,
 )
 from repro.kernel.compression import ContentProfile
+from repro.core.threshold_policy import ThresholdPolicyConfig
 from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
+from repro.model.replay import FarMemoryModel
 from repro.model.trace import TelemetryBlock, TraceEntry
 from repro.obs import MetricRegistry, Tracer
 from repro.tracestore import ColumnarTraceDatabase, TraceStore
@@ -48,6 +53,10 @@ def make_entry(job_id="j", time=0, wss=100, machine="m0", seed=None):
         resident_pages=wss + 20,
         cpu_cores=2.0,
     )
+
+
+def row(entry):
+    return TelemetryBlock.from_entries([entry])
 
 
 def random_windows(windows=8, jobs=6, seed=3):
@@ -115,7 +124,7 @@ class TestAppendColumnsAllOrNothing:
         assert store.rows_total == 0
         assert store.jobs == []
         assert registry.value("repro_tracestore_blocks_total") == 0
-        assert registry.value("repro_tracestore_block_rows_total") == 0
+        assert registry.value("repro_tracestore_rows_total") == 0
 
     def test_dtype_mismatch_rejected_with_located_error(self, tmp_path):
         store = TraceStore(tmp_path / "s", registry=MetricRegistry())
@@ -147,9 +156,9 @@ class TestAppendColumnsAllOrNothing:
         the buffer, the watermarks, and the segment list untouched."""
         registry = MetricRegistry()
         store = TraceStore(tmp_path / "s", buffer_rows=4, registry=registry)
-        store.append(make_entry("a", time=300))
-        store.append(make_entry("a", time=600))
-        store.append(make_entry("b", time=300))
+        store.append_columns(row(make_entry("a", time=300)))
+        store.append_columns(row(make_entry("a", time=600)))
+        store.append_columns(row(make_entry("b", time=300)))
         before = dump(store)
 
         bad = TelemetryBlock.from_entries([
@@ -161,8 +170,7 @@ class TestAppendColumnsAllOrNothing:
         assert store.rows_total == 3
         assert store.flush_count == 0  # 3 rows buffered, seal untriggered
         assert dump(store) == before
-        assert registry.value("repro_tracestore_blocks_total") == 0
-        assert registry.value("repro_tracestore_block_rows_total") == 0
+        assert registry.value("repro_tracestore_blocks_total") == 3
         assert registry.value("repro_tracestore_rows_total") == 3
 
         # The corrected window still lands — and crosses the seal.
@@ -173,12 +181,12 @@ class TestAppendColumnsAllOrNothing:
         store.append_columns(good)
         assert store.rows_total == 5
         assert store.flush_count == 1
-        assert registry.value("repro_tracestore_block_rows_total") == 2
+        assert registry.value("repro_tracestore_blocks_total") == 4
         assert registry.value("repro_tracestore_rows_total") == 5
 
     def test_rejected_block_does_not_grow_string_tables(self, tmp_path):
         store = TraceStore(tmp_path / "s", registry=MetricRegistry())
-        store.append(make_entry("a", time=600))
+        store.append_columns(row(make_entry("a", time=600)))
         bad = TelemetryBlock.from_entries([
             make_entry("brand-new-job", time=900, machine="m9"),
             make_entry("a", time=300),  # behind a's watermark
@@ -200,7 +208,7 @@ class TestAppendColumnsAllOrNothing:
 
 
 class TestBlockEntryEquivalence:
-    """Blocks must store exactly what the per-entry oracle stores."""
+    """Window blocks must store exactly what one-row blocks store."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_randomized_blocks_match_entry_and_batch_paths(
@@ -215,8 +223,9 @@ class TestBlockEntryEquivalence:
                              registry=MetricRegistry())
         for window in windows:
             for entry in window:
-                one.append(entry)
-            batched.append_batch(window)
+                one.append_columns(row(entry))
+            batched.append_columns(
+                TelemetryBlock.concat([row(entry) for entry in window]))
             blocked.append_columns(TelemetryBlock.from_entries(window))
 
         assert dump(blocked) == dump(one)
@@ -227,9 +236,9 @@ class TestBlockEntryEquivalence:
             [w.to_dict() for w in blocked.window_summaries()]
             == [w.to_dict() for w in one.window_summaries()]
         )
-        # Batch and block share delivery granularity: after a final
-        # flush the two stores must be byte-identical on disk,
-        # manifest included.
+        # A window concatenated from one-row blocks and one packed from
+        # the entries share delivery granularity: after a final flush the
+        # two stores must be byte-identical on disk, manifest included.
         batched.flush()
         blocked.flush()
         batched.close()
@@ -269,7 +278,8 @@ class TestBlockEntryEquivalence:
                     make_entry("late-arrival", time=w * 300, seed=w)
                 )
             store.append_columns(TelemetryBlock.from_entries(window))
-            oracle.append_batch(window)
+            for entry in window:
+                oracle.append_columns(row(entry))
         assert dump(store) == dump(oracle)
 
 
@@ -279,16 +289,6 @@ class BlockFlakySink:
     def __init__(self, inner):
         self.inner = inner
         self.down = False
-
-    def add(self, entry):
-        if self.down:
-            raise RuntimeError("sink offline")
-        self.inner.add(entry)
-
-    def add_batch(self, entries):
-        if self.down:
-            raise RuntimeError("sink offline")
-        self.inner.add_batch(entries)
 
     def add_block(self, block):
         if self.down:
@@ -326,7 +326,6 @@ class TestExporterBlockFailure:
         exporter = TelemetryExporter(
             machine, sink, registry=registry, tracer=Tracer()
         )
-        assert exporter._takes_blocks()  # block path active
         for t in range(0, 3601, 300):
             if outage is not None:
                 sink.down = outage[0] <= t <= outage[1]
@@ -377,12 +376,14 @@ class TestExporterBlockFailure:
         assert registry.value(
             "repro_tracestore_rows_total") == db.store.rows_total
         assert registry.value(
-            "repro_tracestore_block_rows_total") <= db.store.rows_total
+            "repro_tracestore_blocks_total") <= db.store.rows_total
 
 
 class TestSinkOutageColumnarFleet:
     """The sink_outage chaos scenario against the full zero-copy stack:
-    columnar kernel, cluster pool, block-capable columnar store."""
+    columnar kernel, cluster pool, columnar store.  Delivery is exactly
+    once: the outage run reads as the fault-free run, down to the fast
+    model's reports."""
 
     DURATION = 2 * HOUR
 
@@ -429,5 +430,24 @@ class TestSinkOutageColumnarFleet:
         # failures: the metric agrees with the store itself...
         assert registry.value(
             "repro_tracestore_rows_total") == chaos_db.store.rows_total
-        # ...and the delivered traces are exactly the fault-free ones.
+        # ...the delivered traces are exactly the fault-free ones...
         assert dump(chaos_db.store) == dump(base_db.store)
+        # ...and so are the replay tensors and the model's reports.
+        compiled = chaos_db.compiled_traces()
+        clean = base_db.compiled_traces()
+        assert [c.job_id for c in compiled] == [c.job_id for c in clean]
+        for ours, theirs in zip(compiled, clean):
+            for column in ("cold_suffix_sums", "promotion_suffix_sums",
+                           "working_set_pages", "times", "resident_pages",
+                           "cpu_cores"):
+                np.testing.assert_array_equal(getattr(ours, column),
+                                              getattr(theirs, column))
+        configs = [ThresholdPolicyConfig(percentile_k=k, warmup_seconds=600)
+                   for k in (90.0, 98.0)]
+        reports = []
+        for traces in (compiled, clean):
+            with FarMemoryModel(traces, registry=MetricRegistry()) as model:
+                # repr, not ==: reports carry NaN rates for zero-WSS
+                # intervals.
+                reports.append(repr(model.evaluate_many(configs)))
+        assert reports[0] == reports[1]
